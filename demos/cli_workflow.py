@@ -9,6 +9,7 @@ labels on the command line are 1-based.
 """
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -17,11 +18,17 @@ from pathlib import Path
 workdir = Path(tempfile.mkdtemp(prefix="dinaq-demo-"))
 print("working in", workdir)
 
+# the commands run inside workdir, where a relative PYTHONPATH no longer
+# resolves; lead with this checkout's src directory by absolute path
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = dict(os.environ)
+ENV["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), ENV.get("PYTHONPATH")) if p)
+
 
 def run(*args):
     cmd = [sys.executable, "-m", "dinaq.cli", *args]
     print("\n$ dinaq", " ".join(args))
-    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=workdir)
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=workdir, env=ENV)
     if proc.stdout:
         print(proc.stdout.rstrip())
     if proc.stderr:

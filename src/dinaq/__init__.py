@@ -68,14 +68,9 @@ from .tmatrix import (
     ComboOrder,
     DinaParams,
     DMatrix,
-    TMatrix,
     build_d,
-    build_t,
-    build_t_augmented,
-    build_t_slip,
-    build_t_slip_guess,
     completeness_block,
-    guess_vector,
+    design,
     moment_rows,
 )
 
@@ -104,19 +99,15 @@ __all__ = [
     "QMatrix",
     "ResponseData",
     "SimConfig",
-    "TMatrix",
     "bit_label",
     "bits_to_mask",
     "build_d",
-    "build_t",
-    "build_t_augmented",
-    "build_t_slip",
-    "build_t_slip_guess",
     "canonicalize",
     "capability_matrix",
     "check_identifiability",
     "completeness_block",
     "compute_alpha",
+    "design",
     "dina_responses",
     "enumerate_candidates",
     "equivalent",
@@ -124,7 +115,6 @@ __all__ = [
     "estimate_q",
     "estimate_q_unknown_c",
     "find_cover_combo",
-    "guess_vector",
     "ideal_response",
     "is_complete",
     "kkt_residuals",

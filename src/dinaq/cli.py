@@ -34,7 +34,9 @@ from .core import (
     BudgetExceededError,
     ProfileDistribution,
     QMatrix,
+    bit_label,
     is_complete,
+    profile_order,
 )
 from .estimator import (
     DEFAULT_TIE_TOL,
@@ -51,12 +53,8 @@ from .tmatrix import (
     ComboOrder,
     DinaParams,
     build_d,
-    build_t,
-    build_t_augmented,
-    build_t_slip,
-    build_t_slip_guess,
     completeness_block,
-    guess_vector,
+    design,
 )
 
 EXIT_OK = 0
@@ -363,8 +361,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         }
 
     order = ComboOrder.saturated(q.m)
-    aug = build_t_augmented(q, params, order)
-    aug_minsv = float(np.linalg.svd(np.asarray(aug.values), compute_uv=False).min())
+    ones = np.ones((1, 1 << q.k))
+    aug = np.vstack([design(q, params.c, params.g, order), ones])
+    aug_minsv = float(np.linalg.svd(aug, compute_uv=False).min())
     checks["augmented_rank"] = {
         "passed": aug_minsv > _RANK_TOL,
         "min_singular_value": aug_minsv,
@@ -378,10 +377,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     trials += [(rng.uniform(0, 1, q.m), rng.uniform(0, 1, q.m)) for _ in range(3)]
     for c_t, g_t in trials:
         d = build_d(g_t, order)
-        aug_t = build_t_augmented(q, DinaParams(c_t, g_t), order)
-        diff = build_t_slip(q, np.asarray(c_t) - np.asarray(g_t), order)
-        target = np.column_stack([np.zeros(len(order)), diff.values])
-        worst = max(worst, float(np.abs(d.values @ aug_t.values - target).max()))
+        aug_t = np.vstack([design(q, c_t, g_t, order), ones])
+        # the zero-profile column of a g = 0 design is already the zero column
+        target = design(q, c_t - g_t, np.zeros(q.m), order)
+        worst = max(worst, float(np.abs(d.values @ aug_t - target).max()))
     checks["difference_identity"] = {"passed": worst <= _IDENTITY_TOL, "max_abs_error": worst}
 
     if complete:
@@ -426,20 +425,33 @@ def _cmd_tmatrix(args: argparse.Namespace) -> int:
     q = _load_q(args.q)
     order = ComboOrder.saturated(q.m)
     variant = args.variant
+    # each variant is a (c, g) choice; all but augmented drop the zero-profile
+    # column, augmented keeps it as GUESS and appends a ONES row
     if variant == "plain":
         if args.c is not None or args.g is not None:
             raise CliError("variant plain takes no --c/--g")
-        t = build_t(q, order)
+        c, g = np.ones(q.m), np.zeros(q.m)
     elif variant == "slip":
         if args.g is not None:
             raise CliError("variant slip takes no --g")
-        t = build_t_slip(q, _parse_rates(args.c, q.m, "c"), order)
+        c, g = _parse_rates(args.c, q.m, "c"), np.zeros(q.m)
     elif variant in ("slip-guess", "augmented"):
-        params = DinaParams(_parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g"))
-        t = build_t_slip_guess(q, params, order) if variant == "slip-guess" else build_t_augmented(q, params, order)
+        c, g = _parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g")
     else:
         raise CliError(f"unknown variant {variant!r}")
-    _emit(t.to_tsv(), args.out)
+    values = design(q, c, g, order)
+    row_labels = order.labels()
+    col_labels = [bit_label(mask, q.k) for mask in profile_order(q.k)]
+    if variant == "augmented":
+        values = np.vstack([values, np.ones(values.shape[1])])
+        row_labels.append("ONES")
+        col_labels.insert(0, "GUESS")
+    else:
+        values = values[:, 1:]
+    lines = ["combo\t" + "\t".join(col_labels)]
+    for lab, row in zip(row_labels, values):
+        lines.append(lab + "\t" + "\t".join(repr(float(v)) for v in row))
+    _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -43,8 +43,7 @@ from .tmatrix import (
     DinaParams,
     DMatrix,
     build_d,
-    build_t_slip_guess,
-    guess_vector,
+    design,
     moment_rows,
 )
 
@@ -69,15 +68,6 @@ def _require_saturated(alpha: AlphaVector) -> None:
         raise ValueError("this operation requires success rates on a saturated order")
 
 
-def _design(q: QMatrix, params: DinaParams, order: ComboOrder) -> np.ndarray:
-    # leading column is the zero profile's contribution (guess products);
-    # with g = 0 it is identically zero and the variable is pure slack, which
-    # turns the sum-to-one constraint into "at most mass one on the nonzero
-    # profiles" for the noiseless score
-    t = build_t_slip_guess(q, params, order)
-    return np.column_stack([guess_vector(params.g, order), t.values])
-
-
 def score(q: QMatrix, alpha: AlphaVector, params: DinaParams) -> float:
     """Fit distance of a candidate Q-matrix to observed success rates.
 
@@ -86,12 +76,17 @@ def score(q: QMatrix, alpha: AlphaVector, params: DinaParams) -> float:
     per-item rates. Zero means the candidate explains the rates exactly.
     Invariant under column permutation of ``q`` (up to solver tolerance),
     and computable on any combination order, saturated or not.
+
+    The design's leading column is the zero profile's contribution (guess
+    products); with g = 0 it is identically zero and that variable is pure
+    slack, which turns the sum-to-one constraint into "at most mass one on
+    the nonzero profiles" for the noiseless score.
     """
     if params.m != q.m:
         raise ValueError(f"params cover {params.m} items, Q-matrix has {q.m}")
     if alpha.order.m != q.m:
         raise ValueError(f"rates cover {alpha.order.m} items, Q-matrix has {q.m}")
-    return simplex_lsq(_design(q, params, alpha.order), alpha.rates).residual
+    return simplex_lsq(design(q, params.c, params.g, alpha.order), alpha.rates).residual
 
 
 def estimate_p(q: QMatrix, alpha: AlphaVector, params: DinaParams) -> ProfileDistribution:
@@ -104,7 +99,7 @@ def estimate_p(q: QMatrix, alpha: AlphaVector, params: DinaParams) -> ProfileDis
     """
     if params.m != q.m:
         raise ValueError(f"params cover {params.m} items, Q-matrix has {q.m}")
-    sol = simplex_lsq(_design(q, params, alpha.order), alpha.rates)
+    sol = simplex_lsq(design(q, params.c, params.g, alpha.order), alpha.rates)
     return ProfileDistribution(q.k, sol.x)
 
 

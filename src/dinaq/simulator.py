@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import ProfileDistribution, QMatrix
-from .tmatrix import ComboOrder, DinaParams, build_t_slip_guess, guess_vector
+from .tmatrix import ComboOrder, DinaParams, design
 
 _PROFILE_STREAM = 0
 _RESPONSE_STREAM = 1
@@ -229,6 +229,8 @@ def population_alpha(
     the zero-profile mass."""
     if p_star.k != q.k:
         raise ValueError(f"profile distribution is over {p_star.k} attributes, Q-matrix has {q.k}")
-    t = build_t_slip_guess(q, params, order)
-    rates = t.values @ p_star.nonzero_probs + p_star.prob_zero * guess_vector(params.g, order)
+    d = design(q, params.c, params.g, order)
+    # two terms rather than d @ p_star.probs: the summation order fixes the
+    # rounding, and this one keeps earlier releases' rates bit for bit
+    rates = d[:, 1:] @ p_star.nonzero_probs + p_star.prob_zero * d[:, 0]
     return AlphaVector(order, np.clip(rates, 0.0, 1.0), n_subjects=None)

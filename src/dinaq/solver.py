@@ -140,7 +140,8 @@ def simplex_lsq(
         x[support] = np.clip(z, 0.0, None)
         grad = 2.0 * (m.T @ (m @ x - b))
         lam = grad[support].mean()
-        off = [j for j in range(n) if j not in set(support)]
+        on = set(support)
+        off = [j for j in range(n) if j not in on]
         if not off:
             status = "optimal"
             break

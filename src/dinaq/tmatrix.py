@@ -1,21 +1,26 @@
-"""Response-rate moment matrices for the conjunctive (DINA) response model.
+"""Response-rate design matrices for the conjunctive (DINA) response model.
 
-The central objects are design matrices indexed by item combinations (rows)
-and nonzero attribute profiles (columns). Entry (S, A) is the probability
+One builder, ``design(q, c, g, order)``, makes every design matrix. Rows are
+item combinations; columns are attribute profiles, the zero profile first and
+then the nonzero profiles in canonical order. Entry (S, A) is the probability
 that a subject with profile A answers every item in combination S correctly:
+the product over the items i of S of c_i where A dominates item i and g_i
+where it does not. That one product per entry is what makes joint success
+rates over item combinations linear in the profile distribution and drives
+every estimator in the package.
 
-* binary variant: the deterministic 0/1 ideal-response indicator,
-* slip variant: capable subjects succeed per item with probability c_i,
-* slip-guess variant: incapable subjects also succeed with probability g_i.
+The classical variants (the ``dinaq tmatrix --variant`` labels) are choices
+of (c, g) plus a choice of border:
 
-Each row is the elementwise product of its single-item rows, which is what
-makes joint success rates over item combinations linear in the profile
-distribution and drives every estimator in the package.
+* plain: (1, 0), zero-profile column dropped: the 0/1 ideal-response table,
+* slip: (c, 0), zero-profile column dropped,
+* slip-guess: (c, g), zero-profile column dropped,
+* augmented: (c, g), zero-profile (guess-product) column kept and an all-ones
+  (total mass) row appended.
 
-The augmented variant prepends the guess-product column (the contribution of
-the all-zero profile) and appends an all-ones row (total mass); the
-difference operator ``build_d`` inverts the guessing contamination: applied
-to the augmented matrix it leaves scaled ideal-response columns behind.
+The difference operator ``build_d`` inverts the guessing contamination:
+
+    D @ [design(q, c, g); 1] == [0 | design(q, c - g, 0)[:, 1:]]
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import QMatrix, bit_label, profile_order, subsets_card_lex
+from .core import QMatrix, profile_order, subsets_card_lex
 
 # Saturated row sets grow as 2^m - 1; past this the matrices stop being
 # practical to materialize.
@@ -178,49 +183,6 @@ class DinaParams:
         return DinaParams(self.c[idx], self.g[idx])
 
 
-@dataclass(frozen=True, eq=False)
-class TMatrix:
-    """A response-rate design matrix with its row and column bookkeeping.
-
-    ``variant`` is one of "binary", "slip", "slip_guess", "augmented". For
-    the augmented variant ``values`` has one extra leading column (guess
-    products) and one extra trailing all-ones row.
-    """
-
-    order: ComboOrder
-    k: int
-    values: np.ndarray
-    variant: str
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def profiles(self) -> list[int]:
-        return profile_order(self.k)
-
-    def row_labels(self) -> list[str]:
-        labels = self.order.labels()
-        if self.variant == "augmented":
-            labels = labels + ["ONES"]
-        return labels
-
-    def column_labels(self) -> list[str]:
-        labels = [bit_label(mask, self.k) for mask in self.profiles]
-        if self.variant == "augmented":
-            labels = ["GUESS"] + labels
-        return labels
-
-    def to_tsv(self) -> str:
-        """Tab-separated dump: profile-label header, combo-label row prefix."""
-        lines = ["combo\t" + "\t".join(self.column_labels())]
-        for lab, row in zip(self.row_labels(), np.asarray(self.values)):
-            lines.append(lab + "\t" + "\t".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
-
-
 def _single_item_indicators(q: QMatrix, profiles: Sequence[int]) -> np.ndarray:
     """(m, P) boolean: does each profile dominate each item's requirement."""
     reach = np.array(q.row_masks, dtype=np.int64)[:, None]
@@ -228,93 +190,32 @@ def _single_item_indicators(q: QMatrix, profiles: Sequence[int]) -> np.ndarray:
     return (pm & reach) == reach
 
 
-def _check_order(q: QMatrix, order: ComboOrder) -> None:
+def design(q: QMatrix, c: Iterable[float], g: Iterable[float], order: ComboOrder) -> np.ndarray:
+    """Design matrix of ``q`` at per-item rates (c, g) over ``order``.
+
+    Shape (len(order), 2^k): column 0 is the zero profile, the others follow
+    ``profile_order(k)``. Entry (S, A) is the product over the items i of S,
+    formed left to right in ascending item order, of c_i if A dominates item
+    i and g_i otherwise; entries are therefore bit-identical to the
+    corresponding monomials in c and g. Q rows are nonzero, so the zero
+    profile dominates no item and column 0 holds the guess products.
+
+    c and g need not lie in [0, 1]: the difference identity evaluates the
+    design at c - g.
+    """
     if order.m != q.m:
         raise ValueError(f"order is over {order.m} items but Q-matrix has {q.m}")
-
-
-def build_t(q: QMatrix, order: ComboOrder) -> TMatrix:
-    """Binary design: entry (S, A) = 1 iff profile A dominates every item in S.
-
-    Row S is the elementwise product of its single-item rows, equivalently
-    the indicator of dominating the union of the rows of S.
-    """
-    _check_order(q, order)
-    profiles = profile_order(q.k)
-    singles = _single_item_indicators(q, profiles)
-    values = np.empty((len(order), len(profiles)), dtype=np.uint8)
-    for r, s in enumerate(order.combos):
-        values[r] = np.logical_and.reduce(singles[list(_mask_items(s))], axis=0)
-    return TMatrix(order, q.k, values, "binary")
-
-
-def _product_rows(q: QMatrix, c: np.ndarray, g: np.ndarray, order: ComboOrder) -> np.ndarray:
-    # per-item factor rows: c_i where capable, g_i where not; combo rows are
-    # exact left-to-right products in ascending item order, so entries are
-    # bit-identical to the corresponding monomials in c and g
-    profiles = profile_order(q.k)
-    singles = _single_item_indicators(q, profiles)
-    factors = np.where(singles, c[:, None], g[:, None])
+    c = np.asarray_chkfinite(c, dtype=np.float64)
+    g = np.asarray_chkfinite(g, dtype=np.float64)
+    for name, v in (("c", c), ("g", g)):
+        if v.shape != (q.m,):
+            raise ValueError(f"{name} must be a vector of length {q.m}")
+    profiles = [0] + profile_order(q.k)
+    factors = np.where(_single_item_indicators(q, profiles), c[:, None], g[:, None])
     values = np.empty((len(order), len(profiles)), dtype=np.float64)
     for r, s in enumerate(order.combos):
         values[r] = np.multiply.reduce(factors[list(_mask_items(s))], axis=0)
     return values
-
-
-def build_t_slip(q: QMatrix, c: Iterable[float], order: ComboOrder) -> TMatrix:
-    """Slip-only design: capable subjects succeed with probability c_i,
-    incapable subjects never succeed.
-
-    Equals the binary design with row S scaled by the product of c over S;
-    at c = 1 it reproduces the binary design exactly.
-    """
-    _check_order(q, order)
-    c = np.asarray_chkfinite(c, dtype=np.float64).ravel()
-    if c.shape != (q.m,):
-        raise ValueError(f"c must have length {q.m}")
-    values = _product_rows(q, c, np.zeros(q.m), order)
-    return TMatrix(order, q.k, values, "slip")
-
-
-def build_t_slip_guess(q: QMatrix, params: DinaParams, order: ComboOrder) -> TMatrix:
-    """Full slip-and-guess design.
-
-    Entry (S, A) is the product over items i in S of (c_i if A dominates
-    item i else g_i). Setting g = 0 recovers the slip-only design exactly,
-    and c = 1, g = 0 recovers the binary design.
-    """
-    _check_order(q, order)
-    if params.m != q.m:
-        raise ValueError(f"params are for {params.m} items but Q-matrix has {q.m}")
-    values = _product_rows(q, params.c, params.g, order)
-    return TMatrix(order, q.k, values, "slip_guess")
-
-
-def guess_vector(g: Iterable[float], order: ComboOrder) -> np.ndarray:
-    """Per-combination guessing products: entry S = product of g_i over S.
-
-    This is the success-rate column contributed by the all-zero profile.
-    """
-    g = np.asarray_chkfinite(g, dtype=np.float64).ravel()
-    if g.shape != (order.m,):
-        raise ValueError(f"g must have length {order.m}")
-    return np.array(
-        [np.multiply.reduce(g[list(_mask_items(s))]) for s in order.combos]
-    )
-
-
-def build_t_augmented(q: QMatrix, params: DinaParams, order: ComboOrder) -> TMatrix:
-    """Slip-guess design bordered by the guess column and an all-ones row.
-
-    Multiplying the augmented matrix by the full profile-probability vector
-    (zero profile first) yields every combination success rate plus a final
-    total-mass entry of 1.
-    """
-    core = build_t_slip_guess(q, params, order)
-    gcol = np.concatenate([guess_vector(params.g, order), [1.0]])
-    body = np.vstack([core.values, np.ones(core.values.shape[1])])
-    values = np.column_stack([gcol, body])
-    return TMatrix(order, q.k, values, "augmented")
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,10 +223,10 @@ class DMatrix:
     """Difference operator that strips guessing contamination.
 
     Shape (n, n + 1) over a saturated order of n = 2^m - 1 combinations; the
-    trailing column pairs with the all-ones row of the augmented design.
-    Applied to the augmented design it yields a zero leading column followed
-    by the slip-only design at rates c - g; in particular it depends on g
-    alone, never on c.
+    trailing column pairs with the all-ones row of the augmented design
+    ``[design(q, c, g); 1]``. Applied to it, D yields a zero leading column
+    followed by the slip-only design at rates c - g; D depends on g alone,
+    never on c.
     """
 
     order: ComboOrder
@@ -348,7 +249,7 @@ def build_d(g: Iterable[float], order: ComboOrder) -> DMatrix:
     lands in the trailing ones-row column. All other entries are zero.
     The defining property, checked property-wise in the test suite, is
 
-        D @ augmented(q, (c, g)) == [0 | slip_design(q, c - g)]
+        D @ [design(q, c, g); 1] == [0 | design(q, c - g, 0)[:, 1:]]
 
     for every Q-matrix q and every c, which is what turns contaminated
     success rates back into pure capability rates.
@@ -402,8 +303,7 @@ def completeness_block(q: QMatrix) -> np.ndarray:
         for j in _mask_items(attr_set):
             mask |= 1 << unit_item[j]
         combos.append(mask)
-    block = build_t(q, ComboOrder(q.m, tuple(combos)))
-    return np.asarray(block.values, dtype=np.float64)
+    return design(q, np.ones(q.m), np.zeros(q.m), ComboOrder(q.m, tuple(combos)))[:, 1:]
 
 
 def moment_rows(d: DMatrix, item: int, cover: int) -> tuple[np.ndarray, np.ndarray]:

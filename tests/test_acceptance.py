@@ -19,13 +19,10 @@ from dinaq import (
     QMatrix,
     SimConfig,
     build_d,
-    build_t,
-    build_t_augmented,
-    build_t_slip,
-    build_t_slip_guess,
     check_identifiability,
     compute_alpha,
     canonicalize,
+    design,
     equivalent,
     estimate_q,
     estimate_q_unknown_c,
@@ -79,9 +76,9 @@ def test_criterion_01_golden_matrices():
     with_pair = ComboOrder.from_item_sets(3, [(0,), (1,), (2,), (0, 1)])
 
     base = np.array([[1, 0, 1], [0, 1, 1], [0, 0, 1]])
-    assert np.array_equal(np.asarray(build_t(GOLDEN, singles).values), base)
+    assert np.array_equal(design(GOLDEN, np.ones(3), np.zeros(3), singles)[:, 1:], base)
     assert np.array_equal(
-        np.asarray(build_t(GOLDEN, with_pair).values),
+        design(GOLDEN, np.ones(3), np.zeros(3), with_pair)[:, 1:],
         np.vstack([base, [0, 0, 1]]),
     )
 
@@ -89,7 +86,7 @@ def test_criterion_01_golden_matrices():
     for _ in range(5):
         c = rng.uniform(0.05, 1.0, 3)
         g = rng.uniform(0.0, 0.95, 3)
-        slip = np.asarray(build_t_slip(GOLDEN, c, with_pair).values)
+        slip = design(GOLDEN, c, np.zeros(3), with_pair)[:, 1:]
         slip_expected = np.array([
             [c[0], 0.0, c[0]],
             [0.0, c[1], c[1]],
@@ -97,9 +94,7 @@ def test_criterion_01_golden_matrices():
             [0.0, 0.0, c[0] * c[1]],
         ])
         assert np.array_equal(slip, slip_expected)
-        both = np.asarray(
-            build_t_slip_guess(GOLDEN, DinaParams(c, g), with_pair).values
-        )
+        both = design(GOLDEN, c, g, with_pair)[:, 1:]
         both_expected = np.array([
             [c[0], g[0], c[0]],
             [g[1], c[1], c[1]],
@@ -120,8 +115,8 @@ def test_criterion_02_difference_identity():
         c = rng.uniform(0, 1, m)
         g = rng.uniform(0, 1, m)
         d = np.asarray(build_d(g, order).values)
-        aug = np.asarray(build_t_augmented(q, DinaParams(c, g), order).values)
-        diff = np.asarray(build_t_slip(q, c - g, order).values)
+        aug = np.vstack([design(q, c, g, order), np.ones(2**k)])
+        diff = design(q, c - g, np.zeros(m), order)[:, 1:]
         target = np.column_stack([np.zeros(len(order)), diff])
         assert np.abs(d @ aug - target).max() <= 1e-12
 
@@ -135,7 +130,7 @@ def test_criterion_03_rank_properties():
         m = int(rng.integers(k, 6))
         q = random_complete_q(rng, m, k)
         order = ComboOrder.block(m, k)
-        t = np.asarray(build_t(q, order).values, dtype=np.float64)
+        t = design(q, np.ones(m), np.zeros(m), order)[:, 1:]
         # leading square block over the nonzero profiles is nonsingular
         block = t[: 2**k - 1]
         assert block.shape == (2**k - 1, 2**k - 1)
@@ -148,9 +143,7 @@ def test_criterion_03_rank_properties():
             c = np.clip(g + sign * np.maximum(np.abs(c - g), 0.05), 0.0, 1.0)
         if np.abs(c - g).min() < 0.05:
             continue
-        aug = np.asarray(
-            build_t_augmented(q, DinaParams(c, g), ComboOrder.saturated(m)).values
-        )
+        aug = np.vstack([design(q, c, g, ComboOrder.saturated(m)), np.ones(2**k)])
         assert np.linalg.svd(aug, compute_uv=False).min() > 1e-10
         done += 1
 

@@ -279,6 +279,7 @@ def test_tmatrix_plain(workdir, capsys):
     assert lines[0] == "combo\t10\t01\t11"
     assert len(lines) == 8
     assert lines[1].startswith("1\t")
+    assert lines[1].split("\t")[1:] == ["1.0", "0.0", "1.0"]
 
 
 def test_tmatrix_variants_need_rates(workdir):
@@ -296,6 +297,10 @@ def test_tmatrix_augmented(workdir, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "combo\tGUESS\t10\t01\t11"
     assert lines[-1].split("\t")[0] == "ONES"
+    assert len(lines) == 9
+    assert lines[-1].split("\t")[1:] == ["1.0"] * 4
+    # cells round-trip: row "1", profile "10" is c_1 exactly
+    assert float(lines[1].split("\t")[2]) == 0.9
 
 
 def test_alpha_dump(workdir, capsys):

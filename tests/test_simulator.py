@@ -14,9 +14,8 @@ from dinaq import (
     SimConfig,
     capability_matrix,
     compute_alpha,
+    design,
     dina_responses,
-    guess_vector,
-    build_t_slip_guess,
     population_alpha,
     sample_profiles,
     simulate,
@@ -211,8 +210,8 @@ def test_population_alpha_formula():
     order = ComboOrder.saturated(3)
     p = ProfileDistribution.from_dict(2, {"00": 0.1, "10": 0.2, "01": 0.3, "11": 0.4})
     alpha = population_alpha(GOLDEN, PARAMS, p, order)
-    tcg = np.asarray(build_t_slip_guess(GOLDEN, PARAMS, order).values)
-    gv = np.asarray(guess_vector(PARAMS.g, order))
+    tcg = design(GOLDEN, PARAMS.c, PARAMS.g, order)[:, 1:]
+    gv = design(GOLDEN, PARAMS.c, PARAMS.g, order)[:, 0]
     expected = tcg @ np.array([0.2, 0.3, 0.4]) + 0.1 * gv
     np.testing.assert_allclose(alpha.rates, expected, atol=1e-15)
 

@@ -8,13 +8,11 @@ from dinaq import (
     DinaParams,
     QMatrix,
     mask_to_bits,
+    profile_order,
     build_d,
-    build_t,
-    build_t_augmented,
-    build_t_slip,
-    build_t_slip_guess,
     completeness_block,
-    guess_vector,
+    design,
+    ideal_response,
     is_complete,
     moment_rows,
 )
@@ -67,26 +65,25 @@ def test_block_order_prefixes_lead_items():
 # golden matrices from the worked 3-item, 2-attribute example
 
 def test_golden_binary_singles():
-    t = build_t(GOLDEN, ComboOrder.singles(3))
+    t = design(GOLDEN, np.ones(3), np.zeros(3), ComboOrder.singles(3))[:, 1:]
     expected = np.array([
         [1, 0, 1],
         [0, 1, 1],
         [0, 0, 1],
     ])
-    assert np.array_equal(np.asarray(t.values), expected)
-    assert t.column_labels() == ["10", "01", "11"]
+    assert np.array_equal(t, expected)
 
 
 def test_golden_binary_with_pair_row():
     order = ComboOrder.from_item_sets(3, [(0,), (1,), (2,), (0, 1)])
-    t = build_t(GOLDEN, order)
+    t = design(GOLDEN, np.ones(3), np.zeros(3), order)[:, 1:]
     expected = np.array([
         [1, 0, 1],
         [0, 1, 1],
         [0, 0, 1],
         [0, 0, 1],
     ])
-    assert np.array_equal(np.asarray(t.values), expected)
+    assert np.array_equal(t, expected)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -94,7 +91,7 @@ def test_golden_slip_exact(seed):
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.1, 1.0, 3)
     order = ComboOrder.from_item_sets(3, [(0,), (1,), (2,), (0, 1)])
-    t = np.asarray(build_t_slip(GOLDEN, c, order).values)
+    t = design(GOLDEN, c, np.zeros(3), order)[:, 1:]
     expected = np.array([
         [c[0], 0.0, c[0]],
         [0.0, c[1], c[1]],
@@ -111,7 +108,7 @@ def test_golden_slip_guess_exact(seed):
     c = rng.uniform(0.5, 1.0, 3)
     g = rng.uniform(0.0, 0.45, 3)
     order = ComboOrder.from_item_sets(3, [(0,), (1,), (2,), (0, 1)])
-    t = np.asarray(build_t_slip_guess(GOLDEN, DinaParams(c, g), order).values)
+    t = design(GOLDEN, c, g, order)[:, 1:]
     expected = np.array([
         [c[0], g[0], c[0]],
         [g[1], c[1], c[1]],
@@ -124,17 +121,19 @@ def test_golden_slip_guess_exact(seed):
 def test_slip_guess_specializes_exactly():
     order = ComboOrder.saturated(3)
     c = np.array([0.9, 0.8, 0.7])
-    with_zero_g = build_t_slip_guess(GOLDEN, DinaParams(c, np.zeros(3)), order)
-    slip_only = build_t_slip(GOLDEN, c, order)
-    assert np.array_equal(np.asarray(with_zero_g.values), np.asarray(slip_only.values))
-    noiseless = build_t_slip(GOLDEN, np.ones(3), order)
-    binary = build_t(GOLDEN, order)
-    assert np.array_equal(np.asarray(noiseless.values), np.asarray(binary.values, dtype=float))
+    params = DinaParams(c, np.zeros(3))
+    with_zero_g = design(GOLDEN, params.c, params.g, order)[:, 1:]
+    slip_only = design(GOLDEN, c, np.zeros(3), order)[:, 1:]
+    assert np.array_equal(with_zero_g, slip_only)
+    quiet = DinaParams.noiseless(3)
+    noiseless = design(GOLDEN, quiet.c, quiet.g, order)[:, 1:]
+    binary = design(GOLDEN, np.ones(3), np.zeros(3), order)[:, 1:]
+    assert np.array_equal(noiseless, binary)
 
 
-def test_guess_vector_golden():
+def test_guess_column_golden():
     g = np.array([0.2, 0.25, 0.5])
-    gv = np.asarray(guess_vector(g, ComboOrder.saturated(3)))
+    gv = design(GOLDEN, np.array([0.9, 0.8, 0.7]), g, ComboOrder.saturated(3))[:, 0]
     assert gv[0] == 0.2
     assert gv[3] == 0.2 * 0.25
     assert gv[-1] == 0.2 * 0.25 * 0.5
@@ -143,24 +142,31 @@ def test_guess_vector_golden():
 def test_augmented_layout():
     order = ComboOrder.saturated(3)
     params = DinaParams(np.array([0.9, 0.8, 0.7]), np.array([0.2, 0.25, 0.5]))
-    aug = build_t_augmented(GOLDEN, params, order)
-    vals = np.asarray(aug.values)
+    vals = np.vstack([design(GOLDEN, params.c, params.g, order), np.ones(4)])
     assert vals.shape == (8, 4)
-    assert aug.column_labels()[0] == "GUESS"
-    assert aug.row_labels()[-1] == "ONES"
     # leading column holds the all-guess rates, bottom row is all ones
-    assert np.array_equal(vals[:-1, 0], np.asarray(guess_vector(params.g, order)))
+    guess_products = [
+        np.multiply.reduce(params.g[[i for i in range(3) if s >> i & 1]])
+        for s in order.combos
+    ]
+    assert np.array_equal(vals[:-1, 0], guess_products)
     assert np.array_equal(vals[-1], np.ones(4))
     assert np.array_equal(
-        vals[:-1, 1:], np.asarray(build_t_slip_guess(GOLDEN, params, order).values)
+        vals[:-1, 1:], design(GOLDEN, params.c, params.g, order)[:, 1:]
     )
 
 
-def test_tsv_round_trip_numbers():
-    order = ComboOrder.singles(3)
-    t = build_t_slip(GOLDEN, np.array([0.9, 0.8, 0.7]), order)
-    text = t.to_tsv()
-    lines = text.strip().split("\n")
+def test_tsv_round_trip_numbers(tmp_path):
+    # the TSV writer is `dinaq tmatrix`; its cells must read back exactly
+    from dinaq.cli import main
+
+    (tmp_path / "q.txt").write_text("10\n01\n11\n")
+    out = tmp_path / "t.tsv"
+    assert main([
+        "tmatrix", "--q", str(tmp_path / "q.txt"), "--variant", "slip",
+        "--c", "0.9,0.8,0.7", "--out", str(out),
+    ]) == 0
+    lines = out.read_text().strip().split("\n")
     assert lines[0].split("\t")[0] == "combo"
     cell = lines[1].split("\t")[1]
     assert float(cell) == 0.9
@@ -176,8 +182,8 @@ def test_slip_construction_paths_agree_exactly(seed):
     q = _random_q(rng, m, k)
     c = rng.uniform(0, 1, m)
     order = ComboOrder.saturated(m)
-    product_route = np.asarray(build_t_slip(q, c, order).values)
-    binary = np.asarray(build_t(q, order).values, dtype=np.float64)
+    product_route = design(q, c, np.zeros(m), order)[:, 1:]
+    binary = design(q, np.ones(m), np.zeros(m), order)[:, 1:]
     scales = []
     for combo in order.combos:
         scale = np.float64(1.0)
@@ -187,6 +193,35 @@ def test_slip_construction_paths_agree_exactly(seed):
         scales.append(scale)
     scaled_route = binary * np.array(scales)[:, None]
     assert np.array_equal(product_route, scaled_route)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_design_matches_scalar_products(seed):
+    """Every entry, guess column included, is the left-to-right product over
+    the combination's items of c_i (capable) or g_i (not), bit for bit."""
+    rng = np.random.default_rng(800 + seed)
+    m = int(rng.integers(2, 6))
+    k = int(rng.integers(1, 4))
+    q = _random_q(rng, m, k)
+    c = rng.uniform(0, 1, m)
+    g = rng.uniform(0.01, 1, m)
+    n_rows = int(rng.integers(1, 2**m - 1))
+    combos = rng.choice(np.arange(1, 2**m), size=n_rows, replace=False)
+    order = ComboOrder.from_item_sets(
+        m, [[i for i in range(m) if s >> i & 1] for s in combos]
+    )
+    assert not order.is_saturated
+    profiles = [0] + profile_order(k)
+    expected = np.empty((len(order), len(profiles)))
+    for r, combo in enumerate(order.combos):
+        for col, mask in enumerate(profiles):
+            bits = mask_to_bits(mask, k)
+            v = 1.0
+            for i in range(m):
+                if combo >> i & 1:
+                    v = v * (c[i] if ideal_response(bits, q, i) else g[i])
+            expected[r, col] = v
+    assert np.array_equal(design(q, c, g, order), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +262,8 @@ def test_difference_identity_random(m, k):
         c = rng.uniform(0, 1, m)
         g = rng.uniform(0, 1, m)
         d = np.asarray(build_d(g, order).values)
-        aug = np.asarray(build_t_augmented(q, DinaParams(c, g), order).values)
-        diff = np.asarray(build_t_slip(q, c - g, order).values)
+        aug = np.vstack([design(q, c, g, order), np.ones(2**k)])
+        diff = design(q, c - g, np.zeros(m), order)[:, 1:]
         target = np.column_stack([np.zeros(len(order)), diff])
         assert np.abs(d @ aug - target).max() <= 1e-12
 

@@ -15,7 +15,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-workdir = Path(tempfile.mkdtemp(prefix="dinaq-demo-"))
+# removed with everything in it when the interpreter exits
+_tmp = tempfile.TemporaryDirectory(prefix="dinaq-demo-")
+workdir = Path(_tmp.name)
 print("working in", workdir)
 
 # the commands run inside workdir, where a relative PYTHONPATH no longer

@@ -46,7 +46,7 @@ for n in (1_000, 10_000, 100_000):
 config = SimConfig(q=truth, params=params, p_star=p_star, n=100_000, seed=99)
 responses, _ = simulate(config)
 alpha = compute_alpha(responses, order)
-result = estimate_q(alpha, params, k=2, keep_scores=True)
+result = estimate_q(alpha, params, k=2)
 board = sorted(result.diagnostics["scores"].items(), key=lambda kv: kv[1])
 print("\nbest five candidates at N = 100000:")
 for q, s in board[:5]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ from .tmatrix import (
     build_d,
     design,
     moment_rows,
+    rate_vector,
 )
 
 DEFAULT_TIE_TOL = 1e-7
@@ -111,6 +113,7 @@ class EstimationResult:
     of the winner, winner included; more than one entry means the data do not
     single out a class and downstream consumers should treat the result as
     ambiguous. ``c_hat`` is populated only by the unknown-slip search.
+    ``diagnostics["scores"]`` maps every candidate searched to its score.
     """
 
     q_hat: QMatrix
@@ -122,53 +125,45 @@ class EstimationResult:
     diagnostics: dict | None = None
 
 
-# ---------------------------------------------------------------------------
-# worker plumbing: scoring is a pure function of (candidate, rates, params),
-# so parallel runs chunk the candidate list and reduce in enumeration order,
-# making output independent of worker count
-
-_POOL_STATE: dict = {}
+def _fit_known(
+    q: QMatrix, alpha: AlphaVector, params: DinaParams
+) -> tuple[float, None, None]:
+    return score(q, alpha, params), None, None
 
 
-def _pool_init(payload: dict) -> None:
-    order = ComboOrder(payload["m"], payload["combos"])
-    _POOL_STATE.clear()
-    _POOL_STATE["alpha"] = AlphaVector(order, np.array(payload["rates"]), payload["n"])
-    if payload["mode"] == "known":
-        _POOL_STATE["params"] = DinaParams(np.array(payload["c"]), np.array(payload["g"]))
+def _search(
+    candidates: list[QMatrix], fit, tie_tol: float, workers: int | None
+) -> tuple[QMatrix, tuple, tuple[QMatrix, ...], dict]:
+    """Minimize ``fit`` over ``candidates``.
+
+    ``fit`` maps a candidate to (score, recovered c or None, degeneracy note
+    or None); it is a partial of a module-level function so that it pickles,
+    because with ``workers > 1`` a process pool runs it. Returns the winner
+    (first in order on exact ties), its fit, the tie set at ``tie_tol``
+    (winner included) and the diagnostics: the score of every candidate and,
+    when any fit carries a note, the degenerate candidates.
+    """
+    if not tie_tol >= 0.0:
+        raise ValueError(f"tie_tol must be a nonnegative number, got {tie_tol}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers is not None and workers > 1:
+        # pool.map returns fits in input order, whatever the worker count
+        chunk = max(1, len(candidates) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            fits = list(pool.map(fit, candidates, chunksize=chunk))
     else:
-        g = np.array(payload["g"])
-        _POOL_STATE["g"] = g
-        _POOL_STATE["d"] = build_d(g, order)
-
-
-def _pool_score_known(rows: tuple[str, ...]) -> float:
-    return score(QMatrix.from_rows(rows), _POOL_STATE["alpha"], _POOL_STATE["params"])
-
-
-def _pool_fit_unknown(rows: tuple[str, ...]):
-    s, c_hat, note = _fit_candidate(
-        QMatrix.from_rows(rows), _POOL_STATE["alpha"], _POOL_STATE["g"], _POOL_STATE["d"]
+        fits = [fit(qc) for qc in candidates]
+    scores = np.array([f[0] for f in fits])
+    best = int(np.argmin(scores))
+    ties = tuple(
+        qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol
     )
-    return s, None if c_hat is None else list(c_hat), note
-
-
-def _parallel_map(fn, candidates: list[QMatrix], payload: dict, workers: int) -> list:
-    jobs = [tuple(c.row_strings()) for c in candidates]
-    chunk = max(1, len(jobs) // (4 * workers))
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(payload,)
-    ) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunk))
-
-
-def _alpha_payload(alpha: AlphaVector) -> dict:
-    return {
-        "m": alpha.order.m,
-        "combos": alpha.order.combos,
-        "rates": alpha.rates.tolist(),
-        "n": alpha.n_subjects,
-    }
+    diagnostics: dict = {"scores": {qc: float(s) for qc, s in zip(candidates, scores)}}
+    degenerate = tuple(qc for qc, f in zip(candidates, fits) if f[2] is not None)
+    if degenerate:
+        diagnostics["degenerate"] = degenerate
+    return candidates[best], fits[best], ties, diagnostics
 
 
 def estimate_q(
@@ -179,7 +174,6 @@ def estimate_q(
     budget: int = DEFAULT_BUDGET,
     tie_tol: float = DEFAULT_TIE_TOL,
     workers: int | None = None,
-    keep_scores: bool = False,
 ) -> EstimationResult:
     """Exhaustive Q-matrix search with known per-item rates.
 
@@ -187,36 +181,21 @@ def estimate_q(
     free m x k matrices against saturated success rates and returns the
     minimizer (first in enumeration order on exact ties), the tie set at
     ``tie_tol``, and the fitted profile distribution of the winner.
+    diagnostics["scores"] maps every candidate to its score.
 
-    Raises BudgetExceededError when the candidate space exceeds ``budget``.
-    With ``keep_scores`` the per-candidate score table lands in diagnostics.
+    Raises BudgetExceededError when the candidate space exceeds ``budget``,
+    and ValueError for a negative or NaN ``tie_tol`` or ``workers`` below 1.
     """
     _require_saturated(alpha)
     m = alpha.order.m
     if params.m != m:
         raise ValueError(f"params cover {params.m} items, rates cover {m}")
     candidates = list(enumerate_candidates(m, k, budget))
-    if workers is not None and workers > 1:
-        payload = _alpha_payload(alpha) | {
-            "mode": "known",
-            "c": params.c.tolist(),
-            "g": params.g.tolist(),
-        }
-        scores = _parallel_map(_pool_score_known, candidates, payload, workers)
-    else:
-        scores = [score(qc, alpha, params) for qc in candidates]
-    scores = np.asarray(scores)
-    best = int(np.argmin(scores))
-    winner = candidates[best]
-    ties = tuple(
-        qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol
-    )
-    diagnostics = None
-    if keep_scores:
-        diagnostics = {"scores": {qc: float(s) for qc, s in zip(candidates, scores)}}
+    fit = partial(_fit_known, alpha=alpha, params=params)
+    winner, (best, _, _), ties, diagnostics = _search(candidates, fit, tie_tol, workers)
     return EstimationResult(
         q_hat=winner,
-        score=float(scores[best]),
+        score=float(best),
         ties=ties,
         p_tilde=estimate_p(winner, alpha, params),
         n_candidates=len(candidates),
@@ -268,9 +247,7 @@ def moment_slip(
     operator ``d`` to amortize work across items and candidates.
     """
     _require_saturated(alpha)
-    g = np.asarray_chkfinite(g, dtype=np.float64).ravel()
-    if g.shape != (q.m,):
-        raise ValueError(f"g must have length {q.m}")
+    g = rate_vector(g, q.m, "g")
     if not 0 <= item < q.m:
         raise ValueError(f"item index {item} out of range for m={q.m}")
     union = 0
@@ -306,9 +283,7 @@ def profile_slip(
     search (Powell) from several deterministic starts. Every coordinate of
     the result lies in [0, 1]; the best point found is always returned.
     """
-    g = np.asarray_chkfinite(g, dtype=np.float64).ravel()
-    if g.shape != (q.m,):
-        raise ValueError(f"g must have length {q.m}")
+    g = rate_vector(g, q.m, "g")
     fixed = dict(fixed or {})
     for i, v in fixed.items():
         if not 0 <= int(i) < q.m:
@@ -372,56 +347,37 @@ def estimate_q_unknown_c(
     budget: int = DEFAULT_BUDGET,
     tie_tol: float = DEFAULT_TIE_TOL,
     workers: int | None = None,
-    keep_scores: bool = False,
 ) -> EstimationResult:
     """Q-matrix search when capable success rates are unknown.
 
     Per candidate: moment-estimate the rate of every item covered by its
     peers, recover uncovered coordinates by bounded profile search, then
-    score at the assembled rates. Candidates with degenerate moment
-    denominators score +inf and are listed in diagnostics["degenerate"].
+    score at the assembled rates. diagnostics["scores"] maps every candidate
+    to its final score; candidates with degenerate moment denominators score
+    +inf and are listed in diagnostics["degenerate"].
 
     Returns the winner with its recovered ``c_hat``; ties are judged on the
     final scores exactly as in ``estimate_q``.
     """
     _require_saturated(alpha)
     m = alpha.order.m
-    g = np.asarray_chkfinite(g, dtype=np.float64).ravel()
-    if g.shape != (m,):
-        raise ValueError(f"g must have length {m}")
+    g = rate_vector(g, m, "g")
+    # enumerating first puts the budget check before the O(4^m) operator
     candidates = list(enumerate_candidates(m, k, budget))
-    if workers is not None and workers > 1:
-        payload = _alpha_payload(alpha) | {"mode": "unknown", "g": g.tolist()}
-        fits = _parallel_map(_pool_fit_unknown, candidates, payload, workers)
-        fits = [
-            (s, None if c is None else np.array(c), note) for s, c, note in fits
-        ]
-    else:
-        d = build_d(g, alpha.order)
-        fits = [_fit_candidate(qc, alpha, g, d) for qc in candidates]
-    scores = np.array([f[0] for f in fits])
-    if not np.isfinite(scores).any():
-        raise DegenerateSampleError("every candidate has a degenerate moment system")
-    best = int(np.argmin(scores))
-    winner = candidates[best]
-    c_hat = fits[best][1]
-    ties = tuple(
-        qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol
+    fit = partial(_fit_candidate, alpha=alpha, g=g, d=build_d(g, alpha.order))
+    winner, (best, c_hat, _), ties, diagnostics = _search(
+        candidates, fit, tie_tol, workers
     )
-    degenerate = tuple(qc for qc, f in zip(candidates, fits) if f[2] is not None)
-    diagnostics: dict = {}
-    if degenerate:
-        diagnostics["degenerate"] = degenerate
-    if keep_scores:
-        diagnostics["scores"] = {qc: float(s) for qc, s in zip(candidates, scores)}
+    if not np.isfinite(best):
+        raise DegenerateSampleError("every candidate has a degenerate moment system")
     return EstimationResult(
         q_hat=winner,
-        score=float(scores[best]),
+        score=float(best),
         ties=ties,
         p_tilde=estimate_p(winner, alpha, DinaParams(c_hat, g)),
         n_candidates=len(candidates),
         c_hat=c_hat,
-        diagnostics=diagnostics or None,
+        diagnostics=diagnostics,
     )
 
 
@@ -506,9 +462,7 @@ def split_estimate(
     if params is not None and params.m != m:
         raise ValueError(f"params cover {params.m} items, responses have {m}")
     if g is not None:
-        g = np.asarray_chkfinite(g, dtype=np.float64).ravel()
-        if g.shape != (m,):
-            raise ValueError(f"g must have length {m}")
+        g = rate_vector(g, m, "g")
 
     rows = np.zeros((m, k), dtype=np.uint8)
     known = np.zeros(m, dtype=bool)

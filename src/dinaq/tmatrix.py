@@ -143,6 +143,18 @@ class ComboOrder:
         return cls(m, tuple(combos))
 
 
+def rate_vector(v: Iterable[float], m: int, name: str) -> np.ndarray:
+    """Per-item rates ``v`` as a finite float64 array of shape (m,).
+
+    Raises ValueError for any other shape: a 2-d array holding m numbers is
+    rejected, not flattened.
+    """
+    v = np.asarray_chkfinite(v, dtype=np.float64)
+    if v.shape != (m,):
+        raise ValueError(f"{name} must have length {m}")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class DinaParams:
     """Per-item success probabilities: c for capable subjects, g for guessers.
@@ -157,10 +169,12 @@ class DinaParams:
     g: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray_chkfinite(self.c, dtype=np.float64).ravel()
-        g = np.asarray_chkfinite(self.g, dtype=np.float64).ravel()
-        if c.shape != g.shape or c.size == 0:
+        m = np.size(self.c)
+        if m == 0 or np.size(self.g) != m:
             raise ValueError("c and g must be nonempty vectors of equal length")
+        # copies, so freezing them leaves the caller's arrays writable
+        c = rate_vector(self.c, m, "c").copy()
+        g = rate_vector(self.g, m, "g").copy()
         for name, v in (("c", c), ("g", g)):
             if v.min() < 0.0 or v.max() > 1.0:
                 raise ValueError(f"{name} entries must lie in [0, 1]")
@@ -256,9 +270,7 @@ def build_d(g: Iterable[float], order: ComboOrder) -> DMatrix:
     """
     if not order.is_saturated:
         raise ValueError("difference operator requires a saturated order")
-    g = np.asarray_chkfinite(g, dtype=np.float64).ravel()
-    if g.shape != (order.m,):
-        raise ValueError(f"g must have length {order.m}")
+    g = rate_vector(g, order.m, "g")
     n = len(order)
     values = np.zeros((n, n + 1))
     for r, s in enumerate(order.combos):

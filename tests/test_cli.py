@@ -179,6 +179,13 @@ def test_estimate_budget_exit_code(workdir):
         "--budget", "5",
     ])
     assert code == 4
+    # invalid search arguments are validation errors, not empty tie sets
+    for flag, value in (("--tie-tol", "-1"), ("--tie-tol", "nan"), ("--workers", "0")):
+        code = run([
+            "estimate", "--responses", "resp.txt", "--k", "2", "--mode", "noiseless",
+            flag, value,
+        ])
+        assert code == 3
 
 
 def test_estimate_workers_equal_output(workdir):

@@ -47,6 +47,21 @@ def noisy_params(c=0.8, g=0.2, m=3):
     return DinaParams(np.full(m, c), np.full(m, g))
 
 
+def assert_same_search(a, b):
+    """Two search results agree exactly: winner, score table, ties, rates,
+    fitted distribution and degenerate list."""
+    assert a.q_hat == b.q_hat
+    assert a.score == b.score
+    assert a.diagnostics["scores"] == b.diagnostics["scores"]
+    assert a.ties == b.ties
+    if a.c_hat is None:
+        assert b.c_hat is None
+    else:
+        assert np.array_equal(a.c_hat, b.c_hat)
+    assert np.array_equal(a.p_tilde.probs, b.p_tilde.probs)
+    assert a.diagnostics.get("degenerate") == b.diagnostics.get("degenerate")
+
+
 # ---------------------------------------------------------------------------
 # score
 
@@ -180,8 +195,8 @@ def test_estimate_q_reports_ties_for_degenerate_truth():
     assert res.q_hat in res.ties
 
 
-def test_estimate_q_keep_scores():
-    res = estimate_q(noiseless_alpha(), NOISELESS, 2, keep_scores=True)
+def test_estimate_q_score_table():
+    res = estimate_q(noiseless_alpha(), NOISELESS, 2)
     scores = res.diagnostics["scores"]
     assert len(scores) == 14
     assert min(scores.values()) == res.score
@@ -190,11 +205,9 @@ def test_estimate_q_keep_scores():
 def test_estimate_q_workers_match_serial():
     params = noisy_params()
     alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
-    serial = estimate_q(alpha, params, 2, keep_scores=True)
-    parallel = estimate_q(alpha, params, 2, keep_scores=True, workers=2)
-    assert serial.q_hat == parallel.q_hat
-    for q, s in serial.diagnostics["scores"].items():
-        assert parallel.diagnostics["scores"][q] == pytest.approx(s, abs=1e-12)
+    serial = estimate_q(alpha, params, 2)
+    parallel = estimate_q(alpha, params, 2, workers=2)
+    assert_same_search(serial, parallel)
 
 
 def test_estimate_q_matches_full_table_scan():
@@ -204,7 +217,7 @@ def test_estimate_q_matches_full_table_scan():
     config = SimConfig(q=GOLDEN, params=params, p_star=UNIFORM, n=3000, seed=77)
     resp, _ = simulate(config)
     alpha = compute_alpha(resp, ORDER3)
-    res = estimate_q(alpha, params, 2, keep_scores=True)
+    res = estimate_q(alpha, params, 2)
 
     table = {
         cand: score(cand, alpha, params)
@@ -361,8 +374,7 @@ def test_unknown_c_workers_match_serial():
     alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
     serial = estimate_q_unknown_c(alpha, params.g, 2)
     parallel = estimate_q_unknown_c(alpha, params.g, 2, workers=2)
-    assert serial.q_hat == parallel.q_hat
-    np.testing.assert_allclose(serial.c_hat, parallel.c_hat, atol=1e-12)
+    assert_same_search(serial, parallel)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +392,9 @@ def test_split_matches_full_noiseless():
         resp, [[0, 1, 2, 3], [2, 3, 4, 5]], 2, params=params
     )
     assert equivalent(stitched, STACKED)
+    assert stitched == split_estimate(
+        resp, [[0, 1, 2, 3], [2, 3, 4, 5]], 2, params=params, workers=2
+    )
     full = estimate_q(compute_alpha(resp, ComboOrder.saturated(6)), params, 2)
     assert stitched == canonicalize(full.q_hat)
 
@@ -432,6 +447,27 @@ def test_split_validation():
         split_estimate(resp, [[0, 0, 1, 2]], 2, params=params)
     with pytest.raises(ValueError):
         split_estimate(resp, [], 2, params=params)
+    # search arguments: a negative or NaN tie tolerance, fewer than one worker
+    alpha = compute_alpha(resp, ORDER3)
+    for bad in ({"tie_tol": -1.0}, {"tie_tol": np.nan}, {"workers": 0}):
+        with pytest.raises(ValueError):
+            split_estimate(resp, [[0, 1, 2]], 2, params=params, **bad)
+        with pytest.raises(ValueError):
+            estimate_q(alpha, params, 2, **bad)
+        with pytest.raises(ValueError):
+            estimate_q_unknown_c(alpha, params.g, 2, **bad)
+    # guessing rates must be a vector, not a 2-d array of the same size
+    for shape in ((1, 3), (3, 1)):
+        g = np.zeros(shape)
+        with pytest.raises(ValueError):
+            split_estimate(resp, [[0, 1, 2]], 2, g=g)
+        with pytest.raises(ValueError):
+            estimate_q_unknown_c(alpha, g, 2)
+        with pytest.raises(ValueError):
+            moment_slip(GOLDEN, g, alpha, 0, 0b100)
+        with pytest.raises(ValueError):
+            profile_slip(GOLDEN, g, alpha)
+
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,32 @@ def test_design_matches_scalar_products(seed):
 # ---------------------------------------------------------------------------
 # difference transform
 
+def test_dina_params_validation():
+    c = np.full(3, 0.8)
+    params = DinaParams(c, [0.2, 0.2, 0.2])
+    c[0] = 0.5  # the caller's array stays writable and is not shared
+    assert params.c[0] == 0.8
+    assert not params.c.flags.writeable and not params.g.flags.writeable
+    bad = [
+        ([], []),
+        (np.ones(3), np.zeros(2)),
+        ([1.2, 0.8, 0.8], np.zeros(3)),
+        (np.ones(3), [0.0, np.nan, 0.0]),
+    ]
+    # a 2-d array holding m numbers is not a rate vector
+    for shape in ((1, 3), (3, 1)):
+        bad += [
+            (np.full(shape, 0.8), np.full(3, 0.2)),
+            (np.full(3, 0.8), np.full(shape, 0.2)),
+            (np.full(shape, 0.8), np.full(shape, 0.2)),
+        ]
+        with pytest.raises(ValueError):
+            build_d(np.zeros(shape), ComboOrder.saturated(3))
+    for c_bad, g_bad in bad:
+        with pytest.raises(ValueError):
+            DinaParams(c_bad, g_bad)
+
+
 def test_d_matrix_m1():
     g = np.array([0.3])
     d = np.asarray(build_d(g, ComboOrder.saturated(1)).values)

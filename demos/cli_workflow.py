@@ -46,8 +46,8 @@ def run(*args):
 # The design matrix for a quick eyeball.
 run("tmatrix", "--q", "q.txt", "--variant", "plain")
 
-# Verify the configuration before trusting any estimate: completeness,
-# rank checks, the difference identity, and the identifiability probe.
+# Verify the configuration before trusting any estimate: completeness, the
+# augmented rank check, and the identifiability probe.
 code = run(
     "verify", "--q", "q.txt", "--c", "0.9,0.85,0.8", "--g", "0.15,0.2,0.25",
     "--pstar", "pstar.json", "--out", "verify.json",

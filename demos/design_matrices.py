@@ -58,7 +58,7 @@ show(aug, order.labels() + ["ONES"], PROFILES)
 # design it recovers the slip-only design at rates c - g, with a zero
 # leading column: guessing is linearly removable.
 d = build_d(g, order)
-product = np.asarray(d.values) @ aug
+product = d @ aug
 target = np.column_stack(
     [np.zeros(len(order)), design(q, c - g, np.zeros(3), order)[:, 1:]]
 )

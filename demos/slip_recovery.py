@@ -18,6 +18,7 @@ from dinaq import (
     QMatrix,
     SimConfig,
     compute_alpha,
+    decontaminate,
     equivalent,
     estimate_q_unknown_c,
     find_cover_combo,
@@ -43,11 +44,13 @@ for item in range(3):
     print(f"item {item + 1}: cover combination = items "
           f"{[i + 1 for i in range(3) if cover >> i & 1]}")
 
-# Moment estimates from the joint success rates, one division each.
+# Moment estimates: strip guessing from the joint success rates once, then
+# one division per item.
+beta = decontaminate(alpha, params.g)
 print("\nmoment estimates (truth in parentheses):")
 for item in range(3):
     cover = find_cover_combo(truth, item)
-    est = moment_slip(truth, params.g, alpha, item, cover)
+    est = moment_slip(truth, params.g, beta, item, cover)
     print(f"  c_{item + 1} = {est:.4f}  ({c_true[item]})")
 
 # The fit-based estimator searches all coordinates at once; it needs no

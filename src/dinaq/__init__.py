@@ -36,6 +36,7 @@ from .estimator import (
     EstimationResult,
     IdentifiabilityReport,
     check_identifiability,
+    decontaminate,
     estimate_p,
     estimate_q,
     estimate_q_unknown_c,
@@ -67,11 +68,8 @@ from .tmatrix import (
     MAX_SATURATED_ITEMS,
     ComboOrder,
     DinaParams,
-    DMatrix,
     build_d,
-    completeness_block,
     design,
-    moment_rows,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +81,6 @@ __all__ = [
     "ComboOrder",
     "DEFAULT_BUDGET",
     "DEFAULT_TIE_TOL",
-    "DMatrix",
     "DegenerateSampleError",
     "DinaParams",
     "EstimationResult",
@@ -105,8 +102,8 @@ __all__ = [
     "canonicalize",
     "capability_matrix",
     "check_identifiability",
-    "completeness_block",
     "compute_alpha",
+    "decontaminate",
     "design",
     "dina_responses",
     "enumerate_candidates",
@@ -119,7 +116,6 @@ __all__ = [
     "is_complete",
     "kkt_residuals",
     "mask_to_bits",
-    "moment_rows",
     "moment_slip",
     "population_alpha",
     "profile_order",

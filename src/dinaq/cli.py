@@ -4,7 +4,7 @@ Subcommands::
 
     simulate   draw synthetic response data from a DINA configuration
     estimate   fit a Q-matrix to a response file (exhaustive or split search)
-    verify     rank, difference-identity, and identifiability checks for a Q
+    verify     completeness, augmented-rank and identifiability checks for a Q
     tmatrix    dump a response-rate design matrix as TSV
     alpha      dump empirical joint success rates as TSV
 
@@ -49,13 +49,7 @@ from .estimator import (
     split_estimate,
 )
 from .simulator import ResponseData, SimConfig, compute_alpha, simulate
-from .tmatrix import (
-    ComboOrder,
-    DinaParams,
-    build_d,
-    completeness_block,
-    design,
-)
+from .tmatrix import ComboOrder, DinaParams, design
 
 EXIT_OK = 0
 EXIT_TIES = 2
@@ -63,7 +57,6 @@ EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
 
 _RANK_TOL = 1e-10
-_IDENTITY_TOL = 1e-12
 
 
 class CliError(Exception):
@@ -166,8 +159,8 @@ def _parse_groups(value) -> list[list[int]]:
     return groups
 
 
-def _apply_config(args: argparse.Namespace, keys: list[str]) -> None:
-    if getattr(args, "config", None) is None:
+def _apply_config(args: argparse.Namespace) -> None:
+    if args.config is None:
         return
     try:
         cfg = json.loads(_read_text(args.config, "config"))
@@ -175,10 +168,10 @@ def _apply_config(args: argparse.Namespace, keys: list[str]) -> None:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - set(keys))
+    unknown = sorted(set(cfg) - set(args.config_keys))
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    for key in keys:
+    for key in args.config_keys:
         if key in cfg and getattr(args, key, None) is None:
             setattr(args, key, cfg[key])
 
@@ -203,11 +196,7 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-_SIMULATE_KEYS = ["q", "pstar", "c", "g", "n", "seed", "out"]
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _apply_config(args, _SIMULATE_KEYS)
     _require(args, ["q", "pstar", "c", "g", "n", "out"])
     if args.seed is None:
         raise CliError("--seed is required: every stochastic command must be seeded")
@@ -234,12 +223,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     Path(str(out) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out} ({config.n} subjects, {q.m} items) and {out}.meta.json")
     return EXIT_OK
-
-
-_ESTIMATE_KEYS = [
-    "responses", "k", "mode", "c", "g", "groups", "workers",
-    "budget", "tie_tol", "seed", "out",
-]
 
 
 def _estimate_report(
@@ -271,7 +254,6 @@ def _estimate_report(
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    _apply_config(args, _ESTIMATE_KEYS)
     _require(args, ["responses", "k", "mode"])
     responses = _load_responses(args.responses)
     m, k = responses.m, int(args.k)
@@ -334,11 +316,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_TIES if len(result.ties) > 1 else EXIT_OK
 
 
-_VERIFY_KEYS = ["q", "c", "g", "pstar", "budget", "out"]
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _apply_config(args, _VERIFY_KEYS)
     _require(args, ["q", "c", "g", "pstar"])
     q = _load_q(args.q)
     params = DinaParams(_parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g"))
@@ -350,38 +328,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     complete = is_complete(q)
     checks["completeness"] = {"passed": bool(complete)}
 
-    if complete:
-        block = completeness_block(q)
-        minsv = float(np.linalg.svd(block, compute_uv=False).min())
-        checks["leading_block"] = {"passed": minsv > _RANK_TOL, "min_singular_value": minsv}
-    else:
-        checks["leading_block"] = {
-            "passed": None,
-            "skipped": "Q-matrix is incomplete; leading block undefined",
-        }
-
     order = ComboOrder.saturated(q.m)
-    ones = np.ones((1, 1 << q.k))
-    aug = np.vstack([design(q, params.c, params.g, order), ones])
+    aug = np.vstack([design(q, params.c, params.g, order), np.ones((1, 1 << q.k))])
     aug_minsv = float(np.linalg.svd(aug, compute_uv=False).min())
     checks["augmented_rank"] = {
         "passed": aug_minsv > _RANK_TOL,
         "min_singular_value": aug_minsv,
         "min_rate_separation": float(np.abs(params.c - params.g).min()),
     }
-
-    # difference identity at the given rates plus a few seeded random draws
-    rng = np.random.default_rng(20240915)
-    worst = 0.0
-    trials = [(params.c, params.g)]
-    trials += [(rng.uniform(0, 1, q.m), rng.uniform(0, 1, q.m)) for _ in range(3)]
-    for c_t, g_t in trials:
-        d = build_d(g_t, order)
-        aug_t = np.vstack([design(q, c_t, g_t, order), ones])
-        # the zero-profile column of a g = 0 design is already the zero column
-        target = design(q, c_t - g_t, np.zeros(q.m), order)
-        worst = max(worst, float(np.abs(d.values @ aug_t - target).max()))
-    checks["difference_identity"] = {"passed": worst <= _IDENTITY_TOL, "max_abs_error": worst}
 
     if complete:
         report_id = check_identifiability(q, params, p_star, budget=budget)
@@ -403,7 +357,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     all_passed = all(chk.get("passed") is True for chk in checks.values())
     report = {
-        "schema": "verify_report.v1",
+        "schema": "verify_report.v2",
         "q": q.row_strings(),
         "c": [float(v) for v in params.c],
         "g": [float(v) for v in params.g],
@@ -416,11 +370,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_TIES
 
 
-_TMATRIX_KEYS = ["q", "variant", "c", "g", "out"]
-
-
 def _cmd_tmatrix(args: argparse.Namespace) -> int:
-    _apply_config(args, _TMATRIX_KEYS)
     _require(args, ["q", "variant"])
     q = _load_q(args.q)
     order = ComboOrder.saturated(q.m)
@@ -455,11 +405,7 @@ def _cmd_tmatrix(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_ALPHA_KEYS = ["responses", "out"]
-
-
 def _cmd_alpha(args: argparse.Namespace) -> int:
-    _apply_config(args, _ALPHA_KEYS)
     _require(args, ["responses"])
     responses = _load_responses(args.responses)
     alpha = compute_alpha(responses, ComboOrder.saturated(responses.m))
@@ -475,6 +421,13 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finish(parser: argparse.ArgumentParser, handler) -> None:
+    # every option added so far is a config key; --config itself is not
+    keys = list(vars(parser.parse_args([])))
+    parser.add_argument("--config", help="JSON config; flags override its keys")
+    parser.set_defaults(handler=handler, config_keys=keys)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dinaq", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"dinaq {__version__}")
@@ -488,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, help="number of subjects")
     p_sim.add_argument("--seed", type=int, help="run seed (required)")
     p_sim.add_argument("--out", help="response file to write")
-    p_sim.add_argument("--config", help="JSON config; flags override its keys")
-    p_sim.set_defaults(handler=_cmd_simulate)
+    _finish(p_sim, _cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="fit a Q-matrix to response data")
     p_est.add_argument("--responses", help="response file")
@@ -506,8 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--tie-tol", dest="tie_tol", type=float, help="tie tolerance on scores")
     p_est.add_argument("--seed", type=int, help="echoed into the report")
     p_est.add_argument("--out", help="report JSON path (default stdout)")
-    p_est.add_argument("--config", help="JSON config; flags override its keys")
-    p_est.set_defaults(handler=_cmd_estimate)
+    _finish(p_est, _cmd_estimate)
 
     p_ver = sub.add_parser("verify", help="rank and identifiability checks for a Q-matrix")
     p_ver.add_argument("--q", help="Q-matrix file")
@@ -516,8 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--pstar", help="profile distribution: JSON file or inline JSON")
     p_ver.add_argument("--budget", type=int, help="candidate enumeration budget")
     p_ver.add_argument("--out", help="report JSON path (default stdout)")
-    p_ver.add_argument("--config", help="JSON config; flags override its keys")
-    p_ver.set_defaults(handler=_cmd_verify)
+    _finish(p_ver, _cmd_verify)
 
     p_tm = sub.add_parser("tmatrix", help="dump a response-rate design matrix")
     p_tm.add_argument("--q", help="Q-matrix file")
@@ -527,14 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tm.add_argument("--c", help="capable success rates (slip variants)")
     p_tm.add_argument("--g", help="guessing rates (slip-guess, augmented)")
     p_tm.add_argument("--out", help="TSV path (default stdout)")
-    p_tm.add_argument("--config", help="JSON config; flags override its keys")
-    p_tm.set_defaults(handler=_cmd_tmatrix)
+    _finish(p_tm, _cmd_tmatrix)
 
     p_al = sub.add_parser("alpha", help="dump empirical joint success rates")
     p_al.add_argument("--responses", help="response file")
     p_al.add_argument("--out", help="TSV path (default stdout)")
-    p_al.add_argument("--config", help="JSON config; flags override its keys")
-    p_al.set_defaults(handler=_cmd_alpha)
+    _finish(p_al, _cmd_alpha)
 
     return parser
 
@@ -543,17 +491,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _apply_config(args)
         return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (AlignmentError, DegenerateSampleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ValueError, OSError) as exc:
+    except (CliError, AlignmentError, DegenerateSampleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -39,15 +39,7 @@ from .core import (
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
 from .solver import simplex_lsq
-from .tmatrix import (
-    ComboOrder,
-    DinaParams,
-    DMatrix,
-    build_d,
-    design,
-    moment_rows,
-    rate_vector,
-)
+from .tmatrix import ComboOrder, DinaParams, build_d, design, rate_vector
 
 DEFAULT_TIE_TOL = 1e-7
 DEGENERATE_TOL = 1e-12
@@ -226,47 +218,59 @@ def find_cover_combo(q: QMatrix, item: int) -> int | None:
     return None
 
 
-def moment_slip(
-    q: QMatrix,
-    g,
-    alpha: AlphaVector,
-    item: int,
-    cover: int,
-    *,
-    d: DMatrix | None = None,
-) -> float:
-    """Moment estimate of the capable success rate of one item.
+def decontaminate(alpha: AlphaVector, g) -> np.ndarray:
+    """De-contaminated success rates ``D(g) @ [alpha; 1]``.
 
-    Contrasts the cover combination's de-contaminated success rate with the
-    same rate after adjoining the item: their ratio estimates c_item - g_item
-    when the cover's attributes dominate the item's. The estimate is clamped
-    to [0, 1].
-
-    Raises DegenerateSampleError when the denominator is below 1e-12 (no
-    subjects effectively clear the cover). Pass a prebuilt difference
-    operator ``d`` to amortize work across items and candidates.
+    A read-only array of shape (2^m,) indexed by combination bitmask: entry
+    S estimates the rate at which subjects clear every item of S by
+    capability, at per-item rates c - g (see ``build_d``); entry 0 is 1, the
+    total mass. It depends on the data and g only, never on a candidate.
     """
     _require_saturated(alpha)
+    d = build_d(g, alpha.order)
+    v = np.append(alpha.rates, 1.0)
+    beta = np.ones(len(v))
+    # one dot per row, not d @ v: a matrix product may round differently
+    for r, s in enumerate(alpha.order.combos):
+        beta[s] = d[r] @ v
+    beta.setflags(write=False)
+    return beta
+
+
+def moment_slip(q: QMatrix, g, beta: np.ndarray, item: int, cover: int) -> float:
+    """Moment estimate of the capable success rate of one item.
+
+    Contrasts the cover combination's de-contaminated success rate
+    ``beta[cover]`` (``beta`` from ``decontaminate``) with the same rate
+    after adjoining the item: their ratio estimates c_item - g_item when the
+    cover's attributes dominate the item's. The estimate is clamped to
+    [0, 1].
+
+    Raises DegenerateSampleError when the denominator is below 1e-12 (no
+    subjects effectively clear the cover).
+    """
     g = rate_vector(g, q.m, "g")
+    if np.shape(beta) != (1 << q.m,):
+        raise ValueError(f"de-contaminated rates must have length {1 << q.m}")
     if not 0 <= item < q.m:
         raise ValueError(f"item index {item} out of range for m={q.m}")
+    if not 0 < cover < (1 << q.m):
+        raise ValueError("cover must be a nonempty combination of the items")
+    if cover & (1 << item):
+        raise ValueError("cover must not contain the target item")
     union = 0
     for i in range(q.m):
         if (cover >> i) & 1:
             union |= q.row_masks[i]
     if union & q.row_masks[item] != q.row_masks[item]:
         raise ValueError("cover attributes must dominate the item's requirement")
-    if d is None:
-        d = build_d(g, alpha.order)
-    a_cover, a_joined = moment_rows(d, item, cover)
-    v = alpha.with_total()
-    den = float(a_cover @ v)
+    den = float(beta[cover])
     if abs(den) < DEGENERATE_TOL:
         raise DegenerateSampleError(
             f"cover combination {cover:b} has vanishing de-contaminated rate; "
             "sample cannot identify the slip rate"
         )
-    num = float(a_joined @ v)
+    num = float(beta[cover | (1 << item)])
     return float(np.clip(g[item] + num / den, 0.0, 1.0))
 
 
@@ -281,7 +285,9 @@ def profile_slip(
     Keeps the ``fixed`` coordinates (e.g. moment estimates) and minimizes the
     fit distance over the remaining ones with bounded derivative-free local
     search (Powell) from several deterministic starts. Every coordinate of
-    the result lies in [0, 1]; the best point found is always returned.
+    the result lies in [0, 1]; the best point found is always returned. A
+    start on which the search raises ValueError is skipped; the error
+    propagates only when every start fails.
     """
     g = rate_vector(g, q.m, "g")
     fixed = dict(fixed or {})
@@ -302,23 +308,31 @@ def profile_slip(
         trial[free] = np.clip(v, 0.0, 1.0)
         return score(q, alpha, DinaParams(trial, g))
 
-    best_f, best_x = np.inf, None
+    best_f, best_x, failure = np.inf, None, None
     for level in _SLIP_STARTS:
-        res = minimize(
-            objective,
-            np.full(len(free), level),
-            method="Powell",
-            bounds=[(0.0, 1.0)] * len(free),
-            options={"xtol": 1e-5, "ftol": 1e-10, "maxfev": 4000},
-        )
+        try:
+            res = minimize(
+                objective,
+                np.full(len(free), level),
+                method="Powell",
+                bounds=[(0.0, 1.0)] * len(free),
+                options={"xtol": 1e-5, "ftol": 1e-10, "maxfev": 4000},
+            )
+        except ValueError as exc:
+            # scipy's bounded Powell can raise on a zero search direction
+            # (a flat stretch of the score); the other starts still count
+            failure = exc
+            continue
         if res.fun < best_f:
             best_f, best_x = float(res.fun), np.asarray(res.x)
+    if best_x is None:
+        raise failure
     c[free] = np.clip(best_x, 0.0, 1.0)
     return c
 
 
 def _fit_candidate(
-    q: QMatrix, alpha: AlphaVector, g: np.ndarray, d: DMatrix
+    q: QMatrix, alpha: AlphaVector, g: np.ndarray, beta: np.ndarray
 ) -> tuple[float, np.ndarray | None, str | None]:
     # moment-estimate every covered item; profile-search the rest; score
     fixed: dict[int, float] = {}
@@ -327,7 +341,7 @@ def _fit_candidate(
         if cover is None:
             continue
         try:
-            fixed[i] = moment_slip(q, g, alpha, i, cover, d=d)
+            fixed[i] = moment_slip(q, g, beta, i, cover)
         except DegenerateSampleError:
             return np.inf, None, "degenerate moment denominator"
     if len(fixed) == q.m:
@@ -364,7 +378,7 @@ def estimate_q_unknown_c(
     g = rate_vector(g, m, "g")
     # enumerating first puts the budget check before the O(4^m) operator
     candidates = list(enumerate_candidates(m, k, budget))
-    fit = partial(_fit_candidate, alpha=alpha, g=g, d=build_d(g, alpha.order))
+    fit = partial(_fit_candidate, alpha=alpha, g=g, beta=decontaminate(alpha, g))
     winner, (best, c_hat, _), ties, diagnostics = _search(
         candidates, fit, tie_tol, workers
     )

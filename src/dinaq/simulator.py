@@ -52,8 +52,9 @@ class SimConfig:
             )
         if (self.p_star.probs == 0.0).any():
             # estimation theory wants every profile reachable; simulation
-            # itself is fine with zero-mass profiles
-            warnings.warn("profile distribution has zero-probability profiles", stacklevel=2)
+            # itself is fine with zero-mass profiles; stacklevel 3 skips the
+            # dataclass-generated __init__ and names the caller's line
+            warnings.warn("profile distribution has zero-probability profiles", stacklevel=3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,11 +136,6 @@ class AlphaVector:
             raise ValueError("success rates must lie in [0, 1]")
         r.setflags(write=False)
         object.__setattr__(self, "rates", r)
-
-    def with_total(self) -> np.ndarray:
-        """Rates extended by the trailing total-mass entry 1 (pairs with the
-        ones-row column of the difference operator)."""
-        return np.append(self.rates, 1.0)
 
 
 def sample_profiles(p_star: ProfileDistribution, n: int, seed: int) -> np.ndarray:

@@ -116,8 +116,8 @@ class ComboOrder:
 
         With a complete Q-matrix arranged so its first ``lead`` rows are the
         unit rows, the leading (2^lead - 1)-row block of the binary design is
-        square upper block-triangular with identity diagonal blocks; this is
-        the arrangement the completeness rank check relies on.
+        square upper block-triangular with identity diagonal blocks, hence
+        nonsingular: completeness alone gives the leading block full rank.
         """
         if not 1 <= lead <= m:
             raise ValueError("lead must be in 1..m")
@@ -232,33 +232,13 @@ def design(q: QMatrix, c: Iterable[float], g: Iterable[float], order: ComboOrder
     return values
 
 
-@dataclass(frozen=True, eq=False)
-class DMatrix:
-    """Difference operator that strips guessing contamination.
-
-    Shape (n, n + 1) over a saturated order of n = 2^m - 1 combinations; the
-    trailing column pairs with the all-ones row of the augmented design
-    ``[design(q, c, g); 1]``. Applied to it, D yields a zero leading column
-    followed by the slip-only design at rates c - g; D depends on g alone,
-    never on c.
-    """
-
-    order: ComboOrder
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def row(self, combo: int) -> np.ndarray:
-        return self.values[self.order.index(combo)]
-
-
-def build_d(g: Iterable[float], order: ComboOrder) -> DMatrix:
+def build_d(g: Iterable[float], order: ComboOrder) -> np.ndarray:
     """Build the difference operator for guessing rates ``g``.
 
-    Row S carries, at each subset column U of S, the coefficient
+    A read-only (n, n + 1) array over a saturated order of n = 2^m - 1
+    combinations; the trailing column pairs with the all-ones row of the
+    augmented design ``[design(q, c, g); 1]``. D depends on g alone, never
+    on c. Row S carries, at each subset column U of S, the coefficient
     (-1)^(|S| - |U|) times the product of g over S minus U; the empty subset
     lands in the trailing ones-row column. All other entries are zero.
     The defining property, checked property-wise in the test suite, is
@@ -287,49 +267,5 @@ def build_d(g: Iterable[float], order: ComboOrder) -> DMatrix:
                 break
             values[r, order.index(sub)] = coef
             sub = (sub - 1) & s
-    return DMatrix(order, values)
-
-
-def completeness_block(q: QMatrix) -> np.ndarray:
-    """Square leading block of the binary design under the identity-items-
-    first arrangement.
-
-    Picks one single-attribute item per attribute (the first in item order),
-    forms all 2^k - 1 combinations of those items in card-then-lex order, and
-    returns the binary design restricted to these rows. With columns in the
-    canonical profile order the block is upper block-triangular with identity
-    diagonal blocks, hence nonsingular, for every complete Q-matrix.
-
-    Raises ValueError when ``q`` is not complete.
-    """
-    unit_item: list[int] = []
-    masks = q.row_masks
-    for j in range(q.k):
-        hits = [i for i in range(q.m) if masks[i] == (1 << j)]
-        if not hits:
-            raise ValueError(f"Q-matrix is not complete: no single-attribute item for attribute {j}")
-        unit_item.append(hits[0])
-    combos = []
-    for attr_set in subsets_card_lex(q.k):
-        mask = 0
-        for j in _mask_items(attr_set):
-            mask |= 1 << unit_item[j]
-        combos.append(mask)
-    return design(q, np.ones(q.m), np.zeros(q.m), ComboOrder(q.m, tuple(combos)))[:, 1:]
-
-
-def moment_rows(d: DMatrix, item: int, cover: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two difference-operator rows behind the moment slip estimator.
-
-    Returns (row for the cover combination, row for cover plus ``item``).
-    ``item`` must not belong to ``cover``. Dotted with the saturated success
-    rates extended by a trailing 1, the second-to-first ratio estimates
-    c_item - g_item whenever the cover's attributes dominate the item's.
-    """
-    if not 0 <= item < d.order.m:
-        raise ValueError(f"item index {item} out of range for m={d.order.m}")
-    if cover & (1 << item):
-        raise ValueError("cover must not contain the target item")
-    if cover == 0:
-        raise ValueError("cover must be a nonempty combination")
-    return d.row(cover), d.row(cover | (1 << item))
+    values.setflags(write=False)
+    return values

@@ -222,6 +222,19 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_config_keys_are_the_options(workdir, capsys):
+    # every option but --config and --help is a config key, and nothing else
+    for key in ("config", "help", "handler", "config_keys"):
+        (workdir / "cfg.json").write_text(json.dumps({key: 1}))
+        assert run(["verify", "--config", "cfg.json"]) == 3
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
+    (workdir / "cfg.json").write_text(json.dumps({
+        "q": "q.txt", "c": 0.9, "g": 0.1, "pstar": "pstar.json",
+        "budget": 1, "out": "verify.json",
+    }))
+    assert run(["verify", "--config", "cfg.json"]) == 4
+
+
 def test_flags_override_config(workdir):
     simulate_default(workdir)
     (workdir / "cfg.json").write_text(json.dumps({
@@ -245,9 +258,8 @@ def test_verify_good_configuration(workdir):
     ])
     assert code == 0
     report = json.loads((workdir / "verify.json").read_text())
-    jsonschema.validate(report, load_schema("verify_report.v1.schema.json"))
+    jsonschema.validate(report, load_schema("verify_report.v2.schema.json"))
     assert report["all_passed"] is True
-    assert report["checks"]["difference_identity"]["max_abs_error"] <= 1e-12
 
 
 def test_verify_point_mass_flags_degeneracy(workdir):
@@ -271,7 +283,7 @@ def test_verify_incomplete_q(workdir):
     ])
     assert code == 2
     report = json.loads((workdir / "verify.json").read_text())
-    jsonschema.validate(report, load_schema("verify_report.v1.schema.json"))
+    jsonschema.validate(report, load_schema("verify_report.v2.schema.json"))
     assert report["checks"]["completeness"]["passed"] is False
     assert report["checks"]["identifiability"]["passed"] is None
 

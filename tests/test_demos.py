@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -23,6 +25,15 @@ def test_design_matrices_demo_runs(tmp_path):
     proc = run_demo("design_matrices.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "GUESS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["slip_recovery.py", "noiseless_recovery.py", "noisy_recovery.py", "split_and_merge.py"],
+)
+def test_demo_runs(name, tmp_path):
+    proc = run_demo(name, tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_workflow_demo_cleans_up(tmp_path):

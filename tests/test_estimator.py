@@ -15,9 +15,12 @@ from dinaq import (
     ProfileDistribution,
     QMatrix,
     SimConfig,
+    build_d,
     canonicalize,
     check_identifiability,
     compute_alpha,
+    decontaminate,
+    design,
     enumerate_candidates,
     equivalent,
     estimate_p,
@@ -249,19 +252,25 @@ def test_find_cover_combo_none():
 
 def test_moment_slip_population_exact():
     params = noisy_params()
-    alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
-    c0 = moment_slip(GOLDEN, params.g, alpha, 0, 0b100)
+    beta = decontaminate(population_alpha(GOLDEN, params, UNIFORM, ORDER3), params.g)
+    c0 = moment_slip(GOLDEN, params.g, beta, 0, 0b100)
     assert c0 == pytest.approx(0.8, abs=1e-10)
-    c2 = moment_slip(GOLDEN, params.g, alpha, 2, 0b011)
+    c2 = moment_slip(GOLDEN, params.g, beta, 2, 0b011)
     assert c2 == pytest.approx(0.8, abs=1e-10)
 
 
 def test_moment_slip_validates_cover():
-    alpha = noiseless_alpha()
+    beta = decontaminate(noiseless_alpha(), np.zeros(3))
     with pytest.raises(ValueError):
-        moment_slip(GOLDEN, np.zeros(3), alpha, 2, 0b001)
+        moment_slip(GOLDEN, np.zeros(3), beta, 2, 0b001)
     with pytest.raises(ValueError):
-        moment_slip(GOLDEN, np.zeros(3), alpha, 0, 0)
+        moment_slip(GOLDEN, np.zeros(3), beta, 0, 0)
+    with pytest.raises(ValueError):
+        moment_slip(GOLDEN, np.zeros(3), beta, 0, 0b001)  # cover contains the item itself
+    with pytest.raises(ValueError):
+        moment_slip(GOLDEN, np.zeros(3), beta, 0, 0b1000)  # not a combination of 3 items
+    with pytest.raises(ValueError):
+        moment_slip(GOLDEN, np.zeros(3), beta[:-1], 0, 0b100)
 
 
 def test_moment_slip_degenerate():
@@ -269,7 +278,43 @@ def test_moment_slip_degenerate():
     # de-contaminated rate vanishes
     dead = AlphaVector(ORDER3, np.zeros(7))
     with pytest.raises(DegenerateSampleError):
-        moment_slip(GOLDEN, np.zeros(3), dead, 0, 0b100)
+        moment_slip(GOLDEN, np.zeros(3), decontaminate(dead, np.zeros(3)), 0, 0b100)
+
+
+def random_q(rng, m, k):
+    rows = rng.integers(1, 2**k, size=m)
+    return QMatrix(tuple(tuple(mask_to_bits(int(r), k)) for r in rows))
+
+
+def test_decontaminate_matches_operator_rows():
+    rng = np.random.default_rng(404)
+    for m in range(3, 9):
+        q = random_q(rng, m, 2)
+        params = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+        config = SimConfig(q=q, params=params, p_star=UNIFORM, n=2000, seed=m)
+        resp, _ = simulate(config)
+        order = ComboOrder.saturated(m)
+        alpha = compute_alpha(resp, order)
+        beta = decontaminate(alpha, params.g)
+        assert beta.shape == (1 << m,) and not beta.flags.writeable
+        assert beta[0] == 1.0
+        d = build_d(params.g, order)
+        v = np.append(alpha.rates, 1.0)
+        for r, combo in enumerate(order.combos):
+            assert float(beta[combo]).hex() == float(d[r] @ v).hex()
+
+
+def test_decontaminate_population_is_pure_capability():
+    # D @ [design(q, c, g); 1] == [0 | design(q, c - g, 0)], applied to alpha
+    rng = np.random.default_rng(405)
+    for m in range(3, 7):
+        q = random_q(rng, m, 2)
+        c, g = rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m)
+        p = ProfileDistribution(2, rng.dirichlet(np.ones(4)))
+        order = ComboOrder.saturated(m)
+        beta = decontaminate(population_alpha(q, DinaParams(c, g), p, order), g)
+        pure = design(q, c - g, np.zeros(m), order)[:, 1:] @ p.nonzero_probs
+        np.testing.assert_allclose(beta[list(order.combos)], pure, rtol=0, atol=1e-12)
 
 
 def test_profile_slip_population():
@@ -294,13 +339,27 @@ def test_moment_slip_noiseless_sample():
     config = SimConfig(q=GOLDEN, params=NOISELESS, p_star=UNIFORM, n=3000, seed=4)
     resp, _ = simulate(config)
     alpha = compute_alpha(resp, ORDER3)
-    assert moment_slip(GOLDEN, np.zeros(3), alpha, 0, 0b100) == pytest.approx(1.0)
+    beta = decontaminate(alpha, np.zeros(3))
+    assert moment_slip(GOLDEN, np.zeros(3), beta, 0, 0b100) == pytest.approx(1.0)
 
 
 def test_profile_slip_all_fixed_returns_unchanged():
     alpha = noiseless_alpha()
     out = profile_slip(GOLDEN, np.zeros(3), alpha, fixed={0: 0.7, 1: 0.6, 2: 0.9})
     np.testing.assert_array_equal(out, [0.7, 0.6, 0.9])
+
+
+def test_unknown_c_survives_flat_powell_start():
+    # scipy's bounded Powell raises ValueError at the 0.85 start for candidate
+    # [10,01,10] on this point-mass population; that start must be skipped
+    c = [0.7512738219103413, 0.8915622577369557, 0.7857861018756662]
+    g = [0.07780457441689859, 0.20718362978526883, 0.19620688296021976]
+    point = ProfileDistribution.point_mass(2, "11")
+    alpha = population_alpha(GOLDEN, DinaParams(c, g), point, ORDER3)
+    res = estimate_q_unknown_c(alpha, g, 2)
+    assert res.n_candidates == 14
+    assert len(res.ties) == 14
+    assert res.score <= 1e-12
 
 
 def test_profile_slip_noiseless_reaches_one():
@@ -314,9 +373,10 @@ def test_moment_and_profile_routes_agree():
     resp, _ = simulate(config)
     alpha = compute_alpha(resp, ORDER3)
     fitted = profile_slip(GOLDEN, params.g, alpha)
+    beta = decontaminate(alpha, params.g)
     for item in range(3):
         cover = find_cover_combo(GOLDEN, item)
-        moment = moment_slip(GOLDEN, params.g, alpha, item, cover)
+        moment = moment_slip(GOLDEN, params.g, beta, item, cover)
         assert abs(moment - fitted[item]) <= 0.03
 
 
@@ -464,7 +524,9 @@ def test_split_validation():
         with pytest.raises(ValueError):
             estimate_q_unknown_c(alpha, g, 2)
         with pytest.raises(ValueError):
-            moment_slip(GOLDEN, g, alpha, 0, 0b100)
+            decontaminate(alpha, g)
+        with pytest.raises(ValueError):
+            moment_slip(GOLDEN, g, decontaminate(alpha, params.g), 0, 0b100)
         with pytest.raises(ValueError):
             profile_slip(GOLDEN, g, alpha)
 

@@ -1,4 +1,4 @@
-"""Design-matrix builders, the difference transform, and moment rows."""
+"""Design-matrix builders and the difference transform."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,8 @@ from dinaq import (
     mask_to_bits,
     profile_order,
     build_d,
-    completeness_block,
     design,
     ideal_response,
-    is_complete,
-    moment_rows,
 )
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
@@ -255,17 +252,22 @@ def test_dina_params_validation():
 
 def test_d_matrix_m1():
     g = np.array([0.3])
-    d = np.asarray(build_d(g, ComboOrder.saturated(1)).values)
+    d = build_d(g, ComboOrder.saturated(1))
     assert np.array_equal(d, np.array([[1.0, -0.3]]))
 
 
 def test_d_matrix_m2_pair_row():
     g = np.array([0.3, 0.4])
     order = ComboOrder.saturated(2)
-    d = np.asarray(build_d(g, order).values)
+    d = build_d(g, order)
     assert d.shape == (3, 4)
     # combo {0,1}: signs alternate with the dropped-subset size
     np.testing.assert_allclose(d[2], [-0.4, -0.3, 1.0, 0.3 * 0.4])
+
+
+def test_d_matrix_read_only():
+    d = build_d(np.array([0.3, 0.4]), ComboOrder.saturated(2))
+    assert isinstance(d, np.ndarray) and not d.flags.writeable
 
 
 def test_d_requires_saturated_order():
@@ -287,7 +289,7 @@ def test_difference_identity_random(m, k):
         q = _random_q(rng, m, k)
         c = rng.uniform(0, 1, m)
         g = rng.uniform(0, 1, m)
-        d = np.asarray(build_d(g, order).values)
+        d = build_d(g, order)
         aug = np.vstack([design(q, c, g, order), np.ones(2**k)])
         diff = design(q, c - g, np.zeros(m), order)[:, 1:]
         target = np.column_stack([np.zeros(len(order)), diff])
@@ -298,61 +300,6 @@ def test_d_depends_only_on_g():
     g = np.array([0.1, 0.9, 0.5])
     order = ComboOrder.saturated(3)
     assert np.array_equal(
-        np.asarray(build_d(g, order).values),
-        np.asarray(build_d(g.copy(), order).values),
+        build_d(g, order),
+        build_d(g.copy(), order),
     )
-
-
-# ---------------------------------------------------------------------------
-# completeness block
-
-def test_completeness_block_identity_items():
-    q = QMatrix.from_rows(["10", "01", "11"])
-    block = completeness_block(q)
-    assert block.shape == (3, 3)
-    # containment of profile in combo attributes makes this triangular
-    assert abs(abs(np.linalg.det(block)) - 1.0) < 1e-12
-
-
-def test_completeness_block_any_arrangement():
-    # single-attribute items buried in the middle still give a square block
-    q = QMatrix.from_rows(["11", "01", "10", "11"])
-    block = completeness_block(q)
-    assert block.shape == (3, 3)
-    assert np.linalg.svd(block, compute_uv=False).min() > 1e-10
-
-
-def test_completeness_block_k3():
-    q = QMatrix.from_rows(["100", "010", "001", "111"])
-    block = completeness_block(q)
-    assert block.shape == (7, 7)
-    assert np.linalg.svd(block, compute_uv=False).min() > 1e-10
-
-
-def test_completeness_block_rejects_incomplete():
-    q = QMatrix.from_rows(["10", "11", "11"])
-    assert not is_complete(q)
-    with pytest.raises(ValueError):
-        completeness_block(q)
-
-
-# ---------------------------------------------------------------------------
-# moment rows
-
-def test_moment_rows_golden():
-    g = np.array([0.2, 0.25, 0.5])
-    order = ComboOrder.saturated(3)
-    d = build_d(g, order)
-    # item 0 with cover {2}: rows for {2} and {0,2}
-    cover_row, joined_row = moment_rows(d, 0, 0b100)
-    np.testing.assert_array_equal(cover_row, np.asarray(d.row(0b100)))
-    np.testing.assert_array_equal(joined_row, np.asarray(d.row(0b101)))
-
-
-def test_moment_rows_validation():
-    g = np.array([0.2, 0.25, 0.5])
-    d = build_d(g, ComboOrder.saturated(3))
-    with pytest.raises(ValueError):
-        moment_rows(d, 0, 0b001)  # cover contains the item itself
-    with pytest.raises(ValueError):
-        moment_rows(d, 0, 0)

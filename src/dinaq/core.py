@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -112,7 +113,7 @@ class QMatrix:
     def k(self) -> int:
         return self.entries.shape[1]
 
-    @property
+    @cached_property
     def row_masks(self) -> tuple[int, ...]:
         """Per-item attribute requirements packed as bitmasks (bit j = attribute j)."""
         return tuple(bits_to_mask(row) for row in self.entries)

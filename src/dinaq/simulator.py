@@ -129,7 +129,8 @@ class AlphaVector:
     n_subjects: int | None = None
 
     def __post_init__(self) -> None:
-        r = np.asarray_chkfinite(self.rates, dtype=np.float64).ravel()
+        # a copy, so freezing it leaves the caller's array writable and unshared
+        r = np.asarray_chkfinite(self.rates, dtype=np.float64).copy()
         if r.shape != (len(self.order),):
             raise ValueError(f"need {len(self.order)} rates, got {r.shape}")
         if r.min() < -1e-12 or r.max() > 1.0 + 1e-12:

@@ -75,9 +75,22 @@ class ComboOrder:
     def __len__(self) -> int:
         return len(self.combos)
 
+    def __getstate__(self) -> dict:
+        # cached views are rebuilt on first use, so an unpickled _members is
+        # read-only like the original
+        return {"m": self.m, "combos": self.combos}
+
     @cached_property
     def _index(self) -> dict[int, int]:
         return {s: i for i, s in enumerate(self.combos)}
+
+    @cached_property
+    def _members(self) -> np.ndarray:
+        """Read-only (m, len(order)) boolean: is item i in combination r."""
+        combos = np.array(self.combos, dtype=np.int64)
+        members = (combos[None, :] >> np.arange(self.m)[:, None]) & 1 == 1
+        members.setflags(write=False)
+        return members
 
     def index(self, combo: int) -> int:
         """Row position of a combination mask; KeyError when absent."""
@@ -214,6 +227,10 @@ def design(q: QMatrix, c: Iterable[float], g: Iterable[float], order: ComboOrder
     corresponding monomials in c and g. Q rows are nonzero, so the zero
     profile dominates no item and column 0 holds the guess products.
 
+    Built in one pass per item: starting from ones, item i multiplies its
+    factor row into the rows of the combinations that contain it. Since
+    1.0 * x == x exactly, every entry is still that left-to-right product.
+
     c and g need not lie in [0, 1]: the difference identity evaluates the
     design at c - g.
     """
@@ -226,9 +243,9 @@ def design(q: QMatrix, c: Iterable[float], g: Iterable[float], order: ComboOrder
             raise ValueError(f"{name} must be a vector of length {q.m}")
     profiles = [0] + profile_order(q.k)
     factors = np.where(_single_item_indicators(q, profiles), c[:, None], g[:, None])
-    values = np.empty((len(order), len(profiles)), dtype=np.float64)
-    for r, s in enumerate(order.combos):
-        values[r] = np.multiply.reduce(factors[list(_mask_items(s))], axis=0)
+    values = np.ones((len(order), len(profiles)), dtype=np.float64)
+    for i in range(q.m):
+        np.multiply(values, factors[i], out=values, where=order._members[i][:, None])
     return values
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, exit codes, report schemas."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -346,9 +347,14 @@ def test_bad_flag_exit_code(workdir):
 
 
 def test_entry_point_installed():
+    # the source tree leads the child's path, as pytest's ``pythonpath``
+    # setting leads this process's, so an uninstalled checkout runs too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "dinaq.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "dinaq" in proc.stdout

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dinaq import (
+    AlphaVector,
     ComboOrder,
     DinaParams,
     ProfileDistribution,
@@ -159,6 +160,17 @@ def test_zero_mass_warning():
 
 # ---------------------------------------------------------------------------
 # joint success rates
+
+def test_alpha_vector_copies_and_checks_shape():
+    rates = np.full(7, 0.5)
+    alpha = AlphaVector(ComboOrder.saturated(3), rates)
+    rates[0] = 2.0  # the caller's array stays writable and is not shared
+    assert alpha.rates[0] == 0.5
+    assert not alpha.rates.flags.writeable
+    for bad in (np.full((7, 1), 0.5), np.full((1, 7), 0.5), np.full(6, 0.5)):
+        with pytest.raises(ValueError):
+            AlphaVector(ComboOrder.saturated(3), bad)
+
 
 def _naive_alpha(responses, order):
     vals = responses.values

@@ -1,5 +1,7 @@
 """Design-matrix builders and the difference transform."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,92 @@ def test_design_matches_scalar_products(seed):
                     v = v * (c[i] if ideal_response(bits, q, i) else g[i])
             expected[r, col] = v
     assert np.array_equal(design(q, c, g, order), expected)
+
+
+def _row_reference_design(q, c, g, order):
+    """The former row-at-a-time builder: one multiply.reduce per combination
+    over its items' factor rows, in ascending item order."""
+    profiles = np.array([0] + profile_order(q.k))
+    reach = np.array(q.row_masks)[:, None]
+    factors = np.where((profiles[None, :] & reach) == reach, c[:, None], g[:, None])
+    values = np.empty((len(order), len(profiles)))
+    for r, combo in enumerate(order.combos):
+        items = [i for i in range(q.m) if combo >> i & 1]
+        values[r] = np.multiply.reduce(factors[items], axis=0)
+    return values
+
+
+def _orders(rng, m):
+    n_rows = int(rng.integers(1, 2**m))
+    combos = rng.choice(np.arange(1, 2**m), size=n_rows, replace=False)
+    return {
+        "saturated": ComboOrder.saturated(m),
+        "singles": ComboOrder.singles(m),
+        "block": ComboOrder.block(m, int(rng.integers(1, m + 1))),
+        "random": ComboOrder(m, tuple(int(s) for s in combos)),
+    }
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_design_matches_row_reference_bytes(m, k):
+    """The per-item passes reproduce the row-at-a-time products byte for byte
+    (so the sign of a zero counts) on every kind of order, at negative rates
+    (the c - g of the difference identity), exact +-0.0 factors and scales
+    where products overflow or underflow."""
+    rng = np.random.default_rng(9_000 + 10 * m + k)
+    q = _random_q(rng, m, k)
+    for name, order in _orders(rng, m).items():
+        for scale in (1.0, 1e150, 1e-150):
+            c = rng.uniform(-1, 1, m) * scale
+            g = rng.uniform(-1, 1, m) * scale
+            c[rng.random(m) < 0.25] = 0.0
+            g[rng.random(m) < 0.25] = -0.0
+            c[rng.random(m) < 0.1] = -0.0
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                got = design(q, c, g, order)
+                want = _row_reference_design(q, c, g, order)
+            assert got.tobytes() == want.tobytes(), (name, scale)
+
+
+def test_design_returns_fresh_writable_array():
+    order = ComboOrder.saturated(3)
+    c, g = np.full(3, 0.9), np.full(3, 0.1)
+    first = design(GOLDEN, c, g, order)
+    assert first.flags.writeable and first.flags.owndata
+    expected = first.copy()
+    first[:] = -1.0
+    second = design(GOLDEN, c, g, order)
+    assert second is not first
+    assert np.array_equal(second, expected)
+
+
+def test_order_members_read_only_and_pickled():
+    order = ComboOrder(4, (5, 1, 14, 8))
+    expected = np.array(
+        [[s >> i & 1 for s in order.combos] for i in range(order.m)], dtype=bool
+    )
+    assert not order._members.flags.writeable  # cached before pickling
+    for o in (order, pickle.loads(pickle.dumps(order)),
+              pickle.loads(pickle.dumps(order, protocol=2))):
+        assert o._members.dtype == bool and o._members.shape == (4, 4)
+        assert np.array_equal(o._members, expected)
+        assert not o._members.flags.writeable
+        with pytest.raises(ValueError):
+            o._members[0, 0] = False
+        assert o._members is o._members
+        assert o.index(14) == 2
+
+
+def test_row_masks_cached_and_pickled():
+    q = QMatrix.from_rows(["10", "01", "11", "01"])
+    assert q.row_masks == (1, 2, 3, 2)
+    assert q.row_masks is q.row_masks
+    back = pickle.loads(pickle.dumps(q))
+    assert back == q and back.row_masks == (1, 2, 3, 2)
+    order = ComboOrder.saturated(4)
+    assert np.array_equal(design(back, np.full(4, 0.8), np.full(4, 0.2), order),
+                          design(q, np.full(4, 0.8), np.full(4, 0.2), order))
 
 
 # ---------------------------------------------------------------------------

@@ -94,27 +94,33 @@ def _load_responses(path: str | None) -> ResponseData:
         raise CliError(f"bad response file {path}: {exc}") from exc
 
 
+def _is_number(v) -> bool:
+    # JSON true/false arrive as bool, an int subclass; they are not numbers here
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_rates(value, m: int, name: str) -> np.ndarray:
     """Rate vectors arrive as "0.8,0.7,...", a single broadcast value, or a
     JSON list via --config."""
     if value is None:
         raise CliError(f"--{name} is required here")
-    if isinstance(value, (int, float)):
-        vals = [float(value)] * m
-    elif isinstance(value, str):
-        try:
+    try:
+        if _is_number(value):
+            vals = [float(value)] * m
+        elif isinstance(value, str):
             vals = [float(p) for p in value.split(",") if p.strip()]
-        except ValueError as exc:
-            raise CliError(f"bad --{name} value {value!r}") from exc
-        if len(vals) == 1:
-            vals = vals * m
-    elif isinstance(value, list):
-        vals = [float(v) for v in value]
-    else:
-        raise CliError(f"bad --{name} value {value!r}")
+            if len(vals) == 1:
+                vals = vals * m
+        elif isinstance(value, list) and all(_is_number(v) for v in value):
+            vals = [float(v) for v in value]
+        else:
+            raise CliError(f"bad --{name} value {value!r}: expected numbers")
+    except (ValueError, OverflowError) as exc:
+        raise CliError(f"bad --{name} value {value!r}") from exc
     if len(vals) != m:
         raise CliError(f"--{name} needs {m} values, got {len(vals)}")
-    if min(vals) < 0.0 or max(vals) > 1.0:
+    # NaN fails every comparison, so it is rejected here too
+    if not all(0.0 <= v <= 1.0 for v in vals):
         raise CliError(f"--{name} values must lie in [0, 1]")
     return np.array(vals)
 
@@ -144,6 +150,8 @@ def _load_pstar(value, k: int) -> ProfileDistribution:
 def _parse_groups(value) -> list[list[int]]:
     """1-based comma lists from flags (repeatable) or lists via config;
     returned 0-based."""
+    if not isinstance(value, list):
+        raise CliError(f"bad --groups value {value!r}: expected a list of groups")
     groups = []
     for grp in value:
         if isinstance(grp, str):
@@ -151,8 +159,12 @@ def _parse_groups(value) -> list[list[int]]:
                 items = [int(p) for p in grp.split(",") if p.strip()]
             except ValueError as exc:
                 raise CliError(f"bad --groups value {grp!r}") from exc
+        elif isinstance(grp, list) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in grp
+        ):
+            items = grp
         else:
-            items = [int(v) for v in grp]
+            raise CliError(f"bad --groups value {grp!r}: expected a list of item numbers")
         if any(i < 1 for i in items):
             raise CliError("group item indices are 1-based")
         groups.append([i - 1 for i in items])

@@ -91,9 +91,15 @@ class ResponseData:
 
     @classmethod
     def from_text(cls, text: str) -> "ResponseData":
-        """Parse the response file format: "m=<m>" header, then one m-character
-        0/1 line per subject."""
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+        """Parse the response file format: an "m=<m>" header, then one line of
+        exactly m characters, each "0" or "1", per subject.
+
+        Surrounding whitespace on every line is ignored, blank lines are
+        skipped and any line ending (LF, CRLF, ...) is accepted. The first
+        offending row, too short, too long or holding any other character, is
+        named in the error.
+        """
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
         if not lines or not lines[0].startswith("m="):
             raise ValueError('response text must start with an "m=<m>" header')
         try:
@@ -103,17 +109,29 @@ class ResponseData:
         body = lines[1:]
         if not body:
             raise ValueError("response file has no subject rows")
-        rows = []
-        for ln in body:
-            if len(ln) != m or set(ln) - {"0", "1"}:
-                raise ValueError(f"bad response row {ln!r} (expected {m} binary characters)")
-            rows.append([int(ch) for ch in ln])
-        return cls(np.array(rows, dtype=np.uint8))
+        # rows are nonblank, so with m <= 0 every row has the wrong length
+        wrong_len = np.flatnonzero(np.fromiter(map(len, body), np.int64, len(body)) != m)
+        first_bad = int(wrong_len[0]) if wrong_len.size else len(body)
+        if first_bad:
+            # one code point per cell; "0" and "1" are 48 and 49, anything
+            # else wraps or lands above 1 after the subtraction
+            cells = np.array(body[:first_bad], dtype=f"<U{m}").view(np.uint32)
+            cells = cells.reshape(first_bad, m) - 48
+            bad_char = np.flatnonzero((cells > 1).any(axis=1))
+            if bad_char.size:
+                first_bad = int(bad_char[0])
+        if first_bad < len(body):
+            raise ValueError(
+                f"bad response row {body[first_bad]!r} (expected {m} binary characters)"
+            )
+        return cls(cells.astype(np.uint8))
 
     def to_text(self) -> str:
-        lines = [f"m={self.m}"]
-        lines.extend("".join(str(v) for v in row) for row in self.values)
-        return "\n".join(lines) + "\n"
+        """The response file format read by ``from_text``: the header, then
+        one "0"/"1" line per subject, each ending in a newline."""
+        block = np.full((self.n, self.m + 1), ord("\n"), dtype=np.uint8)
+        block[:, :-1] = self.values + ord("0")
+        return f"m={self.m}\n" + block.tobytes().decode("ascii")
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +232,7 @@ def compute_alpha(responses: ResponseData, order: ComboOrder) -> AlphaVector:
         lo, hi = np.split(f, 2, axis=axis)
         lo += hi
     totals = f.reshape(-1)
-    rates = np.array([totals[s] for s in order.combos], dtype=np.float64)
+    rates = totals[np.fromiter(order.combos, np.int64, len(order))].astype(np.float64)
     return AlphaVector(order, rates / responses.n, n_subjects=responses.n)
 
 

@@ -236,6 +236,37 @@ def test_config_keys_are_the_options(workdir, capsys):
     assert run(["verify", "--config", "cfg.json"]) == 4
 
 
+@pytest.mark.parametrize(
+    "cfg, flags, message",
+    [
+        ({"c": [0.9, None, 0.9]}, [], "bad --c value [0.9, None, 0.9]: expected numbers"),
+        ({"c": [0.9, True, 0.9]}, [], "bad --c value [0.9, True, 0.9]: expected numbers"),
+        ({"c": "0.9,abc"}, [], "bad --c value '0.9,abc'"),
+        ({"c": 10**400}, [], f"bad --c value {10**400!r}"),
+        ({}, ["--c", "nan"], "--c values must lie in [0, 1]"),
+        ({}, ["--c", "0.9,nan,0.9"], "--c values must lie in [0, 1]"),
+        ({"groups": [[1, None]]}, [],
+         "bad --groups value [1, None]: expected a list of item numbers"),
+        ({"groups": [[1, 2.5]]}, [],
+         "bad --groups value [1, 2.5]: expected a list of item numbers"),
+        ({"groups": "1,2"}, [], "bad --groups value '1,2': expected a list of groups"),
+    ],
+    ids=[
+        "c-null", "c-bool", "c-text", "c-overflow", "c-nan", "c-nan-entry",
+        "groups-null", "groups-float", "groups-string",
+    ],
+)
+def test_config_value_types_exit_3(workdir, capsys, cfg, flags, message):
+    # a value of the wrong type is a validation error naming its flag, never
+    # a traceback with exit 1
+    simulate_default(workdir, n=100)
+    base = {"responses": "resp.txt", "k": 2, "mode": "known-cg", "c": 0.9, "g": 0.1}
+    (workdir / "cfg.json").write_text(json.dumps({**base, **cfg}))
+    code = run(["estimate", "--config", "cfg.json"] + flags)
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_flags_override_config(workdir):
     simulate_default(workdir)
     (workdir / "cfg.json").write_text(json.dumps({
@@ -340,6 +371,16 @@ def test_missing_file_exit_code(workdir, capsys):
     assert run(["estimate", "--responses", "nope.txt", "--k", "2",
                 "--mode", "noiseless"]) == 3
     assert "nope.txt" in capsys.readouterr().err
+
+
+def test_bad_response_file_exit_code(workdir, capsys):
+    (workdir / "bad.txt").write_text("m=3\n101\n1x1\n010\n")
+    assert run(["estimate", "--responses", "bad.txt", "--k", "2",
+                "--mode", "noiseless"]) == 3
+    assert capsys.readouterr().err == (
+        "error: bad response file bad.txt: "
+        "bad response row '1x1' (expected 3 binary characters)\n"
+    )
 
 
 def test_bad_flag_exit_code(workdir):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dinaq import (
     AlphaVector,
@@ -58,6 +60,78 @@ def test_response_rejects_nonbinary():
 def test_from_text_rejects_ragged():
     with pytest.raises(ValueError):
         ResponseData.from_text("m=3\n101\n10\n")
+
+
+def _row_error(row, m):
+    return f"bad response row {row!r} (expected {m} binary characters)"
+
+
+# the messages and arrays of the per-character parser this one replaced
+FROM_TEXT_GOLDEN = [
+    ("m=3\n101\n10\n", _row_error("10", 3)),
+    ("m=3\n1010\n", _row_error("1010", 3)),
+    ("m=3\n101\n1x1\n", _row_error("1x1", 3)),
+    ("m=3\n1 1\n", _row_error("1 1", 3)),
+    ("m=3\n121\n", _row_error("121", 3)),
+    ("m=3\n1/1\n", _row_error("1/1", 3)),
+    # whichever offending row comes first is named
+    ("m=3\n101\n1x1\n10\n", _row_error("1x1", 3)),
+    ("m=3\n101\n10\n1x1\n", _row_error("10", 3)),
+    ("m=0\n101\n", _row_error("101", 0)),
+    ("m=-1\n101\n", _row_error("101", -1)),
+    ("m=99999999999999999999999\n101\n", _row_error("101", 99999999999999999999999)),
+    ("m=abc\n101\n", "bad response header 'm=abc'"),
+    ("m=3.0\n101\n", "bad response header 'm=3.0'"),
+    ("101\n010\n", 'response text must start with an "m=<m>" header'),
+    ("", 'response text must start with an "m=<m>" header'),
+    ("m=3\n", "response file has no subject rows"),
+    ("m=3\n\n  \n", "response file has no subject rows"),
+    # code points are exact: NUL and non-ASCII digits are not 0/1
+    ("m=3\n1\x001\n", _row_error("1\x001", 3)),
+    ("m=3\n10\x00\n", _row_error("10\x00", 3)),
+    ("m=3\n1\uff111\n", _row_error("1\uff111", 3)),
+    ("m=3\n1\u00b91\n", _row_error("1\u00b91", 3)),
+    ("m=3\r\n101\r\n010\r\n", [[1, 0, 1], [0, 1, 0]]),
+    ("  m=3  \n   101\t\n010   \n", [[1, 0, 1], [0, 1, 0]]),
+    ("\n\nm=3\n\n101\n\n\n010\n\n", [[1, 0, 1], [0, 1, 0]]),
+    ("m= 3\n101\n", [[1, 0, 1]]),
+    ("m=2\n10\n01\n11\n", [[1, 0], [0, 1], [1, 1]]),
+]
+
+
+@pytest.mark.parametrize("text, expected", FROM_TEXT_GOLDEN)
+def test_from_text_golden(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as info:
+            ResponseData.from_text(text)
+        assert str(info.value) == expected
+    else:
+        values = ResponseData.from_text(text).values
+        assert values.dtype == np.uint8
+        assert np.array_equal(values, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 16).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(0, 1), min_size=m, max_size=m), min_size=1, max_size=40
+        )
+    )
+)
+def test_text_round_trip_any_shape(rows):
+    data = ResponseData(np.array(rows, dtype=np.uint8))
+    back = ResponseData.from_text(data.to_text())
+    assert back.values.dtype == np.uint8
+    assert np.array_equal(back.values, data.values)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (500, 12), (50, 16)])
+def test_to_text_matches_row_join(n, m):
+    data = ResponseData(np.random.default_rng(n * m).integers(0, 2, (n, m)))
+    lines = [f"m={data.m}"]
+    lines.extend("".join(str(v) for v in row) for row in data.values)
+    assert data.to_text() == "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

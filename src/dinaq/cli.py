@@ -171,6 +171,24 @@ def _parse_groups(value) -> list[list[int]]:
     return groups
 
 
+# config keys whose own parsers take richer JSON (numbers, lists, objects)
+# and check it; every other key must match its option's type
+_PARSED_KEYS = {"c", "g", "groups", "pstar"}
+
+
+def _check_config_value(key: str, kind, value) -> None:
+    if kind is int:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif kind is float:
+        ok, want = _is_number(value), "a number"
+    elif key in _PARSED_KEYS:
+        return
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise CliError(f"bad --{key.replace('_', '-')} value {value!r}: expected {want}")
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     if args.config is None:
         return
@@ -183,9 +201,11 @@ def _apply_config(args: argparse.Namespace) -> None:
     unknown = sorted(set(cfg) - set(args.config_keys))
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    for key in args.config_keys:
-        if key in cfg and getattr(args, key, None) is None:
-            setattr(args, key, cfg[key])
+    for key, kind in args.config_keys.items():
+        if key in cfg:
+            _check_config_value(key, kind, cfg[key])
+            if getattr(args, key, None) is None:
+                setattr(args, key, cfg[key])
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -434,8 +454,10 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 
 
 def _finish(parser: argparse.ArgumentParser, handler) -> None:
-    # every option added so far is a config key; --config itself is not
-    keys = list(vars(parser.parse_args([])))
+    # every option added so far is a config key, mapped to its option's type;
+    # --config itself is not
+    options = vars(parser.parse_args([]))
+    keys = {a.dest: a.type for a in parser._actions if a.dest in options}
     parser.add_argument("--config", help="JSON config; flags override its keys")
     parser.set_defaults(handler=handler, config_keys=keys)
 

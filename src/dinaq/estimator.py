@@ -38,7 +38,7 @@ from .core import (
     is_complete,
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
-from .solver import simplex_lsq
+from .solver import simplex_lsq, simplex_lsq_bounds
 from .tmatrix import ComboOrder, DinaParams, build_d, design, rate_vector
 
 DEFAULT_TIE_TOL = 1e-7
@@ -47,6 +47,16 @@ IDENTIFIABILITY_TOL = 1e-6
 
 # deterministic multi-start levels for the bounded profile search
 _SLIP_STARTS = (0.5, 0.85, 0.25)
+# capable-rate levels of the identifiability probe's grid (pitch 0.1)
+_GRID = np.linspace(0.0, 1.0, 11)
+
+# candidates per screened chunk of the known-rates search and grid points per
+# chunk of the probe: each chunk is one stacked screen, so these bound memory
+_CANDIDATE_CHUNK = 512
+_GRID_CHUNK = 4096
+# the screen's bounds sit within about 1e-14 of the exact residual; this
+# margin keeps that rounding from ever excluding a contender
+_BOUND_SLACK = 1e-12
 
 
 class DegenerateSampleError(RuntimeError):
@@ -105,7 +115,11 @@ class EstimationResult:
     of the winner, winner included; more than one entry means the data do not
     single out a class and downstream consumers should treat the result as
     ambiguous. ``c_hat`` is populated only by the unknown-slip search.
-    ``diagnostics["scores"]`` maps every candidate searched to its score.
+    ``diagnostics["scores"]`` maps every candidate searched to its score. In
+    the known-rates search a batched screen decides which candidates get an
+    exact solve: the winner and every candidate that could tie with it
+    carry exact scores, the others the screen's upper bound, within about
+    1e-14 of exact.
     """
 
     q_hat: QMatrix
@@ -117,35 +131,65 @@ class EstimationResult:
     diagnostics: dict | None = None
 
 
-def _fit_known(
-    q: QMatrix, alpha: AlphaVector, params: DinaParams
-) -> tuple[float, None, None]:
-    return score(q, alpha, params), None, None
+def _certify(upper: np.ndarray, lower: np.ndarray, exact, tol: float) -> np.ndarray:
+    """Ranking scores for one screened chunk.
+
+    ``exact(i)``, an exact solve, replaces ``upper[i]`` wherever ``lower[i]``
+    is within ``tol`` of the best exact score so far, until no new entry
+    qualifies. Every other entry's exact score then exceeds that best by
+    more than ``tol``, so the first minimum and every score within ``tol``
+    of it are exact, as if every entry had been solved exactly. A chunk's
+    best is never below the best over all chunks, so chunks certified
+    separately still rank together exactly.
+    """
+    scores = upper.copy()
+    pending = np.ones(scores.size, dtype=bool)
+    best = scores.min()
+    while True:
+        # "not above" re-scores a NaN bound too
+        todo = np.flatnonzero(pending & ~(lower > best + tol + _BOUND_SLACK))
+        if not todo.size:
+            return scores
+        for i in todo:
+            scores[i] = exact(int(i))
+        pending[todo] = False
+        best = scores[~pending].min()
+
+
+def _screen_known(
+    chunk: list[QMatrix], alpha: AlphaVector, params: DinaParams, tie_tol: float
+) -> list[tuple[float, None, None]]:
+    stack = np.stack([design(q, params.c, params.g, alpha.order) for q in chunk])
+    upper, lower = simplex_lsq_bounds(stack, alpha.rates)
+    scores = _certify(upper, lower, lambda i: score(chunk[i], alpha, params), tie_tol)
+    return [(float(s), None, None) for s in scores]
 
 
 def _search(
-    candidates: list[QMatrix], fit, tie_tol: float, workers: int | None
+    candidates: list[QMatrix], fit, size: int, tie_tol: float, workers: int | None
 ) -> tuple[QMatrix, tuple, tuple[QMatrix, ...], dict]:
     """Minimize ``fit`` over ``candidates``.
 
-    ``fit`` maps a candidate to (score, recovered c or None, degeneracy note
-    or None); it is a partial of a module-level function so that it pickles,
-    because with ``workers > 1`` a process pool runs it. Returns the winner
-    (first in order on exact ties), its fit, the tie set at ``tie_tol``
-    (winner included) and the diagnostics: the score of every candidate and,
-    when any fit carries a note, the degenerate candidates.
+    ``fit`` maps a chunk of at most ``size`` consecutive candidates to one
+    (score, recovered c or None, degeneracy note or None) per candidate; it
+    is a partial of a module-level function so that it pickles, because with
+    ``workers > 1`` a process pool runs it on the same chunks. Returns the
+    winner (first in order on exact ties), its fit, the tie set at
+    ``tie_tol`` (winner included) and the diagnostics: the score of every
+    candidate and, when any fit carries a note, the degenerate candidates.
     """
     if not tie_tol >= 0.0:
         raise ValueError(f"tie_tol must be a nonnegative number, got {tie_tol}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    chunks = [candidates[i : i + size] for i in range(0, len(candidates), size)]
     if workers is not None and workers > 1:
         # pool.map returns fits in input order, whatever the worker count
-        chunk = max(1, len(candidates) // (4 * workers))
+        per_task = max(1, len(chunks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(fit, candidates, chunksize=chunk))
+            fits = [f for part in pool.map(fit, chunks, chunksize=per_task) for f in part]
     else:
-        fits = [fit(qc) for qc in candidates]
+        fits = [f for chunk in chunks for f in fit(chunk)]
     scores = np.array([f[0] for f in fits])
     best = int(np.argmin(scores))
     ties = tuple(
@@ -173,7 +217,14 @@ def estimate_q(
     free m x k matrices against saturated success rates and returns the
     minimizer (first in enumeration order on exact ties), the tie set at
     ``tie_tol``, and the fitted profile distribution of the winner.
-    diagnostics["scores"] maps every candidate to its score.
+
+    Each chunk of candidates is screened by one batched solve
+    (``simplex_lsq_bounds``); only candidates whose lower bound comes within
+    ``tie_tol`` of the best exact score get an exact ``simplex_lsq`` solve.
+    Winner, score, ties and ``p_tilde`` are therefore exactly those of
+    solving every candidate exactly. diagnostics["scores"] maps every
+    candidate to its score: exact for the re-scored ones, the screen's upper
+    bound (within about 1e-14 of exact) for the rest.
 
     Raises BudgetExceededError when the candidate space exceeds ``budget``,
     and ValueError for a negative or NaN ``tie_tol`` or ``workers`` below 1.
@@ -183,8 +234,10 @@ def estimate_q(
     if params.m != m:
         raise ValueError(f"params cover {params.m} items, rates cover {m}")
     candidates = list(enumerate_candidates(m, k, budget))
-    fit = partial(_fit_known, alpha=alpha, params=params)
-    winner, (best, _, _), ties, diagnostics = _search(candidates, fit, tie_tol, workers)
+    fit = partial(_screen_known, alpha=alpha, params=params, tie_tol=tie_tol)
+    winner, (best, _, _), ties, diagnostics = _search(
+        candidates, fit, _CANDIDATE_CHUNK, tie_tol, workers
+    )
     return EstimationResult(
         q_hat=winner,
         score=float(best),
@@ -353,6 +406,12 @@ def _fit_candidate(
     return score(q, alpha, DinaParams(c, g)), c, None
 
 
+def _fit_unknown(
+    chunk: list[QMatrix], alpha: AlphaVector, g: np.ndarray, beta: np.ndarray
+) -> list[tuple[float, np.ndarray | None, str | None]]:
+    return [_fit_candidate(q, alpha, g, beta) for q in chunk]
+
+
 def estimate_q_unknown_c(
     alpha: AlphaVector,
     g,
@@ -378,9 +437,11 @@ def estimate_q_unknown_c(
     g = rate_vector(g, m, "g")
     # enumerating first puts the budget check before the O(4^m) operator
     candidates = list(enumerate_candidates(m, k, budget))
-    fit = partial(_fit_candidate, alpha=alpha, g=g, beta=decontaminate(alpha, g))
+    fit = partial(_fit_unknown, alpha=alpha, g=g, beta=decontaminate(alpha, g))
+    # one candidate per chunk: these fits are not batched, and the pool
+    # balances better on single candidates
     winner, (best, c_hat, _), ties, diagnostics = _search(
-        candidates, fit, tie_tol, workers
+        candidates, fit, 1, tie_tol, workers
     )
     if not np.isfinite(best):
         raise DegenerateSampleError("every candidate has a degenerate moment system")
@@ -527,20 +588,21 @@ class IdentifiabilityReport:
         return self.complete and not self.flagged
 
 
-def _min_fit_over_c(
-    cand: QMatrix,
-    alpha: AlphaVector,
-    g: np.ndarray,
-    grid: np.ndarray,
-    refine: bool,
-) -> float:
+def _min_fit_over_c(cand: QMatrix, alpha: AlphaVector, g: np.ndarray) -> float:
+    # first grid point with the least exact score, then Powell from there;
+    # the screen leaves out only points that cannot reach that score
     best_val, best_point = np.inf, None
-    for point in itertools.product(grid, repeat=cand.m):
-        c = np.array(point)
-        val = score(cand, alpha, DinaParams(c, g))
-        if val < best_val:
-            best_val, best_point = val, c
-    if refine and best_val > 0.0:
+    points = itertools.product(_GRID, repeat=cand.m)
+    while chunk := list(itertools.islice(points, _GRID_CHUNK)):
+        cs = np.array(chunk)
+        upper, lower = simplex_lsq_bounds(design(cand, cs, g, alpha.order), alpha.rates)
+        scores = _certify(
+            upper, lower, lambda j: score(cand, alpha, DinaParams(cs[j], g)), 0.0
+        )
+        j = int(np.argmin(scores))
+        if scores[j] < best_val:
+            best_val, best_point = float(scores[j]), cs[j]
+    if best_val > 0.0:
         res = minimize(
             lambda v: score(cand, alpha, DinaParams(np.clip(v, 0.0, 1.0), g)),
             best_point,
@@ -558,18 +620,19 @@ def check_identifiability(
     p_star: ProfileDistribution,
     *,
     budget: int = DEFAULT_BUDGET,
-    grid_step: float = 0.1,
     threshold: float = IDENTIFIABILITY_TOL,
-    refine: bool = True,
 ) -> IdentifiabilityReport:
     """Probe whether any non-equivalent candidate mimics the population rates.
 
     Builds the analytic success rates of (q, params, p_star), then for every
     non-equivalent canonical candidate minimizes the fit distance over the
-    candidate's capable rates (grid of pitch ``grid_step`` plus bounded local
-    refinement, guessing rates held at the truth). A delta at or below
-    ``threshold`` flags the candidate as indistinguishable in population,
-    i.e. the configuration is not identifiable.
+    candidate's capable rates, guessing rates held at the truth: a fixed grid
+    of 11 levels (0, 0.1, ..., 1) per item, then a bounded Powell refinement
+    from the best grid point unless that point already fits exactly. A
+    batched screen picks the grid points that get an exact solve, without
+    changing the result. A delta at or below ``threshold`` flags the
+    candidate as indistinguishable in population, i.e. the configuration is
+    not identifiable.
 
     Distributions with zero-mass profiles are allowed but noted: they are the
     classic source of non-identifiability. An incomplete ``q`` skips the
@@ -597,13 +660,11 @@ def check_identifiability(
         )
     order = ComboOrder.saturated(q.m)
     alpha = population_alpha(q, params, p_star, order)
-    steps = int(round(1.0 / grid_step))
-    grid = np.linspace(0.0, 1.0, steps + 1)
     deltas: list[tuple[QMatrix, float]] = []
     for cand in enumerate_candidates(q.m, q.k, budget):
         if equivalent(cand, q):
             continue
-        deltas.append((cand, _min_fit_over_c(cand, alpha, params.g, grid, refine)))
+        deltas.append((cand, _min_fit_over_c(cand, alpha, params.g)))
     flagged = tuple(c for c, dlt in deltas if dlt <= threshold)
     min_delta = min((dlt for _, dlt in deltas), default=None)
     return IdentifiabilityReport(

@@ -11,6 +11,12 @@ first, so identical inputs produce identical solutions.
 The problem is convex, so the certificate in ``kkt_residuals`` (common
 gradient multiplier on the support, no profitable coordinate off it) is both
 necessary and sufficient for global optimality.
+
+``simplex_lsq_bounds`` screens a stack of same-shape problems at once: it
+follows the same active set in lockstep on the Gram form and returns, per
+problem, an upper and a certified lower bound on the optimal residual. It
+decides which problems deserve an exact ``simplex_lsq`` solve; it never
+replaces one.
 """
 
 from __future__ import annotations
@@ -156,6 +162,118 @@ def simplex_lsq(
     x /= x.sum()
     residual = float(np.linalg.norm(m @ x - b))
     return LsqSolution(x=x, residual=residual, iterations=iterations, status=status)
+
+
+def simplex_lsq_bounds(
+    ms, beta, *, max_iter: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket the simplex LSQ optimum of every design in a stack.
+
+    Parameters
+    ----------
+    ms : (b, r, n) array_like
+        Stack of finite design matrices sharing one shape.
+    beta : (r,) array_like
+        Target vector shared by the stack.
+    max_iter : int, optional
+        Iteration cap, default 50 * n, as in ``simplex_lsq``.
+
+    Returns
+    -------
+    (upper, lower) : two (b,) arrays
+        ``upper`` is |M x - beta| at a feasible point x of each problem and
+        ``lower = sqrt(max(0, upper^2 - gap))`` with the Frank-Wolfe duality
+        gap ``gap = grad . x - min(grad)``, ``grad = 2 M'(M x - beta)``. By
+        convexity the optimum lies between them for any feasible x, even one
+        cut short by the cap; rounding moves either bound by about 1e-14.
+
+    x follows ``simplex_lsq``'s active set (lowest-index elimination, the
+    same step, drop and entry tolerances) on the Gram form ``G = M'M``,
+    ``h = M'beta``, so each iteration solves stacked n x n systems whatever
+    the row count. Every operation acts on each problem alone, so a
+    problem's bounds are the same bytes whatever else is in the stack.
+    """
+    stack = np.asarray_chkfinite(ms, dtype=np.float64)
+    b = np.asarray_chkfinite(beta, dtype=np.float64).ravel()
+    if stack.ndim != 3:
+        raise ValueError("design stack must be 3-d")
+    count, rows, n = stack.shape
+    if b.shape != (rows,):
+        raise ValueError(f"target has length {b.shape[0]}, designs have {rows} rows")
+    if n < 1:
+        raise ValueError("designs need at least one column")
+    if max_iter is None:
+        max_iter = 50 * n
+
+    cols = stack.transpose(0, 2, 1)
+    gram = cols @ stack
+    lin = cols @ b
+    x = np.zeros((count, n))
+    x[:, 0] = 1.0
+    support = np.zeros((count, n), dtype=bool)
+    support[:, 0] = True
+    live = np.arange(count)
+    iterations = 0
+    while live.size and iterations < max_iter:
+        iterations += 1
+        on, xs, g, h = support[live], x[live], gram[live], lin[live]
+        idx = np.arange(live.size)
+        # eliminate the lowest-index support variable j0: with a_j = m_j - m_j0
+        # the restricted normal equations read (a'a) y = a'(beta - m_j0)
+        j0 = on.argmax(axis=1)
+        rest = on.copy()
+        rest[idx, j0] = False
+        g0 = g[idx, :, j0]
+        g00 = g[idx, j0, j0]
+        a = g - g0[:, :, None] - g0[:, None, :] + g00[:, None, None]
+        a *= rest[:, :, None] & rest[:, None, :]
+        rhs = (h - g0 - h[idx, j0][:, None] + g00[:, None]) * rest
+        # zeroed rows and columns make pinv return 0 off the support
+        y = (np.linalg.pinv(a, hermitian=True) * rhs[:, None, :]).sum(axis=2) * rest
+        z = y.copy()
+        z[idx, j0] = 1.0 - y.sum(axis=1)
+
+        outside = np.where(on, z, np.inf).min(axis=1) <= -FEASIBILITY_TOL
+        # restricted optimum left the simplex: step toward it until the first
+        # support coordinate hits zero, then drop what vanished
+        neg = on & (z <= 0.0) & outside[:, None]
+        denom = xs - z
+        ratios = np.full(xs.shape, np.inf)
+        ratios[neg] = 0.0
+        np.divide(xs, denom, out=ratios, where=neg & (denom > 0.0))
+        step = np.where(outside, ratios.min(axis=1), 0.0)
+        stepped = xs + step[:, None] * (z - xs)
+        keep = on & (stepped > _DROP_TOL)
+        stuck = outside & (keep == on).all(axis=1)
+        # fp dust kept everything positive; force out the blocker
+        keep[stuck, ratios[stuck].argmin(axis=1)] = False
+        moved = np.where(keep, stepped, 0.0)
+
+        # restricted optimum feasible: take it, then let the most violated
+        # off-support coordinate enter
+        fitted = np.where(on, np.clip(z, 0.0, None), 0.0)
+        grad = 2.0 * ((g * fitted[:, None, :]).sum(axis=2) - h)
+        lam = np.where(on, grad, 0.0).sum(axis=1) / on.sum(axis=1)
+        viol = np.where(on, np.inf, grad - lam[:, None])
+        pick = viol.argmin(axis=1)
+        done = ~outside & (viol[idx, pick] >= -_ENTER_TOL)
+        enter = ~outside & ~done
+        grown = on.copy()
+        grown[idx[enter], pick[enter]] = True
+
+        x[live] = np.where(outside[:, None], moved, fitted)
+        support[live] = np.where(outside[:, None], keep, grown)
+        live = live[~done]
+
+    x = np.clip(x, 0.0, None)
+    x /= x.sum(axis=1, keepdims=True)
+    resid = (stack @ x[:, :, None])[:, :, 0] - b
+    upper = np.sqrt((resid * resid).sum(axis=1))
+    grad = 2.0 * (cols @ resid[:, :, None])[:, :, 0]
+    # sum of nonnegative terms, so the gap is never negative in floating point
+    gap = (x * (grad - grad.min(axis=1, keepdims=True))).sum(axis=1)
+    lower = np.minimum(upper, np.sqrt(np.maximum(0.0, upper * upper - gap)))
+    return upper, lower
 
 
 def kkt_residuals(m_matrix, beta, x) -> dict[str, float]:

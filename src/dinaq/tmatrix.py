@@ -233,19 +233,26 @@ def design(q: QMatrix, c: Iterable[float], g: Iterable[float], order: ComboOrder
 
     c and g need not lie in [0, 1]: the difference identity evaluates the
     design at c - g.
+
+    c may also be a (b, m) stack of rate vectors sharing g; the result is
+    then the (b, len(order), 2^k) stack whose slice j is byte-identical to
+    ``design(q, c[j], g, order)``, since every entry is the same product.
     """
     if order.m != q.m:
         raise ValueError(f"order is over {order.m} items but Q-matrix has {q.m}")
     c = np.asarray_chkfinite(c, dtype=np.float64)
     g = np.asarray_chkfinite(g, dtype=np.float64)
-    for name, v in (("c", c), ("g", g)):
-        if v.shape != (q.m,):
-            raise ValueError(f"{name} must be a vector of length {q.m}")
+    if c.shape[-1:] != (q.m,) or c.ndim > 2:
+        raise ValueError(f"c must be a vector of length {q.m} or a stack of them")
+    if g.shape != (q.m,):
+        raise ValueError(f"g must be a vector of length {q.m}")
     profiles = [0] + profile_order(q.k)
-    factors = np.where(_single_item_indicators(q, profiles), c[:, None], g[:, None])
-    values = np.ones((len(order), len(profiles)), dtype=np.float64)
+    factors = np.where(_single_item_indicators(q, profiles), c[..., None], g[:, None])
+    values = np.ones(c.shape[:-1] + (len(order), len(profiles)), dtype=np.float64)
     for i in range(q.m):
-        np.multiply(values, factors[i], out=values, where=order._members[i][:, None])
+        np.multiply(
+            values, factors[..., i, None, :], out=values, where=order._members[i][:, None]
+        )
     return values
 
 

@@ -250,10 +250,24 @@ def test_config_keys_are_the_options(workdir, capsys):
         ({"groups": [[1, 2.5]]}, [],
          "bad --groups value [1, 2.5]: expected a list of item numbers"),
         ({"groups": "1,2"}, [], "bad --groups value '1,2': expected a list of groups"),
+        ({"k": [2]}, [], "bad --k value [2]: expected an integer"),
+        ({"budget": [1]}, [], "bad --budget value [1]: expected an integer"),
+        ({"workers": [2]}, [], "bad --workers value [2]: expected an integer"),
+        ({"k": 2.7}, [], "bad --k value 2.7: expected an integer"),
+        ({"k": True}, [], "bad --k value True: expected an integer"),
+        ({"seed": [1]}, [], "bad --seed value [1]: expected an integer"),
+        ({"tie_tol": "0.1"}, [], "bad --tie-tol value '0.1': expected a number"),
+        ({"tie_tol": False}, [], "bad --tie-tol value False: expected a number"),
+        ({"responses": 5}, [], "bad --responses value 5: expected a string"),
+        ({"mode": None}, [], "bad --mode value None: expected a string"),
+        ({"k": "2"}, ["--k", "2"], "bad --k value '2': expected an integer"),
     ],
     ids=[
         "c-null", "c-bool", "c-text", "c-overflow", "c-nan", "c-nan-entry",
         "groups-null", "groups-float", "groups-string",
+        "k-list", "budget-list", "workers-list", "k-float", "k-bool", "seed-list",
+        "tie_tol-string", "tie_tol-bool", "responses-int", "mode-null",
+        "k-overridden",
     ],
 )
 def test_config_value_types_exit_3(workdir, capsys, cfg, flags, message):

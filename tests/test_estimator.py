@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from dinaq import (
     AlignmentError,
@@ -233,6 +234,54 @@ def test_estimate_q_matches_full_table_scan():
     assert set(res.ties) == scan_ties
     for cand, s in table.items():
         assert res.diagnostics["scores"][cand] == pytest.approx(s, abs=1e-12)
+
+
+def _reference_search(alpha, params, k, tie_tol):
+    """The search as an exact solve of every candidate, in enumeration order."""
+    cands = list(enumerate_candidates(alpha.order.m, k, budget=10**6))
+    scores = [score(cand, alpha, params) for cand in cands]
+    best = int(np.argmin(scores))
+    ties = {c: s for c, s in zip(cands, scores) if s <= scores[best] + tie_tol}
+    return cands[best], scores[best], ties, estimate_p(cands[best], alpha, params)
+
+
+@pytest.mark.parametrize("tie_tol", [1e-7, 1e-3])
+@pytest.mark.parametrize(
+    "m, k, rates",
+    [
+        (3, 2, "noiseless"), (4, 2, "noiseless"),
+        (3, 2, "sampled"), (4, 3, "sampled"),
+        (4, 2, "population"), (5, 3, "population"),
+    ],
+)
+def test_estimate_q_screen_matches_exact_scan(m, k, rates, tie_tol):
+    """Screening candidates with the batched bounds changes nothing: winner,
+    score, tie set and fitted distribution equal those of an exact solve of
+    every candidate, to the byte. (5, 3) spans several screen chunks."""
+    rng = np.random.default_rng(50 * m + k)
+    cands = list(enumerate_candidates(m, k, budget=10**6))
+    truth = cands[int(rng.integers(len(cands)))]
+    if rates == "noiseless":
+        params = DinaParams.noiseless(m)
+    else:
+        params = DinaParams(rng.uniform(0.7, 0.95, m), rng.uniform(0.05, 0.3, m))
+    order = ComboOrder.saturated(m)
+    if rates == "population":
+        alpha = population_alpha(truth, params, ProfileDistribution.uniform(k), order)
+    else:
+        config = SimConfig(
+            q=truth, params=params, p_star=ProfileDistribution.uniform(k), n=800, seed=m + k
+        )
+        alpha = compute_alpha(simulate(config)[0], order)
+    res = estimate_q(alpha, params, k, tie_tol=tie_tol)
+    q_ref, score_ref, ties_ref, p_ref = _reference_search(alpha, params, k, tie_tol)
+    assert res.q_hat == q_ref
+    assert res.score == score_ref
+    assert res.ties == tuple(ties_ref)
+    assert res.p_tilde.probs.tobytes() == p_ref.probs.tobytes()
+    # every tie carries its exact score, not the screen's bound
+    for cand, s in ties_ref.items():
+        assert res.diagnostics["scores"][cand] == s
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +600,56 @@ def test_point_mass_population_not_identifiable():
     assert not report.identifiable
     assert len(report.flagged) >= 1
     assert any("zero" in note for note in report.notes)
+
+
+def _reference_probe(q, params, p_star):
+    """The probe as every grid point solved exactly: an 11-level grid per
+    item, then Powell from the first best point unless it fits exactly."""
+    alpha = population_alpha(q, params, p_star, ComboOrder.saturated(q.m))
+    grid = np.linspace(0.0, 1.0, 11)
+    deltas = []
+    for cand in enumerate_candidates(q.m, q.k, budget=10**6):
+        if equivalent(cand, q):
+            continue
+        best_val, best_point = np.inf, None
+        for point in itertools.product(grid, repeat=cand.m):
+            c = np.array(point)
+            val = score(cand, alpha, DinaParams(c, params.g))
+            if val < best_val:
+                best_val, best_point = val, c
+        if best_val > 0.0:
+            res = minimize(
+                lambda v: score(cand, alpha, DinaParams(np.clip(v, 0.0, 1.0), params.g)),
+                best_point,
+                method="Powell",
+                bounds=[(0.0, 1.0)] * cand.m,
+                options={"xtol": 1e-6, "ftol": 1e-12, "maxfev": 4000},
+            )
+            best_val = min(best_val, float(res.fun))
+        deltas.append((cand, float(best_val)))
+    return tuple(deltas)
+
+
+@pytest.mark.parametrize(
+    "q, params, p_star",
+    [
+        (QMatrix.from_rows(["10", "01"]), noisy_params(0.85, 0.15, 2), UNIFORM),
+        (GOLDEN, NOISELESS, ProfileDistribution.point_mass(2, (1, 1))),
+        (
+            QMatrix.from_rows(["11", "10", "01"]),
+            DinaParams(np.array([0.9, 0.8, 0.85]), np.array([0.1, 0.2, 0.15])),
+            UNIFORM,
+        ),
+    ],
+    ids=["m2", "point-mass", "permuted-noisy"],
+)
+def test_probe_screen_matches_exact_grid(q, params, p_star):
+    """Screening grid points with the batched bounds leaves every delta and
+    the flagged set exactly as an exact solve at every grid point gives."""
+    report = check_identifiability(q, params, p_star)
+    deltas = _reference_probe(q, params, p_star)
+    assert report.deltas == deltas
+    assert report.flagged == tuple(c for c, d in deltas if d <= report.threshold)
 
 
 def test_incomplete_q_skips_probe():

@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dinaq import kkt_residuals, simplex_lsq
+from dinaq import (
+    ComboOrder,
+    QMatrix,
+    design,
+    enumerate_candidates,
+    kkt_residuals,
+    simplex_lsq,
+    simplex_lsq_bounds,
+)
 
 GOLDEN_T = np.array([
     [1.0, 0.0, 1.0],
@@ -182,3 +192,96 @@ def test_solution_is_clean_distribution():
         sol = simplex_lsq(m, beta)
         assert sol.x.min() >= 0.0
         assert sol.x.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched screen: certified bounds around the exact solve
+
+def _dina_stack(data):
+    """A stack of DINA designs of one shape, with rates on a 0.05 lattice so
+    c_i = g_i happens exactly and other rates stay well separated."""
+    m = data.draw(st.integers(2, 5), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    row = st.integers(1, (1 << k) - 1)
+    masks = data.draw(
+        st.lists(st.lists(row, min_size=m, max_size=m), min_size=1, max_size=6),
+        label="row masks",
+    )
+    # random row masks include incomplete (rank-deficient) candidates
+    qs = [
+        QMatrix(np.array([[(r >> j) & 1 for j in range(k)] for r in rows]))
+        for rows in masks
+    ]
+    level = st.integers(0, 20).map(lambda v: v / 20)
+    kind = data.draw(st.sampled_from(["noiseless", "rates", "c=g"]), label="rates")
+    if kind == "noiseless":
+        c, g = np.ones(m), np.zeros(m)
+    else:
+        c = np.array(data.draw(st.lists(level, min_size=m, max_size=m), label="c"))
+        g = np.array(data.draw(st.lists(level, min_size=m, max_size=m), label="g"))
+        if kind == "c=g":
+            same = data.draw(st.lists(st.booleans(), min_size=m, max_size=m), label="c=g")
+            c = np.where(same, g, c)
+    order = ComboOrder.saturated(m)
+    stack = np.stack([design(q, c, g, order) for q in qs])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="feasible target"):
+        # rates some distribution reproduces exactly: the optimum is 0
+        beta = stack[0] @ rng.dirichlet(np.ones(stack.shape[2]))
+    else:
+        beta = rng.uniform(0.0, 1.0, len(order))
+    return stack, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bounds_bracket_exact_solve(data):
+    stack, beta = _dina_stack(data)
+    max_iter = data.draw(st.sampled_from([None, 1]), label="max_iter")
+    upper, lower = simplex_lsq_bounds(stack, beta, max_iter=max_iter)
+    assert upper.shape == lower.shape == (len(stack),)
+    for mat, up, lo in zip(stack, upper, lower):
+        exact = simplex_lsq(mat, beta).residual
+        assert lo <= exact + 1e-12
+        assert lo <= up
+        if max_iter is None and np.linalg.matrix_rank(mat) == mat.shape[1]:
+            assert abs(up - exact) <= 1e-10
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (4, 3), (6, 2)])
+def test_bounds_independent_of_batch(m, k):
+    """A member's bounds are the same bytes alone, in the full stack,
+    shuffled and in chunks of 17."""
+    rng = np.random.default_rng(m * 10 + k)
+    order = ComboOrder.saturated(m)
+    cands = list(enumerate_candidates(m, k, 10**6))[:200]
+    c, g = rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m)
+    stack = np.stack(
+        [design(q, c, g, order) for q in cands]
+        + [design(q, np.ones(m), np.zeros(m), order) for q in cands[:40]]
+    )
+    beta = stack[len(cands) // 2] @ rng.dirichlet(np.ones(1 << k)) + rng.normal(
+        0.0, 0.01, len(order)
+    )
+    upper, lower = simplex_lsq_bounds(stack, beta)
+    for j in range(len(stack)):
+        up, lo = simplex_lsq_bounds(stack[j : j + 1], beta)
+        assert up.tobytes() == upper[j : j + 1].tobytes()
+        assert lo.tobytes() == lower[j : j + 1].tobytes()
+    perm = rng.permutation(len(stack))
+    up, lo = simplex_lsq_bounds(stack[perm], beta)
+    assert up.tobytes() == upper[perm].tobytes()
+    assert lo.tobytes() == lower[perm].tobytes()
+    for start in range(0, len(stack), 17):
+        up, lo = simplex_lsq_bounds(stack[start : start + 17], beta)
+        assert up.tobytes() == upper[start : start + 17].tobytes()
+        assert lo.tobytes() == lower[start : start + 17].tobytes()
+
+
+def test_bounds_reject_bad_input():
+    with pytest.raises(ValueError):
+        simplex_lsq_bounds(np.eye(3), np.zeros(3))
+    with pytest.raises(ValueError):
+        simplex_lsq_bounds(np.ones((2, 3, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        simplex_lsq_bounds(np.full((1, 2, 2), np.nan), np.zeros(2))

@@ -269,6 +269,31 @@ def test_design_matches_row_reference_bytes(m, k):
             assert got.tobytes() == want.tobytes(), (name, scale)
 
 
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_design_stack_slices_match_bytes(m, k):
+    """Each slice of a design built on a stack of c vectors is byte-identical
+    to the design at that c alone, on grid levels, c = g and signed zeros."""
+    rng = np.random.default_rng(9_500 + 10 * m + k)
+    q = _random_q(rng, m, k)
+    g = rng.uniform(0, 0.3, m)
+    cs = rng.choice(np.linspace(0.0, 1.0, 11), size=(40, m))
+    cs[:5] = g
+    cs[5:10] = rng.uniform(-1, 1, (5, m))
+    cs[10, 0] = -0.0
+    for order in _orders(rng, m).values():
+        stack = design(q, cs, g, order)
+        assert stack.shape == (len(cs), len(order), 1 << k)
+        for c, got in zip(cs, stack):
+            assert got.tobytes() == design(q, c, g, order).tobytes()
+    order = ComboOrder.saturated(m)
+    for bad in (np.ones((2, 2, m)), np.ones((2, m + 1))):
+        with pytest.raises(ValueError):
+            design(q, bad, g, order)
+    with pytest.raises(ValueError):
+        design(q, np.ones(m), np.ones((2, m)), order)
+
+
 def test_design_returns_fresh_writable_array():
     order = ComboOrder.saturated(3)
     c, g = np.full(3, 0.9), np.full(3, 0.1)

@@ -9,8 +9,9 @@ over canonical candidates.
 
 When capable success rates are unknown they are recovered per candidate
 before scoring: a moment estimator handles every item whose attributes are
-jointly covered by other items, and a bounded derivative-free profile search
-fills in the rest.
+jointly covered by other items, and a bounded quasi-Newton profile search
+fills in the rest. That search minimizes the squared score with its exact
+gradient, which the envelope theorem reads off the simplex fit itself.
 
 ``check_identifiability`` probes the model in population: a complete
 Q-matrix should leave every non-equivalent candidate at a strictly positive
@@ -36,6 +37,7 @@ from .core import (
     enumerate_candidates,
     equivalent,
     is_complete,
+    profile_order,
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
 from .solver import simplex_lsq, simplex_lsq_bounds
@@ -47,6 +49,13 @@ IDENTIFIABILITY_TOL = 1e-6
 
 # deterministic multi-start levels for the bounded profile search
 _SLIP_STARTS = (0.5, 0.85, 0.25)
+# The profile search minimizes _SLIP_SCALE * score^2. L-BFGS-B stops once a
+# step gains less than ftol * max(|objective|, 1), an absolute test below 1:
+# on score^2 itself that leaves near-exact fits at scores up to about 3e-8. The
+# scale keeps the test relative down to a score of 1e-4 and makes it 1e-21
+# on score^2 below that; gtol is 1e-12 on the gradient of score^2.
+_SLIP_SCALE = 1e8
+_SLIP_OPTIONS = {"ftol": 1e-13, "gtol": 1e-4, "maxfun": 4000}
 # capable-rate levels of the identifiability probe's grid (pitch 0.1)
 _GRID = np.linspace(0.0, 1.0, 11)
 
@@ -171,19 +180,20 @@ def _search(
     """Minimize ``fit`` over ``candidates``.
 
     ``fit`` maps a chunk of at most ``size`` consecutive candidates to one
-    (score, recovered c or None, degeneracy note or None) per candidate; it
-    is a partial of a module-level function so that it pickles, because with
-    ``workers > 1`` a process pool runs it on the same chunks. Returns the
-    winner (first in order on exact ties), its fit, the tie set at
-    ``tie_tol`` (winner included) and the diagnostics: the score of every
-    candidate and, when any fit carries a note, the degenerate candidates.
+    (score, recovered c or None, note or None) per candidate; it is a
+    partial of a module-level function so that it pickles, because with
+    ``workers > 1`` and more than one chunk a process pool runs it on the
+    same chunks. Returns the winner (first in order on exact ties), its fit,
+    the tie set at ``tie_tol`` (winner included) and the diagnostics: the
+    score of every candidate and, under each note that some fit carries
+    ("degenerate", "unconverged"), the candidates carrying it.
     """
     if not tie_tol >= 0.0:
         raise ValueError(f"tie_tol must be a nonnegative number, got {tie_tol}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     chunks = [candidates[i : i + size] for i in range(0, len(candidates), size)]
-    if workers is not None and workers > 1:
+    if workers is not None and workers > 1 and len(chunks) > 1:
         # pool.map returns fits in input order, whatever the worker count
         per_task = max(1, len(chunks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -196,9 +206,8 @@ def _search(
         qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol
     )
     diagnostics: dict = {"scores": {qc: float(s) for qc, s in zip(candidates, scores)}}
-    degenerate = tuple(qc for qc, f in zip(candidates, fits) if f[2] is not None)
-    if degenerate:
-        diagnostics["degenerate"] = degenerate
+    for note in sorted({f[2] for f in fits} - {None}):
+        diagnostics[note] = tuple(qc for qc, f in zip(candidates, fits) if f[2] == note)
     return candidates[best], fits[best], ties, diagnostics
 
 
@@ -327,21 +336,46 @@ def moment_slip(q: QMatrix, g, beta: np.ndarray, item: int, cover: int) -> float
     return float(np.clip(g[item] + num / den, 0.0, 1.0))
 
 
-def profile_slip(
-    q: QMatrix,
-    g,
-    alpha: AlphaVector,
-    fixed: Mapping[int, float] | None = None,
-) -> np.ndarray:
-    """Capable success rates by direct score minimization.
+def _rate_objective(
+    q: QMatrix, g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: list[int]
+):
+    """``_SLIP_SCALE`` times the squared score of ``q``, and its gradient, as
+    a function of the capable rates of the ``free`` items, the other rates
+    held at ``c``.
 
-    Keeps the ``fixed`` coordinates (e.g. moment estimates) and minimizes the
-    fit distance over the remaining ones with bounded derivative-free local
-    search (Powell) from several deterministic starts. Every coordinate of
-    the result lies in [0, 1]; the best point found is always returned. A
-    start on which the search raises ValueError is skipped; the error
-    propagates only when every start fails.
+    By the envelope theorem the gradient needs no re-fit: with x* the
+    simplex minimizer and r = M x* - alpha, d score^2 / d c_i equals
+    2 r' (dM/dc_i) x*. Entry (S, A) of M holds the factor c_i exactly when
+    S contains item i and profile A masters it, and it is linear in c_i, so
+    dM/dc_i is the design at c_i = 1 masked to those entries. One stacked
+    design gives M and every free item's derivative.
     """
+    combos = np.array(alpha.order.combos, dtype=np.int64)
+    profiles = np.array([0] + profile_order(q.k), dtype=np.int64)
+    reach = np.array([q.row_masks[i] for i in free], dtype=np.int64)[:, None, None]
+    item = np.array(free, dtype=np.int64)[:, None, None]
+    holds = ((combos[:, None] >> item) & 1 == 1) & ((profiles & reach) == reach)
+    unit = np.arange(1, len(free) + 1)
+
+    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
+        trial = c.copy()
+        trial[free] = np.clip(v, 0.0, 1.0)
+        params = DinaParams(trial, g)
+        stack = np.repeat(params.c[None, :], len(free) + 1, axis=0)
+        stack[unit, free] = 1.0
+        designs = design(q, stack, params.g, alpha.order)
+        x = simplex_lsq(designs[0], alpha.rates).x
+        r = designs[0] @ x - alpha.rates
+        grad = 2.0 * ((designs[1:] * holds) @ x @ r)
+        return _SLIP_SCALE * float(r @ r), _SLIP_SCALE * grad
+
+    return objective
+
+
+def _rate_search(
+    q: QMatrix, g, alpha: AlphaVector, fixed: Mapping[int, float] | None
+) -> tuple[np.ndarray, bool]:
+    # profile_slip's search; also reports whether any start converged
     g = rate_vector(g, q.m, "g")
     fixed = dict(fixed or {})
     for i, v in fixed.items():
@@ -354,34 +388,42 @@ def profile_slip(
         c[int(i)] = float(v)
     free = [i for i in range(q.m) if i not in fixed]
     if not free:
-        return c
+        return c, True
 
-    def objective(v: np.ndarray) -> float:
-        trial = c.copy()
-        trial[free] = np.clip(v, 0.0, 1.0)
-        return score(q, alpha, DinaParams(trial, g))
-
-    best_f, best_x, failure = np.inf, None, None
+    objective = _rate_objective(q, g, alpha, c, free)
+    best_f, best_x, converged = np.inf, None, False
     for level in _SLIP_STARTS:
-        try:
-            res = minimize(
-                objective,
-                np.full(len(free), level),
-                method="Powell",
-                bounds=[(0.0, 1.0)] * len(free),
-                options={"xtol": 1e-5, "ftol": 1e-10, "maxfev": 4000},
-            )
-        except ValueError as exc:
-            # scipy's bounded Powell can raise on a zero search direction
-            # (a flat stretch of the score); the other starts still count
-            failure = exc
-            continue
+        res = minimize(
+            objective,
+            np.full(len(free), level),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(0.0, 1.0)] * len(free),
+            options=_SLIP_OPTIONS,
+        )
+        converged = converged or bool(res.success)
         if res.fun < best_f:
             best_f, best_x = float(res.fun), np.asarray(res.x)
-    if best_x is None:
-        raise failure
     c[free] = np.clip(best_x, 0.0, 1.0)
-    return c
+    return c, converged
+
+
+def profile_slip(
+    q: QMatrix,
+    g,
+    alpha: AlphaVector,
+    fixed: Mapping[int, float] | None = None,
+) -> np.ndarray:
+    """Capable success rates by direct score minimization.
+
+    Keeps the ``fixed`` coordinates (e.g. moment estimates) and minimizes the
+    squared fit distance over the remaining ones with a bounded quasi-Newton
+    search (L-BFGS-B) from several deterministic starts, using the exact
+    gradient that the envelope theorem gives at the simplex fit. Every
+    coordinate of the result lies in [0, 1]; the best point found is always
+    returned.
+    """
+    return _rate_search(q, g, alpha, fixed)[0]
 
 
 def _fit_candidate(
@@ -396,14 +438,9 @@ def _fit_candidate(
         try:
             fixed[i] = moment_slip(q, g, beta, i, cover)
         except DegenerateSampleError:
-            return np.inf, None, "degenerate moment denominator"
-    if len(fixed) == q.m:
-        c = np.zeros(q.m)
-        for i, v in fixed.items():
-            c[i] = v
-    else:
-        c = profile_slip(q, g, alpha, fixed)
-    return score(q, alpha, DinaParams(c, g)), c, None
+            return np.inf, None, "degenerate"
+    c, converged = _rate_search(q, g, alpha, fixed)
+    return score(q, alpha, DinaParams(c, g)), c, None if converged else "unconverged"
 
 
 def _fit_unknown(
@@ -427,7 +464,9 @@ def estimate_q_unknown_c(
     peers, recover uncovered coordinates by bounded profile search, then
     score at the assembled rates. diagnostics["scores"] maps every candidate
     to its final score; candidates with degenerate moment denominators score
-    +inf and are listed in diagnostics["degenerate"].
+    +inf and are listed in diagnostics["degenerate"]. Candidates whose
+    profile search converged from no start are still ranked at the best
+    point found, and are listed in diagnostics["unconverged"].
 
     Returns the winner with its recovered ``c_hat``; ties are judged on the
     final scores exactly as in ``estimate_q``.

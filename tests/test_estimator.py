@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import dinaq.estimator
 from dinaq import (
     AlignmentError,
     AlphaVector,
@@ -36,6 +39,8 @@ from dinaq import (
     simulate,
     split_estimate,
 )
+from dinaq.estimator import _SLIP_SCALE, _rate_objective
+from dinaq.solver import simplex_lsq
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
 UNIFORM = ProfileDistribution.uniform(2)
@@ -211,6 +216,34 @@ def test_estimate_q_workers_match_serial():
     alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
     serial = estimate_q(alpha, params, 2)
     parallel = estimate_q(alpha, params, 2, workers=2)
+    assert_same_search(serial, parallel)
+
+
+def test_estimate_q_single_chunk_runs_without_pool(monkeypatch):
+    # up to 512 candidates make one chunk, and a pool would only add start-up
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for a single chunk")
+
+    params = noisy_params(m=6)
+    truth = QMatrix.from_rows(["10", "01", "11", "10", "01", "11"])
+    alpha = population_alpha(truth, params, UNIFORM, ComboOrder.saturated(6))
+    serial = estimate_q(alpha, params, 2)
+    monkeypatch.setattr(dinaq.estimator, "ProcessPoolExecutor", no_pool)
+    parallel = estimate_q(alpha, params, 2, workers=2)
+    assert serial.n_candidates == 365
+    assert_same_search(serial, parallel)
+
+
+def test_estimate_q_workers_match_serial_over_chunks():
+    # m = 5, k = 3 spans several chunks, so the pool does run
+    truth = QMatrix.from_rows(["100", "010", "001", "110", "011"])
+    params = noisy_params(m=5)
+    alpha = population_alpha(
+        truth, params, ProfileDistribution.uniform(3), ComboOrder.saturated(5)
+    )
+    serial = estimate_q(alpha, params, 3)
+    parallel = estimate_q(alpha, params, 3, workers=2)
+    assert serial.n_candidates > 512
     assert_same_search(serial, parallel)
 
 
@@ -444,6 +477,164 @@ def test_profile_slip_matches_grid_oracle():
     assert found <= best_grid + 1e-9
 
 
+def _powell_profile_slip(q, g, alpha, fixed):
+    """The three-start bounded Powell search that profile_slip ran before it
+    used the gradient, kept here as the reference."""
+    c = np.zeros(q.m)
+    for i, v in fixed.items():
+        c[i] = v
+    free = [i for i in range(q.m) if i not in fixed]
+    if not free:
+        return c
+
+    def objective(v):
+        trial = c.copy()
+        trial[free] = np.clip(v, 0.0, 1.0)
+        return score(q, alpha, DinaParams(trial, g))
+
+    best_f, best_x = np.inf, None
+    for level in (0.5, 0.85, 0.25):
+        try:
+            res = minimize(
+                objective,
+                np.full(len(free), level),
+                method="Powell",
+                bounds=[(0.0, 1.0)] * len(free),
+                options={"xtol": 1e-5, "ftol": 1e-10, "maxfev": 4000},
+            )
+        except ValueError:
+            continue
+        if res.fun < best_f:
+            best_f, best_x = float(res.fun), np.asarray(res.x)
+    c[free] = np.clip(best_x, 0.0, 1.0)
+    return c
+
+
+def _moment_fixed(q, g, beta):
+    # the moment estimates the unknown-c search fixes before profiling
+    fixed = {}
+    for i in range(q.m):
+        cover = find_cover_combo(q, i)
+        if cover is not None:
+            fixed[i] = moment_slip(q, g, beta, i, cover)
+    return fixed
+
+
+def _random_case(rng, index):
+    """(canonical candidates, order, params, alpha) for random m = 3-5 and
+    k = 2-3, on population rates (odd index) or a sample of 2000 subjects
+    (even index)."""
+    m, k = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+    cands = list(enumerate_candidates(m, k, budget=10**6))
+    truth = cands[int(rng.integers(len(cands)))]
+    params = DinaParams(rng.uniform(0.7, 0.95, m), rng.uniform(0.05, 0.3, m))
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    order = ComboOrder.saturated(m)
+    if index % 2:
+        alpha = population_alpha(truth, params, p_star, order)
+    else:
+        config = SimConfig(q=truth, params=params, p_star=p_star, n=2000, seed=index)
+        alpha = compute_alpha(simulate(config)[0], order)
+    return cands, order, params, alpha
+
+
+def test_rate_gradient_matches_central_differences():
+    """The envelope-theorem gradient of the scaled score^2 agrees with central
+    differences wherever the simplex fit keeps its support across the
+    difference step (away from active-set kinks)."""
+    rng = np.random.default_rng(7)
+    h, checked = 1e-6, 0
+    for index in range(80):
+        cands, order, params, alpha = _random_case(rng, index)
+        q = cands[int(rng.integers(len(cands)))]
+        size = int(rng.integers(1, q.m + 1))
+        free = sorted(int(i) for i in rng.choice(q.m, size, replace=False))
+        c = rng.uniform(0.05, 0.95, q.m)
+        objective = _rate_objective(q, params.g, alpha, c, free)
+
+        def support(v):
+            trial = c.copy()
+            trial[free] = v
+            return tuple(simplex_lsq(design(q, trial, params.g, order), alpha.rates).x > 0)
+
+        v = c[free]
+        f, grad = objective(v)
+        fit = score(q, alpha, DinaParams(c, params.g))
+        assert f == pytest.approx(_SLIP_SCALE * fit**2, rel=1e-12, abs=1e-30)
+        steps = np.eye(len(free)) * h
+        if any(support(v + e) != support(v) or support(v - e) != support(v) for e in steps):
+            continue
+        fd = np.array([(objective(v + e)[0] - objective(v - e)[0]) / (2 * h) for e in steps])
+        # rounding moves each difference by about 1e-16 * f / h = 1e-10 * f
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad) + 1e-9 * f
+        # count only points where the relative bound is the binding one
+        checked += bool(np.linalg.norm(grad) >= 1e-2 * f)
+    assert checked >= 60
+
+
+def test_profile_slip_no_worse_than_powell():
+    """On profile-searched candidates (moment estimates fixed, the rest
+    free) the gradient search never ends above the three-start Powell search
+    it replaced."""
+    rng = np.random.default_rng(11)
+    compared, index = 0, 0
+    while compared < 100:
+        cands, _, params, alpha = _random_case(rng, index)
+        index += 1
+        beta = decontaminate(alpha, params.g)
+        for q in (cands[int(j)] for j in rng.choice(len(cands), 6, replace=False)):
+            try:
+                fixed = _moment_fixed(q, params.g, beta)
+            except DegenerateSampleError:
+                continue
+            if len(fixed) == q.m:
+                continue
+            new = score(q, alpha, DinaParams(profile_slip(q, params.g, alpha, fixed), params.g))
+            ref_c = _powell_profile_slip(q, params.g, alpha, fixed)
+            assert new <= score(q, alpha, DinaParams(ref_c, params.g)) + 1e-9
+            compared += 1
+
+
+def _permuted_columns(q, perm):
+    return QMatrix(tuple(tuple(row[j] for j in perm) for row in q.entries.tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_score_and_profile_fit_invariant_under_column_permutation(data):
+    m = data.draw(st.integers(2, 4), label="m")
+    k = data.draw(st.integers(2, 3), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    q, truth = random_q(rng, m, k), random_q(rng, m, k)
+    perm = data.draw(st.permutations(range(k)), label="perm")
+    params = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    alpha = population_alpha(truth, params, p_star, ComboOrder.saturated(m))
+    permuted = _permuted_columns(q, perm)
+    assert abs(score(permuted, alpha, params) - score(q, alpha, params)) <= 1e-12
+    held = data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1), label="fixed")
+    fixed = {i: float(params.c[i]) for i in held}
+    fits = [
+        score(cand, alpha, DinaParams(profile_slip(cand, params.g, alpha, fixed), params.g))
+        for cand in (q, permuted)
+    ]
+    assert abs(fits[0] - fits[1]) <= 1e-9
+
+
+def test_profile_slip_fits_near_exact_in_either_column_order():
+    # the candidate can fit these rates almost exactly; on unscaled score^2,
+    # L-BFGS-B's absolute ftol test stops one column order at a score of 1e-8
+    rng = np.random.default_rng(29651)
+    q, truth = random_q(rng, 3, 3), random_q(rng, 3, 3)
+    params = DinaParams(rng.uniform(0.6, 0.95, 3), rng.uniform(0.05, 0.3, 3))
+    p_star = ProfileDistribution(3, rng.dirichlet(np.ones(8)))
+    alpha = population_alpha(truth, params, p_star, ComboOrder.saturated(3))
+    for cand in (q, _permuted_columns(q, [0, 2, 1])):
+        c = profile_slip(cand, params.g, alpha)
+        assert score(cand, alpha, DinaParams(c, params.g)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # unknown-c search
 
@@ -476,6 +667,67 @@ def test_unknown_c_noiseless_reduces_to_known_rates():
     known = estimate_q(alpha, NOISELESS, 2)
     assert unknown.q_hat == known.q_hat
     np.testing.assert_allclose(unknown.c_hat, 1.0, atol=1e-6)
+
+
+def _powell_unknown_c_search(alpha, g, k):
+    """The unknown-c search with the Powell reference profile search:
+    winner (first in enumeration order on exact ties), tie set and every
+    candidate's score."""
+    beta = decontaminate(alpha, g)
+    cands = list(enumerate_candidates(alpha.order.m, k, budget=10**6))
+    scores = {}
+    for q in cands:
+        try:
+            fixed = _moment_fixed(q, g, beta)
+        except DegenerateSampleError:
+            scores[q] = np.inf
+            continue
+        scores[q] = score(q, alpha, DinaParams(_powell_profile_slip(q, g, alpha, fixed), g))
+    best = min(cands, key=lambda q: scores[q])
+    ties = tuple(q for q in cands if scores[q] <= scores[best] + DEFAULT_TIE_TOL)
+    return best, ties, scores
+
+
+@pytest.mark.parametrize("m, seed", [(4, 11), (5, 12)])
+def test_unknown_c_matches_powell_reference(m, seed):
+    rng = np.random.default_rng(seed)
+    truth = QMatrix.from_rows(["10", "01", "11", "10", "01"][:m])
+    params = DinaParams(rng.uniform(0.7, 0.95, m), rng.uniform(0.05, 0.3, m))
+    config = SimConfig(q=truth, params=params, p_star=UNIFORM, n=5000, seed=seed)
+    alpha = compute_alpha(simulate(config)[0], ComboOrder.saturated(m))
+    res = estimate_q_unknown_c(alpha, params.g, 2)
+    best, ties, scores = _powell_unknown_c_search(alpha, params.g, 2)
+    assert res.q_hat == best
+    assert res.ties == ties
+    for q, s in scores.items():
+        assert res.diagnostics["scores"][q] <= s + 1e-9
+
+
+def test_unknown_c_lists_unconverged(monkeypatch):
+    """A candidate whose rate search converges from no start is still
+    ranked, and is named in diagnostics["unconverged"]."""
+    params = noisy_params()
+    config = SimConfig(q=GOLDEN, params=params, p_star=UNIFORM, n=20_000, seed=21)
+    alpha = compute_alpha(simulate(config)[0], ORDER3)
+    clean = estimate_q_unknown_c(alpha, params.g, 2)
+    assert "unconverged" not in clean.diagnostics
+
+    def failing(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        res.success = False
+        return res
+
+    monkeypatch.setattr(dinaq.estimator, "minimize", failing)
+    flagged = estimate_q_unknown_c(alpha, params.g, 2)
+    beta = decontaminate(alpha, params.g)
+    searched = tuple(
+        q for q in enumerate_candidates(3, 2, budget=10**6)
+        if len(_moment_fixed(q, params.g, beta)) < 3
+    )
+    assert searched
+    assert flagged.diagnostics["unconverged"] == searched
+    assert flagged.diagnostics["scores"] == clean.diagnostics["scores"]
+    assert flagged.q_hat == clean.q_hat and flagged.ties == clean.ties
 
 
 def test_unknown_c_workers_match_serial():

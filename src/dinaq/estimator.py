@@ -15,7 +15,10 @@ gradient, which the envelope theorem reads off the simplex fit itself.
 
 ``check_identifiability`` probes the model in population: a complete
 Q-matrix should leave every non-equivalent candidate at a strictly positive
-fit distance no matter how that candidate tunes its capable rates.
+fit distance no matter how that candidate tunes its capable rates. A
+candidate that holds every capability pattern the population uses fits it
+exactly and is flagged without numerics; every other candidate's distance
+comes from the same gradient rate search, over all of its capable rates.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .core import (
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
 from .solver import simplex_lsq, simplex_lsq_bounds
-from .tmatrix import ComboOrder, DinaParams, build_d, design, rate_vector
+from .tmatrix import ComboOrder, DinaParams, build_d, design, patterns, rate_vector
 
 DEFAULT_TIE_TOL = 1e-7
 DEGENERATE_TOL = 1e-12
@@ -56,13 +59,10 @@ _SLIP_STARTS = (0.5, 0.85, 0.25)
 # on score^2 below that; gtol is 1e-12 on the gradient of score^2.
 _SLIP_SCALE = 1e8
 _SLIP_OPTIONS = {"ftol": 1e-13, "gtol": 1e-4, "maxfun": 4000}
-# capable-rate levels of the identifiability probe's grid (pitch 0.1)
-_GRID = np.linspace(0.0, 1.0, 11)
 
-# candidates per screened chunk of the known-rates search and grid points per
-# chunk of the probe: each chunk is one stacked screen, so these bound memory
+# candidates per screened chunk of the known-rates search: each chunk is one
+# stacked screen, so this bounds memory
 _CANDIDATE_CHUNK = 512
-_GRID_CHUNK = 4096
 # the screen's bounds sit within about 1e-14 of the exact residual; this
 # margin keeps that rounding from ever excluding a contender
 _BOUND_SLACK = 1e-12
@@ -609,9 +609,12 @@ class IdentifiabilityReport:
 
     ``deltas`` pairs each non-equivalent canonical candidate with its
     smallest achievable fit distance to the population rates (over capable
-    rates); ``flagged`` collects candidates at or below ``threshold``. An
-    incomplete Q-matrix short-circuits: ``complete`` is False and no
-    candidates are evaluated.
+    rates): exactly 0.0 for a candidate certified by its capability
+    patterns, otherwise the exact score at the best point the rate search
+    found. ``flagged`` collects candidates at or below ``threshold``.
+    ``notes`` holds warnings about the inputs, and names every candidate
+    whose rate search converged from no start. An incomplete Q-matrix short-circuits:
+    ``complete`` is False and no candidates are evaluated.
     """
 
     q: QMatrix
@@ -627,32 +630,6 @@ class IdentifiabilityReport:
         return self.complete and not self.flagged
 
 
-def _min_fit_over_c(cand: QMatrix, alpha: AlphaVector, g: np.ndarray) -> float:
-    # first grid point with the least exact score, then Powell from there;
-    # the screen leaves out only points that cannot reach that score
-    best_val, best_point = np.inf, None
-    points = itertools.product(_GRID, repeat=cand.m)
-    while chunk := list(itertools.islice(points, _GRID_CHUNK)):
-        cs = np.array(chunk)
-        upper, lower = simplex_lsq_bounds(design(cand, cs, g, alpha.order), alpha.rates)
-        scores = _certify(
-            upper, lower, lambda j: score(cand, alpha, DinaParams(cs[j], g)), 0.0
-        )
-        j = int(np.argmin(scores))
-        if scores[j] < best_val:
-            best_val, best_point = float(scores[j]), cs[j]
-    if best_val > 0.0:
-        res = minimize(
-            lambda v: score(cand, alpha, DinaParams(np.clip(v, 0.0, 1.0), g)),
-            best_point,
-            method="Powell",
-            bounds=[(0.0, 1.0)] * cand.m,
-            options={"xtol": 1e-6, "ftol": 1e-12, "maxfev": 4000},
-        )
-        best_val = min(best_val, float(res.fun))
-    return float(best_val)
-
-
 def check_identifiability(
     q: QMatrix,
     params: DinaParams,
@@ -665,13 +642,19 @@ def check_identifiability(
 
     Builds the analytic success rates of (q, params, p_star), then for every
     non-equivalent canonical candidate minimizes the fit distance over the
-    candidate's capable rates, guessing rates held at the truth: a fixed grid
-    of 11 levels (0, 0.1, ..., 1) per item, then a bounded Powell refinement
-    from the best grid point unless that point already fits exactly. A
-    batched screen picks the grid points that get an exact solve, without
-    changing the result. A delta at or below ``threshold`` flags the
-    candidate as indistinguishable in population, i.e. the configuration is
-    not identifiable.
+    candidate's capable rates, guessing rates held at the truth. A delta at
+    or below ``threshold`` flags the candidate as indistinguishable in
+    population, i.e. the configuration is not identifiable.
+
+    A candidate whose capability patterns (``tmatrix.patterns``) include
+    every pattern that the support of ``p_star`` induces under ``q`` gets
+    delta 0.0 without a search: at the true capable rates its pattern
+    columns are those of the truth, so it reproduces the population rates
+    exactly. Every other candidate gets the rate search of the unknown-c
+    estimator (L-BFGS-B from three starts, exact envelope gradient) over
+    all of its capable rates, and its delta is the exact score at the best
+    point found. A search that converged from no start is still counted at
+    that point, and the candidate is named in ``notes``.
 
     Distributions with zero-mass profiles are allowed but noted: they are the
     classic source of non-identifiability. An incomplete ``q`` skips the
@@ -699,11 +682,21 @@ def check_identifiability(
         )
     order = ComboOrder.saturated(q.m)
     alpha = population_alpha(q, params, p_star, order)
+    support = set(patterns(q)[p_star.probs > 0.0].tolist())
     deltas: list[tuple[QMatrix, float]] = []
     for cand in enumerate_candidates(q.m, q.k, budget):
         if equivalent(cand, q):
             continue
-        deltas.append((cand, _min_fit_over_c(cand, alpha, params.g)))
+        if support <= set(patterns(cand).tolist()):
+            deltas.append((cand, 0.0))
+            continue
+        c, converged = _rate_search(cand, params.g, alpha, None)
+        deltas.append((cand, score(cand, alpha, DinaParams(c, params.g))))
+        if not converged:
+            notes.append(
+                f"rate search for candidate {','.join(cand.row_strings())} converged "
+                "from no start; its delta is the best point found"
+            )
     flagged = tuple(c for c, dlt in deltas if dlt <= threshold)
     min_delta = min((dlt for _, dlt in deltas), default=None)
     return IdentifiabilityReport(

@@ -217,6 +217,18 @@ def _single_item_indicators(q: QMatrix, profiles: Sequence[int]) -> np.ndarray:
     return (pm & reach) == reach
 
 
+def patterns(q: QMatrix) -> np.ndarray:
+    """Capability pattern of every profile, in the design's column order.
+
+    Entry A is the bitmask of the items that profile A masters (bit i for
+    item i); the zero profile masters none. A design column depends on its
+    profile only through this pattern, so two profiles with equal patterns
+    have byte-identical columns at any (c, g).
+    """
+    masters = _single_item_indicators(q, [0] + profile_order(q.k))
+    return (masters.astype(np.int64) << np.arange(q.m)[:, None]).sum(axis=0)
+
+
 def design(q: QMatrix, c: Iterable[float], g: Iterable[float], order: ComboOrder) -> np.ndarray:
     """Design matrix of ``q`` at per-item rates (c, g) over ``order``.
 

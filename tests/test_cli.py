@@ -321,6 +321,19 @@ def test_verify_point_mass_flags_degeneracy(workdir):
     assert len(report["checks"]["identifiability"]["flagged"]) >= 1
 
 
+def test_verify_m5_k2_finishes_well_under_a_minute(workdir):
+    # 121 non-equivalent candidates, each one rate search over five rates
+    (workdir / "q5.txt").write_text("10\n01\n11\n10\n01\n")
+    code = run([
+        "verify", "--q", "q5.txt", "--c", "0.9,0.85,0.8,0.88,0.82",
+        "--g", "0.15,0.2,0.25,0.1,0.18", "--pstar", "pstar.json", "--out", "verify.json",
+    ])
+    assert code == 0
+    report = json.loads((workdir / "verify.json").read_text())
+    assert len(report["checks"]["identifiability"]["deltas"]) == 121
+    assert report["wall_time"] < 60.0
+
+
 def test_verify_incomplete_q(workdir):
     (workdir / "qinc.txt").write_text("10\n11\n11\n")
     code = run([

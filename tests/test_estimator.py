@@ -41,6 +41,7 @@ from dinaq import (
 )
 from dinaq.estimator import _SLIP_SCALE, _rate_objective
 from dinaq.solver import simplex_lsq
+from dinaq.tmatrix import patterns
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
 UNIFORM = ProfileDistribution.uniform(2)
@@ -855,8 +856,9 @@ def test_point_mass_population_not_identifiable():
 
 
 def _reference_probe(q, params, p_star):
-    """The probe as every grid point solved exactly: an 11-level grid per
-    item, then Powell from the first best point unless it fits exactly."""
+    """The probe as it was before the rate search: every point of an
+    11-level grid per item solved exactly, then Powell from the first best
+    point unless it fits exactly."""
     alpha = population_alpha(q, params, p_star, ComboOrder.saturated(q.m))
     grid = np.linspace(0.0, 1.0, 11)
     deltas = []
@@ -895,13 +897,85 @@ def _reference_probe(q, params, p_star):
     ],
     ids=["m2", "point-mass", "permuted-noisy"],
 )
-def test_probe_screen_matches_exact_grid(q, params, p_star):
-    """Screening grid points with the batched bounds leaves every delta and
-    the flagged set exactly as an exact solve at every grid point gives."""
+def test_probe_matches_grid_powell_reference(q, params, p_star):
+    """The rate search flags exactly the candidates that grid + Powell
+    flags and never ends above its delta; the pattern certificate gives
+    exact zeros, and only to candidates that grid + Powell flags."""
     report = check_identifiability(q, params, p_star)
-    deltas = _reference_probe(q, params, p_star)
-    assert report.deltas == deltas
-    assert report.flagged == tuple(c for c, d in deltas if d <= report.threshold)
+    reference = _reference_probe(q, params, p_star)
+    support = set(patterns(q)[p_star.probs > 0].tolist())
+    assert [c for c, _ in report.deltas] == [c for c, _ in reference]
+    ref_flagged = tuple(c for c, d in reference if d <= report.threshold)
+    assert report.flagged == ref_flagged
+    assert report.identifiable == (not ref_flagged)
+    for (cand, new), (_, old) in zip(report.deltas, reference):
+        assert new <= old + 1e-9
+        if support <= set(patterns(cand).tolist()):
+            assert new == 0.0
+            assert cand in ref_flagged
+
+
+def _permuted_population(q, params, p_star, perm):
+    """(q, params, p_star) with q's columns permuted by ``perm`` and p_star
+    relabelled to match: the same population rates."""
+    labels = p_star.labels()
+    relabelled = {"".join(lab[j] for j in perm): float(p) for lab, p in zip(labels, p_star.probs)}
+    return _permuted_columns(q, perm), params, ProfileDistribution.from_dict(q.k, relabelled)
+
+
+@pytest.mark.parametrize(
+    "q, params, p_star, perm",
+    [
+        (GOLDEN, noisy_params(), UNIFORM, [1, 0]),
+        (GOLDEN, NOISELESS, ProfileDistribution.point_mass(2, (1, 0)), [1, 0]),
+        (
+            QMatrix.from_rows(["11", "10", "01"]),
+            DinaParams(np.array([0.9, 0.8, 0.85]), np.array([0.1, 0.2, 0.15])),
+            ProfileDistribution.from_dict(2, {"00": 0.3, "10": 0.5, "11": 0.2}),
+            [1, 0],
+        ),
+        (
+            QMatrix.from_rows(["100", "010", "001"]),
+            DinaParams(np.array([0.9, 0.8, 0.85]), np.array([0.1, 0.2, 0.15])),
+            ProfileDistribution(3, np.random.default_rng(5).dirichlet(np.ones(8))),
+            [2, 0, 1],
+        ),
+    ],
+    ids=["uniform", "point-mass", "zero-mass", "k3"],
+)
+def test_probe_invariant_under_column_permutation(q, params, p_star, perm):
+    """Permuting q's columns, with p_star relabelled to match, leaves the
+    population rates, the flagged classes and pass/fail unchanged."""
+    permuted = _permuted_population(q, params, p_star, perm)
+    order = ComboOrder.saturated(q.m)
+    np.testing.assert_allclose(
+        population_alpha(*permuted, order).rates,
+        population_alpha(q, params, p_star, order).rates,
+        rtol=0, atol=1e-15,
+    )
+    report, other = check_identifiability(q, params, p_star), check_identifiability(*permuted)
+    assert [c for c, _ in other.deltas] == [c for c, _ in report.deltas]
+    assert other.flagged == report.flagged
+    assert other.identifiable == report.identifiable
+
+
+def test_probe_names_unconverged_searches(monkeypatch):
+    """A candidate whose rate search converges from no start keeps its
+    delta at the best point found and is named in the report's notes."""
+    clean = check_identifiability(GOLDEN, noisy_params(), UNIFORM)
+    assert clean.notes == ()
+
+    def failing(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        res.success = False
+        return res
+
+    monkeypatch.setattr(dinaq.estimator, "minimize", failing)
+    report = check_identifiability(GOLDEN, noisy_params(), UNIFORM)
+    assert report.deltas == clean.deltas
+    assert len(report.notes) == len(report.deltas)
+    for (cand, _), note in zip(report.deltas, report.notes):
+        assert ",".join(cand.row_strings()) in note
 
 
 def test_incomplete_q_skips_probe():

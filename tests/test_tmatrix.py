@@ -15,6 +15,7 @@ from dinaq import (
     design,
     ideal_response,
 )
+from dinaq.tmatrix import patterns
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
 
@@ -292,6 +293,25 @@ def test_design_stack_slices_match_bytes(m, k):
             design(q, bad, g, order)
     with pytest.raises(ValueError):
         design(q, np.ones(m), np.ones((2, m)), order)
+
+
+@pytest.mark.parametrize("m, k", [(3, 2), (4, 3), (5, 3)])
+def test_patterns_are_mastered_items_and_key_design_columns(m, k):
+    """Pattern bit i of a profile is its ideal response to item i, and the
+    design's columns are equal exactly where the patterns are."""
+    rng = np.random.default_rng(9_700 + 10 * m + k)
+    q = _random_q(rng, m, k)
+    profiles = [0] + profile_order(k)
+    pats = patterns(q)
+    assert pats.shape == (1 << k,)
+    for pat, mask in zip(pats, profiles):
+        bits = mask_to_bits(mask, k)
+        assert int(pat) == sum(ideal_response(bits, q, i) << i for i in range(m))
+    cols = design(q, rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m),
+                  ComboOrder.saturated(m)).T
+    for a in range(1 << k):
+        for b in range(1 << k):
+            assert (cols[a].tobytes() == cols[b].tobytes()) == (pats[a] == pats[b])
 
 
 def test_design_returns_fresh_writable_array():

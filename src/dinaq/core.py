@@ -34,6 +34,10 @@ MAX_ATTRIBUTES = 10
 
 DEFAULT_BUDGET = 10**7
 
+# column-key tuples unpacked per vectorized step of enumerate_candidates;
+# bounds the memory of one step whatever the size of the space
+_ENUM_BLOCK = 1 << 14
+
 
 class BudgetExceededError(RuntimeError):
     """Raised when a candidate space exceeds the configured enumeration budget."""
@@ -77,6 +81,23 @@ def bit_label(mask: int, n: int) -> str:
     return "".join("1" if (mask >> i) & 1 else "0" for i in range(n))
 
 
+def _checked_entries(a: np.ndarray) -> np.ndarray:
+    """Read-only uint8 copy of nonempty Q-matrix entries, with (m, k) the
+    last two axes; raises ValueError unless every matrix is a valid QMatrix."""
+    if not ((a == 0) | (a == 1)).all():
+        raise ValueError("Q-matrix entries must be 0 or 1")
+    m, k = a.shape[-2:]
+    if m > MAX_ITEMS:
+        raise ValueError(f"at most {MAX_ITEMS} items supported, got {m}")
+    if k > MAX_ATTRIBUTES:
+        raise ValueError(f"at most {MAX_ATTRIBUTES} attributes supported, got {k}")
+    a = a.astype(np.uint8)
+    if (a.sum(axis=-1) == 0).any():
+        raise ValueError("Q-matrix has a zero row (item requiring no attribute)")
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class QMatrix:
     """Binary m x k item-by-attribute incidence matrix.
@@ -92,18 +113,21 @@ class QMatrix:
         a = np.asarray(self.entries)
         if a.ndim != 2 or a.size == 0:
             raise ValueError("Q-matrix must be a nonempty 2-d array")
-        if not np.isin(a, (0, 1)).all():
-            raise ValueError("Q-matrix entries must be 0 or 1")
-        m, k = a.shape
-        if m > MAX_ITEMS:
-            raise ValueError(f"at most {MAX_ITEMS} items supported, got {m}")
-        if k > MAX_ATTRIBUTES:
-            raise ValueError(f"at most {MAX_ATTRIBUTES} attributes supported, got {k}")
-        a = a.astype(np.uint8)
-        if (a.sum(axis=1) == 0).any():
-            raise ValueError("Q-matrix has a zero row (item requiring no attribute)")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", _checked_entries(a))
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray) -> list["QMatrix"]:
+        """One QMatrix per slice of a nonempty (b, m, k) stack of entries.
+
+        The stack passes the constructor's checks once as a whole; each
+        matrix holds a read-only view of its slice.
+        """
+        out = []
+        for entries in _checked_entries(stack):
+            q = object.__new__(cls)
+            object.__setattr__(q, "entries", entries)
+            out.append(q)
+        return out
 
     @property
     def m(self) -> int:
@@ -229,6 +253,12 @@ def enumerate_candidates(
     directly in canonical space (non-increasing column keys), so no dedup
     storage is needed and the order is deterministic.
 
+    Column-key tuples are read in blocks of ``_ENUM_BLOCK``. A block keeps
+    the tuples whose columns cover every row, unpacks all their entries
+    with one vectorized shift of the keys and checks them as one stack
+    (``QMatrix._from_stack``). At m = 6, k = 2 all 365 candidates come from
+    one block.
+
     Raises BudgetExceededError when the raw candidate space (2^k - 1)^m
     exceeds ``budget``.
     """
@@ -242,20 +272,21 @@ def enumerate_candidates(
             f"candidate space (2^{k}-1)^{m} = {space} exceeds budget {budget}"
         )
     full = (1 << m) - 1
-    # Column keys are big-endian ints; tuples are generated non-increasing,
-    # which is exactly the canonical form. Zero columns are legal as long as
-    # every row stays covered.
-    for cols in itertools.combinations_with_replacement(range(2**m - 1, -1, -1), k):
-        covered = 0
-        for v in cols:
-            covered |= v
-        if covered != full:
-            continue
-        entries = np.empty((m, k), dtype=np.uint8)
-        for j, v in enumerate(cols):
-            for i in range(m):
-                entries[i, j] = (v >> (m - 1 - i)) & 1
-        yield QMatrix(entries)
+    # Column keys are big-endian ints (row i is bit m - 1 - i); tuples are
+    # generated non-increasing, which is exactly the canonical form. Zero
+    # columns are legal as long as every row stays covered.
+    shifts = np.arange(m - 1, -1, -1)[:, None]
+    keys = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(2**m - 1, -1, -1), k)
+    )
+    while True:
+        block = np.fromiter(itertools.islice(keys, _ENUM_BLOCK * k), np.int64)
+        if not block.size:
+            return
+        block = block.reshape(-1, k)
+        block = block[np.bitwise_or.reduce(block, axis=1) == full]
+        if block.size:
+            yield from QMatrix._from_stack((block[:, None, :] >> shifts) & 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,7 +128,9 @@ class EstimationResult:
     the known-rates search a batched screen decides which candidates get an
     exact solve: the winner and every candidate that could tie with it
     carry exact scores, the others the screen's upper bound, within about
-    1e-14 of exact.
+    1e-14 of exact. Candidates whose fit is suspect are listed, still
+    ranked, under ``diagnostics["capped"]`` (exact solve stopped at the
+    solver's iteration cap), ``"degenerate"`` or ``"unconverged"``.
     """
 
     q_hat: QMatrix
@@ -167,11 +169,23 @@ def _certify(upper: np.ndarray, lower: np.ndarray, exact, tol: float) -> np.ndar
 
 def _screen_known(
     chunk: list[QMatrix], alpha: AlphaVector, params: DinaParams, tie_tol: float
-) -> list[tuple[float, None, None]]:
-    stack = np.stack([design(q, params.c, params.g, alpha.order) for q in chunk])
+) -> list[tuple[float, None, str | None]]:
+    stack = design(chunk, params.c, params.g, alpha.order)
     upper, lower = simplex_lsq_bounds(stack, alpha.rates)
-    scores = _certify(upper, lower, lambda i: score(chunk[i], alpha, params), tie_tol)
-    return [(float(s), None, None) for s in scores]
+    capped: set[int] = set()
+
+    def exact(i: int) -> float:
+        # the slice is byte-identical to design(chunk[i], ...), so this is
+        # score(chunk[i], alpha, params) with the solver's status kept
+        sol = simplex_lsq(stack[i], alpha.rates)
+        if sol.status == "iteration-cap":
+            capped.add(i)
+        return sol.residual
+
+    scores = _certify(upper, lower, exact, tie_tol)
+    return [
+        (float(s), None, "capped" if i in capped else None) for i, s in enumerate(scores)
+    ]
 
 
 def _search(
@@ -186,7 +200,7 @@ def _search(
     same chunks. Returns the winner (first in order on exact ties), its fit,
     the tie set at ``tie_tol`` (winner included) and the diagnostics: the
     score of every candidate and, under each note that some fit carries
-    ("degenerate", "unconverged"), the candidates carrying it.
+    ("capped", "degenerate", "unconverged"), the candidates carrying it.
     """
     if not tie_tol >= 0.0:
         raise ValueError(f"tie_tol must be a nonnegative number, got {tie_tol}")
@@ -227,13 +241,19 @@ def estimate_q(
     minimizer (first in enumeration order on exact ties), the tie set at
     ``tie_tol``, and the fitted profile distribution of the winner.
 
-    Each chunk of candidates is screened by one batched solve
-    (``simplex_lsq_bounds``); only candidates whose lower bound comes within
-    ``tie_tol`` of the best exact score get an exact ``simplex_lsq`` solve.
-    Winner, score, ties and ``p_tilde`` are therefore exactly those of
-    solving every candidate exactly. diagnostics["scores"] maps every
-    candidate to its score: exact for the re-scored ones, the screen's upper
-    bound (within about 1e-14 of exact) for the rest.
+    The search works on stacks of candidates, not one at a time: the
+    candidates arrive from ``enumerate_candidates`` unpacked and checked as
+    one stack, and each chunk of them gets its designs from one stacked
+    ``design`` call and is screened by one batched solve
+    (``simplex_lsq_bounds``). Only candidates whose lower bound comes within
+    ``tie_tol`` of the best exact score get an exact ``simplex_lsq`` solve,
+    on their slice of that stack. Winner, score, ties and ``p_tilde`` are
+    therefore exactly those of solving every candidate exactly.
+    diagnostics["scores"] maps every candidate to its score: exact for the
+    re-scored ones, the screen's upper bound (within about 1e-14 of exact)
+    for the rest. A re-scored candidate whose exact solve stopped at the
+    solver's iteration cap keeps its rank and is listed in
+    diagnostics["capped"].
 
     Raises BudgetExceededError when the candidate space exceeds ``budget``,
     and ValueError for a negative or NaN ``tie_tol`` or ``workers`` below 1.

@@ -67,7 +67,7 @@ class ResponseData:
         a = np.asarray(self.values)
         if a.ndim != 2 or a.size == 0:
             raise ValueError("responses must be a nonempty 2-d array")
-        if not np.isin(a, (0, 1)).all():
+        if not ((a == 0) | (a == 1)).all():
             raise ValueError("responses must be 0 or 1")
         a = a.astype(np.uint8)
         a.setflags(write=False)

@@ -210,11 +210,11 @@ class DinaParams:
         return DinaParams(self.c[idx], self.g[idx])
 
 
-def _single_item_indicators(q: QMatrix, profiles: Sequence[int]) -> np.ndarray:
-    """(m, P) boolean: does each profile dominate each item's requirement."""
-    reach = np.array(q.row_masks, dtype=np.int64)[:, None]
-    pm = np.array(profiles, dtype=np.int64)[None, :]
-    return (pm & reach) == reach
+def _single_item_indicators(entries: np.ndarray, profiles: Sequence[int]) -> np.ndarray:
+    """(..., m, P) boolean: does each profile dominate each item's requirement,
+    for (..., m, k) Q-matrix entries, one matrix or a stack."""
+    reach = entries.dot(1 << np.arange(entries.shape[-1], dtype=np.int64))[..., None]
+    return (np.array(profiles, dtype=np.int64) & reach) == reach
 
 
 def patterns(q: QMatrix) -> np.ndarray:
@@ -225,11 +225,16 @@ def patterns(q: QMatrix) -> np.ndarray:
     profile only through this pattern, so two profiles with equal patterns
     have byte-identical columns at any (c, g).
     """
-    masters = _single_item_indicators(q, [0] + profile_order(q.k))
+    masters = _single_item_indicators(q.entries, [0] + profile_order(q.k))
     return (masters.astype(np.int64) << np.arange(q.m)[:, None]).sum(axis=0)
 
 
-def design(q: QMatrix, c: Iterable[float], g: Iterable[float], order: ComboOrder) -> np.ndarray:
+def design(
+    q: QMatrix | Sequence[QMatrix],
+    c: Iterable[float],
+    g: Iterable[float],
+    order: ComboOrder,
+) -> np.ndarray:
     """Design matrix of ``q`` at per-item rates (c, g) over ``order``.
 
     Shape (len(order), 2^k): column 0 is the zero profile, the others follow
@@ -246,22 +251,41 @@ def design(q: QMatrix, c: Iterable[float], g: Iterable[float], order: ComboOrder
     c and g need not lie in [0, 1]: the difference identity evaluates the
     design at c - g.
 
-    c may also be a (b, m) stack of rate vectors sharing g; the result is
-    then the (b, len(order), 2^k) stack whose slice j is byte-identical to
-    ``design(q, c[j], g, order)``, since every entry is the same product.
+    Two stacked forms make b designs in one call, each slice byte-identical
+    to the single design, since every entry is the same product:
+
+    * c may be a (b, m) stack of rate vectors sharing q and g; slice j is
+      ``design(q, c[j], g, order)``;
+    * q may be a nonempty sequence of b Q-matrices of one shape, sharing
+      the rate vectors c and g; slice j is ``design(q[j], c, g, order)``.
+      The dominance masks come from the stacked entries at once.
+
+    The result then has shape (b, len(order), 2^k). Stacking both q and c
+    is refused.
     """
-    if order.m != q.m:
-        raise ValueError(f"order is over {order.m} items but Q-matrix has {q.m}")
+    if isinstance(q, QMatrix):
+        entries = q.entries
+    else:
+        if not len(q):
+            raise ValueError("need at least one Q-matrix")
+        if len({cand.entries.shape for cand in q}) != 1:
+            raise ValueError("stacked Q-matrices must share one shape")
+        entries = np.stack([cand.entries for cand in q])
+    m, k = entries.shape[-2:]
+    if order.m != m:
+        raise ValueError(f"order is over {order.m} items but Q-matrix has {m}")
     c = np.asarray_chkfinite(c, dtype=np.float64)
     g = np.asarray_chkfinite(g, dtype=np.float64)
-    if c.shape[-1:] != (q.m,) or c.ndim > 2:
-        raise ValueError(f"c must be a vector of length {q.m} or a stack of them")
-    if g.shape != (q.m,):
-        raise ValueError(f"g must be a vector of length {q.m}")
-    profiles = [0] + profile_order(q.k)
-    factors = np.where(_single_item_indicators(q, profiles), c[..., None], g[:, None])
-    values = np.ones(c.shape[:-1] + (len(order), len(profiles)), dtype=np.float64)
-    for i in range(q.m):
+    if c.shape[-1:] != (m,) or c.ndim > 2:
+        raise ValueError(f"c must be a vector of length {m} or a stack of them")
+    if c.ndim == 2 and entries.ndim == 3:
+        raise ValueError("c must be a single vector when q is a sequence")
+    if g.shape != (m,):
+        raise ValueError(f"g must be a vector of length {m}")
+    profiles = [0] + profile_order(k)
+    factors = np.where(_single_item_indicators(entries, profiles), c[..., None], g[:, None])
+    values = np.ones(factors.shape[:-2] + (len(order), len(profiles)), dtype=np.float64)
+    for i in range(m):
         np.multiply(
             values, factors[..., i, None, :], out=values, where=order._members[i][:, None]
         )

@@ -101,6 +101,44 @@ def test_qmatrix_size_caps():
         QMatrix.from_rows(["1" * 11])
 
 
+# (entries, message of the ValueError or None when accepted); entries that
+# are 0 or 1 in any dtype pass and are stored as uint8
+ENTRY_CASES = [
+    (np.array([[1, 0], [0, 1]]), None),
+    (np.array([[1.0, -0.0], [0.0, 1.0]]), None),
+    (np.array([[True, False], [True, True]]), None),
+    (np.array([[1, 0.5], [0, 1]]), "Q-matrix entries must be 0 or 1"),
+    (np.array([[1, 2], [0, 1]]), "Q-matrix entries must be 0 or 1"),
+    (np.array([[1, -1], [0, 1]]), "Q-matrix entries must be 0 or 1"),
+    (np.array([[1, np.nan], [0, 1]]), "Q-matrix entries must be 0 or 1"),
+    (np.array([[1, np.inf], [0, 1]]), "Q-matrix entries must be 0 or 1"),
+    (np.array([["1", "0"], ["0", "1"]]), "Q-matrix entries must be 0 or 1"),
+    (np.array([[1, 0], [0, 0]]), "Q-matrix has a zero row (item requiring no attribute)"),
+    (np.ones((21, 1), dtype=int), "at most 20 items supported, got 21"),
+    (np.ones((1, 11), dtype=int), "at most 10 attributes supported, got 11"),
+]
+
+
+@pytest.mark.parametrize("entries, message", ENTRY_CASES)
+def test_qmatrix_entry_checks_golden(entries, message):
+    """Each input gets the same verdict and message from the constructor
+    and from the stacked path that enumeration uses."""
+    stack = np.stack([entries, entries])
+    if message is None:
+        q = QMatrix(entries)
+        assert q.entries.dtype == np.uint8 and not q.entries.flags.writeable
+        assert np.array_equal(q.entries, entries.astype(np.uint8))
+        assert QMatrix._from_stack(stack) == [q, q]
+        assert not QMatrix._from_stack(stack)[1].entries.flags.writeable
+        return
+    with pytest.raises(ValueError) as single:
+        QMatrix(entries)
+    assert str(single.value) == message
+    with pytest.raises(ValueError) as stacked:
+        QMatrix._from_stack(stack)
+    assert str(stacked.value) == message
+
+
 def test_qmatrix_equality_and_hash():
     a = golden_q()
     b = QMatrix.from_rows(GOLDEN_ROWS)
@@ -254,6 +292,49 @@ def test_enumeration_yields_canonical_zero_row_free():
 def test_enumeration_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_candidates(10, 3, budget=100))
+
+
+def _tuple_loop_candidates(m, k, budget):
+    """The former enumeration: a scalar loop over non-increasing column-key
+    tuples, skipping uncovered rows, with m * k entry writes per candidate."""
+    space = (2**k - 1) ** m
+    if space > budget:
+        raise BudgetExceededError(
+            f"candidate space (2^{k}-1)^{m} = {space} exceeds budget {budget}"
+        )
+    full = (1 << m) - 1
+    for cols in itertools.combinations_with_replacement(range(2**m - 1, -1, -1), k):
+        covered = 0
+        for v in cols:
+            covered |= v
+        if covered != full:
+            continue
+        entries = np.empty((m, k), dtype=np.uint8)
+        for j, v in enumerate(cols):
+            for i in range(m):
+                entries[i, j] = (v >> (m - 1 - i)) & 1
+        yield QMatrix(entries)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_enumeration_matches_tuple_loop(m, k):
+    """Same matrices in the same order as the scalar tuple loop, each with
+    read-only uint8 entries, and the same budget error. At m = 6, k = 3 the
+    45,760 key tuples span several vectorized blocks."""
+    got = list(enumerate_candidates(m, k))
+    want = list(_tuple_loop_candidates(m, k, 10**7))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.entries.dtype == np.uint8 and not a.entries.flags.writeable
+        assert a.entries.shape == b.entries.shape
+        assert a.entries.tobytes() == b.entries.tobytes()
+    tight = (2**k - 1) ** m - 1
+    with pytest.raises(BudgetExceededError) as new:
+        next(enumerate_candidates(m, k, budget=tight))
+    with pytest.raises(BudgetExceededError) as old:
+        next(_tuple_loop_candidates(m, k, tight))
+    assert str(new.value) == str(old.value)
 
 
 # ---------------------------------------------------------------------------

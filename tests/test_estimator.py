@@ -1,5 +1,6 @@
 """Scoring, Q-matrix search, slip recovery, splitting, identifiability."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -246,6 +247,34 @@ def test_estimate_q_workers_match_serial_over_chunks():
     parallel = estimate_q(alpha, params, 3, workers=2)
     assert serial.n_candidates > 512
     assert_same_search(serial, parallel)
+
+
+def test_estimate_q_lists_capped_rescores(monkeypatch):
+    """An exact re-score that hits the solver's iteration cap is listed in
+    diagnostics["capped"]; the ranking is unchanged."""
+    params = noisy_params(m=4)
+    truth = QMatrix.from_rows(["10", "01", "11", "10"])
+    alpha = population_alpha(truth, params, UNIFORM, ComboOrder.saturated(4))
+    clean = estimate_q(alpha, params, 2, tie_tol=1e-3)
+    assert "capped" not in clean.diagnostics
+    rescored = []
+
+    def capped(m_matrix, beta, **kwargs):
+        rescored.append(np.array(m_matrix))
+        return dataclasses.replace(simplex_lsq(m_matrix, beta, **kwargs), status="iteration-cap")
+
+    monkeypatch.setattr(dinaq.estimator, "simplex_lsq", capped)
+    flagged = estimate_q(alpha, params, 2, tie_tol=1e-3)
+    monkeypatch.undo()
+    assert_same_search(clean, flagged)
+    listed = flagged.diagnostics["capped"]
+    assert flagged.q_hat in listed and set(flagged.ties) <= set(listed)
+    for q in listed:
+        assert flagged.diagnostics["scores"][q] == score(q, alpha, params)
+    # every solve but the last (the winner's p_tilde fit) re-scored one
+    # listed candidate of the screen
+    designs = [design(q, params.c, params.g, alpha.order).tobytes() for q in listed]
+    assert sorted(designs) == sorted(m.tobytes() for m in rescored[:-1])
 
 
 def test_estimate_q_matches_full_table_scan():

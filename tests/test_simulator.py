@@ -57,6 +57,33 @@ def test_response_rejects_nonbinary():
         ResponseData(np.array([[2, 0]]))
 
 
+@pytest.mark.parametrize(
+    "values, accepted",
+    [
+        (np.array([[1, 0, 1], [0, 0, 0]]), True),
+        (np.array([[1.0, -0.0], [0.0, 1.0]]), True),
+        (np.array([[True, False], [False, False]]), True),
+        (np.array([[1, 0.5]]), False),
+        (np.array([[1, 2]]), False),
+        (np.array([[-1, 0]]), False),
+        (np.array([[np.nan, 0]]), False),
+        (np.array([["1", "0"], ["0", "1"]]), False),
+    ],
+)
+def test_response_entry_check_golden(values, accepted):
+    """0/1 in any dtype is stored as read-only uint8; anything else is
+    refused with one message, also when a restriction re-checks it."""
+    if accepted:
+        data = ResponseData(values)
+        assert data.values.dtype == np.uint8 and not data.values.flags.writeable
+        assert np.array_equal(data.values, values.astype(np.uint8))
+        assert np.array_equal(data.restrict([0]).values, data.values[:, :1])
+        return
+    with pytest.raises(ValueError) as err:
+        ResponseData(values)
+    assert str(err.value) == "responses must be 0 or 1"
+
+
 def test_from_text_rejects_ragged():
     with pytest.raises(ValueError):
         ResponseData.from_text("m=3\n101\n10\n")

@@ -21,6 +21,7 @@ underscores), anything else is rejected.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import sys
 import time
@@ -125,6 +126,16 @@ def _parse_rates(value, m: int, name: str) -> np.ndarray:
     return np.array(vals)
 
 
+def _is_file(path: Path) -> bool:
+    try:
+        return path.is_file()
+    except OSError as exc:
+        # a value too long to name a file can only be inline JSON
+        if exc.errno == errno.ENAMETOOLONG:
+            return False
+        raise
+
+
 def _load_pstar(value, k: int) -> ProfileDistribution:
     if value is None:
         raise CliError("--pstar is required here")
@@ -132,8 +143,8 @@ def _load_pstar(value, k: int) -> ProfileDistribution:
     if isinstance(value, str):
         candidate = Path(value)
         try:
-            text = candidate.read_text() if candidate.is_file() else value
-        except OSError as exc:
+            text = candidate.read_text() if _is_file(candidate) else value
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read p* file {value}: {exc}") from exc
         try:
             mapping = json.loads(text)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ProfileDistribution, QMatrix
 from .tmatrix import ComboOrder, DinaParams, design
@@ -29,6 +30,54 @@ _RESPONSE_STREAM = 1
 
 def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
+
+
+# The code points at which str.splitlines() breaks and those str.isspace()
+# (and so str.strip()) accepts. They are written out because deriving them
+# scans all 0x110000 code points, which every import would pay; a test
+# checks both sets against Python's.
+_LINE_BREAKS = (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)
+_WHITESPACE = (
+    0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
+    *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+)
+
+
+def _member_table(members: tuple[int, ...]) -> np.ndarray:
+    """Boolean table over code points 0 .. max(members) + 1. The last entry
+    is False, so ``take(cp, mode="clip")`` is False above the table too."""
+    table = np.zeros(max(members) + 2, dtype=bool)
+    table[list(members)] = True
+    return table
+
+
+def _stripped_lines(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end offsets into ``cp`` of the nonblank lines of
+    ``str.splitlines``, each stripped as by ``str.strip``.
+
+    A CRLF counts as two breaks here, which only adds a blank line.
+    """
+    # every line break lies below 0x1F or above 0x84, so only those code
+    # points go through the exact table
+    near = np.flatnonzero((cp < 0x1F) | (cp > 0x84))
+    breaks = near[_member_table(_LINE_BREAKS).take(cp[near], mode="clip")]
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.append(breaks, cp.size)
+    space = _member_table(_WHITESPACE)
+    # each pass moves every line still on whitespace by one code point, so
+    # the passes cost what the file has of leading and trailing whitespace
+    moving = np.flatnonzero(starts < ends)
+    while moving.size:
+        moving = moving[space.take(cp[starts[moving]], mode="clip")]
+        starts[moving] += 1
+        moving = moving[starts[moving] < ends[moving]]
+    moving = np.flatnonzero(starts < ends)
+    while moving.size:
+        moving = moving[space.take(cp[ends[moving] - 1], mode="clip")]
+        ends[moving] -= 1
+        moving = moving[starts[moving] < ends[moving]]
+    nonblank = starts < ends
+    return starts[nonblank], ends[nonblank]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,37 +143,47 @@ class ResponseData:
         """Parse the response file format: an "m=<m>" header, then one line of
         exactly m characters, each "0" or "1", per subject.
 
-        Surrounding whitespace on every line is ignored, blank lines are
-        skipped and any line ending (LF, CRLF, ...) is accepted. The first
-        offending row, too short, too long or holding any other character, is
-        named in the error.
+        Lines are those of ``str.splitlines`` (LF, CRLF, CR and the other
+        Unicode line breaks), each stripped of ``str.isspace`` whitespace at
+        both ends, and blank lines are skipped. The first offending row, too
+        short, too long or holding any other character, is named in the
+        error.
+
+        The text is read in whole-array passes over its code points, with no
+        work per line in Python: bytes when it is ASCII, as every file
+        ``to_text`` writes is, UTF-32 otherwise.
         """
-        lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
-        if not lines or not lines[0].startswith("m="):
+        if text.isascii():
+            cp = np.frombuffer(text.encode("ascii"), np.uint8)
+        else:
+            # surrogatepass keeps a lone surrogate one (bad) cell, not an error
+            cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+        starts, ends = _stripped_lines(cp)
+        header = text[starts[0] : ends[0]] if starts.size else ""
+        if not header.startswith("m="):
             raise ValueError('response text must start with an "m=<m>" header')
         try:
-            m = int(lines[0][2:])
+            m = int(header[2:])
         except ValueError as exc:
-            raise ValueError(f"bad response header {lines[0]!r}") from exc
-        body = lines[1:]
-        if not body:
+            raise ValueError(f"bad response header {header!r}") from exc
+        starts, ends = starts[1:], ends[1:]
+        if not starts.size:
             raise ValueError("response file has no subject rows")
         # rows are nonblank, so with m <= 0 every row has the wrong length
-        wrong_len = np.flatnonzero(np.fromiter(map(len, body), np.int64, len(body)) != m)
-        first_bad = int(wrong_len[0]) if wrong_len.size else len(body)
+        wrong_len = np.flatnonzero(ends - starts != m)
+        first_bad = int(wrong_len[0]) if wrong_len.size else starts.size
         if first_bad:
             # one code point per cell; "0" and "1" are 48 and 49, anything
             # else wraps or lands above 1 after the subtraction
-            cells = np.array(body[:first_bad], dtype=f"<U{m}").view(np.uint32)
-            cells = cells.reshape(first_bad, m) - 48
-            bad_char = np.flatnonzero((cells > 1).any(axis=1))
-            if bad_char.size:
-                first_bad = int(bad_char[0])
-        if first_bad < len(body):
-            raise ValueError(
-                f"bad response row {body[first_bad]!r} (expected {m} binary characters)"
-            )
-        return cls(cells.astype(np.uint8))
+            cells = sliding_window_view(cp, m)[starts[:first_bad]]
+            cells -= 48
+            bad = cells > 1
+            if bad.any():
+                first_bad = int(bad.argmax()) // m
+        if first_bad < starts.size:
+            row = text[starts[first_bad] : ends[first_bad]]
+            raise ValueError(f"bad response row {row!r} (expected {m} binary characters)")
+        return cls(cells)
 
     def to_text(self) -> str:
         """The response file format read by ``from_text``: the header, then
@@ -223,7 +282,9 @@ def compute_alpha(responses: ResponseData, order: ComboOrder) -> AlphaVector:
     if order.m != responses.m:
         raise ValueError(f"order is over {order.m} items, responses have {responses.m}")
     m = responses.m
-    masks = responses.values.astype(np.int64) @ (1 << np.arange(m, dtype=np.int64))
+    masks = np.zeros(responses.n, dtype=np.int64)
+    for i, column in enumerate(responses.values.T):
+        masks |= column.astype(np.int64) << i
     counts = np.bincount(masks, minlength=1 << m).astype(np.int64)
     # superset zeta transform: totals[s] = number of patterns dominating s;
     # the reshape round-trip keeps the flat bitmask indexing intact

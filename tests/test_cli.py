@@ -81,6 +81,30 @@ def test_simulate_inline_pstar(workdir):
     assert code == 0
 
 
+def test_long_inline_pstar_is_json(workdir):
+    # an inline k = 5 distribution is longer than a file name may be
+    pstar = json.dumps({f"{a:05b}": 1 / 32 for a in range(32)})
+    assert len(pstar) > 255
+    (workdir / "q5.txt").write_text("10000\n01000\n00100\n00010\n00001\n")
+    (workdir / "p5.json").write_text(pstar)
+    for value in (pstar, "p5.json"):
+        code = run([
+            "verify", "--q", "q5.txt", "--c", "0.9", "--g", "0.1", "--pstar", value,
+            "--budget", "1", "--out", "verify.json",
+        ])
+        assert code == 4
+
+
+def test_undecodable_pstar_file(workdir, capsys):
+    (workdir / "bad.json").write_bytes(b"\xff\xfe{}")
+    code = run([
+        "simulate", "--q", "q.txt", "--pstar", "bad.json",
+        "--c", "0.9", "--g", "0.1", "--n", "10", "--seed", "1", "--out", "x.txt",
+    ])
+    assert code == 3
+    assert "cannot read p* file bad.json: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # estimate
 

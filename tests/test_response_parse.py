@@ -1,0 +1,103 @@
+"""ResponseData.from_text against the line-by-line parser it replaced."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dinaq import ResponseData
+from dinaq.simulator import _LINE_BREAKS, _WHITESPACE
+
+
+def reference_from_text(text: str) -> ResponseData:
+    """The line-by-line parser, kept as the reference implementation."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+    if not lines or not lines[0].startswith("m="):
+        raise ValueError('response text must start with an "m=<m>" header')
+    try:
+        m = int(lines[0][2:])
+    except ValueError as exc:
+        raise ValueError(f"bad response header {lines[0]!r}") from exc
+    body = lines[1:]
+    if not body:
+        raise ValueError("response file has no subject rows")
+    # rows are nonblank, so with m <= 0 every row has the wrong length
+    wrong_len = np.flatnonzero(np.fromiter(map(len, body), np.int64, len(body)) != m)
+    first_bad = int(wrong_len[0]) if wrong_len.size else len(body)
+    if first_bad:
+        # one code point per cell; "0" and "1" are 48 and 49, anything
+        # else wraps or lands above 1 after the subtraction
+        cells = np.array(body[:first_bad], dtype=f"<U{m}").view(np.uint32)
+        cells = cells.reshape(first_bad, m) - 48
+        bad_char = np.flatnonzero((cells > 1).any(axis=1))
+        if bad_char.size:
+            first_bad = int(bad_char[0])
+    if first_bad < len(body):
+        raise ValueError(
+            f"bad response row {body[first_bad]!r} (expected {m} binary characters)"
+        )
+    return ResponseData(cells.astype(np.uint8))
+
+
+def _outcome(parse, text):
+    try:
+        values = parse(text).values
+    except ValueError as exc:
+        return "error", str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+def test_code_point_sets_are_pythons():
+    chars = [chr(c) for c in range(0x110000)]
+    assert set(_WHITESPACE) == {ord(ch) for ch in chars if ch.isspace()}
+    assert set(_LINE_BREAKS) == {ord(ch) for ch in chars if len(f"a{ch}b".splitlines()) == 2}
+    assert len(_WHITESPACE) == 29 and len(_LINE_BREAKS) == 10
+
+
+SPACES = [chr(c) for c in _WHITESPACE]
+BREAKS = [chr(c) for c in _LINE_BREAKS]
+# NUL, a letter, fullwidth and superscript digit ones, a lone surrogate
+ODD = ["\x00", "x", "\uff11", "\u00b9", "\ud800"]
+ALPHABET = ["0", "1", *SPACES, *ODD]
+
+
+@st.composite
+def response_texts(draw, ascii_only):
+    def pick(chars):
+        return st.sampled_from([ch for ch in chars if ch.isascii() or not ascii_only])
+
+    m = draw(st.integers(-1, 5))
+    header = draw(st.sampled_from([f"m={m}", f"m={m}", f"m= {m}", f"m={m}x", f"{m}"]))
+    rows = st.tuples(
+        st.text(pick(SPACES), max_size=1),
+        st.text(st.sampled_from("01"), min_size=max(m, 0), max_size=max(m, 0)),
+        pick(BREAKS),
+    ).map("".join)
+    pieces = draw(st.lists(st.one_of(rows, rows, pick(ALPHABET), pick(BREAKS)), min_size=1, max_size=20))
+    text = draw(st.text(pick(SPACES), max_size=2)) + header + draw(pick(BREAKS))
+    text += "".join(pieces)
+    if not ascii_only:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(pick(["\x85", "\u2001", "\u3000", "\uff11", "\ud800"])) + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(response_texts(ascii_only=True))
+def test_from_text_matches_reference_ascii(text):
+    assert text.isascii()
+    assert _outcome(ResponseData.from_text, text) == _outcome(reference_from_text, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(response_texts(ascii_only=False))
+def test_from_text_matches_reference_non_ascii(text):
+    assert not text.isascii()
+    assert _outcome(ResponseData.from_text, text) == _outcome(reference_from_text, text)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (300, 5), (2000, 12)])
+def test_from_text_matches_reference_on_to_text(n, m):
+    text = ResponseData(np.random.default_rng(n + m).integers(0, 2, (n, m))).to_text()
+    for variant in (text, text.replace("\n", "\r\n"), text.replace("\n", " \n\t")):
+        assert _outcome(ResponseData.from_text, variant) == _outcome(reference_from_text, variant)

@@ -299,6 +299,17 @@ def test_compute_alpha_m5():
     np.testing.assert_array_equal(alpha.rates, _naive_alpha(resp, order))
 
 
+def test_compute_alpha_m20():
+    # the row masks reach bit 19; singletons, pairs across the top bits and
+    # the full set check every column lands on its own bit
+    rng = np.random.default_rng(20)
+    resp = ResponseData((rng.random((400, 20)) < 0.9).astype(np.uint8))
+    combos = [1 << i for i in range(20)] + [(1 << 19) | 1, (1 << 19) | (1 << 18), (1 << 20) - 1]
+    order = ComboOrder(20, tuple(combos))
+    alpha = compute_alpha(resp, order)
+    np.testing.assert_array_equal(alpha.rates, _naive_alpha(resp, order))
+    assert alpha.rates[-1] > 0
+
 def test_alpha_monotone_under_combo_containment():
     # answering a superset of items fully positively is never more likely
     rng = np.random.default_rng(31)

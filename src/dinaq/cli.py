@@ -73,7 +73,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {what} file {path}: {exc}") from exc
 
 

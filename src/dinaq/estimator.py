@@ -7,6 +7,14 @@ some distribution over attribute profiles reproduces those rates through the
 candidate's slip-guess design; the fitted Q-matrix is the score minimizer
 over canonical candidates.
 
+Both searches rank their candidates with one certified screen that builds
+no design: it iterates on each candidate's closed-form Gram system and
+brackets its score between bounds read from exact residuals through the
+pattern lattice (``tmatrix.pattern_gram``, ``pattern_rates``,
+``pattern_moments``). Only candidates that could win or tie get an exact
+solve on their own design, so every reported winner, score and tie is
+exact.
+
 When capable success rates are unknown they are recovered per candidate
 before scoring: a moment estimator handles every item whose attributes are
 jointly covered by other items, and a bounded quasi-Newton profile search
@@ -43,8 +51,18 @@ from .core import (
     profile_order,
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
-from .solver import simplex_lsq, simplex_lsq_bounds
-from .tmatrix import ComboOrder, DinaParams, build_d, design, patterns, rate_vector
+from .solver import LsqSolution, simplex_gram_bounds, simplex_lsq
+from .tmatrix import (
+    ComboOrder,
+    DinaParams,
+    build_d,
+    design,
+    pattern_gram,
+    pattern_moments,
+    pattern_rates,
+    patterns,
+    rate_vector,
+)
 
 DEFAULT_TIE_TOL = 1e-7
 DEGENERATE_TOL = 1e-12
@@ -60,8 +78,8 @@ _SLIP_STARTS = (0.5, 0.85, 0.25)
 _SLIP_SCALE = 1e8
 _SLIP_OPTIONS = {"ftol": 1e-13, "gtol": 1e-4, "maxfun": 4000}
 
-# candidates per screened chunk of the known-rates search: each chunk is one
-# stacked screen, so this bounds memory
+# candidates per screened chunk: a chunk's screen holds a few arrays of
+# chunk x 2^m floats for its residual passes, so this bounds memory
 _CANDIDATE_CHUNK = 512
 # the screen's bounds sit within about 1e-14 of the exact residual; this
 # margin keeps that rounding from ever excluding a contender
@@ -124,13 +142,15 @@ class EstimationResult:
     of the winner, winner included; more than one entry means the data do not
     single out a class and downstream consumers should treat the result as
     ambiguous. ``c_hat`` is populated only by the unknown-slip search.
+    ``p_tilde`` is the winner's exact simplex minimizer.
     ``diagnostics["scores"]`` maps every candidate searched to its score. In
-    the known-rates search a batched screen decides which candidates get an
-    exact solve: the winner and every candidate that could tie with it
-    carry exact scores, the others the screen's upper bound, within about
-    1e-14 of exact. Candidates whose fit is suspect are listed, still
-    ranked, under ``diagnostics["capped"]`` (exact solve stopped at the
-    solver's iteration cap), ``"degenerate"`` or ``"unconverged"``.
+    both searches a batched screen decides which candidates get an exact
+    solve (in the unknown-c search, at each candidate's recovered rates):
+    the winner and every candidate that could tie with it carry exact
+    scores, the others the screen's upper bound, within about 1e-14 of
+    exact. Candidates whose fit is suspect are listed, still ranked, under
+    ``diagnostics["capped"]`` (exact solve stopped at the solver's
+    iteration cap), ``"degenerate"`` or ``"unconverged"``.
     """
 
     q_hat: QMatrix
@@ -167,62 +187,124 @@ def _certify(upper: np.ndarray, lower: np.ndarray, exact, tol: float) -> np.ndar
         best = scores[~pending].min()
 
 
-def _screen_known(
-    chunk: list[QMatrix], alpha: AlphaVector, params: DinaParams, tie_tol: float
-) -> list[tuple[float, None, str | None]]:
-    stack = design(chunk, params.c, params.g, alpha.order)
-    upper, lower = simplex_lsq_bounds(stack, alpha.rates)
-    capped: set[int] = set()
+def _by_mask(alpha: AlphaVector) -> np.ndarray:
+    """Saturated success rates as a (2^m,) array indexed by combination
+    bitmask, with 0 for the empty combination."""
+    target = np.zeros(1 << alpha.order.m)
+    target[list(alpha.order.combos)] = alpha.rates
+    return target
+
+
+def _pattern_bounds(
+    pats: np.ndarray, c: np.ndarray, g: np.ndarray, target: np.ndarray, moments: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``simplex_gram_bounds`` for the saturated-order designs of a stack of
+    candidates, given by their (b, n) patterns, without building them.
+
+    ``c`` is an (m,) vector or a (b, m) stack, ``target`` the rates by
+    bitmask (``_by_mask``) and ``moments`` its ``pattern_moments`` at the
+    same rates, one row or a row per candidate. The iterations run on the
+    closed-form Gram systems; the bounds come from the exact residuals,
+    read through the pattern lattice: weights to rates (``pattern_rates``)
+    and residual to gradient (``pattern_moments``).
+    """
+    count, size = pats.shape[0], target.size
+    lin = np.take_along_axis(np.atleast_2d(moments), pats, axis=1)
+    slots = (np.arange(count)[:, None] * size + pats).ravel()
+
+    def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # sum each candidate's weights by pattern; equal patterns share a cell
+        weights = np.bincount(slots, x.ravel(), count * size).reshape(count, size)
+        resid = pattern_rates(weights, c, g) - target
+        # entry 0 is the total mass, not a combination's rate
+        resid[:, 0] = 0.0
+        return resid, np.take_along_axis(pattern_moments(resid, c, g), pats, axis=1)
+
+    return simplex_gram_bounds(pattern_gram(pats, c, g), lin, residuals)
+
+
+def _screen(
+    cands: list[QMatrix],
+    c: np.ndarray,
+    g: np.ndarray,
+    alpha: AlphaVector,
+    moments: np.ndarray,
+    tie_tol: float,
+) -> list[tuple[float, str | None, np.ndarray | None]]:
+    """Certified scores of same-shape candidates at known rates.
+
+    Candidate i is scored at capable rates ``c[i]`` when ``c`` is a stack,
+    ``c`` otherwise; ``moments`` is ``pattern_moments`` of the rates by
+    bitmask at the same rates, one row or a row per candidate. The screen
+    (``_pattern_bounds``) builds no design. ``_certify`` then decides which
+    candidates get the exact solve, ``simplex_lsq`` on the candidate's own
+    design, byte-identical to ``score``.
+
+    Returns one (score, note, x) per candidate: x is the exact minimizer
+    for the re-scored candidates and None for the others, and the note is
+    "capped" where that solve stopped at the iteration cap.
+    """
+    upper, lower = _pattern_bounds(patterns(cands), c, g, _by_mask(alpha), moments)
+    solutions: dict[int, LsqSolution] = {}
 
     def exact(i: int) -> float:
-        # the slice is byte-identical to design(chunk[i], ...), so this is
-        # score(chunk[i], alpha, params) with the solver's status kept
-        sol = simplex_lsq(stack[i], alpha.rates)
-        if sol.status == "iteration-cap":
-            capped.add(i)
+        rates = c[i] if c.ndim == 2 else c
+        sol = simplex_lsq(design(cands[i], rates, g, alpha.order), alpha.rates)
+        solutions[i] = sol
         return sol.residual
 
     scores = _certify(upper, lower, exact, tie_tol)
-    return [
-        (float(s), None, "capped" if i in capped else None) for i, s in enumerate(scores)
-    ]
+    fits = []
+    for i, s in enumerate(scores):
+        sol = solutions.get(i)
+        if sol is None:
+            fits.append((float(s), None, None))
+        else:
+            fits.append((float(s), "capped" if sol.status == "iteration-cap" else None, sol.x))
+    return fits
 
 
-def _search(
-    candidates: list[QMatrix], fit, size: int, tie_tol: float, workers: int | None
-) -> tuple[QMatrix, tuple, tuple[QMatrix, ...], dict]:
-    """Minimize ``fit`` over ``candidates``.
-
-    ``fit`` maps a chunk of at most ``size`` consecutive candidates to one
-    (score, recovered c or None, note or None) per candidate; it is a
-    partial of a module-level function so that it pickles, because with
-    ``workers > 1`` and more than one chunk a process pool runs it on the
-    same chunks. Returns the winner (first in order on exact ties), its fit,
-    the tie set at ``tie_tol`` (winner included) and the diagnostics: the
-    score of every candidate and, under each note that some fit carries
-    ("capped", "degenerate", "unconverged"), the candidates carrying it.
-    """
+def _check_search(tie_tol: float, workers: int | None) -> None:
     if not tie_tol >= 0.0:
         raise ValueError(f"tie_tol must be a nonnegative number, got {tie_tol}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _map_chunks(fit, candidates: list[QMatrix], size: int, workers: int | None) -> list:
+    """``fit`` applied to consecutive chunks of at most ``size`` candidates,
+    its per-candidate results concatenated in candidate order.
+
+    ``fit`` is a partial of a module-level function so that it pickles,
+    because with ``workers > 1`` and more than one chunk a process pool
+    runs it on the same chunks.
+    """
     chunks = [candidates[i : i + size] for i in range(0, len(candidates), size)]
     if workers is not None and workers > 1 and len(chunks) > 1:
         # pool.map returns fits in input order, whatever the worker count
         per_task = max(1, len(chunks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            fits = [f for part in pool.map(fit, chunks, chunksize=per_task) for f in part]
-    else:
-        fits = [f for chunk in chunks for f in fit(chunk)]
+            return [f for part in pool.map(fit, chunks, chunksize=per_task) for f in part]
+    return [f for chunk in chunks for f in fit(chunk)]
+
+
+def _rank(
+    candidates: list[QMatrix], fits: list[tuple], tie_tol: float
+) -> tuple[int, tuple[QMatrix, ...], dict]:
+    """Winner index (first in order on exact ties), the tie set at
+    ``tie_tol`` (winner included) and the diagnostics of per-candidate
+    (score, note, ...) fits: the score of every candidate and, under each
+    note that some fit carries ("capped", "degenerate", "unconverged"), the
+    candidates carrying it."""
     scores = np.array([f[0] for f in fits])
     best = int(np.argmin(scores))
     ties = tuple(
         qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol
     )
     diagnostics: dict = {"scores": {qc: float(s) for qc, s in zip(candidates, scores)}}
-    for note in sorted({f[2] for f in fits} - {None}):
-        diagnostics[note] = tuple(qc for qc, f in zip(candidates, fits) if f[2] == note)
-    return candidates[best], fits[best], ties, diagnostics
+    for note in sorted({f[1] for f in fits} - {None}):
+        diagnostics[note] = tuple(qc for qc, f in zip(candidates, fits) if f[1] == note)
+    return best, ties, diagnostics
 
 
 def estimate_q(
@@ -241,19 +323,20 @@ def estimate_q(
     minimizer (first in enumeration order on exact ties), the tie set at
     ``tie_tol``, and the fitted profile distribution of the winner.
 
-    The search works on stacks of candidates, not one at a time: the
-    candidates arrive from ``enumerate_candidates`` unpacked and checked as
-    one stack, and each chunk of them gets its designs from one stacked
-    ``design`` call and is screened by one batched solve
-    (``simplex_lsq_bounds``). Only candidates whose lower bound comes within
-    ``tie_tol`` of the best exact score get an exact ``simplex_lsq`` solve,
-    on their slice of that stack. Winner, score, ties and ``p_tilde`` are
-    therefore exactly those of solving every candidate exactly.
-    diagnostics["scores"] maps every candidate to its score: exact for the
-    re-scored ones, the screen's upper bound (within about 1e-14 of exact)
-    for the rest. A re-scored candidate whose exact solve stopped at the
-    solver's iteration cap keeps its rank and is listed in
-    diagnostics["capped"].
+    The search works on stacks of candidates without building their
+    designs: the candidates arrive from ``enumerate_candidates`` unpacked
+    and checked as one stack, one pass over the rates gives their inner
+    products with every capability pattern (``pattern_moments``), and each
+    chunk of candidates is screened by one batched solve on its closed-form
+    Gram systems (``simplex_gram_bounds``). Only candidates whose lower
+    bound comes within ``tie_tol`` of the best exact score get an exact
+    ``simplex_lsq`` solve on their own design, and the winner's solve gives
+    ``p_tilde``. Winner, score, ties and ``p_tilde`` are therefore exactly
+    those of solving every candidate exactly. diagnostics["scores"] maps
+    every candidate to its score: exact for the re-scored ones, the screen's
+    upper bound (within about 1e-14 of exact) for the rest. A re-scored
+    candidate whose exact solve stopped at the solver's iteration cap keeps
+    its rank and is listed in diagnostics["capped"].
 
     Raises BudgetExceededError when the candidate space exceeds ``budget``,
     and ValueError for a negative or NaN ``tie_tol`` or ``workers`` below 1.
@@ -263,15 +346,18 @@ def estimate_q(
     if params.m != m:
         raise ValueError(f"params cover {params.m} items, rates cover {m}")
     candidates = list(enumerate_candidates(m, k, budget))
-    fit = partial(_screen_known, alpha=alpha, params=params, tie_tol=tie_tol)
-    winner, (best, _, _), ties, diagnostics = _search(
-        candidates, fit, _CANDIDATE_CHUNK, tie_tol, workers
+    _check_search(tie_tol, workers)
+    moments = pattern_moments(_by_mask(alpha), params.c, params.g)
+    fit = partial(
+        _screen, c=params.c, g=params.g, alpha=alpha, moments=moments, tie_tol=tie_tol
     )
+    fits = _map_chunks(fit, candidates, _CANDIDATE_CHUNK, workers)
+    best, ties, diagnostics = _rank(candidates, fits, tie_tol)
     return EstimationResult(
-        q_hat=winner,
-        score=float(best),
+        q_hat=candidates[best],
+        score=fits[best][0],
         ties=ties,
-        p_tilde=estimate_p(winner, alpha, params),
+        p_tilde=ProfileDistribution(k, fits[best][2]),
         n_candidates=len(candidates),
         diagnostics=diagnostics,
     )
@@ -446,10 +532,10 @@ def profile_slip(
     return _rate_search(q, g, alpha, fixed)[0]
 
 
-def _fit_candidate(
+def _fit_rates(
     q: QMatrix, alpha: AlphaVector, g: np.ndarray, beta: np.ndarray
-) -> tuple[float, np.ndarray | None, str | None]:
-    # moment-estimate every covered item; profile-search the rest; score
+) -> tuple[np.ndarray | None, str | None]:
+    # moment-estimate every covered item; profile-search the rest
     fixed: dict[int, float] = {}
     for i in range(q.m):
         cover = find_cover_combo(q, i)
@@ -458,15 +544,15 @@ def _fit_candidate(
         try:
             fixed[i] = moment_slip(q, g, beta, i, cover)
         except DegenerateSampleError:
-            return np.inf, None, "degenerate"
+            return None, "degenerate"
     c, converged = _rate_search(q, g, alpha, fixed)
-    return score(q, alpha, DinaParams(c, g)), c, None if converged else "unconverged"
+    return c, None if converged else "unconverged"
 
 
 def _fit_unknown(
     chunk: list[QMatrix], alpha: AlphaVector, g: np.ndarray, beta: np.ndarray
-) -> list[tuple[float, np.ndarray | None, str | None]]:
-    return [_fit_candidate(q, alpha, g, beta) for q in chunk]
+) -> list[tuple[np.ndarray | None, str | None]]:
+    return [_fit_rates(q, alpha, g, beta) for q in chunk]
 
 
 def estimate_q_unknown_c(
@@ -481,12 +567,20 @@ def estimate_q_unknown_c(
     """Q-matrix search when capable success rates are unknown.
 
     Per candidate: moment-estimate the rate of every item covered by its
-    peers, recover uncovered coordinates by bounded profile search, then
-    score at the assembled rates. diagnostics["scores"] maps every candidate
-    to its final score; candidates with degenerate moment denominators score
-    +inf and are listed in diagnostics["degenerate"]. Candidates whose
-    profile search converged from no start are still ranked at the best
-    point found, and are listed in diagnostics["unconverged"].
+    peers and recover uncovered coordinates by bounded profile search. The
+    final scores, each candidate at its own recovered rates, are then
+    ranked by the certified screen of ``estimate_q``: only candidates that
+    could be the winner or tie with it get an exact solve, so winner, score,
+    ties and ``p_tilde`` are those of scoring every candidate exactly.
+    diagnostics["scores"] maps every candidate to its final score: exact
+    for the re-scored candidates, the screen's upper bound (within about
+    1e-14 of exact) for the rest. Candidates with degenerate moment
+    denominators score +inf and are listed in diagnostics["degenerate"].
+    Candidates whose profile search converged from no start are still
+    ranked at the best point found, and are listed in
+    diagnostics["unconverged"]; a re-scored candidate whose exact solve
+    stopped at the iteration cap, and carries no other note, is listed in
+    diagnostics["capped"].
 
     Returns the winner with its recovered ``c_hat``; ties are judged on the
     final scores exactly as in ``estimate_q``.
@@ -496,21 +590,31 @@ def estimate_q_unknown_c(
     g = rate_vector(g, m, "g")
     # enumerating first puts the budget check before the O(4^m) operator
     candidates = list(enumerate_candidates(m, k, budget))
+    _check_search(tie_tol, workers)
     fit = partial(_fit_unknown, alpha=alpha, g=g, beta=decontaminate(alpha, g))
     # one candidate per chunk: these fits are not batched, and the pool
     # balances better on single candidates
-    winner, (best, c_hat, _), ties, diagnostics = _search(
-        candidates, fit, 1, tie_tol, workers
-    )
-    if not np.isfinite(best):
+    rates = _map_chunks(fit, candidates, 1, workers)
+    fitted = [i for i, (c, _) in enumerate(rates) if c is not None]
+    if not fitted:
         raise DegenerateSampleError("every candidate has a degenerate moment system")
+    fits = [(np.inf, note, None) for _, note in rates]
+    target = _by_mask(alpha)
+    for start in range(0, len(fitted), _CANDIDATE_CHUNK):
+        part = fitted[start : start + _CANDIDATE_CHUNK]
+        cs = np.array([rates[i][0] for i in part])
+        moments = pattern_moments(target, cs, g)
+        screened = _screen([candidates[i] for i in part], cs, g, alpha, moments, tie_tol)
+        for i, (s, capped, x) in zip(part, screened):
+            fits[i] = (s, rates[i][1] or capped, x)
+    best, ties, diagnostics = _rank(candidates, fits, tie_tol)
     return EstimationResult(
-        q_hat=winner,
-        score=float(best),
+        q_hat=candidates[best],
+        score=fits[best][0],
         ties=ties,
-        p_tilde=estimate_p(winner, alpha, DinaParams(c_hat, g)),
+        p_tilde=ProfileDistribution(k, fits[best][2]),
         n_candidates=len(candidates),
-        c_hat=c_hat,
+        c_hat=rates[best][0],
         diagnostics=diagnostics,
     )
 

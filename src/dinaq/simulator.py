@@ -122,6 +122,16 @@ class ResponseData:
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
+    @classmethod
+    def _from_checked(cls, values: np.ndarray) -> "ResponseData":
+        """Wrap a fresh, nonempty 2-d uint8 array of 0s and 1s, which the
+        caller has already checked, without checking or copying it again.
+        The array is made read-only."""
+        values.setflags(write=False)
+        data = object.__new__(cls)
+        object.__setattr__(data, "values", values)
+        return data
+
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -136,7 +146,10 @@ class ResponseData:
         for i in idx:
             if not 0 <= i < self.m:
                 raise ValueError(f"item index {i} out of range for m={self.m}")
-        return ResponseData(self.values[:, idx])
+        if not idx:
+            raise ValueError("responses must be a nonempty 2-d array")
+        # fancy indexing copies, and the values were checked on the way in
+        return ResponseData._from_checked(self.values[:, idx])
 
     @classmethod
     def from_text(cls, text: str) -> "ResponseData":
@@ -183,7 +196,8 @@ class ResponseData:
         if first_bad < starts.size:
             row = text[starts[first_bad] : ends[first_bad]]
             raise ValueError(f"bad response row {row!r} (expected {m} binary characters)")
-        return cls(cells)
+        # every cell is now 0 or 1 in a fresh array, one byte wide for ASCII
+        return cls._from_checked(cells.astype(np.uint8, copy=False))
 
     def to_text(self) -> str:
         """The response file format read by ``from_text``: the header, then

@@ -12,11 +12,17 @@ The problem is convex, so the certificate in ``kkt_residuals`` (common
 gradient multiplier on the support, no profitable coordinate off it) is both
 necessary and sufficient for global optimality.
 
-``simplex_lsq_bounds`` screens a stack of same-shape problems at once: it
-follows the same active set in lockstep on the Gram form and returns, per
-problem, an upper and a certified lower bound on the optimal residual. It
-decides which problems deserve an exact ``simplex_lsq`` solve; it never
-replaces one.
+``simplex_gram_bounds`` screens a stack of same-shape problems at once: it
+follows the same active set in lockstep on the Gram form (M'M, M'beta) and
+returns, per problem, an upper and a certified lower bound on the optimal
+residual, both from exact residuals that the caller computes at the final
+points. It decides which problems deserve an exact ``simplex_lsq`` solve;
+it never replaces one. ``simplex_lsq_bounds`` is the same screen on a stack
+of designs. No pseudo-inverse is used: the restricted systems are solved by
+a batched elimination whose pivots are checked, and a problem whose pivot
+is not clearly positive (its restricted system is singular to working
+precision) stops at its last feasible point. Any feasible point brackets
+the optimum, so its bounds stay certified; they are only looser.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ ZERO_RESIDUAL_TOL = 1e-10
 _ENTER_TOL = 1e-10
 # support coordinates at or below this after a curtailed step are dropped
 _DROP_TOL = 1e-14
+# a restricted system is singular when a pivot is at or below this times
+# the largest diagonal entry of G on the support
+_PIVOT_TOL = 1e-12
 
 
 @dataclass
@@ -164,50 +173,91 @@ def simplex_lsq(
     return LsqSolution(x=x, residual=residual, iterations=iterations, status=status)
 
 
-def simplex_lsq_bounds(
-    ms, beta, *, max_iter: int | None = None
+def _solve_checked(
+    a: np.ndarray, rhs: np.ndarray, floor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket the simplex LSQ optimum of every design in a stack.
+    """Solve stacked symmetric positive semidefinite systems a y = rhs by
+    elimination without pivoting.
+
+    Returns y and, per system, whether every pivot stayed above its entry
+    of ``floor`` (shape (b, n), one floor per pivot).
+    A pivot of a positive definite system is the squared distance of its
+    column from the span of the earlier ones, so a pivot at or below the
+    floor means the system is singular to working precision; such a
+    system's y is meaningless. Every operation acts on each system alone.
+    """
+    a = a.copy()
+    y = rhs.copy()
+    n = a.shape[-1]
+    ok = np.ones(len(a), dtype=bool)
+    for j in range(n):
+        pivot = a[:, j, j]
+        ok &= pivot > floor[:, j]
+        # a failed system continues on a unit pivot, only to keep the
+        # arithmetic finite; its y is discarded
+        pivot[~ok] = 1.0
+        factor = a[:, j + 1 :, j] / pivot[:, None]
+        # below the pivot only the trailing block is read again
+        a[:, j + 1 :, j + 1 :] -= factor[:, :, None] * a[:, j, None, j + 1 :]
+        y[:, j + 1 :] -= factor * y[:, j, None]
+    for j in range(n - 1, -1, -1):
+        y[:, j] -= (a[:, j, j + 1 :] * y[:, j + 1 :]).sum(axis=1)
+        y[:, j] /= a[:, j, j]
+    return y, ok
+
+
+def simplex_gram_bounds(
+    gram, lin, residuals, *, max_iter: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket the simplex LSQ optimum of every problem in a stack, from its
+    Gram form.
 
     Parameters
     ----------
-    ms : (b, r, n) array_like
-        Stack of finite design matrices sharing one shape.
-    beta : (r,) array_like
-        Target vector shared by the stack.
+    gram : (b, n, n) array_like
+        ``M'M`` of each problem.
+    lin : (b, n) array_like
+        ``M'beta`` of each problem.
+    residuals : callable
+        Maps feasible points x, a (b, n) array, to the exact residuals
+        ``r = M x - beta`` (shape (b, r)) and ``M'r`` (shape (b, n)).
+        It is called once, on the final points.
     max_iter : int, optional
         Iteration cap, default 50 * n, as in ``simplex_lsq``.
 
     Returns
     -------
     (upper, lower) : two (b,) arrays
-        ``upper`` is |M x - beta| at a feasible point x of each problem and
+        ``upper`` is |r| at a feasible point x of each problem and
         ``lower = sqrt(max(0, upper^2 - gap))`` with the Frank-Wolfe duality
-        gap ``gap = grad . x - min(grad)``, ``grad = 2 M'(M x - beta)``. By
-        convexity the optimum lies between them for any feasible x, even one
-        cut short by the cap; rounding moves either bound by about 1e-14.
+        gap ``gap = grad . x - min(grad)``, ``grad = 2 M'r``. By convexity
+        the optimum lies between them for any feasible x. Both come from
+        the exact residuals, never from x'Gx - 2h'x + |beta|^2, which
+        cancels: rounding moves either bound by about 1e-14.
 
     x follows ``simplex_lsq``'s active set (lowest-index elimination, the
-    same step, drop and entry tolerances) on the Gram form ``G = M'M``,
-    ``h = M'beta``, so each iteration solves stacked n x n systems whatever
-    the row count. Every operation acts on each problem alone, so a
-    problem's bounds are the same bytes whatever else is in the stack.
+    same step, drop and entry tolerances) on (G, h), so each iteration
+    solves stacked n x n systems whatever the row count. The restricted
+    systems are solved by elimination, never by a pseudo-inverse. A
+    problem whose restricted system has a pivot at or below 1e-12 times its
+    largest support diagonal of G stops there, at its last feasible x,
+    which still brackets the optimum. Every operation acts on each problem
+    alone, so a problem's bounds are the same bytes whatever else is in
+    the stack.
     """
-    stack = np.asarray_chkfinite(ms, dtype=np.float64)
-    b = np.asarray_chkfinite(beta, dtype=np.float64).ravel()
-    if stack.ndim != 3:
-        raise ValueError("design stack must be 3-d")
-    count, rows, n = stack.shape
-    if b.shape != (rows,):
-        raise ValueError(f"target has length {b.shape[0]}, designs have {rows} rows")
+    gram = np.asarray_chkfinite(gram, dtype=np.float64)
+    lin = np.asarray_chkfinite(lin, dtype=np.float64)
+    if gram.ndim != 3 or gram.shape[1] != gram.shape[2]:
+        raise ValueError("Gram stack must have shape (b, n, n)")
+    count, n, _ = gram.shape
+    if lin.shape != (count, n):
+        raise ValueError(f"linear terms must have shape {(count, n)}")
     if n < 1:
-        raise ValueError("designs need at least one column")
+        raise ValueError("problems need at least one variable")
     if max_iter is None:
         max_iter = 50 * n
 
-    cols = stack.transpose(0, 2, 1)
-    gram = cols @ stack
-    lin = cols @ b
+    diag = np.diagonal(gram, axis1=1, axis2=2)
     x = np.zeros((count, n))
     x[:, 0] = 1.0
     support = np.zeros((count, n), dtype=bool)
@@ -226,10 +276,11 @@ def simplex_lsq_bounds(
         g0 = g[idx, :, j0]
         g00 = g[idx, j0, j0]
         a = g - g0[:, :, None] - g0[:, None, :] + g00[:, None, None]
-        a *= rest[:, :, None] & rest[:, None, :]
+        # unit rows and columns off the support keep y there at 0
+        a = np.where(rest[:, :, None] & rest[:, None, :], a, np.eye(n))
         rhs = (h - g0 - h[idx, j0][:, None] + g00[:, None]) * rest
-        # zeroed rows and columns make pinv return 0 off the support
-        y = (np.linalg.pinv(a, hermitian=True) * rhs[:, None, :]).sum(axis=2) * rest
+        floor = _PIVOT_TOL * np.where(on, diag[live], 0.0).max(axis=1)
+        y, solved = _solve_checked(a, rhs, np.where(rest, floor[:, None], -1.0))
         z = y.copy()
         z[idx, j0] = 1.0 - y.sum(axis=1)
 
@@ -261,19 +312,59 @@ def simplex_lsq_bounds(
         grown = on.copy()
         grown[idx[enter], pick[enter]] = True
 
-        x[live] = np.where(outside[:, None], moved, fitted)
-        support[live] = np.where(outside[:, None], keep, grown)
-        live = live[~done]
+        # a singular restricted system leaves the problem where it stands
+        step_x = np.where(outside[:, None], moved, fitted)
+        x[live] = np.where(solved[:, None], step_x, xs)
+        step_on = np.where(outside[:, None], keep, grown)
+        support[live] = np.where(solved[:, None], step_on, on)
+        live = live[solved & ~done]
 
     x = np.clip(x, 0.0, None)
     x /= x.sum(axis=1, keepdims=True)
-    resid = (stack @ x[:, :, None])[:, :, 0] - b
+    resid, mtr = residuals(x)
     upper = np.sqrt((resid * resid).sum(axis=1))
-    grad = 2.0 * (cols @ resid[:, :, None])[:, :, 0]
+    grad = 2.0 * mtr
     # sum of nonnegative terms, so the gap is never negative in floating point
     gap = (x * (grad - grad.min(axis=1, keepdims=True))).sum(axis=1)
     lower = np.minimum(upper, np.sqrt(np.maximum(0.0, upper * upper - gap)))
     return upper, lower
+
+
+def simplex_lsq_bounds(
+    ms, beta, *, max_iter: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket the simplex LSQ optimum of every design in a stack.
+
+    Parameters
+    ----------
+    ms : (b, r, n) array_like
+        Stack of finite design matrices sharing one shape.
+    beta : (r,) array_like
+        Target vector shared by the stack.
+    max_iter : int, optional
+        Iteration cap, default 50 * n, as in ``simplex_lsq``.
+
+    Returns
+    -------
+    (upper, lower) : two (b,) arrays, as from ``simplex_gram_bounds`` on
+    ``G = M'M`` and ``h = M'beta``, with the residuals read off the stack.
+    """
+    stack = np.asarray_chkfinite(ms, dtype=np.float64)
+    b = np.asarray_chkfinite(beta, dtype=np.float64).ravel()
+    if stack.ndim != 3:
+        raise ValueError("design stack must be 3-d")
+    count, rows, n = stack.shape
+    if b.shape != (rows,):
+        raise ValueError(f"target has length {b.shape[0]}, designs have {rows} rows")
+    if n < 1:
+        raise ValueError("designs need at least one column")
+    cols = stack.transpose(0, 2, 1)
+
+    def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        resid = (stack @ x[:, :, None])[:, :, 0] - b
+        return resid, (cols @ resid[:, :, None])[:, :, 0]
+
+    return simplex_gram_bounds(cols @ stack, cols @ b, residuals, max_iter=max_iter)
 
 
 def kkt_residuals(m_matrix, beta, x) -> dict[str, float]:

@@ -21,6 +21,19 @@ of (c, g) plus a choice of border:
 The difference operator ``build_d`` inverts the guessing contamination:
 
     D @ [design(q, c, g); 1] == [0 | design(q, c - g, 0)[:, 1:]]
+
+On a saturated order the design never needs to be built to fit against
+it, because every column is a product of per-item factors. Write f_i(P)
+for c_i when pattern P masters item i and g_i when it does not; then
+
+* ``pattern_gram`` gives M'M entry by entry,
+  G[A, B] = prod_i (1 + f_i(A) f_i(B)) - 1, in O(m) per entry;
+* ``pattern_rates`` maps weights on the 2^m capability patterns to the
+  success rates they produce (M x, read through the patterns), and
+  ``pattern_moments`` maps values on the combinations to their inner
+  product with every pattern column (M'v); each is one pass per item
+  over the 2^m lattice, O(m 2^m), since the design over all patterns is
+  the Kronecker product of the per-item 2 x 2 factors [[1, 1], [g_i, c_i]].
 """
 
 from __future__ import annotations
@@ -217,16 +230,130 @@ def _single_item_indicators(entries: np.ndarray, profiles: Sequence[int]) -> np.
     return (np.array(profiles, dtype=np.int64) & reach) == reach
 
 
-def patterns(q: QMatrix) -> np.ndarray:
+def _entries(q: QMatrix | Sequence[QMatrix]) -> np.ndarray:
+    """The (m, k) entries of one Q-matrix, or the (b, m, k) stack of a
+    nonempty sequence of same-shape Q-matrices."""
+    if isinstance(q, QMatrix):
+        return q.entries
+    if not len(q):
+        raise ValueError("need at least one Q-matrix")
+    if len({cand.entries.shape for cand in q}) != 1:
+        raise ValueError("stacked Q-matrices must share one shape")
+    return np.stack([cand.entries for cand in q])
+
+
+def patterns(q: QMatrix | Sequence[QMatrix]) -> np.ndarray:
     """Capability pattern of every profile, in the design's column order.
 
     Entry A is the bitmask of the items that profile A masters (bit i for
     item i); the zero profile masters none. A design column depends on its
     profile only through this pattern, so two profiles with equal patterns
-    have byte-identical columns at any (c, g).
+    have byte-identical columns at any (c, g). Shape (2^k,) for one
+    Q-matrix, (b, 2^k) for a sequence of b Q-matrices of one shape.
     """
-    masters = _single_item_indicators(q.entries, [0] + profile_order(q.k))
-    return (masters.astype(np.int64) << np.arange(q.m)[:, None]).sum(axis=0)
+    entries = _entries(q)
+    m, k = entries.shape[-2:]
+    masters = _single_item_indicators(entries, [0] + profile_order(k))
+    return (masters.astype(np.int64) << np.arange(m)[:, None]).sum(axis=-2)
+
+
+def _pattern_factors(pats: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(..., m, n) per-item factors f_i(P) of (..., n) patterns: c_i where P
+    masters item i, g_i where it does not."""
+    m = g.shape[0]
+    masters = (pats[..., None, :] >> np.arange(m)[:, None]) & 1 == 1
+    return np.where(masters, c[..., :, None], g[:, None])
+
+
+def pattern_gram(pats, c, g) -> np.ndarray:
+    """Gram matrices M'M of saturated-order designs, from their columns'
+    capability patterns.
+
+    ``pats`` is a (..., n) integer array of patterns (``patterns``), ``c``
+    an (m,) vector or a (..., m) stack of them matching the leading axes,
+    ``g`` an (m,) vector. Entry [A, B] is the sum over every nonempty
+    combination S of prod_{i in S} f_i(A) f_i(B), which is
+    prod_i (1 + f_i(A) f_i(B)) - 1. The product is accumulated minus one,
+    P <- P + t (1 + P) with t = f_i(A) f_i(B), so that no cancellation
+    costs digits: with rates in [0, 1] every term is nonnegative. Shape
+    (..., n, n); equal patterns give equal rows and columns exactly.
+    """
+    g = np.asarray_chkfinite(g, dtype=np.float64)
+    f = _pattern_factors(np.asarray(pats), np.asarray_chkfinite(c, dtype=np.float64), g)
+    gram = np.zeros(f.shape[:-2] + (f.shape[-1],) * 2)
+    for i in range(g.shape[0]):
+        t = f[..., i, :, None] * f[..., i, None, :]
+        gram += t * (1.0 + gram)
+    return gram
+
+
+def _kronecker_pass(values, c, g, transpose: bool) -> np.ndarray:
+    """Apply the design over all 2^m patterns, or its transpose, to the
+    last axis of ``values`` (length 2^m, indexed by bitmask), one pass per
+    item. ``c`` is an (m,) vector or a stack whose leading axes broadcast
+    with those of ``values``.
+
+    Each pass combines the two contiguous halves of the current top bit and
+    writes the pair interleaved, which rotates that bit to the bottom, so
+    after m passes, one per item from the highest, the bits are back in
+    place and every read is contiguous.
+    """
+    g = np.asarray_chkfinite(g, dtype=np.float64)
+    c = np.asarray_chkfinite(c, dtype=np.float64)
+    values = np.asarray_chkfinite(values, dtype=np.float64)
+    m = g.shape[0]
+    if g.shape != (m,) or c.shape[-1:] != (m,):
+        raise ValueError("c and g must hold one rate per item")
+    if values.shape[-1:] != (1 << m,):
+        raise ValueError(f"values must have a last axis of length {1 << m}")
+    lead = np.broadcast_shapes(values.shape[:-1], c.shape[:-1])
+    out = np.broadcast_to(values, lead + (1 << m,))
+    for i in range(m - 1, -1, -1):
+        halves = out.reshape(lead + (2, -1))
+        lo, hi = halves[..., 0, :], halves[..., 1, :]
+        ci = c[..., i, None]
+        pair = np.empty(lead + (lo.shape[-1], 2))
+        if transpose:
+            # pattern without item i: lo + g_i hi; with it: lo + c_i hi
+            np.multiply(hi, g[i], out=pair[..., 0])
+            pair[..., 0] += lo
+            np.multiply(hi, ci, out=pair[..., 1])
+            pair[..., 1] += lo
+        else:
+            # combination without item i: lo + hi; with it: g_i lo + c_i hi
+            np.add(lo, hi, out=pair[..., 0])
+            np.multiply(lo, g[i], out=pair[..., 1])
+            pair[..., 1] += ci * hi
+        out = pair.reshape(lead + (-1,))
+    return out
+
+
+def pattern_rates(weights, c, g) -> np.ndarray:
+    """Success rates produced by weights on the capability patterns.
+
+    ``weights`` has a last axis of length 2^m indexed by pattern; entry S
+    of the result (same last axis, indexed by combination bitmask) is
+    sum_P weights[P] prod_{i in S} f_i(P), so entry 0 is the total weight.
+    For a candidate's simplex weights x this is its design applied to x,
+    ``design(q, c, g, order) @ x``, read at the order's combinations, once
+    x is summed by pattern. ``c`` is an (m,) vector or a stack matching the
+    leading axes of ``weights``. O(m 2^m) per vector.
+    """
+    return _kronecker_pass(weights, c, g, transpose=False)
+
+
+def pattern_moments(values, c, g) -> np.ndarray:
+    """Inner products of values on the combinations with every pattern's
+    design column.
+
+    ``values`` has a last axis of length 2^m indexed by combination bitmask;
+    entry P of the result is sum_S values[S] prod_{i in S} f_i(P), with S
+    running over every bitmask including 0, so put the empty combination's
+    value to 0 for M'v on a saturated order. A candidate gathers its
+    entries of M'v by its patterns. ``c`` is an (m,) vector or a stack
+    matching the leading axes of ``values``. O(m 2^m) per vector.
+    """
+    return _kronecker_pass(values, c, g, transpose=True)
 
 
 def design(
@@ -263,14 +390,7 @@ def design(
     The result then has shape (b, len(order), 2^k). Stacking both q and c
     is refused.
     """
-    if isinstance(q, QMatrix):
-        entries = q.entries
-    else:
-        if not len(q):
-            raise ValueError("need at least one Q-matrix")
-        if len({cand.entries.shape for cand in q}) != 1:
-            raise ValueError("stacked Q-matrices must share one shape")
-        entries = np.stack([cand.entries for cand in q])
+    entries = _entries(q)
     m, k = entries.shape[-2:]
     if order.m != m:
         raise ValueError(f"order is over {order.m} items but Q-matrix has {m}")

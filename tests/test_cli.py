@@ -105,6 +105,13 @@ def test_undecodable_pstar_file(workdir, capsys):
     assert "cannot read p* file bad.json: " in capsys.readouterr().err
 
 
+def test_undecodable_config_file(workdir, capsys):
+    (workdir / "bad.json").write_bytes(b"\xff\xfe{}")
+    code = run(["estimate", "--config", "bad.json"])
+    assert code == 3
+    assert "cannot read config file bad.json: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # estimate
 

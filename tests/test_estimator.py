@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -40,9 +41,9 @@ from dinaq import (
     simulate,
     split_estimate,
 )
-from dinaq.estimator import _SLIP_SCALE, _rate_objective
+from dinaq.estimator import _SLIP_SCALE, _by_mask, _pattern_bounds, _rate_objective
 from dinaq.solver import simplex_lsq
-from dinaq.tmatrix import patterns
+from dinaq.tmatrix import pattern_moments, patterns
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
 UNIFORM = ProfileDistribution.uniform(2)
@@ -271,10 +272,10 @@ def test_estimate_q_lists_capped_rescores(monkeypatch):
     assert flagged.q_hat in listed and set(flagged.ties) <= set(listed)
     for q in listed:
         assert flagged.diagnostics["scores"][q] == score(q, alpha, params)
-    # every solve but the last (the winner's p_tilde fit) re-scored one
-    # listed candidate of the screen
+    # every solve re-scored one listed candidate of the screen; p_tilde comes
+    # from the winner's re-score, not from a solve of its own
     designs = [design(q, params.c, params.g, alpha.order).tobytes() for q in listed]
-    assert sorted(designs) == sorted(m.tobytes() for m in rescored[:-1])
+    assert sorted(designs) == sorted(m.tobytes() for m in rescored)
 
 
 def test_estimate_q_matches_full_table_scan():
@@ -345,6 +346,122 @@ def test_estimate_q_screen_matches_exact_scan(m, k, rates, tie_tol):
     # every tie carries its exact score, not the screen's bound
     for cand, s in ties_ref.items():
         assert res.diagnostics["scores"][cand] == s
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_row_free_bounds_bracket_exact_scores(data):
+    """The screen's bounds, computed without designs, bracket every
+    candidate's exact score on noiseless, population and sampled rates, at
+    shared or per-candidate capable rates, exact fits included; at full
+    column rank the upper bound is the exact score."""
+    m = data.draw(st.integers(2, 5), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    kind = data.draw(st.sampled_from(["noiseless", "population", "sampled"]), label="rates")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    cands = list(enumerate_candidates(m, k, budget=10**6))
+    picks = rng.choice(len(cands), size=min(len(cands), 40), replace=False)
+    stack = [cands[int(i)] for i in picks]
+    truth = stack[0]
+    if kind == "noiseless":
+        params = DinaParams.noiseless(m)
+    else:
+        params = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+    order = ComboOrder.saturated(m)
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    if kind == "sampled":
+        config = SimConfig(q=truth, params=params, p_star=p_star, n=500, seed=seed % 1000)
+        alpha = compute_alpha(simulate(config)[0], order)
+    else:
+        # the first candidate fits these rates exactly
+        alpha = population_alpha(truth, params, p_star, order)
+    g = params.g
+    if data.draw(st.booleans(), label="per-candidate c"):
+        c = rng.uniform(0.0, 1.0, (len(stack), m))
+        c[0] = params.c
+        c[:, rng.random(m) < 0.2] = g[0]
+    else:
+        c = params.c
+    target = _by_mask(alpha)
+    upper, lower = _pattern_bounds(
+        patterns(stack), c, g, target, pattern_moments(target, c, g)
+    )
+    for j, q in enumerate(stack):
+        mat = design(q, c[j] if c.ndim == 2 else c, g, order)
+        exact = simplex_lsq(mat, alpha.rates).residual
+        assert lower[j] <= exact + 1e-12
+        assert exact <= upper[j] + 1e-12
+        if np.linalg.matrix_rank(mat) == mat.shape[1]:
+            assert upper[j] - exact <= 1e-10
+
+
+def _fit_table(alpha, g, k):
+    """The unknown-c search as an exact scan: every candidate's recovered
+    rates and exact score, +inf for a degenerate moment system."""
+    beta = decontaminate(alpha, g)
+    table = []
+    for q in enumerate_candidates(alpha.order.m, k, budget=10**6):
+        try:
+            fixed = _moment_fixed(q, g, beta)
+        except DegenerateSampleError:
+            table.append((q, None, np.inf))
+            continue
+        c = profile_slip(q, g, alpha, fixed)
+        table.append((q, c, score(q, alpha, DinaParams(c, g))))
+    return table
+
+
+@pytest.mark.parametrize(
+    "m, p_zero, n, seed",
+    [(3, True, None, 1), (3, True, 4000, 2), (4, False, 3000, 3), (4, True, None, 4)],
+)
+def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
+    """Ranking the unknown-c search's final scores with the certified screen
+    changes nothing: winner, score, ties, c_hat and p_tilde equal those of
+    an exact solve of every candidate, to the byte. A zero-mass profile
+    makes some candidates' moment systems degenerate."""
+    rng = np.random.default_rng(seed)
+    truth = QMatrix.from_rows(["10", "01", "11", "10"][:m])
+    params = DinaParams(rng.uniform(0.7, 0.95, m), rng.uniform(0.05, 0.3, m))
+    probs = rng.dirichlet(np.ones(4))
+    if p_zero:
+        probs[3] = 0.0
+        probs /= probs.sum()
+    p_star = ProfileDistribution(2, probs)
+    order = ComboOrder.saturated(m)
+    if n is None:
+        alpha = population_alpha(truth, params, p_star, order)
+    else:
+        with warnings.catch_warnings():
+            # the zero-mass profile is the point here
+            warnings.simplefilter("ignore")
+            config = SimConfig(q=truth, params=params, p_star=p_star, n=n, seed=seed)
+        alpha = compute_alpha(simulate(config)[0], order)
+    res = estimate_q_unknown_c(alpha, params.g, 2)
+    table = _fit_table(alpha, params.g, 2)
+    scores = np.array([s for _, _, s in table])
+    best = int(np.argmin(scores))
+    q_ref, c_ref, s_ref = table[best]
+    assert res.q_hat == q_ref
+    assert res.score == s_ref
+    assert res.ties == tuple(q for q, _, s in table if s <= s_ref + DEFAULT_TIE_TOL)
+    assert res.c_hat.tobytes() == c_ref.tobytes()
+    p_ref = estimate_p(q_ref, alpha, DinaParams(c_ref, params.g))
+    assert res.p_tilde.probs.tobytes() == p_ref.probs.tobytes()
+    degenerate = tuple(q for q, c, _ in table if c is None)
+    assert res.diagnostics.get("degenerate", ()) == degenerate
+    if p_zero and n is None:
+        assert degenerate
+    for q, _, s in table:
+        got = res.diagnostics["scores"][q]
+        if np.isinf(s):
+            assert got == s
+        else:
+            # the screen's upper bound where not re-scored, exact where it is
+            assert got == pytest.approx(s, abs=1e-12)
+            if got <= s_ref + DEFAULT_TIE_TOL:
+                assert got == s
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from dinaq import (
     simplex_lsq,
     simplex_lsq_bounds,
 )
+from dinaq.solver import _solve_checked, simplex_gram_bounds
 
 GOLDEN_T = np.array([
     [1.0, 0.0, 1.0],
@@ -285,3 +286,66 @@ def test_bounds_reject_bad_input():
         simplex_lsq_bounds(np.ones((2, 3, 2)), np.zeros(2))
     with pytest.raises(ValueError):
         simplex_lsq_bounds(np.full((1, 2, 2), np.nan), np.zeros(2))
+
+
+def test_checked_solve_matches_solve_and_flags_singular_systems():
+    rng = np.random.default_rng(5)
+    cols = rng.normal(size=(3, 6, 4))
+    spd = cols.transpose(0, 2, 1) @ cols
+    # a repeated column makes the third system singular at its last pivot
+    cols[2, :, 3] = cols[2, :, 1]
+    a = cols.transpose(0, 2, 1) @ cols
+    a[:2] = spd[:2]
+    rhs = rng.normal(size=(3, 4))
+    floor = np.full((3, 4), 1e-12 * np.diagonal(a, axis1=1, axis2=2).max())
+    y, ok = _solve_checked(a, rhs, floor)
+    assert ok.tolist() == [True, True, False]
+    want = np.linalg.solve(a[:2], rhs[:2, :, None])[:, :, 0]
+    np.testing.assert_allclose(y[:2], want, rtol=1e-10)
+    # the inputs are left as they were
+    assert np.array_equal(a[:2], spd[:2])
+
+
+def test_singular_restricted_system_keeps_last_feasible_point():
+    """A problem whose restricted system turns singular stops at its last
+    feasible point; its bounds still bracket the optimum, and the other
+    problems in the stack are untouched."""
+    order = ComboOrder.saturated(3)
+    c, g = np.full(3, 0.85), np.full(3, 0.15)
+    q = QMatrix.from_rows(["10", "01", "11"])
+    good = design(q, c, g, order)
+    dup = good.copy()
+    dup[:, 1] = dup[:, 0]
+    beta = good @ np.array([0.1, 0.2, 0.3, 0.4])
+    stack = np.stack([dup, good])
+    cols = stack.transpose(0, 2, 1)
+    gram, lin = cols @ stack, cols @ beta
+    # a linear term that favours the duplicate pulls it into the support
+    # beside its twin, where the restricted system has a zero pivot
+    lin[0, 1] += 100.0
+
+    def residuals(x):
+        resid = (stack @ x[:, :, None])[:, :, 0] - beta
+        return resid, (cols @ resid[:, :, None])[:, :, 0]
+
+    upper, lower = simplex_gram_bounds(gram, lin, residuals)
+    # the problem stopped at the vertex it stood on when its system failed
+    assert upper[0] == pytest.approx(np.linalg.norm(dup[:, 0] - beta), abs=1e-15)
+    exact = simplex_lsq(dup, beta).residual
+    assert lower[0] <= exact + 1e-12 <= upper[0] + 2e-12
+    alone = simplex_lsq_bounds(good[None], beta)
+    assert upper[1:].tobytes() == alone[0].tobytes()
+    assert lower[1:].tobytes() == alone[1].tobytes()
+    assert upper[1] == pytest.approx(simplex_lsq(good, beta).residual, abs=1e-12)
+
+
+def test_gram_bounds_reject_bad_input():
+    def residuals(x):
+        raise AssertionError("not reached")
+
+    with pytest.raises(ValueError):
+        simplex_gram_bounds(np.eye(3), np.zeros(3), residuals)
+    with pytest.raises(ValueError):
+        simplex_gram_bounds(np.ones((2, 3, 3)), np.zeros((2, 2)), residuals)
+    with pytest.raises(ValueError):
+        simplex_gram_bounds(np.full((1, 2, 2), np.nan), np.zeros((1, 2)), residuals)

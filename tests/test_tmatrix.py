@@ -17,7 +17,7 @@ from dinaq import (
     design,
     ideal_response,
 )
-from dinaq.tmatrix import patterns
+from dinaq.tmatrix import pattern_gram, pattern_moments, pattern_rates, patterns
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
 
@@ -365,6 +365,77 @@ def test_patterns_are_mastered_items_and_key_design_columns(m, k):
     for a in range(1 << k):
         for b in range(1 << k):
             assert (cols[a].tobytes() == cols[b].tobytes()) == (pats[a] == pats[b])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_closed_forms_match_design(data):
+    """The row-free forms agree with the design on a saturated order: the
+    Gram matrix M'M, the linear term M'alpha, the rates M x and the
+    gradient term M'r, for one rate vector or a stack of them, with equal
+    patterns (duplicate columns) and items with c_i = g_i."""
+    m = data.draw(st.integers(1, 8), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    rows = st.lists(st.integers(1, 2**k - 1), min_size=m, max_size=m)
+    qs = [
+        QMatrix(np.array([mask_to_bits(r, k) for r in masks]))
+        for masks in data.draw(st.lists(rows, min_size=1, max_size=5), label="qs")
+    ]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kind = data.draw(st.sampled_from(["noiseless", "rates", "c=g", "stack"]), label="rates")
+    g = np.zeros(m) if kind == "noiseless" else rng.uniform(0.0, 0.4, m)
+    if kind == "noiseless":
+        c = np.ones(m)
+    elif kind == "stack":
+        c = rng.uniform(0.0, 1.0, (len(qs), m))
+    else:
+        c = rng.uniform(0.5, 1.0, m)
+    if kind in ("c=g", "stack"):
+        same = rng.random(m) < 0.3
+        c = np.where(same, g, c)
+    order = ComboOrder.saturated(m)
+    designs = np.stack([
+        design(q, c[j] if c.ndim == 2 else c, g, order) for j, q in enumerate(qs)
+    ])
+    cols = designs.transpose(0, 2, 1)
+    pats = patterns(qs)
+    combos = np.array(order.combos)
+
+    def close(got, want, scale):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * scale + 1e-300)
+
+    close(pattern_gram(pats, c, g), cols @ designs, cols @ designs)
+    alpha = rng.uniform(0.0, 1.0, len(order))
+    by_mask = np.zeros(1 << m)
+    by_mask[combos] = alpha
+    lin = np.take_along_axis(np.atleast_2d(pattern_moments(by_mask, c, g)), pats, axis=1)
+    close(lin, cols @ alpha, cols @ alpha)
+    x = rng.dirichlet(np.ones(1 << k), size=len(qs))
+    drop = rng.random(1 << k) < 0.3
+    drop[rng.integers(1 << k)] = False
+    x[:, drop] = 0.0
+    x /= x.sum(axis=1, keepdims=True)
+    weights = np.zeros((len(qs), 1 << m))
+    np.add.at(weights, (np.arange(len(qs))[:, None], pats), x)
+    rates = pattern_rates(weights, c, g)
+    fitted = (designs @ x[:, :, None])[:, :, 0]
+    close(rates[:, combos], fitted, fitted)
+    np.testing.assert_allclose(rates[:, 0], 1.0, rtol=1e-13)
+    resid = rng.normal(0.0, 1.0, (len(qs), len(order)))
+    resid_by_mask = np.zeros((len(qs), 1 << m))
+    resid_by_mask[:, combos] = resid
+    grad = np.take_along_axis(pattern_moments(resid_by_mask, c, g), pats, axis=1)
+    # r has both signs, so the scale is |M|'|r|, the size of the terms summed
+    close(grad, (cols @ resid[:, :, None])[:, :, 0], (cols @ np.abs(resid)[:, :, None])[:, :, 0])
+
+
+def test_closed_forms_reject_bad_shapes():
+    c, g = np.full(3, 0.9), np.full(3, 0.1)
+    with pytest.raises(ValueError):
+        pattern_rates(np.ones(7), c, g)
+    with pytest.raises(ValueError):
+        pattern_moments(np.ones(8), c[:2], g)
 
 
 def test_design_returns_fresh_writable_array():

@@ -20,6 +20,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -361,7 +362,8 @@ class ProfileDistribution:
     def from_dict(cls, k: int, mapping: Mapping[str, float]) -> "ProfileDistribution":
         """Build from a {bitstring label: probability} mapping.
 
-        Missing labels default to 0; unknown labels are an error.
+        Missing labels default to 0; unknown labels are an error, and so is
+        a value that is not a real number (a bool or a string is not one).
         """
         valid = {"0" * k} | {bit_label(mask, k) for mask in profile_order(k)}
         unknown = set(mapping) - valid
@@ -370,5 +372,11 @@ class ProfileDistribution:
         probs = np.zeros(2**k)
         labels = ["0" * k] + [bit_label(mask, k) for mask in profile_order(k)]
         for pos, lab in enumerate(labels):
-            probs[pos] = float(mapping.get(lab, 0.0))
+            value = mapping.get(lab, 0.0)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"probability of profile {lab} is not a number: {value!r}")
+            try:
+                probs[pos] = float(value)
+            except OverflowError as exc:
+                raise ValueError(f"probability of profile {lab} is out of range") from exc
         return cls(k, probs)

@@ -48,7 +48,6 @@ from .core import (
     enumerate_candidates,
     equivalent,
     is_complete,
-    profile_order,
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
 from .solver import LsqSolution, simplex_gram_bounds, simplex_lsq
@@ -62,6 +61,7 @@ from .tmatrix import (
     pattern_rates,
     patterns,
     rate_vector,
+    unit_rates,
 )
 
 DEFAULT_TIE_TOL = 1e-7
@@ -142,15 +142,12 @@ class EstimationResult:
     of the winner, winner included; more than one entry means the data do not
     single out a class and downstream consumers should treat the result as
     ambiguous. ``c_hat`` is populated only by the unknown-slip search.
-    ``p_tilde`` is the winner's exact simplex minimizer.
-    ``diagnostics["scores"]`` maps every candidate searched to its score. In
-    both searches a batched screen decides which candidates get an exact
-    solve (in the unknown-c search, at each candidate's recovered rates):
-    the winner and every candidate that could tie with it carry exact
-    scores, the others the screen's upper bound, within about 1e-14 of
-    exact. Candidates whose fit is suspect are listed, still ranked, under
-    ``diagnostics["capped"]`` (exact solve stopped at the solver's
-    iteration cap), ``"degenerate"`` or ``"unconverged"``.
+    ``p_tilde`` is the winner's exact simplex minimizer. In both searches a
+    batched screen decides which candidates get an exact solve, so the
+    winner's score and every tie are exact. ``diagnostics`` holds only the
+    lists of candidates whose fit is suspect, still ranked, each present
+    when nonempty: ``"capped"`` (exact solve stopped at the solver's
+    iteration cap), ``"degenerate"`` and ``"unconverged"``.
     """
 
     q_hat: QMatrix
@@ -288,23 +285,33 @@ def _map_chunks(fit, candidates: list[QMatrix], size: int, workers: int | None) 
     return [f for chunk in chunks for f in fit(chunk)]
 
 
-def _rank(
-    candidates: list[QMatrix], fits: list[tuple], tie_tol: float
-) -> tuple[int, tuple[QMatrix, ...], dict]:
-    """Winner index (first in order on exact ties), the tie set at
-    ``tie_tol`` (winner included) and the diagnostics of per-candidate
-    (score, note, ...) fits: the score of every candidate and, under each
-    note that some fit carries ("capped", "degenerate", "unconverged"), the
+def _result(
+    candidates: list[QMatrix],
+    fits: list[tuple],
+    tie_tol: float,
+    rates: list[np.ndarray | None] | None = None,
+) -> EstimationResult:
+    """The result of a search from its candidates and their (score, note, x)
+    fits: the winner is the least score, first in candidate order on exact
+    ties, its x gives ``p_tilde`` and, for the unknown-c search, its entry
+    of ``rates`` gives ``c_hat``. Under each note that some fit carries
+    ("capped", "degenerate", "unconverged") ``diagnostics`` lists the
     candidates carrying it."""
     scores = np.array([f[0] for f in fits])
     best = int(np.argmin(scores))
-    ties = tuple(
-        qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol
+    diagnostics = {
+        note: tuple(qc for qc, f in zip(candidates, fits) if f[1] == note)
+        for note in sorted({f[1] for f in fits} - {None})
+    }
+    return EstimationResult(
+        q_hat=candidates[best],
+        score=fits[best][0],
+        ties=tuple(qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol),
+        p_tilde=ProfileDistribution(candidates[best].k, fits[best][2]),
+        n_candidates=len(candidates),
+        c_hat=None if rates is None else rates[best],
+        diagnostics=diagnostics,
     )
-    diagnostics: dict = {"scores": {qc: float(s) for qc, s in zip(candidates, scores)}}
-    for note in sorted({f[1] for f in fits} - {None}):
-        diagnostics[note] = tuple(qc for qc, f in zip(candidates, fits) if f[1] == note)
-    return best, ties, diagnostics
 
 
 def estimate_q(
@@ -332,11 +339,9 @@ def estimate_q(
     bound comes within ``tie_tol`` of the best exact score get an exact
     ``simplex_lsq`` solve on their own design, and the winner's solve gives
     ``p_tilde``. Winner, score, ties and ``p_tilde`` are therefore exactly
-    those of solving every candidate exactly. diagnostics["scores"] maps
-    every candidate to its score: exact for the re-scored ones, the screen's
-    upper bound (within about 1e-14 of exact) for the rest. A re-scored
-    candidate whose exact solve stopped at the solver's iteration cap keeps
-    its rank and is listed in diagnostics["capped"].
+    those of solving every candidate exactly. A re-scored candidate whose
+    exact solve stopped at the solver's iteration cap keeps its rank and is
+    listed in diagnostics["capped"], the only list this search can fill.
 
     Raises BudgetExceededError when the candidate space exceeds ``budget``,
     and ValueError for a negative or NaN ``tie_tol`` or ``workers`` below 1.
@@ -352,15 +357,7 @@ def estimate_q(
         _screen, c=params.c, g=params.g, alpha=alpha, moments=moments, tie_tol=tie_tol
     )
     fits = _map_chunks(fit, candidates, _CANDIDATE_CHUNK, workers)
-    best, ties, diagnostics = _rank(candidates, fits, tie_tol)
-    return EstimationResult(
-        q_hat=candidates[best],
-        score=fits[best][0],
-        ties=ties,
-        p_tilde=ProfileDistribution(k, fits[best][2]),
-        n_candidates=len(candidates),
-        diagnostics=diagnostics,
-    )
+    return _result(candidates, fits, tie_tol)
 
 
 def find_cover_combo(q: QMatrix, item: int) -> int | None:
@@ -447,7 +444,8 @@ def _rate_objective(
 ):
     """``_SLIP_SCALE`` times the squared score of ``q``, and its gradient, as
     a function of the capable rates of the ``free`` items, the other rates
-    held at ``c``.
+    held at ``c``. ``g`` comes checked from ``_rate_search``, so no
+    evaluation re-checks it.
 
     By the envelope theorem the gradient needs no re-fit: with x* the
     simplex minimizer and r = M x* - alpha, d score^2 / d c_i equals
@@ -456,20 +454,15 @@ def _rate_objective(
     dM/dc_i is the design at c_i = 1 masked to those entries. One stacked
     design gives M and every free item's derivative.
     """
-    combos = np.array(alpha.order.combos, dtype=np.int64)
-    profiles = np.array([0] + profile_order(q.k), dtype=np.int64)
-    reach = np.array([q.row_masks[i] for i in free], dtype=np.int64)[:, None, None]
-    item = np.array(free, dtype=np.int64)[:, None, None]
-    holds = ((combos[:, None] >> item) & 1 == 1) & ((profiles & reach) == reach)
+    masters = (patterns(q)[None, :] >> np.array(free)[:, None]) & 1 == 1
+    holds = alpha.order._members[free][:, :, None] & masters[:, None, :]
     unit = np.arange(1, len(free) + 1)
 
     def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        trial = c.copy()
-        trial[free] = np.clip(v, 0.0, 1.0)
-        params = DinaParams(trial, g)
-        stack = np.repeat(params.c[None, :], len(free) + 1, axis=0)
+        stack = np.repeat(c[None, :], len(free) + 1, axis=0)
+        stack[:, free] = np.clip(v, 0.0, 1.0)
         stack[unit, free] = 1.0
-        designs = design(q, stack, params.g, alpha.order)
+        designs = design(q, stack, g, alpha.order)
         x = simplex_lsq(designs[0], alpha.rates).x
         r = designs[0] @ x - alpha.rates
         grad = 2.0 * ((designs[1:] * holds) @ x @ r)
@@ -482,7 +475,7 @@ def _rate_search(
     q: QMatrix, g, alpha: AlphaVector, fixed: Mapping[int, float] | None
 ) -> tuple[np.ndarray, bool]:
     # profile_slip's search; also reports whether any start converged
-    g = rate_vector(g, q.m, "g")
+    g = unit_rates(g, q.m, "g")
     fixed = dict(fixed or {})
     for i, v in fixed.items():
         if not 0 <= int(i) < q.m:
@@ -527,7 +520,7 @@ def profile_slip(
     search (L-BFGS-B) from several deterministic starts, using the exact
     gradient that the envelope theorem gives at the simplex fit. Every
     coordinate of the result lies in [0, 1]; the best point found is always
-    returned.
+    returned. Raises ValueError for a ``g`` entry outside [0, 1].
     """
     return _rate_search(q, g, alpha, fixed)[0]
 
@@ -572,10 +565,8 @@ def estimate_q_unknown_c(
     ranked by the certified screen of ``estimate_q``: only candidates that
     could be the winner or tie with it get an exact solve, so winner, score,
     ties and ``p_tilde`` are those of scoring every candidate exactly.
-    diagnostics["scores"] maps every candidate to its final score: exact
-    for the re-scored candidates, the screen's upper bound (within about
-    1e-14 of exact) for the rest. Candidates with degenerate moment
-    denominators score +inf and are listed in diagnostics["degenerate"].
+    Candidates with degenerate moment denominators score +inf and are
+    listed in diagnostics["degenerate"].
     Candidates whose profile search converged from no start are still
     ranked at the best point found, and are listed in
     diagnostics["unconverged"]; a re-scored candidate whose exact solve
@@ -583,11 +574,12 @@ def estimate_q_unknown_c(
     diagnostics["capped"].
 
     Returns the winner with its recovered ``c_hat``; ties are judged on the
-    final scores exactly as in ``estimate_q``.
+    final scores exactly as in ``estimate_q``. Raises ValueError, before
+    any work, for a ``g`` entry outside [0, 1].
     """
     _require_saturated(alpha)
     m = alpha.order.m
-    g = rate_vector(g, m, "g")
+    g = unit_rates(g, m, "g")
     # enumerating first puts the budget check before the O(4^m) operator
     candidates = list(enumerate_candidates(m, k, budget))
     _check_search(tie_tol, workers)
@@ -607,16 +599,7 @@ def estimate_q_unknown_c(
         screened = _screen([candidates[i] for i in part], cs, g, alpha, moments, tie_tol)
         for i, (s, capped, x) in zip(part, screened):
             fits[i] = (s, rates[i][1] or capped, x)
-    best, ties, diagnostics = _rank(candidates, fits, tie_tol)
-    return EstimationResult(
-        q_hat=candidates[best],
-        score=fits[best][0],
-        ties=ties,
-        p_tilde=ProfileDistribution(k, fits[best][2]),
-        n_candidates=len(candidates),
-        c_hat=rates[best][0],
-        diagnostics=diagnostics,
-    )
+    return _result(candidates, fits, tie_tol, [c for c, _ in rates])
 
 
 def _align_columns(
@@ -700,7 +683,7 @@ def split_estimate(
     if params is not None and params.m != m:
         raise ValueError(f"params cover {params.m} items, responses have {m}")
     if g is not None:
-        g = rate_vector(g, m, "g")
+        g = unit_rates(g, m, "g")
 
     rows = np.zeros((m, k), dtype=np.uint8)
     known = np.zeros(m, dtype=bool)

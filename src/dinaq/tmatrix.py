@@ -181,6 +181,14 @@ def rate_vector(v: Iterable[float], m: int, name: str) -> np.ndarray:
     return v
 
 
+def unit_rates(v: Iterable[float], m: int, name: str) -> np.ndarray:
+    """``rate_vector`` whose entries all lie in [0, 1]."""
+    v = rate_vector(v, m, name)
+    if v.min() < 0.0 or v.max() > 1.0:
+        raise ValueError(f"{name} entries must lie in [0, 1]")
+    return v
+
+
 @dataclass(frozen=True, eq=False)
 class DinaParams:
     """Per-item success probabilities: c for capable subjects, g for guessers.
@@ -199,11 +207,8 @@ class DinaParams:
         if m == 0 or np.size(self.g) != m:
             raise ValueError("c and g must be nonempty vectors of equal length")
         # copies, so freezing them leaves the caller's arrays writable
-        c = rate_vector(self.c, m, "c").copy()
-        g = rate_vector(self.g, m, "g").copy()
-        for name, v in (("c", c), ("g", g)):
-            if v.min() < 0.0 or v.max() > 1.0:
-                raise ValueError(f"{name} entries must lie in [0, 1]")
+        c = unit_rates(self.c, m, "c").copy()
+        g = unit_rates(self.g, m, "g").copy()
         c.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "c", c)

@@ -95,6 +95,17 @@ def test_long_inline_pstar_is_json(workdir):
         assert code == 4
 
 
+@pytest.mark.parametrize("value", ["null", "[1]", "true", '"1"', "1" + "0" * 400])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_non_numeric_pstar_exits_3(workdir, capsys, command, value):
+    args = [command, "--q", "q.txt", "--c", "0.9", "--g", "0.1", "--pstar", f'{{"11": {value}}}']
+    if command == "simulate":
+        args += ["--n", "10", "--seed", "1"]
+    code = run(args + ["--out", "out.txt"])
+    assert code == 3
+    assert "bad profile distribution: probability of profile 11" in capsys.readouterr().err
+
+
 def test_undecodable_pstar_file(workdir, capsys):
     (workdir / "bad.json").write_bytes(b"\xff\xfe{}")
     code = run([

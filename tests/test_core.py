@@ -366,6 +366,16 @@ def test_from_dict_missing_keys_default_zero():
     assert d.as_dict()["10"] == 0.0
 
 
+def test_from_dict_takes_only_real_numbers():
+    d = ProfileDistribution.from_dict(2, {"10": np.float64(0.5), "11": np.int64(0), "01": 0.5})
+    assert d.as_dict() == {"00": 0.0, "10": 0.5, "01": 0.5, "11": 0.0}
+    # JSON null, a list, true and a string are not probabilities, and an
+    # integer too large for a float is out of range
+    for bad in (None, [1], True, "1", 10**400):
+        with pytest.raises(ValueError, match="profile 11"):
+            ProfileDistribution.from_dict(2, {"11": bad})
+
+
 def test_distribution_rejects_bad_sum():
     with pytest.raises(ValueError):
         ProfileDistribution.from_dict(2, {"11": 0.5})

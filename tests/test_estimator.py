@@ -41,7 +41,7 @@ from dinaq import (
     simulate,
     split_estimate,
 )
-from dinaq.estimator import _SLIP_SCALE, _by_mask, _pattern_bounds, _rate_objective
+from dinaq.estimator import _SLIP_SCALE, _by_mask, _pattern_bounds, _rate_objective, _screen
 from dinaq.solver import simplex_lsq
 from dinaq.tmatrix import pattern_moments, patterns
 
@@ -59,19 +59,23 @@ def noisy_params(c=0.8, g=0.2, m=3):
     return DinaParams(np.full(m, c), np.full(m, g))
 
 
-def assert_same_search(a, b):
-    """Two search results agree exactly: winner, score table, ties, rates,
-    fitted distribution and degenerate list."""
+def assert_same_ranking(a, b):
+    """Two search results agree exactly on winner, score, ties, rates and
+    fitted distribution."""
     assert a.q_hat == b.q_hat
     assert a.score == b.score
-    assert a.diagnostics["scores"] == b.diagnostics["scores"]
     assert a.ties == b.ties
     if a.c_hat is None:
         assert b.c_hat is None
     else:
         assert np.array_equal(a.c_hat, b.c_hat)
     assert np.array_equal(a.p_tilde.probs, b.p_tilde.probs)
-    assert a.diagnostics.get("degenerate") == b.diagnostics.get("degenerate")
+
+
+def assert_same_search(a, b):
+    """Two search results agree exactly, every note list included."""
+    assert_same_ranking(a, b)
+    assert a.diagnostics == b.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +212,10 @@ def test_estimate_q_reports_ties_for_degenerate_truth():
 
 
 def test_estimate_q_score_table():
-    res = estimate_q(noiseless_alpha(), NOISELESS, 2)
-    scores = res.diagnostics["scores"]
-    assert len(scores) == 14
-    assert min(scores.values()) == res.score
+    alpha = noiseless_alpha()
+    res = estimate_q(alpha, NOISELESS, 2)
+    assert res.n_candidates == 14
+    assert res.score == min(score(q, alpha, NOISELESS) for q in enumerate_candidates(3, 2))
 
 
 def test_estimate_q_workers_match_serial():
@@ -267,11 +271,10 @@ def test_estimate_q_lists_capped_rescores(monkeypatch):
     monkeypatch.setattr(dinaq.estimator, "simplex_lsq", capped)
     flagged = estimate_q(alpha, params, 2, tie_tol=1e-3)
     monkeypatch.undo()
-    assert_same_search(clean, flagged)
+    assert_same_ranking(clean, flagged)
     listed = flagged.diagnostics["capped"]
     assert flagged.q_hat in listed and set(flagged.ties) <= set(listed)
-    for q in listed:
-        assert flagged.diagnostics["scores"][q] == score(q, alpha, params)
+    assert flagged.score == score(flagged.q_hat, alpha, params)
     # every solve re-scored one listed candidate of the screen; p_tilde comes
     # from the winner's re-score, not from a solve of its own
     designs = [design(q, params.c, params.g, alpha.order).tobytes() for q in listed]
@@ -296,8 +299,13 @@ def test_estimate_q_matches_full_table_scan():
     assert res.score == pytest.approx(best, abs=1e-12)
     assert table[res.q_hat] == pytest.approx(best, abs=1e-12)
     assert set(res.ties) == scan_ties
-    for cand, s in table.items():
-        assert res.diagnostics["scores"][cand] == pytest.approx(s, abs=1e-12)
+    # the screen on every candidate at once: bounds near exact, ties exact
+    moments = pattern_moments(_by_mask(alpha), params.c, params.g)
+    fits = _screen(list(table), params.c, params.g, alpha, moments, DEFAULT_TIE_TOL)
+    for (cand, s), (got, _, _) in zip(table.items(), fits):
+        assert got == pytest.approx(s, abs=1e-12)
+        if cand in scan_ties:
+            assert got == s
 
 
 def _reference_search(alpha, params, k, tie_tol):
@@ -343,9 +351,13 @@ def test_estimate_q_screen_matches_exact_scan(m, k, rates, tie_tol):
     assert res.score == score_ref
     assert res.ties == tuple(ties_ref)
     assert res.p_tilde.probs.tobytes() == p_ref.probs.tobytes()
-    # every tie carries its exact score, not the screen's bound
+    # screened all at once, every tie carries its exact score, not a bound
+    cands = list(enumerate_candidates(m, k, budget=10**6))
+    moments = pattern_moments(_by_mask(alpha), params.c, params.g)
+    fits = _screen(cands, params.c, params.g, alpha, moments, tie_tol)
+    exact = dict(zip(cands, (f[0] for f in fits)))
     for cand, s in ties_ref.items():
-        assert res.diagnostics["scores"][cand] == s
+        assert exact[cand] == s
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,15 +465,16 @@ def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
     assert res.diagnostics.get("degenerate", ()) == degenerate
     if p_zero and n is None:
         assert degenerate
-    for q, _, s in table:
-        got = res.diagnostics["scores"][q]
-        if np.isinf(s):
+    # the screen at the reference's rates: the upper bound where it does not
+    # re-score, the exact score where it does
+    fitted = [(q, c, s) for q, c, s in table if c is not None]
+    cs = np.array([c for _, c, _ in fitted])
+    moments = pattern_moments(_by_mask(alpha), cs, params.g)
+    fits = _screen([q for q, _, _ in fitted], cs, params.g, alpha, moments, DEFAULT_TIE_TOL)
+    for (_, _, s), (got, _, _) in zip(fitted, fits):
+        assert got == pytest.approx(s, abs=1e-12)
+        if got <= s_ref + DEFAULT_TIE_TOL:
             assert got == s
-        else:
-            # the screen's upper bound where not re-scored, exact where it is
-            assert got == pytest.approx(s, abs=1e-12)
-            if got <= s_ref + DEFAULT_TIE_TOL:
-                assert got == s
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +583,24 @@ def test_moment_slip_noiseless_sample():
     alpha = compute_alpha(resp, ORDER3)
     beta = decontaminate(alpha, np.zeros(3))
     assert moment_slip(GOLDEN, np.zeros(3), beta, 0, 0b100) == pytest.approx(1.0)
+
+
+def test_rate_searches_reject_g_outside_unit_interval():
+    """g's range is checked where it enters, before any work: at k = 1 every
+    item is moment-estimated and no rate search runs, yet 1.5 is refused,
+    and ahead of the budget check."""
+    alpha = noiseless_alpha()
+    resp, _ = simulate(SimConfig(q=GOLDEN, params=NOISELESS, p_star=UNIFORM, n=200, seed=1))
+    for bad in (1.5, -0.1):
+        g = [0.2, bad, 0.2]
+        with pytest.raises(ValueError, match=r"g entries must lie in \[0, 1\]"):
+            estimate_q_unknown_c(alpha, g, 1)
+        with pytest.raises(ValueError, match=r"g entries must lie in \[0, 1\]"):
+            estimate_q_unknown_c(alpha, g, 2, budget=1)
+        with pytest.raises(ValueError, match=r"g entries must lie in \[0, 1\]"):
+            split_estimate(resp, [[0, 1, 2]], 1, g=g)
+        with pytest.raises(ValueError, match=r"g entries must lie in \[0, 1\]"):
+            profile_slip(GOLDEN, g, alpha)
 
 
 def test_profile_slip_all_fixed_returns_unchanged():
@@ -818,8 +849,7 @@ def test_unknown_c_noiseless_reduces_to_known_rates():
 
 def _powell_unknown_c_search(alpha, g, k):
     """The unknown-c search with the Powell reference profile search:
-    winner (first in enumeration order on exact ties), tie set and every
-    candidate's score."""
+    winner (first in enumeration order on exact ties) and tie set."""
     beta = decontaminate(alpha, g)
     cands = list(enumerate_candidates(alpha.order.m, k, budget=10**6))
     scores = {}
@@ -832,7 +862,7 @@ def _powell_unknown_c_search(alpha, g, k):
         scores[q] = score(q, alpha, DinaParams(_powell_profile_slip(q, g, alpha, fixed), g))
     best = min(cands, key=lambda q: scores[q])
     ties = tuple(q for q in cands if scores[q] <= scores[best] + DEFAULT_TIE_TOL)
-    return best, ties, scores
+    return best, ties
 
 
 @pytest.mark.parametrize("m, seed", [(4, 11), (5, 12)])
@@ -842,12 +872,12 @@ def test_unknown_c_matches_powell_reference(m, seed):
     params = DinaParams(rng.uniform(0.7, 0.95, m), rng.uniform(0.05, 0.3, m))
     config = SimConfig(q=truth, params=params, p_star=UNIFORM, n=5000, seed=seed)
     alpha = compute_alpha(simulate(config)[0], ComboOrder.saturated(m))
+    # per candidate, test_profile_slip_no_worse_than_powell compares the
+    # two rate searches
     res = estimate_q_unknown_c(alpha, params.g, 2)
-    best, ties, scores = _powell_unknown_c_search(alpha, params.g, 2)
+    best, ties = _powell_unknown_c_search(alpha, params.g, 2)
     assert res.q_hat == best
     assert res.ties == ties
-    for q, s in scores.items():
-        assert res.diagnostics["scores"][q] <= s + 1e-9
 
 
 def test_unknown_c_lists_unconverged(monkeypatch):
@@ -858,6 +888,12 @@ def test_unknown_c_lists_unconverged(monkeypatch):
     alpha = compute_alpha(simulate(config)[0], ORDER3)
     clean = estimate_q_unknown_c(alpha, params.g, 2)
     assert "unconverged" not in clean.diagnostics
+    beta = decontaminate(alpha, params.g)
+    fixed = {
+        q: _moment_fixed(q, params.g, beta) for q in enumerate_candidates(3, 2, budget=10**6)
+    }
+    searched = tuple(q for q, f in fixed.items() if len(f) < 3)
+    rates = [profile_slip(q, params.g, alpha, fixed[q]) for q in searched]
 
     def failing(*args, **kwargs):
         res = minimize(*args, **kwargs)
@@ -866,15 +902,12 @@ def test_unknown_c_lists_unconverged(monkeypatch):
 
     monkeypatch.setattr(dinaq.estimator, "minimize", failing)
     flagged = estimate_q_unknown_c(alpha, params.g, 2)
-    beta = decontaminate(alpha, params.g)
-    searched = tuple(
-        q for q in enumerate_candidates(3, 2, budget=10**6)
-        if len(_moment_fixed(q, params.g, beta)) < 3
-    )
     assert searched
     assert flagged.diagnostics["unconverged"] == searched
-    assert flagged.diagnostics["scores"] == clean.diagnostics["scores"]
-    assert flagged.q_hat == clean.q_hat and flagged.ties == clean.ties
+    assert_same_ranking(clean, flagged)
+    # each candidate's recovered rates, and so its score, are unchanged
+    for q, c in zip(searched, rates):
+        assert profile_slip(q, params.g, alpha, fixed[q]).tobytes() == c.tobytes()
 
 
 def test_unknown_c_workers_match_serial():
@@ -1069,7 +1102,7 @@ def _permuted_population(q, params, p_star, perm):
     return _permuted_columns(q, perm), params, ProfileDistribution.from_dict(q.k, relabelled)
 
 
-@pytest.mark.parametrize(
+PERMUTED_CASES = pytest.mark.parametrize(
     "q, params, p_star, perm",
     [
         (GOLDEN, noisy_params(), UNIFORM, [1, 0]),
@@ -1089,6 +1122,9 @@ def _permuted_population(q, params, p_star, perm):
     ],
     ids=["uniform", "point-mass", "zero-mass", "k3"],
 )
+
+
+@PERMUTED_CASES
 def test_probe_invariant_under_column_permutation(q, params, p_star, perm):
     """Permuting q's columns, with p_star relabelled to match, leaves the
     population rates, the flagged classes and pass/fail unchanged."""
@@ -1103,6 +1139,21 @@ def test_probe_invariant_under_column_permutation(q, params, p_star, perm):
     assert [c for c, _ in other.deltas] == [c for c, _ in report.deltas]
     assert other.flagged == report.flagged
     assert other.identifiable == report.identifiable
+
+
+@PERMUTED_CASES
+def test_searches_invariant_under_column_permutation(q, params, p_star, perm):
+    """On the population rates of a truth and of its column-permuted copy,
+    both searches give the same winner and tie set, and scores within
+    1e-12."""
+    order = ComboOrder.saturated(q.m)
+    alpha = population_alpha(q, params, p_star, order)
+    permuted = population_alpha(*_permuted_population(q, params, p_star, perm), order)
+    for search, rates in ((estimate_q, params), (estimate_q_unknown_c, params.g)):
+        res, other = search(alpha, rates, q.k), search(permuted, rates, q.k)
+        assert other.q_hat == res.q_hat
+        assert other.ties == res.ties
+        assert abs(other.score - res.score) <= 1e-12
 
 
 def test_probe_names_unconverged_searches(monkeypatch):

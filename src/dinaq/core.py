@@ -261,10 +261,13 @@ def enumerate_candidates(
     one block.
 
     Raises BudgetExceededError when the raw candidate space (2^k - 1)^m
-    exceeds ``budget``.
+    exceeds ``budget``, and ValueError for a NaN budget, which no space
+    would exceed.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
+    if budget != budget:
+        raise ValueError("budget must be a number, got NaN")
     if m > MAX_ITEMS or k > MAX_ATTRIBUTES:
         raise ValueError(f"enumeration capped at m <= {MAX_ITEMS}, k <= {MAX_ATTRIBUTES}")
     space = (2**k - 1) ** m

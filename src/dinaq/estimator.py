@@ -54,8 +54,8 @@ from .solver import LsqSolution, simplex_gram_bounds, simplex_lsq
 from .tmatrix import (
     ComboOrder,
     DinaParams,
-    build_d,
     design,
+    difference_pass,
     pattern_gram,
     pattern_moments,
     pattern_rates,
@@ -390,14 +390,13 @@ def decontaminate(alpha: AlphaVector, g) -> np.ndarray:
     S estimates the rate at which subjects clear every item of S by
     capability, at per-item rates c - g (see ``build_d``); entry 0 is 1, the
     total mass. It depends on the data and g only, never on a candidate.
+    One pass per item over the 2^m lattice (``difference_pass``), so the
+    operator itself is never built.
     """
     _require_saturated(alpha)
-    d = build_d(g, alpha.order)
-    v = np.append(alpha.rates, 1.0)
-    beta = np.ones(len(v))
-    # one dot per row, not d @ v: a matrix product may round differently
-    for r, s in enumerate(alpha.order.combos):
-        beta[s] = d[r] @ v
+    v = _by_mask(alpha)
+    v[0] = 1.0
+    beta = difference_pass(v, g)
     beta.setflags(write=False)
     return beta
 
@@ -580,7 +579,6 @@ def estimate_q_unknown_c(
     _require_saturated(alpha)
     m = alpha.order.m
     g = unit_rates(g, m, "g")
-    # enumerating first puts the budget check before the O(4^m) operator
     candidates = list(enumerate_candidates(m, k, budget))
     _check_search(tie_tol, workers)
     fit = partial(_fit_unknown, alpha=alpha, g=g, beta=decontaminate(alpha, g))
@@ -765,8 +763,12 @@ def check_identifiability(
 
     Distributions with zero-mass profiles are allowed but noted: they are the
     classic source of non-identifiability. An incomplete ``q`` skips the
-    probe entirely and reports complete=False.
+    probe entirely and reports complete=False. Raises ValueError, before
+    any work, for a ``threshold`` that is not a number >= 0: a NaN or
+    negative one would flag nothing, not even a zero delta.
     """
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be a nonnegative number, got {threshold}")
     if params.m != q.m:
         raise ValueError(f"params cover {params.m} items, Q-matrix has {q.m}")
     notes: list[str] = []

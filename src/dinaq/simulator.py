@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ProfileDistribution, QMatrix
-from .tmatrix import ComboOrder, DinaParams, design
+from .tmatrix import ComboOrder, DinaParams, _kronecker_pass, design
 
 _PROFILE_STREAM = 0
 _RESPONSE_STREAM = 1
@@ -300,13 +300,14 @@ def compute_alpha(responses: ResponseData, order: ComboOrder) -> AlphaVector:
     for i, column in enumerate(responses.values.T):
         masks |= column.astype(np.int64) << i
     counts = np.bincount(masks, minlength=1 << m).astype(np.int64)
-    # superset zeta transform: totals[s] = number of patterns dominating s;
-    # the reshape round-trip keeps the flat bitmask indexing intact
-    f = counts.reshape((2,) * m)
-    for axis in range(m):
-        lo, hi = np.split(f, 2, axis=axis)
-        lo += hi
-    totals = f.reshape(-1)
+
+    def step(i, lo, hi, new_lo, new_hi):
+        # superset sum: a pattern without item i also counts those with it
+        np.add(lo, hi, out=new_lo)
+        new_hi[...] = hi
+
+    # totals[s] = number of response rows dominating s, exact in integers
+    totals = _kronecker_pass(counts, step)
     rates = totals[np.fromiter(order.combos, np.int64, len(order))].astype(np.float64)
     return AlphaVector(order, rates / responses.n, n_subjects=responses.n)
 

@@ -18,9 +18,13 @@ of (c, g) plus a choice of border:
 * augmented: (c, g), zero-profile (guess-product) column kept and an all-ones
   (total mass) row appended.
 
-The difference operator ``build_d`` inverts the guessing contamination:
+The difference operator D(g) inverts the guessing contamination:
 
     D @ [design(q, c, g); 1] == [0 | design(q, c - g, 0)[:, 1:]]
+
+It is the Kronecker product of the per-item factors [[1, 0], [-g_i, 1]], so
+``difference_pass`` applies it in one pass per item; ``build_d`` gives it
+as a matrix, for tests and display.
 
 On a saturated order the design never needs to be built to fit against
 it, because every column is a product of per-item factors. Write f_i(P)
@@ -34,6 +38,9 @@ for c_i when pattern P masters item i and g_i when it does not; then
   product with every pattern column (M'v); each is one pass per item
   over the 2^m lattice, O(m 2^m), since the design over all patterns is
   the Kronecker product of the per-item 2 x 2 factors [[1, 1], [g_i, c_i]].
+
+These passes, and the superset sums of ``simulator.compute_alpha``, all run
+on one lattice pass, ``_kronecker_pass``, each with its own per-item step.
 """
 
 from __future__ import annotations
@@ -49,14 +56,6 @@ from .core import QMatrix, profile_order, subsets_card_lex
 # Saturated row sets grow as 2^m - 1; past this the matrices stop being
 # practical to materialize.
 MAX_SATURATED_ITEMS = 14
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
-
-
-def _mask_items(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +115,7 @@ class ComboOrder:
 
     def label(self, combo: int) -> str:
         """Human-facing label: comma-joined 1-based item indices, e.g. "1,3"."""
-        return ",".join(str(i + 1) for i in _mask_items(combo))
+        return ",".join(str(i + 1) for i in range(combo.bit_length()) if combo >> i & 1)
 
     def labels(self) -> list[str]:
         return [self.label(s) for s in self.combos]
@@ -292,17 +291,34 @@ def pattern_gram(pats, c, g) -> np.ndarray:
     return gram
 
 
-def _kronecker_pass(values, c, g, transpose: bool) -> np.ndarray:
-    """Apply the design over all 2^m patterns, or its transpose, to the
-    last axis of ``values`` (length 2^m, indexed by bitmask), one pass per
-    item. ``c`` is an (m,) vector or a stack whose leading axes broadcast
-    with those of ``values``.
+def _kronecker_pass(values: np.ndarray, step, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Apply a Kronecker product of per-item 2 x 2 factors to the last axis
+    of ``values`` (length 2^m, indexed by bitmask), one pass per item.
+
+    ``step(i, lo, hi, new_lo, new_hi)`` applies item i's factor: ``lo`` and
+    ``hi`` hold the entries without and with item i, and it writes their
+    images into ``new_lo`` and ``new_hi``. ``lead`` is the shape of any
+    stack of factors the step holds; it broadcasts with the leading axes
+    of ``values``.
 
     Each pass combines the two contiguous halves of the current top bit and
     writes the pair interleaved, which rotates that bit to the bottom, so
     after m passes, one per item from the highest, the bits are back in
     place and every read is contiguous.
     """
+    m = values.shape[-1].bit_length() - 1
+    lead = np.broadcast_shapes(values.shape[:-1], lead)
+    out = np.broadcast_to(values, lead + values.shape[-1:])
+    for i in range(m - 1, -1, -1):
+        halves = out.reshape(lead + (2, -1))
+        pair = np.empty(lead + (halves.shape[-1], 2), dtype=values.dtype)
+        step(i, halves[..., 0, :], halves[..., 1, :], pair[..., 0], pair[..., 1])
+        out = pair.reshape(lead + (-1,))
+    return out
+
+
+def _checked_pass(values, c, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the inputs of the rate passes, checked; difference_pass has no c
     g = np.asarray_chkfinite(g, dtype=np.float64)
     c = np.asarray_chkfinite(c, dtype=np.float64)
     values = np.asarray_chkfinite(values, dtype=np.float64)
@@ -310,27 +326,8 @@ def _kronecker_pass(values, c, g, transpose: bool) -> np.ndarray:
     if g.shape != (m,) or c.shape[-1:] != (m,):
         raise ValueError("c and g must hold one rate per item")
     if values.shape[-1:] != (1 << m,):
-        raise ValueError(f"values must have a last axis of length {1 << m}")
-    lead = np.broadcast_shapes(values.shape[:-1], c.shape[:-1])
-    out = np.broadcast_to(values, lead + (1 << m,))
-    for i in range(m - 1, -1, -1):
-        halves = out.reshape(lead + (2, -1))
-        lo, hi = halves[..., 0, :], halves[..., 1, :]
-        ci = c[..., i, None]
-        pair = np.empty(lead + (lo.shape[-1], 2))
-        if transpose:
-            # pattern without item i: lo + g_i hi; with it: lo + c_i hi
-            np.multiply(hi, g[i], out=pair[..., 0])
-            pair[..., 0] += lo
-            np.multiply(hi, ci, out=pair[..., 1])
-            pair[..., 1] += lo
-        else:
-            # combination without item i: lo + hi; with it: g_i lo + c_i hi
-            np.add(lo, hi, out=pair[..., 0])
-            np.multiply(lo, g[i], out=pair[..., 1])
-            pair[..., 1] += ci * hi
-        out = pair.reshape(lead + (-1,))
-    return out
+        raise ValueError(f"rates for {m} items need values of last axis {1 << m}")
+    return values, c, g
 
 
 def pattern_rates(weights, c, g) -> np.ndarray:
@@ -344,7 +341,15 @@ def pattern_rates(weights, c, g) -> np.ndarray:
     x is summed by pattern. ``c`` is an (m,) vector or a stack matching the
     leading axes of ``weights``. O(m 2^m) per vector.
     """
-    return _kronecker_pass(weights, c, g, transpose=False)
+    weights, c, g = _checked_pass(weights, c, g)
+
+    def step(i, lo, hi, new_lo, new_hi):
+        # combination without item i: lo + hi; with it: g_i lo + c_i hi
+        np.add(lo, hi, out=new_lo)
+        np.multiply(lo, g[i], out=new_hi)
+        new_hi += c[..., i, None] * hi
+
+    return _kronecker_pass(weights, step, c.shape[:-1])
 
 
 def pattern_moments(values, c, g) -> np.ndarray:
@@ -358,7 +363,36 @@ def pattern_moments(values, c, g) -> np.ndarray:
     entries of M'v by its patterns. ``c`` is an (m,) vector or a stack
     matching the leading axes of ``values``. O(m 2^m) per vector.
     """
-    return _kronecker_pass(values, c, g, transpose=True)
+    values, c, g = _checked_pass(values, c, g)
+
+    def step(i, lo, hi, new_lo, new_hi):
+        # pattern without item i: lo + g_i hi; with it: lo + c_i hi
+        np.multiply(hi, g[i], out=new_lo)
+        new_lo += lo
+        np.multiply(hi, c[..., i, None], out=new_hi)
+        new_hi += lo
+
+    return _kronecker_pass(values, step, c.shape[:-1])
+
+
+def difference_pass(values, g) -> np.ndarray:
+    """The difference operator D(g) applied to the last axis of ``values``
+    (length 2^m, indexed by combination bitmask), in O(m 2^m).
+
+    Entry 0 of ``values`` stands for the all-ones row of the augmented
+    design, entry S for combination S. Entry S of the result is
+    sum_{U subset of S} values[U] prod_{i in S minus U} (-g_i), and entry 0
+    is values[0]: D(g) is the Kronecker product of the per-item factors
+    [[1, 0], [-g_i, 1]], applied as ``hi - g_i lo`` per item.
+    """
+    values, _, g = _checked_pass(values, g, g)
+
+    def step(i, lo, hi, new_lo, new_hi):
+        new_lo[...] = lo
+        np.multiply(lo, g[i], out=new_hi)
+        np.subtract(hi, new_hi, out=new_hi)
+
+    return _kronecker_pass(values, step)
 
 
 def design(
@@ -432,25 +466,16 @@ def build_d(g: Iterable[float], order: ComboOrder) -> np.ndarray:
 
     for every Q-matrix q and every c, which is what turns contaminated
     success rates back into pure capability rates.
+
+    This is the operator form of ``difference_pass``, which gives its
+    columns from the unit vectors. It holds 4^m numbers; the estimators
+    run the pass instead.
     """
     if not order.is_saturated:
         raise ValueError("difference operator requires a saturated order")
-    g = rate_vector(g, order.m, "g")
-    n = len(order)
-    values = np.zeros((n, n + 1))
-    for r, s in enumerate(order.combos):
-        sub = s
-        while True:
-            rest = s & ~sub
-            coef = 1.0
-            for i in _mask_items(rest):
-                coef *= g[i]
-            if _popcount(rest) % 2:
-                coef = -coef
-            if sub == 0:
-                values[r, n] = coef
-                break
-            values[r, order.index(sub)] = coef
-            sub = (sub - 1) & s
+    # row U of the pass over the identity is column U of D(g)
+    columns = difference_pass(np.eye(1 << order.m), g)
+    combos = list(order.combos)
+    values = np.ascontiguousarray(columns[combos + [0]][:, combos].T)
     values.setflags(write=False)
     return values

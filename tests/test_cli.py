@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
+from dinaq import ResponseData
 from dinaq.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dinaq" / "schemas"
@@ -169,6 +171,22 @@ def test_estimate_known_g_recovers_c(workdir):
     assert report["q_hat"] == ["10", "01", "11"]
     for got, want in zip(report["c_hat"], [0.9, 0.85, 0.8]):
         assert abs(got - want) < 0.05
+
+
+def test_estimate_known_g_one_attribute_at_fourteen_items(workdir):
+    """One candidate at the saturated cap: de-contamination is one pass per
+    item, not a 2^14 x 2^14 operator."""
+    rng = np.random.default_rng(14)
+    rows = (rng.random((300, 14)) < 0.6).astype(np.uint8)
+    (workdir / "r14.txt").write_text(ResponseData(rows).to_text())
+    code = run([
+        "estimate", "--responses", "r14.txt", "--k", "1", "--mode", "known-g",
+        "--g", "0.1", "--out", "report.json",
+    ])
+    assert code == 0
+    report = json.loads((workdir / "report.json").read_text())
+    assert report["n_candidates"] == 1
+    assert report["q_hat"] == ["1"] * 14
 
 
 def test_estimate_groups(workdir):

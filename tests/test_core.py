@@ -294,6 +294,12 @@ def test_enumeration_budget():
         list(enumerate_candidates(10, 3, budget=100))
 
 
+def test_enumeration_refuses_nan_budget():
+    # every comparison with NaN is false, so no space would exceed it
+    with pytest.raises(ValueError, match="NaN"):
+        list(enumerate_candidates(3, 2, float("nan")))
+
+
 def _tuple_loop_candidates(m, k, budget):
     """The former enumeration: a scalar loop over non-increasing column-key
     tuples, skipping uncovered rows, with m * k entry writes per candidate."""

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -529,6 +530,8 @@ def random_q(rng, m, k):
 
 
 def test_decontaminate_matches_operator_rows():
+    """The per-item pass equals the operator's product and the subset sum
+    sum_{U subset of S} alpha[U] prod_{i in S minus U} (-g_i), alpha[0] = 1."""
     rng = np.random.default_rng(404)
     for m in range(3, 9):
         q = random_q(rng, m, 2)
@@ -540,10 +543,36 @@ def test_decontaminate_matches_operator_rows():
         beta = decontaminate(alpha, params.g)
         assert beta.shape == (1 << m,) and not beta.flags.writeable
         assert beta[0] == 1.0
-        d = build_d(params.g, order)
-        v = np.append(alpha.rates, 1.0)
-        for r, combo in enumerate(order.combos):
-            assert float(beta[combo]).hex() == float(d[r] @ v).hex()
+        product = build_d(params.g, order) @ np.append(alpha.rates, 1.0)
+        np.testing.assert_allclose(beta[list(order.combos)], product, rtol=0, atol=1e-14)
+        rates = {0: 1.0, **dict(zip(order.combos, alpha.rates))}
+        for s in order.combos:
+            total, sub = 0.0, s
+            while True:
+                dropped = [i for i in range(m) if (s & ~sub) >> i & 1]
+                total += rates[sub] * np.prod(-params.g[dropped])
+                if sub == 0:
+                    break
+                sub = (sub - 1) & s
+            assert abs(beta[s] - total) <= 1e-14
+
+
+def test_decontaminate_builds_no_operator():
+    """One pass per item over the 2^m lattice: at m = 10 the parent's
+    operator alone held 8 MiB."""
+    m = 10
+    q = QMatrix.from_rows(["10", "01", "11", "10", "01"] * 2)
+    params = DinaParams(np.full(m, 0.85), np.full(m, 0.15))
+    resp, _ = simulate(SimConfig(q=q, params=params, p_star=UNIFORM, n=1000, seed=10))
+    alpha = compute_alpha(resp, ComboOrder.saturated(m))
+    tracemalloc.start()
+    try:
+        beta = decontaminate(alpha, params.g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert beta.shape == (1 << m,)
+    assert peak < 1 << 20
 
 
 def test_decontaminate_population_is_pure_capability():
@@ -1032,6 +1061,16 @@ def test_point_mass_population_not_identifiable():
     assert not report.identifiable
     assert len(report.flagged) >= 1
     assert any("zero" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -1.0])
+def test_identifiability_refuses_threshold_that_flags_nothing(threshold):
+    # the default threshold flags all 13 candidates here; these flag none
+    params = noisy_params()
+    p_star = ProfileDistribution.point_mass(2, "11")
+    assert len(check_identifiability(GOLDEN, params, p_star).flagged) == 13
+    with pytest.raises(ValueError, match="threshold"):
+        check_identifiability(GOLDEN, params, p_star, threshold=threshold)
 
 
 def _reference_probe(q, params, p_star):

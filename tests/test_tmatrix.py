@@ -17,7 +17,13 @@ from dinaq import (
     design,
     ideal_response,
 )
-from dinaq.tmatrix import pattern_gram, pattern_moments, pattern_rates, patterns
+from dinaq.tmatrix import (
+    difference_pass,
+    pattern_gram,
+    pattern_moments,
+    pattern_rates,
+    patterns,
+)
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
 
@@ -551,6 +557,36 @@ def test_difference_identity_random(m, k):
         diff = design(q, c - g, np.zeros(m), order)[:, 1:]
         target = np.column_stack([np.zeros(len(order)), diff])
         assert np.abs(d @ aug - target).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_difference_pass_removes_guessing(data):
+    """The difference identity in lattice form: D(g) applied to the rates
+    that pattern weights w produce at (c, g) gives their rates at (c - g, 0),
+    entry 0 (the total weight) included."""
+    m = data.draw(st.integers(1, 7), label="m")
+    unit = st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)
+    c = np.array(data.draw(unit, label="c"))
+    g = np.array(data.draw(unit, label="g"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = rng.dirichlet(np.ones(1 << m))
+    w[rng.random(1 << m) < data.draw(st.sampled_from([0.0, 0.5, 0.9]), label="drop")] = 0.0
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    w /= w.sum()
+    got = difference_pass(pattern_rates(w, c, g), g)
+    want = pattern_rates(w, c - g, np.zeros(m))
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_difference_pass_validates_inputs():
+    with pytest.raises(ValueError):
+        difference_pass(np.ones(8), np.full(2, 0.1))
+    with pytest.raises(ValueError):
+        difference_pass(np.ones(7), np.full(3, 0.1))
+    with pytest.raises(ValueError):
+        difference_pass(np.ones(8), [0.1, np.nan, 0.1])
 
 
 def test_d_depends_only_on_g():

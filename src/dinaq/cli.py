@@ -325,14 +325,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         g = _parse_rates(args.g, m, "g")
     budget = DEFAULT_BUDGET if args.budget is None else int(args.budget)
     tie_tol = DEFAULT_TIE_TOL if args.tie_tol is None else float(args.tie_tol)
-    workers = None if args.workers is None else int(args.workers)
     t0 = time.perf_counter()
 
     if args.groups:
         groups = _parse_groups(args.groups)
         q_hat = split_estimate(
-            responses, groups, k,
-            params=params, g=g, budget=budget, tie_tol=tie_tol, workers=workers,
+            responses, groups, k, params=params, g=g, budget=budget, tie_tol=tie_tol
         )
         report = _estimate_report(
             mode, None, q_hat=q_hat, seed=args.seed,
@@ -344,13 +342,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     alpha = compute_alpha(responses, ComboOrder.saturated(m))
     if mode == "known-g":
-        result = estimate_q_unknown_c(
-            alpha, g, k, budget=budget, tie_tol=tie_tol, workers=workers
-        )
+        result = estimate_q_unknown_c(alpha, g, k, budget=budget, tie_tol=tie_tol)
     else:
-        result = estimate_q(
-            alpha, params, k, budget=budget, tie_tol=tie_tol, workers=workers
-        )
+        result = estimate_q(alpha, params, k, budget=budget, tie_tol=tie_tol)
     report = _estimate_report(
         mode, result, q_hat=result.q_hat, seed=args.seed,
         wall=time.perf_counter() - t0,
@@ -498,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--groups", action="append",
         help="split estimation: 1-based item list like 1,2,3,4; repeat per group",
     )
-    p_est.add_argument("--workers", type=int, help="parallel scoring processes")
     p_est.add_argument("--budget", type=int, help="candidate enumeration budget")
     p_est.add_argument("--tie-tol", dest="tie_tol", type=float, help="tie tolerance on scores")
     p_est.add_argument("--seed", type=int, help="echoed into the report")

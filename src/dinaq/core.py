@@ -20,6 +20,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -260,9 +261,11 @@ def enumerate_candidates(
     (``QMatrix._from_stack``). At m = 6, k = 2 all 365 candidates come from
     one block.
 
-    Raises BudgetExceededError when the raw candidate space (2^k - 1)^m
-    exceeds ``budget``, and ValueError for a NaN budget, which no space
-    would exceed.
+    Raises BudgetExceededError, before the walk starts, when either of its
+    two counts exceeds ``budget``: the raw candidate space (2^k - 1)^m, or
+    the C(2^m + k - 1, k) column-key tuples the walk reads to find the
+    covering ones. Raises ValueError for a NaN budget, which no count would
+    exceed.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
@@ -271,9 +274,11 @@ def enumerate_candidates(
     if m > MAX_ITEMS or k > MAX_ATTRIBUTES:
         raise ValueError(f"enumeration capped at m <= {MAX_ITEMS}, k <= {MAX_ATTRIBUTES}")
     space = (2**k - 1) ** m
-    if space > budget:
+    walk = math.comb(2**m + k - 1, k)
+    if max(space, walk) > budget:
         raise BudgetExceededError(
-            f"candidate space (2^{k}-1)^{m} = {space} exceeds budget {budget}"
+            f"enumeration exceeds budget {budget}: candidate space (2^{k}-1)^{m} = {space}, "
+            f"column-key walk C(2^{m}+{k}-1, {k}) = {walk} tuples"
         )
     full = (1 << m) - 1
     # Column keys are big-endian ints (row i is bit m - 1 - i); tuples are

@@ -32,9 +32,7 @@ comes from the same gradient rate search, over all of its capable rates.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -225,64 +223,51 @@ def _screen(
     c: np.ndarray,
     g: np.ndarray,
     alpha: AlphaVector,
-    moments: np.ndarray,
     tie_tol: float,
 ) -> list[tuple[float, str | None, np.ndarray | None]]:
     """Certified scores of same-shape candidates at known rates.
 
     Candidate i is scored at capable rates ``c[i]`` when ``c`` is a stack,
-    ``c`` otherwise; ``moments`` is ``pattern_moments`` of the rates by
-    bitmask at the same rates, one row or a row per candidate. The screen
-    (``_pattern_bounds``) builds no design. ``_certify`` then decides which
-    candidates get the exact solve, ``simplex_lsq`` on the candidate's own
+    ``c`` otherwise. Consecutive chunks of at most ``_CANDIDATE_CHUNK``
+    candidates are screened in turn: ``_pattern_bounds`` brackets a chunk's
+    scores without building a design, then ``_certify`` decides which of
+    them get the exact solve, ``simplex_lsq`` on the candidate's own
     design, byte-identical to ``score``.
 
-    Returns one (score, note, x) per candidate: x is the exact minimizer
-    for the re-scored candidates and None for the others, and the note is
-    "capped" where that solve stopped at the iteration cap.
+    Returns one (score, note, x) per candidate, in candidate order: x is
+    the exact minimizer for the re-scored candidates and None for the
+    others, and the note is "capped" where that solve stopped at the
+    iteration cap.
     """
-    upper, lower = _pattern_bounds(patterns(cands), c, g, _by_mask(alpha), moments)
-    solutions: dict[int, LsqSolution] = {}
-
-    def exact(i: int) -> float:
-        rates = c[i] if c.ndim == 2 else c
-        sol = simplex_lsq(design(cands[i], rates, g, alpha.order), alpha.rates)
-        solutions[i] = sol
-        return sol.residual
-
-    scores = _certify(upper, lower, exact, tie_tol)
+    target = _by_mask(alpha)
     fits = []
-    for i, s in enumerate(scores):
-        sol = solutions.get(i)
-        if sol is None:
-            fits.append((float(s), None, None))
-        else:
-            fits.append((float(s), "capped" if sol.status == "iteration-cap" else None, sol.x))
+    for start in range(0, len(cands), _CANDIDATE_CHUNK):
+        chunk = cands[start : start + _CANDIDATE_CHUNK]
+        rates = c[start : start + _CANDIDATE_CHUNK] if c.ndim == 2 else c
+        moments = pattern_moments(target, rates, g)
+        upper, lower = _pattern_bounds(patterns(chunk), rates, g, target, moments)
+        solutions: dict[int, LsqSolution] = {}
+
+        def exact(i: int) -> float:
+            sol = simplex_lsq(
+                design(chunk[i], rates[i] if rates.ndim == 2 else rates, g, alpha.order),
+                alpha.rates,
+            )
+            solutions[i] = sol
+            return sol.residual
+
+        for i, s in enumerate(_certify(upper, lower, exact, tie_tol)):
+            sol = solutions.get(i)
+            if sol is None:
+                fits.append((float(s), None, None))
+            else:
+                fits.append((float(s), "capped" if sol.status == "iteration-cap" else None, sol.x))
     return fits
 
 
-def _check_search(tie_tol: float, workers: int | None) -> None:
+def _check_tie_tol(tie_tol: float) -> None:
     if not tie_tol >= 0.0:
         raise ValueError(f"tie_tol must be a nonnegative number, got {tie_tol}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-
-
-def _map_chunks(fit, candidates: list[QMatrix], size: int, workers: int | None) -> list:
-    """``fit`` applied to consecutive chunks of at most ``size`` candidates,
-    its per-candidate results concatenated in candidate order.
-
-    ``fit`` is a partial of a module-level function so that it pickles,
-    because with ``workers > 1`` and more than one chunk a process pool
-    runs it on the same chunks.
-    """
-    chunks = [candidates[i : i + size] for i in range(0, len(candidates), size)]
-    if workers is not None and workers > 1 and len(chunks) > 1:
-        # pool.map returns fits in input order, whatever the worker count
-        per_task = max(1, len(chunks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [f for part in pool.map(fit, chunks, chunksize=per_task) for f in part]
-    return [f for chunk in chunks for f in fit(chunk)]
 
 
 def _result(
@@ -321,7 +306,6 @@ def estimate_q(
     *,
     budget: int = DEFAULT_BUDGET,
     tie_tol: float = DEFAULT_TIE_TOL,
-    workers: int | None = None,
 ) -> EstimationResult:
     """Exhaustive Q-matrix search with known per-item rates.
 
@@ -332,31 +316,26 @@ def estimate_q(
 
     The search works on stacks of candidates without building their
     designs: the candidates arrive from ``enumerate_candidates`` unpacked
-    and checked as one stack, one pass over the rates gives their inner
-    products with every capability pattern (``pattern_moments``), and each
-    chunk of candidates is screened by one batched solve on its closed-form
-    Gram systems (``simplex_gram_bounds``). Only candidates whose lower
-    bound comes within ``tie_tol`` of the best exact score get an exact
-    ``simplex_lsq`` solve on their own design, and the winner's solve gives
-    ``p_tilde``. Winner, score, ties and ``p_tilde`` are therefore exactly
-    those of solving every candidate exactly. A re-scored candidate whose
-    exact solve stopped at the solver's iteration cap keeps its rank and is
+    and checked as one stack, and each chunk of candidates is screened by
+    one batched solve on its closed-form Gram systems
+    (``simplex_gram_bounds``). Only candidates whose lower bound comes
+    within ``tie_tol`` of the best exact score get an exact ``simplex_lsq``
+    solve on their own design, and the winner's solve gives ``p_tilde``.
+    Winner, score, ties and ``p_tilde`` are therefore exactly those of
+    solving every candidate exactly. A re-scored candidate whose exact
+    solve stopped at the solver's iteration cap keeps its rank and is
     listed in diagnostics["capped"], the only list this search can fill.
 
-    Raises BudgetExceededError when the candidate space exceeds ``budget``,
-    and ValueError for a negative or NaN ``tie_tol`` or ``workers`` below 1.
+    Raises ValueError, before any work, for a negative or NaN ``tie_tol``,
+    and BudgetExceededError when the enumeration exceeds ``budget``.
     """
+    _check_tie_tol(tie_tol)
     _require_saturated(alpha)
     m = alpha.order.m
     if params.m != m:
         raise ValueError(f"params cover {params.m} items, rates cover {m}")
     candidates = list(enumerate_candidates(m, k, budget))
-    _check_search(tie_tol, workers)
-    moments = pattern_moments(_by_mask(alpha), params.c, params.g)
-    fit = partial(
-        _screen, c=params.c, g=params.g, alpha=alpha, moments=moments, tie_tol=tie_tol
-    )
-    fits = _map_chunks(fit, candidates, _CANDIDATE_CHUNK, workers)
+    fits = _screen(candidates, params.c, params.g, alpha, tie_tol)
     return _result(candidates, fits, tie_tol)
 
 
@@ -541,12 +520,6 @@ def _fit_rates(
     return c, None if converged else "unconverged"
 
 
-def _fit_unknown(
-    chunk: list[QMatrix], alpha: AlphaVector, g: np.ndarray, beta: np.ndarray
-) -> list[tuple[np.ndarray | None, str | None]]:
-    return [_fit_rates(q, alpha, g, beta) for q in chunk]
-
-
 def estimate_q_unknown_c(
     alpha: AlphaVector,
     g,
@@ -554,7 +527,6 @@ def estimate_q_unknown_c(
     *,
     budget: int = DEFAULT_BUDGET,
     tie_tol: float = DEFAULT_TIE_TOL,
-    workers: int | None = None,
 ) -> EstimationResult:
     """Q-matrix search when capable success rates are unknown.
 
@@ -574,29 +546,24 @@ def estimate_q_unknown_c(
 
     Returns the winner with its recovered ``c_hat``; ties are judged on the
     final scores exactly as in ``estimate_q``. Raises ValueError, before
-    any work, for a ``g`` entry outside [0, 1].
+    any work, for a negative or NaN ``tie_tol`` or a ``g`` entry outside
+    [0, 1].
     """
+    _check_tie_tol(tie_tol)
     _require_saturated(alpha)
     m = alpha.order.m
     g = unit_rates(g, m, "g")
     candidates = list(enumerate_candidates(m, k, budget))
-    _check_search(tie_tol, workers)
-    fit = partial(_fit_unknown, alpha=alpha, g=g, beta=decontaminate(alpha, g))
-    # one candidate per chunk: these fits are not batched, and the pool
-    # balances better on single candidates
-    rates = _map_chunks(fit, candidates, 1, workers)
+    beta = decontaminate(alpha, g)
+    rates = [_fit_rates(q, alpha, g, beta) for q in candidates]
     fitted = [i for i, (c, _) in enumerate(rates) if c is not None]
     if not fitted:
         raise DegenerateSampleError("every candidate has a degenerate moment system")
+    cs = np.array([rates[i][0] for i in fitted])
+    screened = _screen([candidates[i] for i in fitted], cs, g, alpha, tie_tol)
     fits = [(np.inf, note, None) for _, note in rates]
-    target = _by_mask(alpha)
-    for start in range(0, len(fitted), _CANDIDATE_CHUNK):
-        part = fitted[start : start + _CANDIDATE_CHUNK]
-        cs = np.array([rates[i][0] for i in part])
-        moments = pattern_moments(target, cs, g)
-        screened = _screen([candidates[i] for i in part], cs, g, alpha, moments, tie_tol)
-        for i, (s, capped, x) in zip(part, screened):
-            fits[i] = (s, rates[i][1] or capped, x)
+    for i, (s, capped, x) in zip(fitted, screened):
+        fits[i] = (s, rates[i][1] or capped, x)
     return _result(candidates, fits, tie_tol, [c for c, _ in rates])
 
 
@@ -644,7 +611,6 @@ def split_estimate(
     g=None,
     budget: int = DEFAULT_BUDGET,
     tie_tol: float = DEFAULT_TIE_TOL,
-    workers: int | None = None,
 ) -> QMatrix:
     """Estimate a large Q-matrix by splitting items into overlapping groups.
 
@@ -660,6 +626,7 @@ def split_estimate(
     ``g`` (guessing rates only; slip rates recovered per group) must be
     given. Returns the canonical stitched matrix.
     """
+    _check_tie_tol(tie_tol)
     if (params is None) == (g is None):
         raise ValueError("pass exactly one of params or g")
     m = responses.m
@@ -689,14 +656,9 @@ def split_estimate(
         sub = responses.restrict(grp)
         sub_alpha = compute_alpha(sub, ComboOrder.saturated(len(grp)))
         if params is not None:
-            res = estimate_q(
-                sub_alpha, params.subset(grp), k,
-                budget=budget, tie_tol=tie_tol, workers=workers,
-            )
+            res = estimate_q(sub_alpha, params.subset(grp), k, budget=budget, tie_tol=tie_tol)
         else:
-            res = estimate_q_unknown_c(
-                sub_alpha, g[grp], k, budget=budget, tie_tol=tie_tol, workers=workers
-            )
+            res = estimate_q_unknown_c(sub_alpha, g[grp], k, budget=budget, tie_tol=tie_tol)
         if known.any():
             aligned = _align_columns(rows, known, grp, res.q_hat.entries)
         else:

@@ -396,7 +396,7 @@ def difference_pass(values, g) -> np.ndarray:
 
 
 def design(
-    q: QMatrix | Sequence[QMatrix],
+    q: QMatrix,
     c: Iterable[float],
     g: Iterable[float],
     order: ComboOrder,
@@ -417,32 +417,22 @@ def design(
     c and g need not lie in [0, 1]: the difference identity evaluates the
     design at c - g.
 
-    Two stacked forms make b designs in one call, each slice byte-identical
-    to the single design, since every entry is the same product:
-
-    * c may be a (b, m) stack of rate vectors sharing q and g; slice j is
-      ``design(q, c[j], g, order)``;
-    * q may be a nonempty sequence of b Q-matrices of one shape, sharing
-      the rate vectors c and g; slice j is ``design(q[j], c, g, order)``.
-      The dominance masks come from the stacked entries at once.
-
-    The result then has shape (b, len(order), 2^k). Stacking both q and c
-    is refused.
+    c may also be a (b, m) stack of rate vectors sharing q and g. The
+    result then has shape (b, len(order), 2^k), and slice j is
+    ``design(q, c[j], g, order)`` to the byte, since every entry is the
+    same product.
     """
-    entries = _entries(q)
-    m, k = entries.shape[-2:]
+    m, k = q.m, q.k
     if order.m != m:
         raise ValueError(f"order is over {order.m} items but Q-matrix has {m}")
     c = np.asarray_chkfinite(c, dtype=np.float64)
     g = np.asarray_chkfinite(g, dtype=np.float64)
     if c.shape[-1:] != (m,) or c.ndim > 2:
         raise ValueError(f"c must be a vector of length {m} or a stack of them")
-    if c.ndim == 2 and entries.ndim == 3:
-        raise ValueError("c must be a single vector when q is a sequence")
     if g.shape != (m,):
         raise ValueError(f"g must be a vector of length {m}")
     profiles = [0] + profile_order(k)
-    factors = np.where(_single_item_indicators(entries, profiles), c[..., None], g[:, None])
+    factors = np.where(_single_item_indicators(q.entries, profiles), c[..., None], g[:, None])
     values = np.ones(factors.shape[:-2] + (len(order), len(profiles)), dtype=np.float64)
     for i in range(m):
         np.multiply(

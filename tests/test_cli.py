@@ -235,32 +235,22 @@ def test_estimate_rejects_equal_rates(workdir, capsys):
 
 def test_estimate_budget_exit_code(workdir):
     simulate_default(workdir, n=100)
-    code = run([
-        "estimate", "--responses", "resp.txt", "--k", "2", "--mode", "noiseless",
-        "--budget", "5",
-    ])
-    assert code == 4
-    # invalid search arguments are validation errors, not empty tie sets
-    for flag, value in (("--tie-tol", "-1"), ("--tie-tol", "nan"), ("--workers", "0")):
-        code = run([
-            "estimate", "--responses", "resp.txt", "--k", "2", "--mode", "noiseless",
-            flag, value,
-        ])
-        assert code == 3
+    base = ["estimate", "--responses", "resp.txt", "--k", "2", "--mode", "noiseless"]
+    assert run(base + ["--budget", "5"]) == 4
+    # invalid search arguments are validation errors, not empty tie sets, and
+    # are refused before the enumeration's budget check
+    for flags in (["--tie-tol", "-1"], ["--tie-tol", "nan"], ["--tie-tol", "nan", "--budget", "1"]):
+        assert run(base + flags) == 3
 
 
-def test_estimate_workers_equal_output(workdir):
-    simulate_default(workdir)
-    base = [
-        "estimate", "--responses", "resp.txt", "--k", "2", "--mode", "known-cg",
-        "--c", "0.9,0.85,0.8", "--g", "0.15,0.2,0.25",
-    ]
-    assert run(base + ["--out", "serial.json"]) == 0
-    assert run(base + ["--workers", "2", "--out", "par.json"]) == 0
-    a = json.loads((workdir / "serial.json").read_text())
-    b = json.loads((workdir / "par.json").read_text())
-    a.pop("wall_time"), b.pop("wall_time")
-    assert a == b
+def test_estimate_has_no_workers_option(workdir, capsys):
+    # scoring is serial: neither the flag nor the config key exists
+    simulate_default(workdir, n=100)
+    base = ["estimate", "--responses", "resp.txt", "--k", "2", "--mode", "noiseless"]
+    assert run(base + ["--workers", "2"]) == 3
+    (workdir / "cfg.json").write_text(json.dumps({"workers": 2}))
+    assert run(base + ["--config", "cfg.json"]) == 3
+    assert "unknown config keys: workers" in capsys.readouterr().err
 
 
 def test_estimate_config_file(workdir):
@@ -312,7 +302,6 @@ def test_config_keys_are_the_options(workdir, capsys):
         ({"groups": "1,2"}, [], "bad --groups value '1,2': expected a list of groups"),
         ({"k": [2]}, [], "bad --k value [2]: expected an integer"),
         ({"budget": [1]}, [], "bad --budget value [1]: expected an integer"),
-        ({"workers": [2]}, [], "bad --workers value [2]: expected an integer"),
         ({"k": 2.7}, [], "bad --k value 2.7: expected an integer"),
         ({"k": True}, [], "bad --k value True: expected an integer"),
         ({"seed": [1]}, [], "bad --seed value [1]: expected an integer"),
@@ -325,7 +314,7 @@ def test_config_keys_are_the_options(workdir, capsys):
     ids=[
         "c-null", "c-bool", "c-text", "c-overflow", "c-nan", "c-nan-entry",
         "groups-null", "groups-float", "groups-string",
-        "k-list", "budget-list", "workers-list", "k-float", "k-bool", "seed-list",
+        "k-list", "budget-list", "k-float", "k-bool", "seed-list",
         "tie_tol-string", "tie_tol-bool", "responses-int", "mode-null",
         "k-overridden",
     ],

@@ -1,6 +1,8 @@
 """Q-matrix container, equivalence, canonical form, candidate enumeration."""
 
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -294,6 +296,22 @@ def test_enumeration_budget():
         list(enumerate_candidates(10, 3, budget=100))
 
 
+def test_enumeration_charges_the_column_key_walk():
+    """The budget also counts the C(2^m + k - 1, k) key tuples the walk reads:
+    at m = 13, k = 2 the space fits the default budget but the 33,558,528
+    tuples do not, and the refusal comes before the walk starts."""
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        next(enumerate_candidates(13, 2))
+    assert time.perf_counter() - start < 1.0
+    assert "1594323" in str(err.value) and "33558528" in str(err.value)
+    # at m = 6, k = 2 the 729-matrix space fits a budget of 729, the 2,080
+    # tuples do not
+    with pytest.raises(BudgetExceededError, match="2080"):
+        next(enumerate_candidates(6, 2, budget=729))
+    assert len(list(enumerate_candidates(6, 2, budget=2080))) == 365
+
+
 def test_enumeration_refuses_nan_budget():
     # every comparison with NaN is false, so no space would exceed it
     with pytest.raises(ValueError, match="NaN"):
@@ -304,9 +322,11 @@ def _tuple_loop_candidates(m, k, budget):
     """The former enumeration: a scalar loop over non-increasing column-key
     tuples, skipping uncovered rows, with m * k entry writes per candidate."""
     space = (2**k - 1) ** m
-    if space > budget:
+    walk = math.comb(2**m + k - 1, k)
+    if max(space, walk) > budget:
         raise BudgetExceededError(
-            f"candidate space (2^{k}-1)^{m} = {space} exceeds budget {budget}"
+            f"enumeration exceeds budget {budget}: candidate space (2^{k}-1)^{m} = {space}, "
+            f"column-key walk C(2^{m}+{k}-1, {k}) = {walk} tuples"
         )
     full = (1 << m) - 1
     for cols in itertools.combinations_with_replacement(range(2**m - 1, -1, -1), k):

@@ -73,12 +73,6 @@ def assert_same_ranking(a, b):
     assert np.array_equal(a.p_tilde.probs, b.p_tilde.probs)
 
 
-def assert_same_search(a, b):
-    """Two search results agree exactly, every note list included."""
-    assert_same_ranking(a, b)
-    assert a.diagnostics == b.diagnostics
-
-
 # ---------------------------------------------------------------------------
 # score
 
@@ -219,42 +213,6 @@ def test_estimate_q_score_table():
     assert res.score == min(score(q, alpha, NOISELESS) for q in enumerate_candidates(3, 2))
 
 
-def test_estimate_q_workers_match_serial():
-    params = noisy_params()
-    alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
-    serial = estimate_q(alpha, params, 2)
-    parallel = estimate_q(alpha, params, 2, workers=2)
-    assert_same_search(serial, parallel)
-
-
-def test_estimate_q_single_chunk_runs_without_pool(monkeypatch):
-    # up to 512 candidates make one chunk, and a pool would only add start-up
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started for a single chunk")
-
-    params = noisy_params(m=6)
-    truth = QMatrix.from_rows(["10", "01", "11", "10", "01", "11"])
-    alpha = population_alpha(truth, params, UNIFORM, ComboOrder.saturated(6))
-    serial = estimate_q(alpha, params, 2)
-    monkeypatch.setattr(dinaq.estimator, "ProcessPoolExecutor", no_pool)
-    parallel = estimate_q(alpha, params, 2, workers=2)
-    assert serial.n_candidates == 365
-    assert_same_search(serial, parallel)
-
-
-def test_estimate_q_workers_match_serial_over_chunks():
-    # m = 5, k = 3 spans several chunks, so the pool does run
-    truth = QMatrix.from_rows(["100", "010", "001", "110", "011"])
-    params = noisy_params(m=5)
-    alpha = population_alpha(
-        truth, params, ProfileDistribution.uniform(3), ComboOrder.saturated(5)
-    )
-    serial = estimate_q(alpha, params, 3)
-    parallel = estimate_q(alpha, params, 3, workers=2)
-    assert serial.n_candidates > 512
-    assert_same_search(serial, parallel)
-
-
 def test_estimate_q_lists_capped_rescores(monkeypatch):
     """An exact re-score that hits the solver's iteration cap is listed in
     diagnostics["capped"]; the ranking is unchanged."""
@@ -301,8 +259,7 @@ def test_estimate_q_matches_full_table_scan():
     assert table[res.q_hat] == pytest.approx(best, abs=1e-12)
     assert set(res.ties) == scan_ties
     # the screen on every candidate at once: bounds near exact, ties exact
-    moments = pattern_moments(_by_mask(alpha), params.c, params.g)
-    fits = _screen(list(table), params.c, params.g, alpha, moments, DEFAULT_TIE_TOL)
+    fits = _screen(list(table), params.c, params.g, alpha, DEFAULT_TIE_TOL)
     for (cand, s), (got, _, _) in zip(table.items(), fits):
         assert got == pytest.approx(s, abs=1e-12)
         if cand in scan_ties:
@@ -354,8 +311,7 @@ def test_estimate_q_screen_matches_exact_scan(m, k, rates, tie_tol):
     assert res.p_tilde.probs.tobytes() == p_ref.probs.tobytes()
     # screened all at once, every tie carries its exact score, not a bound
     cands = list(enumerate_candidates(m, k, budget=10**6))
-    moments = pattern_moments(_by_mask(alpha), params.c, params.g)
-    fits = _screen(cands, params.c, params.g, alpha, moments, tie_tol)
+    fits = _screen(cands, params.c, params.g, alpha, tie_tol)
     exact = dict(zip(cands, (f[0] for f in fits)))
     for cand, s in ties_ref.items():
         assert exact[cand] == s
@@ -427,15 +383,19 @@ def _fit_table(alpha, g, k):
 
 @pytest.mark.parametrize(
     "m, p_zero, n, seed",
-    [(3, True, None, 1), (3, True, 4000, 2), (4, False, 3000, 3), (4, True, None, 4)],
+    [
+        (3, True, None, 1), (3, True, 4000, 2), (4, False, 3000, 3), (4, True, None, 4),
+        (7, False, 4000, 5),
+    ],
 )
 def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
     """Ranking the unknown-c search's final scores with the certified screen
     changes nothing: winner, score, ties, c_hat and p_tilde equal those of
     an exact solve of every candidate, to the byte. A zero-mass profile
-    makes some candidates' moment systems degenerate."""
+    makes some candidates' moment systems degenerate. At m = 7 the 1,094
+    candidates span three screen chunks."""
     rng = np.random.default_rng(seed)
-    truth = QMatrix.from_rows(["10", "01", "11", "10"][:m])
+    truth = QMatrix.from_rows(["10", "01", "11", "10", "01", "11", "10"][:m])
     params = DinaParams(rng.uniform(0.7, 0.95, m), rng.uniform(0.05, 0.3, m))
     probs = rng.dirichlet(np.ones(4))
     if p_zero:
@@ -470,8 +430,7 @@ def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
     # re-score, the exact score where it does
     fitted = [(q, c, s) for q, c, s in table if c is not None]
     cs = np.array([c for _, c, _ in fitted])
-    moments = pattern_moments(_by_mask(alpha), cs, params.g)
-    fits = _screen([q for q, _, _ in fitted], cs, params.g, alpha, moments, DEFAULT_TIE_TOL)
+    fits = _screen([q for q, _, _ in fitted], cs, params.g, alpha, DEFAULT_TIE_TOL)
     for (_, _, s), (got, _, _) in zip(fitted, fits):
         assert got == pytest.approx(s, abs=1e-12)
         if got <= s_ref + DEFAULT_TIE_TOL:
@@ -939,14 +898,6 @@ def test_unknown_c_lists_unconverged(monkeypatch):
         assert profile_slip(q, params.g, alpha, fixed[q]).tobytes() == c.tobytes()
 
 
-def test_unknown_c_workers_match_serial():
-    params = noisy_params()
-    alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
-    serial = estimate_q_unknown_c(alpha, params.g, 2)
-    parallel = estimate_q_unknown_c(alpha, params.g, 2, workers=2)
-    assert_same_search(serial, parallel)
-
-
 # ---------------------------------------------------------------------------
 # split estimation
 
@@ -962,9 +913,6 @@ def test_split_matches_full_noiseless():
         resp, [[0, 1, 2, 3], [2, 3, 4, 5]], 2, params=params
     )
     assert equivalent(stitched, STACKED)
-    assert stitched == split_estimate(
-        resp, [[0, 1, 2, 3], [2, 3, 4, 5]], 2, params=params, workers=2
-    )
     full = estimate_q(compute_alpha(resp, ComboOrder.saturated(6)), params, 2)
     assert stitched == canonicalize(full.q_hat)
 
@@ -1017,9 +965,9 @@ def test_split_validation():
         split_estimate(resp, [[0, 0, 1, 2]], 2, params=params)
     with pytest.raises(ValueError):
         split_estimate(resp, [], 2, params=params)
-    # search arguments: a negative or NaN tie tolerance, fewer than one worker
+    # search arguments: a negative or NaN tie tolerance
     alpha = compute_alpha(resp, ORDER3)
-    for bad in ({"tie_tol": -1.0}, {"tie_tol": np.nan}, {"workers": 0}):
+    for bad in ({"tie_tol": -1.0}, {"tie_tol": np.nan}):
         with pytest.raises(ValueError):
             split_estimate(resp, [[0, 1, 2]], 2, params=params, **bad)
         with pytest.raises(ValueError):
@@ -1040,6 +988,24 @@ def test_split_validation():
         with pytest.raises(ValueError):
             profile_slip(GOLDEN, g, alpha)
 
+
+
+def test_searches_refuse_bad_tie_tol_before_any_work():
+    """A negative or NaN tie tolerance is refused before the enumeration, so
+    a budget the enumeration would exceed does not mask it, and before a
+    split runs its first group."""
+    params = DinaParams.noiseless(3)
+    resp, _ = simulate(SimConfig(q=GOLDEN, params=params, p_star=UNIFORM, n=500, seed=1))
+    alpha = compute_alpha(resp, ORDER3)
+    for bad in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="tie_tol"):
+            estimate_q(alpha, params, 2, budget=1, tie_tol=bad)
+        with pytest.raises(ValueError, match="tie_tol"):
+            estimate_q_unknown_c(alpha, params.g, 2, budget=1, tie_tol=bad)
+        with pytest.raises(ValueError, match="tie_tol"):
+            split_estimate(resp, [[0, 1, 2]], 2, params=params, budget=1, tie_tol=bad)
+        with pytest.raises(ValueError, match="tie_tol"):
+            split_estimate(resp, [[0, 1, 2]], 2, g=params.g, budget=1, tie_tol=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -303,57 +303,6 @@ def test_design_stack_slices_match_bytes(m, k):
         design(q, np.ones(m), np.ones((2, m)), order)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_design_q_stack_slices_match_bytes(data):
-    """Each slice of a design built on a sequence of Q-matrices is
-    byte-identical to the design of that Q-matrix alone, on every kind of
-    order, with signed zeros and at scales where products overflow or
-    underflow."""
-    m = data.draw(st.integers(1, 6), label="m")
-    k = data.draw(st.integers(1, 3), label="k")
-    rows = st.lists(st.integers(1, 2**k - 1), min_size=m, max_size=m)
-    qs = [
-        QMatrix(np.array([mask_to_bits(r, k) for r in masks]))
-        for masks in data.draw(st.lists(rows, min_size=1, max_size=6), label="qs")
-    ]
-    kind = data.draw(st.sampled_from(["saturated", "singles", "block", "random"]))
-    if kind == "saturated":
-        order = ComboOrder.saturated(m)
-    elif kind == "singles":
-        order = ComboOrder.singles(m)
-    elif kind == "block":
-        order = ComboOrder.block(m, data.draw(st.integers(1, m), label="lead"))
-    else:
-        combos = data.draw(
-            st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=2**m - 1, unique=True),
-            label="combos",
-        )
-        order = ComboOrder(m, tuple(combos))
-    level = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
-    scale = data.draw(st.sampled_from([1.0, 1e150, 1e-150]), label="scale")
-    c = np.array(data.draw(st.lists(level, min_size=m, max_size=m), label="c")) * scale
-    g = np.array(data.draw(st.lists(level, min_size=m, max_size=m), label="g")) * scale
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        stack = design(qs, c, g, order)
-        assert stack.shape == (len(qs), len(order), 1 << k)
-        for q, got in zip(qs, stack):
-            assert got.tobytes() == design(q, c, g, order).tobytes()
-
-
-def test_design_q_stack_rejects_bad_input():
-    order = ComboOrder.saturated(3)
-    c, g = np.full(3, 0.9), np.full(3, 0.1)
-    with pytest.raises(ValueError, match="at least one"):
-        design([], c, g, order)
-    with pytest.raises(ValueError, match="one shape"):
-        design([GOLDEN, QMatrix.from_rows(["100", "010", "001"])], c, g, order)
-    with pytest.raises(ValueError, match="single vector"):
-        design([GOLDEN, GOLDEN], np.stack([c, c]), g, order)
-    with pytest.raises(ValueError, match="order is over"):
-        design([QMatrix.from_rows(["1", "1"])], c[:2], g[:2], order)
-
-
 @pytest.mark.parametrize("m, k", [(3, 2), (4, 3), (5, 3)])
 def test_patterns_are_mastered_items_and_key_design_columns(m, k):
     """Pattern bit i of a profile is its ideal response to item i, and the

@@ -63,7 +63,6 @@ from .solver import (
     LsqSolution,
     kkt_residuals,
     simplex_lsq,
-    simplex_lsq_bounds,
 )
 from .tmatrix import (
     MAX_SATURATED_ITEMS,
@@ -124,7 +123,6 @@ __all__ = [
     "sample_profiles",
     "score",
     "simplex_lsq",
-    "simplex_lsq_bounds",
     "simulate",
     "split_estimate",
     "subsets_card_lex",

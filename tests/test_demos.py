@@ -29,7 +29,13 @@ def test_design_matrices_demo_runs(tmp_path):
 
 @pytest.mark.parametrize(
     "name",
-    ["slip_recovery.py", "noiseless_recovery.py", "noisy_recovery.py", "split_and_merge.py"],
+    [
+        "slip_recovery.py",
+        "noiseless_recovery.py",
+        "noisy_recovery.py",
+        "split_and_merge.py",
+        "identifiability.py",
+    ],
 )
 def test_demo_runs(name, tmp_path):
     proc = run_demo(name, tmp_path)

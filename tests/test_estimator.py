@@ -122,6 +122,40 @@ def test_exhaustive_noiseless_zero_iff_equivalent():
             assert s > 1e-6
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scores_are_one_lipschitz_in_alpha(data):
+    """``score`` is the distance from alpha to a convex set and the search's
+    score a minimum of such distances, so moving alpha by delta moves
+    either by at most |delta|."""
+    m = data.draw(st.integers(2, 5), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    q, truth = random_q(rng, m, k), random_q(rng, m, k)
+    if data.draw(st.booleans(), label="noiseless"):
+        params = DinaParams.noiseless(m)
+    else:
+        params = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    order = ComboOrder.saturated(m)
+    if data.draw(st.booleans(), label="sampled"):
+        config = SimConfig(q=truth, params=params, p_star=p_star, n=500, seed=seed % 1000)
+        alpha = compute_alpha(simulate(config)[0], order)
+    else:
+        # q fits these rates exactly
+        alpha = population_alpha(q, params, p_star, order)
+    size = 10 ** data.draw(st.floats(-12, -1), label="log10 |delta|")
+    step = rng.normal(size=len(order))
+    moved = np.clip(alpha.rates + size * step / np.linalg.norm(step), 0.0, 1.0)
+    bound = np.linalg.norm(moved - alpha.rates) + 1e-12
+    near = AlphaVector(order, moved)
+    assert abs(score(q, near, params) - score(q, alpha, params)) <= bound
+    if m <= 4:
+        far = estimate_q(near, params, k).score - estimate_q(alpha, params, k).score
+        assert abs(far) <= bound
+
+
 # ---------------------------------------------------------------------------
 # distribution recovery
 

@@ -12,7 +12,6 @@ from dinaq import (
     enumerate_candidates,
     kkt_residuals,
     simplex_lsq,
-    simplex_lsq_bounds,
 )
 from dinaq.solver import _solve_checked, simplex_gram_bounds
 
@@ -139,7 +138,7 @@ def test_kkt_certificate(seed):
 
 
 # ---------------------------------------------------------------------------
-# determinism, starts, validation
+# determinism, validation
 
 def test_deterministic():
     rng = np.random.default_rng(5)
@@ -152,32 +151,11 @@ def test_deterministic():
     assert a.iterations == b.iterations
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_warm_starts_agree(seed):
-    rng = np.random.default_rng(4_000 + seed)
-    m = rng.normal(size=(5, 6))
-    beta = rng.normal(size=5)
-    base = simplex_lsq(m, beta)
-    for _ in range(3):
-        x0 = rng.dirichlet(np.ones(6))
-        warm = simplex_lsq(m, beta, x0=x0)
-        assert warm.residual == pytest.approx(base.residual, abs=1e-9)
-
-
 def test_rejects_nan():
     with pytest.raises(ValueError):
         simplex_lsq(np.array([[np.nan, 1.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         simplex_lsq(np.eye(2), np.array([np.inf, 0.0]))
-
-
-def test_rejects_bad_start():
-    m = np.eye(3)
-    beta = np.zeros(3)
-    with pytest.raises(ValueError):
-        simplex_lsq(m, beta, x0=np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(ValueError):
-        simplex_lsq(m, beta, x0=np.array([1.5, -0.5, 0.0]))
 
 
 def test_rejects_shape_mismatch():
@@ -197,6 +175,22 @@ def test_solution_is_clean_distribution():
 
 # ---------------------------------------------------------------------------
 # batched screen: certified bounds around the exact solve
+
+def _row_form(stack, beta):
+    """The Gram form of a stack of designs and one target, with the
+    residuals read off the rows."""
+    cols = stack.transpose(0, 2, 1)
+
+    def residuals(x):
+        resid = (stack @ x[:, :, None])[:, :, 0] - beta
+        return resid, (cols @ resid[:, :, None])[:, :, 0]
+
+    return cols @ stack, cols @ beta, residuals
+
+
+def _gram_bounds(stack, beta, max_iter=None):
+    return simplex_gram_bounds(*_row_form(stack, beta), max_iter=max_iter)
+
 
 def _dina_stack(data):
     """A stack of DINA designs of one shape, with rates on a 0.05 lattice so
@@ -239,7 +233,7 @@ def _dina_stack(data):
 def test_bounds_bracket_exact_solve(data):
     stack, beta = _dina_stack(data)
     max_iter = data.draw(st.sampled_from([None, 1]), label="max_iter")
-    upper, lower = simplex_lsq_bounds(stack, beta, max_iter=max_iter)
+    upper, lower = _gram_bounds(stack, beta, max_iter)
     assert upper.shape == lower.shape == (len(stack),)
     for mat, up, lo in zip(stack, upper, lower):
         exact = simplex_lsq(mat, beta).residual
@@ -264,28 +258,19 @@ def test_bounds_independent_of_batch(m, k):
     beta = stack[len(cands) // 2] @ rng.dirichlet(np.ones(1 << k)) + rng.normal(
         0.0, 0.01, len(order)
     )
-    upper, lower = simplex_lsq_bounds(stack, beta)
+    upper, lower = _gram_bounds(stack, beta)
     for j in range(len(stack)):
-        up, lo = simplex_lsq_bounds(stack[j : j + 1], beta)
+        up, lo = _gram_bounds(stack[j : j + 1], beta)
         assert up.tobytes() == upper[j : j + 1].tobytes()
         assert lo.tobytes() == lower[j : j + 1].tobytes()
     perm = rng.permutation(len(stack))
-    up, lo = simplex_lsq_bounds(stack[perm], beta)
+    up, lo = _gram_bounds(stack[perm], beta)
     assert up.tobytes() == upper[perm].tobytes()
     assert lo.tobytes() == lower[perm].tobytes()
     for start in range(0, len(stack), 17):
-        up, lo = simplex_lsq_bounds(stack[start : start + 17], beta)
+        up, lo = _gram_bounds(stack[start : start + 17], beta)
         assert up.tobytes() == upper[start : start + 17].tobytes()
         assert lo.tobytes() == lower[start : start + 17].tobytes()
-
-
-def test_bounds_reject_bad_input():
-    with pytest.raises(ValueError):
-        simplex_lsq_bounds(np.eye(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        simplex_lsq_bounds(np.ones((2, 3, 2)), np.zeros(2))
-    with pytest.raises(ValueError):
-        simplex_lsq_bounds(np.full((1, 2, 2), np.nan), np.zeros(2))
 
 
 def test_checked_solve_matches_solve_and_flags_singular_systems():
@@ -317,23 +302,16 @@ def test_singular_restricted_system_keeps_last_feasible_point():
     dup = good.copy()
     dup[:, 1] = dup[:, 0]
     beta = good @ np.array([0.1, 0.2, 0.3, 0.4])
-    stack = np.stack([dup, good])
-    cols = stack.transpose(0, 2, 1)
-    gram, lin = cols @ stack, cols @ beta
+    gram, lin, residuals = _row_form(np.stack([dup, good]), beta)
     # a linear term that favours the duplicate pulls it into the support
     # beside its twin, where the restricted system has a zero pivot
     lin[0, 1] += 100.0
-
-    def residuals(x):
-        resid = (stack @ x[:, :, None])[:, :, 0] - beta
-        return resid, (cols @ resid[:, :, None])[:, :, 0]
-
     upper, lower = simplex_gram_bounds(gram, lin, residuals)
     # the problem stopped at the vertex it stood on when its system failed
     assert upper[0] == pytest.approx(np.linalg.norm(dup[:, 0] - beta), abs=1e-15)
     exact = simplex_lsq(dup, beta).residual
     assert lower[0] <= exact + 1e-12 <= upper[0] + 2e-12
-    alone = simplex_lsq_bounds(good[None], beta)
+    alone = _gram_bounds(good[None], beta)
     assert upper[1:].tobytes() == alone[0].tobytes()
     assert lower[1:].tobytes() == alone[1].tobytes()
     assert upper[1] == pytest.approx(simplex_lsq(good, beta).residual, abs=1e-12)

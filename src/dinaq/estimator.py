@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     DEFAULT_BUDGET,
@@ -68,13 +67,18 @@ IDENTIFIABILITY_TOL = 1e-6
 
 # deterministic multi-start levels for the bounded profile search
 _SLIP_STARTS = (0.5, 0.85, 0.25)
-# The profile search minimizes _SLIP_SCALE * score^2. L-BFGS-B stops once a
+# The profile search minimizes _SLIP_SCALE * score^2. ``minimize`` stops once a
 # step gains less than ftol * max(|objective|, 1), an absolute test below 1:
 # on score^2 itself that leaves near-exact fits at scores up to about 3e-8. The
 # scale keeps the test relative down to a score of 1e-4 and makes it 1e-21
 # on score^2 below that; gtol is 1e-12 on the gradient of score^2.
 _SLIP_SCALE = 1e8
 _SLIP_OPTIONS = {"ftol": 1e-13, "gtol": 1e-4, "maxfun": 4000}
+# ``minimize``: widest epsilon-active band at a bound, Armijo sufficient
+# decrease, and trial points per line search before it gives up
+_ACTIVE_BAND = 1e-3
+_ARMIJO = 1e-4
+_MAX_TRIALS = 30
 
 # candidates per screened chunk: a chunk's screen holds a few arrays of
 # chunk x 2^m floats for its residual passes, so this bounds memory
@@ -449,6 +453,93 @@ def _rate_objective(
     return objective
 
 
+@dataclass(eq=False)
+class SearchResult:
+    """One run of ``minimize``: the best point found, its objective value,
+    whether a stopping test was met, and the objective evaluations spent."""
+
+    x: np.ndarray
+    fun: float
+    success: bool
+    nfev: int
+
+
+def minimize(objective, x0: np.ndarray) -> SearchResult:
+    """Minimize ``objective`` (value and gradient) over the box [0, 1]^n
+    from ``x0`` by projected BFGS (Bertsekas, SIAM J. Control Optim. 1982).
+
+    Each step holds the epsilon-active coordinates, those within
+    min(``_ACTIVE_BAND``, |P(x - g) - x|) of a bound that the gradient g
+    pushes out, on a projected gradient step, and moves the others by the
+    quasi-Newton step of the BFGS model restricted to them. An Armijo
+    backtracking search along the projection arc P(x + t d) takes the
+    step; the model skips its update when the step shows no positive
+    curvature, and restarts from a scaled identity when its step cannot
+    move.
+
+    The stopping tests, with ``_SLIP_OPTIONS``, are L-BFGS-B's: converged
+    when |P(x - g) - x|_inf <= gtol, or when one step gains at most
+    ftol * max(|f_old|, |f_new|, 1); unconverged once ``maxfun``
+    evaluations are spent, or when a gradient step cannot move. A
+    converged run returns the point that met its test, an unconverged one
+    the best point it evaluated.
+    """
+    ftol, gtol, maxfun = (_SLIP_OPTIONS[key] for key in ("ftol", "gtol", "maxfun"))
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    f, grad = objective(x)
+    # hess is the BFGS model of the Hessian; scale, its curvature along the
+    # first step that showed one, also scales the gradient steps
+    nfev, hess, scale = 1, None, None
+    best_f, best_x = f, x
+    while True:
+        pgrad = np.clip(x - grad, 0.0, 1.0) - x
+        if np.abs(pgrad).max() <= gtol:
+            return SearchResult(x, f, True, nfev)
+        band = min(_ACTIVE_BAND, float(np.linalg.norm(pgrad)))
+        held = ((x <= band) & (grad > 0.0)) | ((x >= 1.0 - band) & (grad < 0.0))
+        step = -grad if scale is None else -grad / scale
+        if hess is not None and not held.all():
+            move = ~held
+            try:
+                step[move] = np.linalg.solve(hess[np.ix_(move, move)], -grad[move])
+            except np.linalg.LinAlgError:
+                hess = None
+        # the first step is one unit long, as in L-BFGS-B
+        t = min(1.0, 1.0 / float(np.linalg.norm(step))) if scale is None else 1.0
+        for _ in range(_MAX_TRIALS):
+            if nfev >= maxfun:
+                return SearchResult(best_x, best_f, False, nfev)
+            trial = np.clip(x + t * step, 0.0, 1.0)
+            slope = float(grad @ (trial - x))
+            if slope >= 0.0:
+                t *= 0.5
+                continue
+            f_new, grad_new = objective(trial)
+            nfev += 1
+            if f_new < best_f:
+                best_f, best_x = f_new, trial
+            if f_new <= f + _ARMIJO * slope:
+                break
+            # safeguarded minimizer of the quadratic through f, slope and f_new
+            t *= min(0.5, max(0.1, -slope / (2.0 * (f_new - f - slope))))
+        else:
+            if hess is None:
+                return SearchResult(best_x, best_f, False, nfev)
+            hess = None
+            continue
+        s, y = trial - x, grad_new - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if hess is None:
+                scale = float(y @ y) / sy
+                hess = scale * np.eye(x.size)
+            bs = hess @ s
+            hess += np.outer(y, y) / sy - np.outer(bs, bs) / float(s @ bs)
+        f_old, x, f, grad = f, trial, f_new, grad_new
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            return SearchResult(x, f, True, nfev)
+
+
 def _rate_search(
     q: QMatrix, g, alpha: AlphaVector, fixed: Mapping[int, float] | None
 ) -> tuple[np.ndarray, bool]:
@@ -470,14 +561,7 @@ def _rate_search(
     objective = _rate_objective(q, g, alpha, c, free)
     best_f, best_x, converged = np.inf, None, False
     for level in _SLIP_STARTS:
-        res = minimize(
-            objective,
-            np.full(len(free), level),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=[(0.0, 1.0)] * len(free),
-            options=_SLIP_OPTIONS,
-        )
+        res = minimize(objective, np.full(len(free), level))
         converged = converged or bool(res.success)
         if res.fun < best_f:
             best_f, best_x = float(res.fun), np.asarray(res.x)
@@ -495,10 +579,10 @@ def profile_slip(
 
     Keeps the ``fixed`` coordinates (e.g. moment estimates) and minimizes the
     squared fit distance over the remaining ones with a bounded quasi-Newton
-    search (L-BFGS-B) from several deterministic starts, using the exact
-    gradient that the envelope theorem gives at the simplex fit. Every
-    coordinate of the result lies in [0, 1]; the best point found is always
-    returned. Raises ValueError for a ``g`` entry outside [0, 1].
+    search (``minimize``, projected BFGS) from several deterministic starts,
+    using the exact gradient that the envelope theorem gives at the simplex
+    fit. Every coordinate of the result lies in [0, 1]; the best point found
+    is always returned. Raises ValueError for a ``g`` entry outside [0, 1].
     """
     return _rate_search(q, g, alpha, fixed)[0]
 
@@ -718,10 +802,10 @@ def check_identifiability(
     delta 0.0 without a search: at the true capable rates its pattern
     columns are those of the truth, so it reproduces the population rates
     exactly. Every other candidate gets the rate search of the unknown-c
-    estimator (L-BFGS-B from three starts, exact envelope gradient) over
-    all of its capable rates, and its delta is the exact score at the best
-    point found. A search that converged from no start is still counted at
-    that point, and the candidate is named in ``notes``.
+    estimator (projected BFGS from three starts, exact envelope gradient)
+    over all of its capable rates, and its delta is the exact score at the
+    best point found. A search that converged from no start is still
+    counted at that point, and the candidate is named in ``notes``.
 
     Distributions with zero-mass profiles are allowed but noted: they are the
     classic source of non-identifiability. An incomplete ``q`` skips the

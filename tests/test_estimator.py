@@ -42,7 +42,16 @@ from dinaq import (
     simulate,
     split_estimate,
 )
-from dinaq.estimator import _SLIP_SCALE, _by_mask, _pattern_bounds, _rate_objective, _screen
+from dinaq.estimator import (
+    _SLIP_OPTIONS,
+    _SLIP_SCALE,
+    _SLIP_STARTS,
+    _by_mask,
+    _pattern_bounds,
+    _rate_objective,
+    _rate_search,
+    _screen,
+)
 from dinaq.solver import simplex_lsq
 from dinaq.tmatrix import pattern_moments, patterns
 
@@ -835,6 +844,85 @@ def test_profile_slip_fits_near_exact_in_either_column_order():
         assert score(cand, alpha, DinaParams(c, params.g)) <= 1e-9
 
 
+def _recorded(objective):
+    """``objective`` and the list of (value, point) it appends each call to."""
+    seen = []
+
+    def wrapped(v):
+        f, grad = objective(v)
+        seen.append((f, v.copy()))
+        return f, grad
+
+    return wrapped, seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rate_search_driver_contract(data):
+    """From every start, the bounded search ends inside the box, no higher
+    than its start, at the objective value it reports; a run reported
+    converged meets the projected-gradient test or the relative-decrease
+    test on its last step."""
+    m = data.draw(st.integers(2, 4), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    q, truth = random_q(rng, m, k), random_q(rng, m, k)
+    params = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    order = ComboOrder.saturated(m)
+    if data.draw(st.booleans(), label="sampled"):
+        config = SimConfig(q=truth, params=params, p_star=p_star, n=1000, seed=seed)
+        alpha = compute_alpha(simulate(config)[0], order)
+    else:
+        alpha = population_alpha(truth, params, p_star, order)
+    free = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label="free"))
+    objective = _rate_objective(q, params.g, alpha, params.c, free)
+    ftol, gtol = _SLIP_OPTIONS["ftol"], _SLIP_OPTIONS["gtol"]
+    for level in _SLIP_STARTS:
+        recorded, seen = _recorded(objective)
+        res = dinaq.estimator.minimize(recorded, np.full(len(free), level))
+        assert res.x.shape == (len(free),)
+        assert ((res.x >= 0.0) & (res.x <= 1.0)).all()
+        assert res.nfev == len(seen)
+        assert res.fun <= seen[0][0]
+        f, grad = objective(res.x)
+        assert res.fun == f
+        if res.success:
+            pgrad = np.abs(np.clip(res.x - grad, 0.0, 1.0) - res.x).max()
+            stalled = any(
+                0.0 <= prev - f <= ftol * max(abs(prev), abs(f), 1.0) for prev, _ in seen[:-1]
+            )
+            assert pgrad <= gtol or stalled
+
+
+def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
+    """A search that spends its evaluation cap is reported unconverged and
+    returns the best point it evaluated, and so does the rate search that
+    runs it from every start."""
+    params = noisy_params()
+    alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
+    q = QMatrix.from_rows(["10", "01", "01"])
+    objective = _rate_objective(q, params.g, alpha, np.zeros(3), [0, 1, 2])
+    uncapped = dinaq.estimator.minimize(objective, np.full(3, 0.5))
+    assert uncapped.success
+    assert uncapped.nfev > 4
+    monkeypatch.setitem(_SLIP_OPTIONS, "maxfun", 4)
+    recorded, seen = _recorded(objective)
+    res = dinaq.estimator.minimize(recorded, np.full(3, 0.5))
+    assert not res.success
+    assert res.nfev == len(seen) == 4
+    best_f, best_x = min(seen, key=lambda e: e[0])
+    assert res.fun == best_f
+    assert res.x.tobytes() == best_x.tobytes()
+    assert res.fun < seen[0][0]
+    c, converged = _rate_search(q, params.g, alpha, None)
+    assert not converged
+    # the best of three starts, the first of which is the run above
+    first = np.sqrt(res.fun / _SLIP_SCALE)
+    assert score(q, alpha, DinaParams(c, params.g)) <= first * (1 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # unknown-c search
 
@@ -917,8 +1005,10 @@ def test_unknown_c_lists_unconverged(monkeypatch):
     searched = tuple(q for q, f in fixed.items() if len(f) < 3)
     rates = [profile_slip(q, params.g, alpha, fixed[q]) for q in searched]
 
+    search = dinaq.estimator.minimize
+
     def failing(*args, **kwargs):
-        res = minimize(*args, **kwargs)
+        res = search(*args, **kwargs)
         res.success = False
         return res
 
@@ -1201,8 +1291,10 @@ def test_probe_names_unconverged_searches(monkeypatch):
     clean = check_identifiability(GOLDEN, noisy_params(), UNIFORM)
     assert clean.notes == ()
 
+    search = dinaq.estimator.minimize
+
     def failing(*args, **kwargs):
-        res = minimize(*args, **kwargs)
+        res = search(*args, **kwargs)
         res.success = False
         return res
 

@@ -101,6 +101,15 @@ def _require_saturated(alpha: AlphaVector) -> None:
         raise ValueError("this operation requires success rates on a saturated order")
 
 
+def _fit(q: QMatrix, c, g, alpha: AlphaVector) -> LsqSolution:
+    """The exact simplex fit of ``q`` to ``alpha`` at per-item rates (c, g):
+    ``simplex_lsq`` on the candidate's own design. ``score``, ``estimate_p``,
+    the screen's re-score and the identifiability probe's delta all read
+    this one solve. ``design`` raises ValueError when q, the rates and the
+    combination order disagree on m."""
+    return simplex_lsq(design(q, c, g, alpha.order), alpha.rates)
+
+
 def score(q: QMatrix, alpha: AlphaVector, params: DinaParams) -> float:
     """Fit distance of a candidate Q-matrix to observed success rates.
 
@@ -115,25 +124,19 @@ def score(q: QMatrix, alpha: AlphaVector, params: DinaParams) -> float:
     slack, which turns the sum-to-one constraint into "at most mass one on
     the nonzero profiles" for the noiseless score.
     """
-    if params.m != q.m:
-        raise ValueError(f"params cover {params.m} items, Q-matrix has {q.m}")
-    if alpha.order.m != q.m:
-        raise ValueError(f"rates cover {alpha.order.m} items, Q-matrix has {q.m}")
-    return simplex_lsq(design(q, params.c, params.g, alpha.order), alpha.rates).residual
+    return _fit(q, params.c, params.g, alpha).residual
 
 
 def estimate_p(q: QMatrix, alpha: AlphaVector, params: DinaParams) -> ProfileDistribution:
     """Fitted profile distribution behind the score of ``q``.
 
-    The full simplex minimizer: zero-profile mass first, nonzero profiles in
-    the canonical column order of ``q``'s attribute arrangement. When the
-    design has full column rank (complete q, separated rates) the minimizer
-    is unique; otherwise it is the solver's deterministic representative.
+    The full simplex minimizer of the same solve as ``score``: zero-profile
+    mass first, nonzero profiles in the canonical column order of ``q``'s
+    attribute arrangement. When the design has full column rank (complete
+    q, separated rates) the minimizer is unique; otherwise it is the
+    solver's deterministic representative.
     """
-    if params.m != q.m:
-        raise ValueError(f"params cover {params.m} items, Q-matrix has {q.m}")
-    sol = simplex_lsq(design(q, params.c, params.g, alpha.order), alpha.rates)
-    return ProfileDistribution(q.k, sol.x)
+    return ProfileDistribution(q.k, _fit(q, params.c, params.g, alpha).x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +146,10 @@ class EstimationResult:
     ``ties`` lists every canonical candidate scoring within the tie tolerance
     of the winner, winner included; more than one entry means the data do not
     single out a class and downstream consumers should treat the result as
-    ambiguous. ``c_hat`` is populated only by the unknown-slip search.
+    ambiguous. Among candidates whose fits agree to rounding, ``q_hat`` may
+    be any member of the tie set, chosen by the last bits of the solves;
+    only the tie set, and so exit code 2 in the CLI, is reproducible.
+    ``c_hat`` is populated only by the unknown-slip search.
     ``p_tilde`` is the winner's exact simplex minimizer. In both searches a
     batched screen decides which candidates get an exact solve, so the
     winner's score and every tie are exact. ``diagnostics`` holds only the
@@ -235,8 +241,7 @@ def _screen(
     ``c`` otherwise. Consecutive chunks of at most ``_CANDIDATE_CHUNK``
     candidates are screened in turn: ``_pattern_bounds`` brackets a chunk's
     scores without building a design, then ``_certify`` decides which of
-    them get the exact solve, ``simplex_lsq`` on the candidate's own
-    design, byte-identical to ``score``.
+    them get the exact solve, ``_fit``, the same solve as ``score``.
 
     Returns one (score, note, x) per candidate, in candidate order: x is
     the exact minimizer for the re-scored candidates and None for the
@@ -253,10 +258,7 @@ def _screen(
         solutions: dict[int, LsqSolution] = {}
 
         def exact(i: int) -> float:
-            sol = simplex_lsq(
-                design(chunk[i], rates[i] if rates.ndim == 2 else rates, g, alpha.order),
-                alpha.rates,
-            )
+            sol = _fit(chunk[i], rates[i] if rates.ndim == 2 else rates, g, alpha)
             solutions[i] = sol
             return sol.residual
 
@@ -426,8 +428,8 @@ def _rate_objective(
 ):
     """``_SLIP_SCALE`` times the squared score of ``q``, and its gradient, as
     a function of the capable rates of the ``free`` items, the other rates
-    held at ``c``. ``g`` comes checked from ``_rate_search``, so no
-    evaluation re-checks it.
+    held at ``c``. ``g`` comes checked from the rate search's caller, so
+    no evaluation re-checks it.
 
     By the envelope theorem the gradient needs no re-fit: with x* the
     simplex minimizer and r = M x* - alpha, d score^2 / d c_i equals
@@ -541,20 +543,13 @@ def minimize(objective, x0: np.ndarray) -> SearchResult:
 
 
 def _rate_search(
-    q: QMatrix, g, alpha: AlphaVector, fixed: Mapping[int, float] | None
+    q: QMatrix, g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: list[int]
 ) -> tuple[np.ndarray, bool]:
-    # profile_slip's search; also reports whether any start converged
-    g = unit_rates(g, q.m, "g")
-    fixed = dict(fixed or {})
-    for i, v in fixed.items():
-        if not 0 <= int(i) < q.m:
-            raise ValueError(f"fixed item index {i} out of range")
-        if not 0.0 <= float(v) <= 1.0:
-            raise ValueError(f"fixed rate {v} outside [0, 1]")
-    c = np.zeros(q.m)
-    for i, v in fixed.items():
-        c[int(i)] = float(v)
-    free = [i for i in range(q.m) if i not in fixed]
+    """Capable rates of ``q`` from ``minimize`` over the ``free`` items, run
+    from each of ``_SLIP_STARTS``, with every other item held at its entry
+    of ``c``. Writes the best point found into the free entries of ``c``
+    and returns ``c`` with whether any start converged. ``g`` and ``c``
+    come checked from the caller, so nothing is re-checked here."""
     if not free:
         return c, True
 
@@ -582,25 +577,38 @@ def profile_slip(
     search (``minimize``, projected BFGS) from several deterministic starts,
     using the exact gradient that the envelope theorem gives at the simplex
     fit. Every coordinate of the result lies in [0, 1]; the best point found
-    is always returned. Raises ValueError for a ``g`` entry outside [0, 1].
+    is always returned. Raises ValueError for a ``g`` entry outside [0, 1]
+    and for a ``fixed`` item or rate out of range.
     """
-    return _rate_search(q, g, alpha, fixed)[0]
+    g = unit_rates(g, q.m, "g")
+    fixed = dict(fixed or {})
+    c = np.zeros(q.m)
+    for i, v in fixed.items():
+        if not 0 <= int(i) < q.m:
+            raise ValueError(f"fixed item index {i} out of range")
+        if not 0.0 <= float(v) <= 1.0:
+            raise ValueError(f"fixed rate {v} outside [0, 1]")
+        c[int(i)] = float(v)
+    free = [i for i in range(q.m) if i not in fixed]
+    return _rate_search(q, g, alpha, c, free)[0]
 
 
 def _fit_rates(
     q: QMatrix, alpha: AlphaVector, g: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray | None, str | None]:
-    # moment-estimate every covered item; profile-search the rest
-    fixed: dict[int, float] = {}
+    # moment-estimate every covered item; rate-search the rest
+    c = np.zeros(q.m)
+    free = []
     for i in range(q.m):
         cover = find_cover_combo(q, i)
         if cover is None:
+            free.append(i)
             continue
         try:
-            fixed[i] = moment_slip(q, g, beta, i, cover)
+            c[i] = moment_slip(q, g, beta, i, cover)
         except DegenerateSampleError:
             return None, "degenerate"
-    c, converged = _rate_search(q, g, alpha, fixed)
+    c, converged = _rate_search(q, g, alpha, c, free)
     return c, None if converged else "unconverged"
 
 
@@ -762,10 +770,12 @@ class IdentifiabilityReport:
     smallest achievable fit distance to the population rates (over capable
     rates): exactly 0.0 for a candidate certified by its capability
     patterns, otherwise the exact score at the best point the rate search
-    found. ``flagged`` collects candidates at or below ``threshold``.
-    ``notes`` holds warnings about the inputs, and names every candidate
-    whose rate search converged from no start. An incomplete Q-matrix short-circuits:
-    ``complete`` is False and no candidates are evaluated.
+    found. ``flagged`` collects candidates at or below ``threshold``, which
+    is always ``IDENTIFIABILITY_TOL``. ``notes`` holds warnings about the
+    inputs, and names every candidate whose rate search converged from no
+    start or whose delta solve stopped at the solver's iteration cap. An
+    incomplete Q-matrix short-circuits: ``complete`` is False and no
+    candidates are evaluated.
     """
 
     q: QMatrix
@@ -787,15 +797,15 @@ def check_identifiability(
     p_star: ProfileDistribution,
     *,
     budget: int = DEFAULT_BUDGET,
-    threshold: float = IDENTIFIABILITY_TOL,
 ) -> IdentifiabilityReport:
     """Probe whether any non-equivalent candidate mimics the population rates.
 
     Builds the analytic success rates of (q, params, p_star), then for every
     non-equivalent canonical candidate minimizes the fit distance over the
     candidate's capable rates, guessing rates held at the truth. A delta at
-    or below ``threshold`` flags the candidate as indistinguishable in
-    population, i.e. the configuration is not identifiable.
+    or below ``IDENTIFIABILITY_TOL`` flags the candidate as
+    indistinguishable in population, i.e. the configuration is not
+    identifiable.
 
     A candidate whose capability patterns (``tmatrix.patterns``) include
     every pattern that the support of ``p_star`` induces under ``q`` gets
@@ -803,18 +813,17 @@ def check_identifiability(
     columns are those of the truth, so it reproduces the population rates
     exactly. Every other candidate gets the rate search of the unknown-c
     estimator (projected BFGS from three starts, exact envelope gradient)
-    over all of its capable rates, and its delta is the exact score at the
-    best point found. A search that converged from no start is still
-    counted at that point, and the candidate is named in ``notes``.
+    over all of its capable rates, and its delta is the exact fit
+    (``_fit``, the solve behind ``score``) at the best point found. A
+    search that converged from no start is still counted at that point,
+    and so is a delta whose solve stopped at the solver's iteration cap,
+    which can only over-estimate it; each such candidate is named in
+    ``notes``.
 
     Distributions with zero-mass profiles are allowed but noted: they are the
     classic source of non-identifiability. An incomplete ``q`` skips the
-    probe entirely and reports complete=False. Raises ValueError, before
-    any work, for a ``threshold`` that is not a number >= 0: a NaN or
-    negative one would flag nothing, not even a zero delta.
+    probe entirely and reports complete=False.
     """
-    if not threshold >= 0.0:
-        raise ValueError(f"threshold must be a nonnegative number, got {threshold}")
     if params.m != q.m:
         raise ValueError(f"params cover {params.m} items, Q-matrix has {q.m}")
     notes: list[str] = []
@@ -822,7 +831,7 @@ def check_identifiability(
         return IdentifiabilityReport(
             q=q,
             complete=False,
-            threshold=threshold,
+            threshold=IDENTIFIABILITY_TOL,
             deltas=(),
             flagged=(),
             min_delta=None,
@@ -845,19 +854,26 @@ def check_identifiability(
         if support <= set(patterns(cand).tolist()):
             deltas.append((cand, 0.0))
             continue
-        c, converged = _rate_search(cand, params.g, alpha, None)
-        deltas.append((cand, score(cand, alpha, DinaParams(c, params.g))))
+        c, converged = _rate_search(cand, params.g, alpha, np.zeros(q.m), list(range(q.m)))
+        sol = _fit(cand, c, params.g, alpha)
+        deltas.append((cand, sol.residual))
+        name = ",".join(cand.row_strings())
         if not converged:
             notes.append(
-                f"rate search for candidate {','.join(cand.row_strings())} converged "
+                f"rate search for candidate {name} converged "
                 "from no start; its delta is the best point found"
             )
-    flagged = tuple(c for c, dlt in deltas if dlt <= threshold)
+        if sol.status == "iteration-cap":
+            notes.append(
+                f"delta solve for candidate {name} stopped at the iteration cap; "
+                "its delta may be an over-estimate"
+            )
+    flagged = tuple(c for c, dlt in deltas if dlt <= IDENTIFIABILITY_TOL)
     min_delta = min((dlt for _, dlt in deltas), default=None)
     return IdentifiabilityReport(
         q=q,
         complete=True,
-        threshold=threshold,
+        threshold=IDENTIFIABILITY_TOL,
         deltas=tuple(deltas),
         flagged=flagged,
         min_delta=min_delta,

@@ -480,6 +480,46 @@ def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
             assert got == s
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_estimate_q_invariant_under_item_relabelling(data):
+    """Relabelling the items, with c and g permuted to match, relabels the
+    known-rates search's answer and nothing else: the tie sets map onto
+    each other, the scores agree, and each winner lies in the other's tie
+    set. Population rates are recomputed in the new labelling; samples are
+    the same responses with their columns permuted."""
+    m = data.draw(st.integers(2, 5), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    perm = data.draw(st.permutations(range(m)), label="perm")
+    rng = np.random.default_rng(seed)
+    truth = random_q(rng, m, k)
+    if data.draw(st.booleans(), label="noiseless"):
+        params = DinaParams.noiseless(m)
+    else:
+        params = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+    relabelled = DinaParams(params.c[perm], params.g[perm])
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    order = ComboOrder.saturated(m)
+    if data.draw(st.booleans(), label="sampled"):
+        config = SimConfig(q=truth, params=params, p_star=p_star, n=500, seed=seed)
+        resp = simulate(config)[0]
+        alpha, moved = compute_alpha(resp, order), compute_alpha(resp.restrict(perm), order)
+    else:
+        alpha = population_alpha(truth, params, p_star, order)
+        moved = population_alpha(QMatrix(truth.entries[perm]), relabelled, p_star, order)
+    res, other = estimate_q(alpha, params, k), estimate_q(moved, relabelled, k)
+
+    def relabel(q):
+        return canonicalize(QMatrix(q.entries[perm]))
+
+    mapped = {relabel(q) for q in res.ties}
+    assert mapped == set(other.ties)
+    assert abs(res.score - other.score) <= 1e-12
+    assert relabel(res.q_hat) in set(other.ties)
+    assert other.q_hat in mapped
+
+
 # ---------------------------------------------------------------------------
 # covers and slip recovery
 
@@ -641,8 +681,9 @@ def test_profile_slip_all_fixed_returns_unchanged():
 
 
 def test_unknown_c_survives_flat_powell_start():
-    # scipy's bounded Powell raises ValueError at the 0.85 start for candidate
-    # [10,01,10] on this point-mass population; that start must be skipped
+    # every candidate reproduces this point-mass population exactly, so the
+    # moment stage and the rate search, from every start, must end at an
+    # exact fit for all 14 candidates and leave them tied
     c = [0.7512738219103413, 0.8915622577369557, 0.7857861018756662]
     g = [0.07780457441689859, 0.20718362978526883, 0.19620688296021976]
     point = ProfileDistribution.point_mass(2, "11")
@@ -832,8 +873,9 @@ def test_score_and_profile_fit_invariant_under_column_permutation(data):
 
 
 def test_profile_slip_fits_near_exact_in_either_column_order():
-    # the candidate can fit these rates almost exactly; on unscaled score^2,
-    # L-BFGS-B's absolute ftol test stops one column order at a score of 1e-8
+    # the candidate can fit these rates almost exactly; this pins
+    # _SLIP_SCALE, since minimize's ftol test is absolute below 1 and on
+    # unscaled score^2 would stop the search short of a 1e-9 fit
     rng = np.random.default_rng(29651)
     q, truth = random_q(rng, 3, 3), random_q(rng, 3, 3)
     params = DinaParams(rng.uniform(0.6, 0.95, 3), rng.uniform(0.05, 0.3, 3))
@@ -916,7 +958,7 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     assert res.fun == best_f
     assert res.x.tobytes() == best_x.tobytes()
     assert res.fun < seen[0][0]
-    c, converged = _rate_search(q, params.g, alpha, None)
+    c, converged = _rate_search(q, params.g, alpha, np.zeros(3), [0, 1, 2])
     assert not converged
     # the best of three starts, the first of which is the run above
     first = np.sqrt(res.fun / _SLIP_SCALE)
@@ -1153,16 +1195,6 @@ def test_point_mass_population_not_identifiable():
     assert any("zero" in note for note in report.notes)
 
 
-@pytest.mark.parametrize("threshold", [float("nan"), -1.0])
-def test_identifiability_refuses_threshold_that_flags_nothing(threshold):
-    # the default threshold flags all 13 candidates here; these flag none
-    params = noisy_params()
-    p_star = ProfileDistribution.point_mass(2, "11")
-    assert len(check_identifiability(GOLDEN, params, p_star).flagged) == 13
-    with pytest.raises(ValueError, match="threshold"):
-        check_identifiability(GOLDEN, params, p_star, threshold=threshold)
-
-
 def _reference_probe(q, params, p_star):
     """The probe as it was before the rate search: every point of an
     11-level grid per item solved exactly, then Powell from the first best
@@ -1304,6 +1336,33 @@ def test_probe_names_unconverged_searches(monkeypatch):
     assert len(report.notes) == len(report.deltas)
     for (cand, _), note in zip(report.deltas, report.notes):
         assert ",".join(cand.row_strings()) in note
+
+
+def test_probe_names_capped_delta_solves(monkeypatch):
+    """A candidate whose delta solve stops at the solver's iteration cap is
+    named in the report's notes; deltas and flags are unchanged, and a
+    candidate certified by its patterns has no solve to name."""
+    p_star = ProfileDistribution.from_dict(2, {"00": 0.3, "10": 0.3, "11": 0.4})
+    clean = check_identifiability(GOLDEN, noisy_params(), p_star)
+    support = set(patterns(GOLDEN)[p_star.probs > 0].tolist())
+    certified = [c for c, _ in clean.deltas if support <= set(patterns(c).tolist())]
+    searched = [c for c, _ in clean.deltas if c not in certified]
+    assert certified and searched
+    assert not any("iteration cap" in note for note in clean.notes)
+
+    def capped(m_matrix, beta):
+        return dataclasses.replace(simplex_lsq(m_matrix, beta), status="iteration-cap")
+
+    monkeypatch.setattr(dinaq.estimator, "simplex_lsq", capped)
+    report = check_identifiability(GOLDEN, noisy_params(), p_star)
+    assert report.deltas == clean.deltas
+    assert report.flagged == clean.flagged
+    cap_notes = [note for note in report.notes if "iteration cap" in note]
+    assert len(cap_notes) == len(searched)
+    for cand, note in zip(searched, cap_notes):
+        assert ",".join(cand.row_strings()) in note
+    for cand in certified:
+        assert not any(",".join(cand.row_strings()) in note for note in report.notes)
 
 
 def test_incomplete_q_skips_probe():

@@ -77,22 +77,13 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def _load_q(path: str | None) -> QMatrix:
-    if path is None:
-        raise CliError("--q is required")
+def _load(path: str, kind, what: str):
+    """``kind.from_text`` of the ``what`` file at ``path`` (a QMatrix or
+    ResponseData); a file it cannot read or parse is a CliError."""
     try:
-        return QMatrix.from_text(_read_text(path, "Q-matrix"))
+        return kind.from_text(_read_text(path, what))
     except ValueError as exc:
-        raise CliError(f"bad Q-matrix file {path}: {exc}") from exc
-
-
-def _load_responses(path: str | None) -> ResponseData:
-    if path is None:
-        raise CliError("--responses is required")
-    try:
-        return ResponseData.from_text(_read_text(path, "response"))
-    except ValueError as exc:
-        raise CliError(f"bad response file {path}: {exc}") from exc
+        raise CliError(f"bad {what} file {path}: {exc}") from exc
 
 
 def _is_number(v) -> bool:
@@ -137,8 +128,6 @@ def _is_file(path: Path) -> bool:
 
 
 def _load_pstar(value, k: int) -> ProfileDistribution:
-    if value is None:
-        raise CliError("--pstar is required here")
     mapping = value
     if isinstance(value, str):
         candidate = Path(value)
@@ -236,6 +225,41 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
             raise CliError(f"--{name.replace('_', '-')} is required")
 
 
+# The (c, g) that each estimate --mode and tmatrix --variant fixes: a number
+# fixes that rate for every item, "flag" reads it from --c or --g, and None
+# leaves it to the search. A flag is refused wherever it is not read.
+_RATES = {
+    "mode": {
+        "noiseless": (1.0, 0.0),
+        "known-cg": ("flag", "flag"),
+        "known-g": (None, "flag"),
+    },
+    "variant": {
+        "plain": (1.0, 0.0),
+        "slip": ("flag", 0.0),
+        "slip-guess": ("flag", "flag"),
+        "augmented": ("flag", "flag"),
+    },
+}
+
+
+def _table_rates(args: argparse.Namespace, m: int, what: str) -> list[np.ndarray | None]:
+    """The (c, g) per-item rates that ``_RATES`` gives the --mode or
+    --variant (``what``) in ``args``, None for a rate left to the search."""
+    name = getattr(args, what)
+    if name not in _RATES[what]:
+        raise CliError(f"unknown {what} {name!r}")
+    rules = list(zip(("c", "g"), _RATES[what][name]))
+    for flag, rule in rules:
+        if rule != "flag" and getattr(args, flag) is not None:
+            raise CliError(f"{what} {name} takes no --{flag}")
+    return [
+        _parse_rates(getattr(args, flag), m, flag) if rule == "flag"
+        else None if rule is None else np.full(m, rule)
+        for flag, rule in rules
+    ]
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -243,7 +267,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, ["q", "pstar", "c", "g", "n", "out"])
     if args.seed is None:
         raise CliError("--seed is required: every stochastic command must be seeded")
-    q = _load_q(args.q)
+    q = _load(args.q, QMatrix, "Q-matrix")
     params = DinaParams(_parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g"))
     p_star = _load_pstar(args.pstar, q.k)
     config = SimConfig(q=q, params=params, p_star=p_star, n=int(args.n), seed=int(args.seed))
@@ -298,31 +322,21 @@ def _estimate_report(
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     _require(args, ["responses", "k", "mode"])
-    responses = _load_responses(args.responses)
+    responses = _load(args.responses, ResponseData, "response")
     m, k = responses.m, int(args.k)
     if k < 1:
         raise CliError("--k must be positive")
     mode = args.mode
-    if mode not in ("noiseless", "known-cg", "known-g"):
-        raise CliError(f"unknown mode {mode!r}")
+    c, g = _table_rates(args, m, "mode")
+    # with c fixed the search takes the rates as params, else g alone
     params = None
-    g = None
-    if mode == "noiseless":
-        if args.c is not None or args.g is not None:
-            raise CliError("mode noiseless fixes c=1 and g=0; drop --c/--g")
-        params = DinaParams.noiseless(m)
-    elif mode == "known-cg":
-        params = DinaParams(_parse_rates(args.c, m, "c"), _parse_rates(args.g, m, "g"))
-        sep = np.abs(params.c - params.g).min()
-        if sep == 0.0:
+    if c is not None:
+        params, g = DinaParams(c, g), None
+        if np.abs(params.c - params.g).min() == 0.0:
             raise CliError(
-                "mode known-cg requires c_i != g_i for every item "
+                f"mode {mode} requires c_i != g_i for every item "
                 "(capable and guessing rates must separate)"
             )
-    else:
-        if args.c is not None:
-            raise CliError("mode known-g estimates c; drop --c")
-        g = _parse_rates(args.g, m, "g")
     budget = DEFAULT_BUDGET if args.budget is None else int(args.budget)
     tie_tol = DEFAULT_TIE_TOL if args.tie_tol is None else float(args.tie_tol)
     t0 = time.perf_counter()
@@ -341,7 +355,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     alpha = compute_alpha(responses, ComboOrder.saturated(m))
-    if mode == "known-g":
+    if params is None:
         result = estimate_q_unknown_c(alpha, g, k, budget=budget, tie_tol=tie_tol)
     else:
         result = estimate_q(alpha, params, k, budget=budget, tie_tol=tie_tol)
@@ -355,7 +369,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _require(args, ["q", "c", "g", "pstar"])
-    q = _load_q(args.q)
+    q = _load(args.q, QMatrix, "Q-matrix")
     params = DinaParams(_parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g"))
     p_star = _load_pstar(args.pstar, q.k)
     budget = DEFAULT_BUDGET if args.budget is None else int(args.budget)
@@ -409,27 +423,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_tmatrix(args: argparse.Namespace) -> int:
     _require(args, ["q", "variant"])
-    q = _load_q(args.q)
+    q = _load(args.q, QMatrix, "Q-matrix")
     order = ComboOrder.saturated(q.m)
-    variant = args.variant
-    # each variant is a (c, g) choice; all but augmented drop the zero-profile
-    # column, augmented keeps it as GUESS and appends a ONES row
-    if variant == "plain":
-        if args.c is not None or args.g is not None:
-            raise CliError("variant plain takes no --c/--g")
-        c, g = np.ones(q.m), np.zeros(q.m)
-    elif variant == "slip":
-        if args.g is not None:
-            raise CliError("variant slip takes no --g")
-        c, g = _parse_rates(args.c, q.m, "c"), np.zeros(q.m)
-    elif variant in ("slip-guess", "augmented"):
-        c, g = _parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g")
-    else:
-        raise CliError(f"unknown variant {variant!r}")
+    c, g = _table_rates(args, q.m, "variant")
     values = design(q, c, g, order)
     row_labels = order.labels()
     col_labels = [bit_label(mask, q.k) for mask in profile_order(q.k)]
-    if variant == "augmented":
+    # all but augmented drop the zero-profile column; augmented keeps it as
+    # GUESS and appends a ONES row
+    if args.variant == "augmented":
         values = np.vstack([values, np.ones(values.shape[1])])
         row_labels.append("ONES")
         col_labels.insert(0, "GUESS")
@@ -444,7 +446,7 @@ def _cmd_tmatrix(args: argparse.Namespace) -> int:
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
     _require(args, ["responses"])
-    responses = _load_responses(args.responses)
+    responses = _load(args.responses, ResponseData, "response")
     alpha = compute_alpha(responses, ComboOrder.saturated(responses.m))
     lines = ["combo\trate"]
     lines += [

@@ -222,15 +222,12 @@ def _column_keys(q: QMatrix) -> list[int]:
     return [int(sum(int(q.entries[i, j]) << (m - 1 - i) for i in range(m))) for j in range(q.k)]
 
 
-def _column_multiset(q: QMatrix) -> tuple[int, ...]:
-    return tuple(sorted(_column_keys(q)))
-
-
 def equivalent(q1: QMatrix, q2: QMatrix) -> bool:
-    """True when the two matrices agree up to a column permutation."""
+    """True when the two matrices agree up to a column permutation, that
+    is, when their canonical forms (``canonicalize``) are identical."""
     if (q1.m, q1.k) != (q2.m, q2.k):
         raise ValueError("Q-matrices must have equal shapes to compare")
-    return _column_multiset(q1) == _column_multiset(q2)
+    return canonicalize(q1) == canonicalize(q2)
 
 
 def canonicalize(q: QMatrix) -> QMatrix:
@@ -302,9 +299,11 @@ def enumerate_candidates(
 class ProfileDistribution:
     """Probability distribution over all 2^k attribute profiles.
 
-    ``probs[0]`` is the all-zero profile; the remaining entries follow
-    profile_order(k). This layout matches the variable order used by the
-    simplex least-squares solver, so fitted vectors map straight through.
+    ``probs`` follows ``subsets_card_lex(k, nonempty=False)``: the all-zero
+    profile first, then the nonzero profiles in profile_order(k). This
+    layout is the column order of every design matrix and so the variable
+    order of the simplex least-squares solver, so fitted vectors map
+    straight through.
     """
 
     k: int
@@ -334,7 +333,7 @@ class ProfileDistribution:
         return self.probs[1:]
 
     def labels(self) -> list[str]:
-        return ["0" * self.k] + [bit_label(mask, self.k) for mask in profile_order(self.k)]
+        return [bit_label(mask, self.k) for mask in subsets_card_lex(self.k, nonempty=False)]
 
     def as_dict(self) -> dict[str, float]:
         return {lab: float(p) for lab, p in zip(self.labels(), self.probs)}
@@ -342,9 +341,7 @@ class ProfileDistribution:
     def mask_probs(self) -> np.ndarray:
         """Probabilities indexed by profile bitmask (position = mask value)."""
         out = np.zeros(2**self.k)
-        out[0] = self.probs[0]
-        for pos, mask in enumerate(profile_order(self.k)):
-            out[mask] = self.probs[pos + 1]
+        out[subsets_card_lex(self.k, nonempty=False)] = self.probs
         return out
 
     @classmethod
@@ -358,12 +355,8 @@ class ProfileDistribution:
             bits = [int(ch) for ch in profile]
         else:
             bits = [int(v) for v in profile]
-        mask = bits_to_mask(bits)
         probs = np.zeros(2**k)
-        if mask == 0:
-            probs[0] = 1.0
-        else:
-            probs[1 + profile_order(k).index(mask)] = 1.0
+        probs[subsets_card_lex(k, nonempty=False).index(bits_to_mask(bits))] = 1.0
         return cls(k, probs)
 
     @classmethod
@@ -373,12 +366,11 @@ class ProfileDistribution:
         Missing labels default to 0; unknown labels are an error, and so is
         a value that is not a real number (a bool or a string is not one).
         """
-        valid = {"0" * k} | {bit_label(mask, k) for mask in profile_order(k)}
-        unknown = set(mapping) - valid
+        labels = [bit_label(mask, k) for mask in subsets_card_lex(k, nonempty=False)]
+        unknown = set(mapping) - set(labels)
         if unknown:
             raise ValueError(f"unknown profile labels: {sorted(unknown)}")
         probs = np.zeros(2**k)
-        labels = ["0" * k] + [bit_label(mask, k) for mask in profile_order(k)]
         for pos, lab in enumerate(labels):
             value = mapping.get(lab, 0.0)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):

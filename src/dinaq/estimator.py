@@ -43,7 +43,6 @@ from .core import (
     QMatrix,
     canonicalize,
     enumerate_candidates,
-    equivalent,
     is_complete,
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
@@ -57,7 +56,6 @@ from .tmatrix import (
     pattern_moments,
     pattern_rates,
     patterns,
-    rate_vector,
     unit_rates,
 )
 
@@ -376,12 +374,13 @@ def decontaminate(alpha: AlphaVector, g) -> np.ndarray:
     capability, at per-item rates c - g (see ``build_d``); entry 0 is 1, the
     total mass. It depends on the data and g only, never on a candidate.
     One pass per item over the 2^m lattice (``difference_pass``), so the
-    operator itself is never built.
+    operator itself is never built. Raises ValueError for a ``g`` entry
+    outside [0, 1].
     """
     _require_saturated(alpha)
     v = _by_mask(alpha)
     v[0] = 1.0
-    beta = difference_pass(v, g)
+    beta = difference_pass(v, unit_rates(g, alpha.order.m, "g"))
     beta.setflags(write=False)
     return beta
 
@@ -396,9 +395,10 @@ def moment_slip(q: QMatrix, g, beta: np.ndarray, item: int, cover: int) -> float
     [0, 1].
 
     Raises DegenerateSampleError when the denominator is below 1e-12 (no
-    subjects effectively clear the cover).
+    subjects effectively clear the cover), and ValueError for a ``g`` entry
+    outside [0, 1].
     """
-    g = rate_vector(g, q.m, "g")
+    g = unit_rates(g, q.m, "g")
     if np.shape(beta) != (1 << q.m,):
         raise ValueError(f"de-contaminated rates must have length {1 << q.m}")
     if not 0 <= item < q.m:
@@ -801,8 +801,9 @@ def check_identifiability(
     """Probe whether any non-equivalent candidate mimics the population rates.
 
     Builds the analytic success rates of (q, params, p_star), then for every
-    non-equivalent canonical candidate minimizes the fit distance over the
-    candidate's capable rates, guessing rates held at the truth. A delta at
+    non-equivalent canonical candidate, every one but ``canonicalize(q)``,
+    minimizes the fit distance over the candidate's capable rates, guessing
+    rates held at the truth. A delta at
     or below ``IDENTIFIABILITY_TOL`` flags the candidate as
     indistinguishable in population, i.e. the configuration is not
     identifiable.
@@ -822,60 +823,53 @@ def check_identifiability(
 
     Distributions with zero-mass profiles are allowed but noted: they are the
     classic source of non-identifiability. An incomplete ``q`` skips the
-    probe entirely and reports complete=False.
+    probe entirely and reads nothing from ``p_star``: the report has
+    complete=False, no deltas and one note saying why.
     """
     if params.m != q.m:
         raise ValueError(f"params cover {params.m} items, Q-matrix has {q.m}")
+    complete = is_complete(q)
     notes: list[str] = []
-    if not is_complete(q):
-        return IdentifiabilityReport(
-            q=q,
-            complete=False,
-            threshold=IDENTIFIABILITY_TOL,
-            deltas=(),
-            flagged=(),
-            min_delta=None,
-            notes=(
-                "Q-matrix is incomplete (some attribute has no single-attribute item); "
-                "identifiability probe skipped",
-            ),
-        )
-    if (p_star.probs == 0.0).any():
-        notes.append(
-            "profile distribution has zero-mass profiles; identifiability may degenerate"
-        )
-    order = ComboOrder.saturated(q.m)
-    alpha = population_alpha(q, params, p_star, order)
-    support = set(patterns(q)[p_star.probs > 0.0].tolist())
     deltas: list[tuple[QMatrix, float]] = []
-    for cand in enumerate_candidates(q.m, q.k, budget):
-        if equivalent(cand, q):
-            continue
-        if support <= set(patterns(cand).tolist()):
-            deltas.append((cand, 0.0))
-            continue
-        c, converged = _rate_search(cand, params.g, alpha, np.zeros(q.m), list(range(q.m)))
-        sol = _fit(cand, c, params.g, alpha)
-        deltas.append((cand, sol.residual))
-        name = ",".join(cand.row_strings())
-        if not converged:
+    if not complete:
+        notes.append(
+            "Q-matrix is incomplete (some attribute has no single-attribute item); "
+            "identifiability probe skipped"
+        )
+    else:
+        if (p_star.probs == 0.0).any():
             notes.append(
-                f"rate search for candidate {name} converged "
-                "from no start; its delta is the best point found"
+                "profile distribution has zero-mass profiles; identifiability may degenerate"
             )
-        if sol.status == "iteration-cap":
-            notes.append(
-                f"delta solve for candidate {name} stopped at the iteration cap; "
-                "its delta may be an over-estimate"
-            )
-    flagged = tuple(c for c, dlt in deltas if dlt <= IDENTIFIABILITY_TOL)
-    min_delta = min((dlt for _, dlt in deltas), default=None)
+        alpha = population_alpha(q, params, p_star, ComboOrder.saturated(q.m))
+        support = set(patterns(q)[p_star.probs > 0.0].tolist())
+        truth = canonicalize(q)
+        for cand in enumerate_candidates(q.m, q.k, budget):
+            if cand == truth:
+                continue
+            if support <= set(patterns(cand).tolist()):
+                deltas.append((cand, 0.0))
+                continue
+            c, converged = _rate_search(cand, params.g, alpha, np.zeros(q.m), list(range(q.m)))
+            sol = _fit(cand, c, params.g, alpha)
+            deltas.append((cand, sol.residual))
+            name = ",".join(cand.row_strings())
+            if not converged:
+                notes.append(
+                    f"rate search for candidate {name} converged "
+                    "from no start; its delta is the best point found"
+                )
+            if sol.status == "iteration-cap":
+                notes.append(
+                    f"delta solve for candidate {name} stopped at the iteration cap; "
+                    "its delta may be an over-estimate"
+                )
     return IdentifiabilityReport(
         q=q,
-        complete=True,
+        complete=complete,
         threshold=IDENTIFIABILITY_TOL,
         deltas=tuple(deltas),
-        flagged=flagged,
-        min_delta=min_delta,
+        flagged=tuple(c for c, dlt in deltas if dlt <= IDENTIFIABILITY_TOL),
+        min_delta=min((dlt for _, dlt in deltas), default=None),
         notes=tuple(notes),
     )

@@ -51,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import QMatrix, profile_order, subsets_card_lex
+from .core import QMatrix, subsets_card_lex
 
 # Saturated row sets grow as 2^m - 1; past this the matrices stop being
 # practical to materialize.
@@ -257,7 +257,7 @@ def patterns(q: QMatrix | Sequence[QMatrix]) -> np.ndarray:
     """
     entries = _entries(q)
     m, k = entries.shape[-2:]
-    masters = _single_item_indicators(entries, [0] + profile_order(k))
+    masters = _single_item_indicators(entries, subsets_card_lex(k, nonempty=False))
     return (masters.astype(np.int64) << np.arange(m)[:, None]).sum(axis=-2)
 
 
@@ -282,8 +282,8 @@ def pattern_gram(pats, c, g) -> np.ndarray:
     costs digits: with rates in [0, 1] every term is nonnegative. Shape
     (..., n, n); equal patterns give equal rows and columns exactly.
     """
-    g = np.asarray_chkfinite(g, dtype=np.float64)
-    f = _pattern_factors(np.asarray(pats), np.asarray_chkfinite(c, dtype=np.float64), g)
+    c, g = _checked_rates(c, g)
+    f = _pattern_factors(np.asarray(pats), c, g)
     gram = np.zeros(f.shape[:-2] + (f.shape[-1],) * 2)
     for i in range(g.shape[0]):
         t = f[..., i, :, None] * f[..., i, None, :]
@@ -317,14 +317,20 @@ def _kronecker_pass(values: np.ndarray, step, lead: tuple[int, ...] = ()) -> np.
     return out
 
 
-def _checked_pass(values, c, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the inputs of the rate passes, checked; difference_pass has no c
+def _checked_rates(c, g) -> tuple[np.ndarray, np.ndarray]:
+    # finite float64 rates: g an (m,) vector, c one or a stack of them
     g = np.asarray_chkfinite(g, dtype=np.float64)
     c = np.asarray_chkfinite(c, dtype=np.float64)
+    if g.ndim != 1 or c.shape[-1:] != g.shape:
+        raise ValueError("c and g must hold one rate per item")
+    return c, g
+
+
+def _checked_pass(values, c, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the inputs of the rate passes, checked; difference_pass has no c
+    c, g = _checked_rates(c, g)
     values = np.asarray_chkfinite(values, dtype=np.float64)
     m = g.shape[0]
-    if g.shape != (m,) or c.shape[-1:] != (m,):
-        raise ValueError("c and g must hold one rate per item")
     if values.shape[-1:] != (1 << m,):
         raise ValueError(f"rates for {m} items need values of last axis {1 << m}")
     return values, c, g
@@ -403,7 +409,8 @@ def design(
 ) -> np.ndarray:
     """Design matrix of ``q`` at per-item rates (c, g) over ``order``.
 
-    Shape (len(order), 2^k): column 0 is the zero profile, the others follow
+    Shape (len(order), 2^k), columns in ``subsets_card_lex(k,
+    nonempty=False)``: column 0 is the zero profile, the others follow
     ``profile_order(k)``. Entry (S, A) is the product over the items i of S,
     formed left to right in ascending item order, of c_i if A dominates item
     i and g_i otherwise; entries are therefore bit-identical to the
@@ -425,13 +432,10 @@ def design(
     m, k = q.m, q.k
     if order.m != m:
         raise ValueError(f"order is over {order.m} items but Q-matrix has {m}")
-    c = np.asarray_chkfinite(c, dtype=np.float64)
-    g = np.asarray_chkfinite(g, dtype=np.float64)
-    if c.shape[-1:] != (m,) or c.ndim > 2:
-        raise ValueError(f"c must be a vector of length {m} or a stack of them")
-    if g.shape != (m,):
-        raise ValueError(f"g must be a vector of length {m}")
-    profiles = [0] + profile_order(k)
+    c, g = _checked_rates(c, g)
+    if g.shape != (m,) or c.ndim > 2:
+        raise ValueError(f"c and g must be vectors of length {m}, c or a stack of them")
+    profiles = subsets_card_lex(k, nonempty=False)
     factors = np.where(_single_item_indicators(q.entries, profiles), c[..., None], g[:, None])
     values = np.ones(factors.shape[:-2] + (len(order), len(profiles)), dtype=np.float64)
     for i in range(m):

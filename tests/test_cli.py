@@ -233,6 +233,42 @@ def test_estimate_rejects_equal_rates(workdir, capsys):
     assert "separate" in capsys.readouterr().err
 
 
+C3, G3 = ["--c", "0.9,0.85,0.8"], ["--g", "0.15,0.2,0.25"]
+
+
+@pytest.mark.parametrize(
+    "command, flags, names",
+    [
+        ("estimate", ["--mode", "noiseless"] + C3, "--c"),
+        ("estimate", ["--mode", "noiseless"] + G3, "--g"),
+        ("estimate", ["--mode", "known-g"] + C3 + G3, "--c"),
+        ("estimate", ["--mode", "known-g"], "--g"),
+        ("estimate", ["--mode", "known-cg"] + G3, "--c"),
+        ("estimate", ["--mode", "known-cg"] + C3, "--g"),
+        ("estimate", ["--mode", "bogus"], "mode"),
+        ("tmatrix", ["--variant", "plain"] + G3, "--g"),
+        ("tmatrix", ["--variant", "slip"] + C3 + G3, "--g"),
+        ("tmatrix", ["--variant", "slip-guess"] + C3, "--g"),
+        ("tmatrix", ["--variant", "slip-guess"] + G3, "--c"),
+        ("tmatrix", ["--variant", "augmented"] + C3, "--g"),
+        ("tmatrix", ["--variant", "augmented"] + G3, "--c"),
+        ("tmatrix", ["--variant", "bogus"], "variant"),
+    ],
+    ids=[
+        "noiseless-c", "noiseless-g", "known-g-c", "known-g-no-g", "known-cg-no-c",
+        "known-cg-no-g", "unknown-mode", "plain-g", "slip-g", "slip-guess-no-g",
+        "slip-guess-no-c", "augmented-no-g", "augmented-no-c", "unknown-variant",
+    ],
+)
+def test_rate_flags_each_mode_and_variant_refuses(workdir, capsys, command, flags, names):
+    # each --mode and --variant fixes some rates and reads the others from
+    # --c and --g; a refused or missing flag exits 3 with a message naming it
+    simulate_default(workdir, n=100)
+    source = ["--responses", "resp.txt", "--k", "2"] if command == "estimate" else ["--q", "q.txt"]
+    assert run([command] + source + flags) == 3
+    assert names in capsys.readouterr().err
+
+
 def test_estimate_budget_exit_code(workdir):
     simulate_default(workdir, n=100)
     base = ["estimate", "--responses", "resp.txt", "--k", "2", "--mode", "noiseless"]

@@ -1140,9 +1140,9 @@ def test_split_validation():
             estimate_q(alpha, params, 2, **bad)
         with pytest.raises(ValueError):
             estimate_q_unknown_c(alpha, params.g, 2, **bad)
-    # guessing rates must be a vector, not a 2-d array of the same size
-    for shape in ((1, 3), (3, 1)):
-        g = np.zeros(shape)
+    # guessing rates must be a vector, not a 2-d array of the same size, and
+    # lie in [0, 1]
+    for g in (np.zeros((1, 3)), np.zeros((3, 1)), np.array([1.5, -0.2, 0.1])):
         with pytest.raises(ValueError):
             split_estimate(resp, [[0, 1, 2]], 2, g=g)
         with pytest.raises(ValueError):

@@ -54,3 +54,49 @@ def test_package_exports_what_it_imports():
     imported = imported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
     assert [n for n in dinaq.__all__ if not hasattr(dinaq, n)] == []
     assert sorted(set(imported) - set(dinaq.__all__)) == []
+
+
+
+
+def orphaned_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private names defined in ``sources`` (module name to
+    source) that no code in any of them reads, outside the name's own
+    definition."""
+    defined, reads = set(), set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = set()
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = own = {top.name}
+            elif isinstance(top, ast.Assign):
+                names = {t.id for t in top.targets if isinstance(t, ast.Name)}
+            elif isinstance(top, ast.AnnAssign) and isinstance(top.target, ast.Name):
+                names = {top.target.id}
+            else:
+                names = set()
+            defined |= {(module, n) for n in names if n.startswith("_") and not n.endswith("__")}
+            found = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    found.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    found.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    found.add(node.name)
+            # a definition's reads of its own name, as in recursion, do not count
+            reads |= found - own
+    return sorted(f"{module}.{name}" for module, name in defined if name not in reads)
+
+
+def test_orphaned_privates_finds_what_nothing_reads():
+    sources = {
+        "a": "_LIMIT = 3\n_SPARE = 4\ndef _walk(n):\n    return _walk(n - 1)\n"
+        "def _used():\n    return _LIMIT\n",
+        "b": "from .a import _used\n",
+    }
+    assert orphaned_privates(sources) == ["a._SPARE", "a._walk"]
+
+
+def test_no_orphaned_private_helpers():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert orphaned_privates(sources) == []

@@ -391,6 +391,9 @@ def test_closed_forms_reject_bad_shapes():
         pattern_rates(np.ones(7), c, g)
     with pytest.raises(ValueError):
         pattern_moments(np.ones(8), c[:2], g)
+    # one c for three items is refused, not broadcast
+    with pytest.raises(ValueError):
+        pattern_gram(np.array([0, 7]), [0.8], g)
 
 
 def test_design_returns_fresh_writable_array():

@@ -17,21 +17,26 @@ exact.
 
 When capable success rates are unknown they are recovered per candidate
 before scoring: a moment estimator handles every item whose attributes are
-jointly covered by other items, and a bounded quasi-Newton profile search
+jointly covered by other items, and a bounded quasi-Newton rate search
 fills in the rest. That search minimizes the squared score with its exact
 gradient, which the envelope theorem reads off the simplex fit itself.
+The searches of all candidates and starts run in lockstep: each round
+evaluates every pending trial point with one batched objective that, like
+the screen, builds no design, and a candidate's search ends where it would
+end alone.
 
 ``check_identifiability`` probes the model in population: a complete
 Q-matrix should leave every non-equivalent candidate at a strictly positive
 fit distance no matter how that candidate tunes its capable rates. A
 candidate that holds every capability pattern the population uses fits it
 exactly and is flagged without numerics; every other candidate's distance
-comes from the same gradient rate search, over all of its capable rates.
+comes from the same lockstep rate search, over all of its capable rates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -46,7 +51,7 @@ from .core import (
     is_complete,
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
-from .solver import LsqSolution, simplex_gram_bounds, simplex_lsq
+from .solver import LsqSolution, _gram_active_set, simplex_gram_bounds, simplex_lsq
 from .tmatrix import (
     ComboOrder,
     DinaParams,
@@ -78,8 +83,10 @@ _ACTIVE_BAND = 1e-3
 _ARMIJO = 1e-4
 _MAX_TRIALS = 30
 
-# candidates per screened chunk: a chunk's screen holds a few arrays of
-# chunk x 2^m floats for its residual passes, so this bounds memory
+# candidates per screened chunk, and per lockstep rate search: a chunk's
+# screen holds a few arrays of chunk x 2^m floats for its residual passes
+# and of chunk x 4^k for its Gram systems, and its rate search, three
+# starts per candidate, three times as many, so this bounds memory
 _CANDIDATE_CHUNK = 512
 # the screen's bounds sit within about 1e-14 of the exact residual; this
 # margin keeps that rounding from ever excluding a contender
@@ -152,8 +159,9 @@ class EstimationResult:
     batched screen decides which candidates get an exact solve, so the
     winner's score and every tie are exact. ``diagnostics`` holds only the
     lists of candidates whose fit is suspect, still ranked, each present
-    when nonempty: ``"capped"`` (exact solve stopped at the solver's
-    iteration cap), ``"degenerate"`` and ``"unconverged"``.
+    when nonempty: ``"capped"`` (an exact solve, or a solve of the unknown-c
+    rate search, stopped at the solver's iteration cap), ``"degenerate"``
+    and ``"unconverged"``.
     """
 
     q_hat: QMatrix
@@ -198,6 +206,22 @@ def _by_mask(alpha: AlphaVector) -> np.ndarray:
     return target
 
 
+def _pattern_residuals(
+    pats: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The weights of a stack of simplex points x on the candidates' (b, n)
+    patterns, summed by pattern (equal patterns share a cell), and the exact
+    residuals M x - alpha by combination bitmask (``pattern_rates``), with
+    the empty combination's entry, the total mass, put to 0. ``c`` is an
+    (m,) vector or a (b, m) stack."""
+    count, size = pats.shape[0], target.size
+    slots = (np.arange(count)[:, None] * size + pats).ravel()
+    weights = np.bincount(slots, x.ravel(), count * size).reshape(count, size)
+    resid = pattern_rates(weights, c, g) - target
+    resid[:, 0] = 0.0
+    return weights, resid
+
+
 def _pattern_bounds(
     pats: np.ndarray, c: np.ndarray, g: np.ndarray, target: np.ndarray, moments: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,16 +235,10 @@ def _pattern_bounds(
     read through the pattern lattice: weights to rates (``pattern_rates``)
     and residual to gradient (``pattern_moments``).
     """
-    count, size = pats.shape[0], target.size
     lin = np.take_along_axis(np.atleast_2d(moments), pats, axis=1)
-    slots = (np.arange(count)[:, None] * size + pats).ravel()
 
     def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # sum each candidate's weights by pattern; equal patterns share a cell
-        weights = np.bincount(slots, x.ravel(), count * size).reshape(count, size)
-        resid = pattern_rates(weights, c, g) - target
-        # entry 0 is the total mass, not a combination's rate
-        resid[:, 0] = 0.0
+        resid = _pattern_residuals(pats, x, c, g, target)[1]
         return resid, np.take_along_axis(pattern_moments(resid, c, g), pats, axis=1)
 
     return simplex_gram_bounds(pattern_gram(pats, c, g), lin, residuals)
@@ -423,36 +441,62 @@ def moment_slip(q: QMatrix, g, beta: np.ndarray, item: int, cover: int) -> float
     return float(np.clip(g[item] + num / den, 0.0, 1.0))
 
 
-def _rate_objective(
-    q: QMatrix, g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: list[int]
-):
-    """``_SLIP_SCALE`` times the squared score of ``q``, and its gradient, as
-    a function of the capable rates of the ``free`` items, the other rates
-    held at ``c``. ``g`` comes checked from the rate search's caller, so
-    no evaluation re-checks it.
+def _rate_objective(cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector):
+    """The rate searches' objective for a stack of same-shape candidates:
+    ``_SLIP_SCALE`` times the squared score, and its gradient in every
+    item's capable rate, built from no design.
 
-    By the envelope theorem the gradient needs no re-fit: with x* the
-    simplex minimizer and r = M x* - alpha, d score^2 / d c_i equals
-    2 r' (dM/dc_i) x*. Entry (S, A) of M holds the factor c_i exactly when
-    S contains item i and profile A masters it, and it is linear in c_i, so
-    dM/dc_i is the design at c_i = 1 masked to those entries. One stacked
-    design gives M and every free item's derivative.
+    Returns ``evaluate(rows, c)``: for each j, candidate ``cands[rows[j]]``
+    at the capable rates ``c[j]``, a (b, m) stack. It gives the (b,)
+    values, the (b, m) gradients and whether a solve stopped at the
+    solver's iteration cap. ``g`` comes checked from the caller.
+
+    The simplex fit x is ``simplex_lsq``'s active set followed on the
+    closed-form Gram systems (``pattern_gram``, with ``pattern_moments`` of
+    the rates gathered by pattern). A problem whose Gram solve stops at a
+    singular pivot or at the cap is fitted by ``simplex_lsq`` on its own
+    design instead. The residual is read through the pattern lattice
+    (``pattern_rates`` of the weights w, x summed by pattern). By the
+    envelope theorem the gradient needs no re-fit: d score^2 / d c_i is
+    2 r' (dM/dc_i) x. Entry (S, A) of the design M holds the factor c_i
+    exactly when S contains item i and profile A masters it, and it is
+    linear in c_i, so entry i is 2 sum_P w_P [P masters i] times
+    ``pattern_moments`` of r restricted to the combinations holding i,
+    taken at c_i = 1: one pass over an (m, 2^m) stack per problem, run on
+    slices of ``_CANDIDATE_CHUNK // m`` problems. Every operation acts on
+    each problem alone, so a problem's results are the same bytes whatever
+    else is in the stack.
     """
-    masters = (patterns(q)[None, :] >> np.array(free)[:, None]) & 1 == 1
-    holds = alpha.order._members[free][:, :, None] & masters[:, None, :]
-    unit = np.arange(1, len(free) + 1)
+    target = _by_mask(alpha)
+    pats = patterns(cands)
+    m, size = alpha.order.m, target.size
+    # bits[i, S]: item i belongs to combination S, or pattern S masters it
+    bits = (np.arange(size) >> np.arange(m)[:, None]) & 1 == 1
+    unit = np.eye(m, dtype=bool)
+    # the gradient pass holds m x 2^m floats per problem: take it a slice
+    # of problems at a time, so that it holds no more than the screen
+    span = max(1, _CANDIDATE_CHUNK // m)
 
-    def objective(v: np.ndarray) -> tuple[float, np.ndarray]:
-        stack = np.repeat(c[None, :], len(free) + 1, axis=0)
-        stack[:, free] = np.clip(v, 0.0, 1.0)
-        stack[unit, free] = 1.0
-        designs = design(q, stack, g, alpha.order)
-        x = simplex_lsq(designs[0], alpha.rates).x
-        r = designs[0] @ x - alpha.rates
-        grad = 2.0 * ((designs[1:] * holds) @ x @ r)
-        return _SLIP_SCALE * float(r @ r), _SLIP_SCALE * grad
+    def evaluate(rows: np.ndarray, c: np.ndarray):
+        p = pats[rows]
+        lin = np.take_along_axis(pattern_moments(target, c, g), p, axis=1)
+        x, finished = _gram_active_set(pattern_gram(p, c, g), lin)
+        capped = np.zeros(len(rows), dtype=bool)
+        for j in np.flatnonzero(~finished):
+            sol = simplex_lsq(design(cands[rows[j]], c[j], g, alpha.order), alpha.rates)
+            x[j], capped[j] = sol.x, sol.status == "iteration-cap"
+        weights, resid = _pattern_residuals(p, x, c, g, target)
+        grad = np.empty(c.shape)
+        for lo in range(0, len(rows), span):
+            part = slice(lo, lo + span)
+            # row i of each stack: the residual on the combinations holding
+            # item i, read through the rates with c_i = 1
+            held = resid[part, None, :] * bits
+            moments = pattern_moments(held, np.where(unit, 1.0, c[part, None, :]), g)
+            grad[part] = 2.0 * (weights[part, None, :] * bits * moments).sum(axis=2)
+        return _SLIP_SCALE * (resid * resid).sum(axis=1), _SLIP_SCALE * grad, capped
 
-    return objective
+    return evaluate
 
 
 @dataclass(eq=False)
@@ -464,6 +508,90 @@ class SearchResult:
     fun: float
     success: bool
     nfev: int
+
+
+def _bfgs(x0: np.ndarray):
+    """The run behind ``minimize``, as a generator: it yields each point to
+    evaluate, is sent that point's (value, gradient), and returns the
+    ``SearchResult``."""
+    ftol, gtol, maxfun = (_SLIP_OPTIONS[key] for key in ("ftol", "gtol", "maxfun"))
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    f, grad = yield x
+    # hess is the BFGS model of the Hessian; scale, its curvature along the
+    # first step that showed one, also scales the gradient steps
+    nfev, hess, scale = 1, None, None
+    best_f, best_x = f, x
+    while True:
+        pgrad = np.clip(x - grad, 0.0, 1.0) - x
+        if np.abs(pgrad).max() <= gtol:
+            return SearchResult(x, f, True, nfev)
+        band = min(_ACTIVE_BAND, math.sqrt(float(pgrad @ pgrad)))
+        held = ((x <= band) & (grad > 0.0)) | ((x >= 1.0 - band) & (grad < 0.0))
+        step = -grad if scale is None else -grad / scale
+        if hess is not None and not held.all():
+            move = ~held
+            try:
+                step[move] = np.linalg.solve(hess[move][:, move], -grad[move])
+            except np.linalg.LinAlgError:
+                hess = None
+        # the first step is one unit long, as in L-BFGS-B
+        t = min(1.0, 1.0 / math.sqrt(float(step @ step))) if scale is None else 1.0
+        for _ in range(_MAX_TRIALS):
+            if nfev >= maxfun:
+                return SearchResult(best_x, best_f, False, nfev)
+            trial = np.clip(x + t * step, 0.0, 1.0)
+            slope = float(grad @ (trial - x))
+            if slope >= 0.0:
+                t *= 0.5
+                continue
+            f_new, grad_new = yield trial
+            nfev += 1
+            if f_new < best_f:
+                best_f, best_x = f_new, trial
+            if f_new <= f + _ARMIJO * slope:
+                break
+            # safeguarded minimizer of the quadratic through f, slope and f_new
+            t *= min(0.5, max(0.1, -slope / (2.0 * (f_new - f - slope))))
+        else:
+            if hess is None:
+                return SearchResult(best_x, best_f, False, nfev)
+            hess = None
+            continue
+        s, y = trial - x, grad_new - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if hess is None:
+                scale = float(y @ y) / sy
+                hess = scale * np.eye(x.size)
+            bs = hess @ s
+            hess += y[:, None] * y / sy - bs[:, None] * bs / float(s @ bs)
+        f_old, x, f, grad = f, trial, f_new, grad_new
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            return SearchResult(x, f, True, nfev)
+
+
+def _lockstep(evaluate, starts: list[np.ndarray]) -> list[SearchResult]:
+    """Run the search of ``minimize`` from each of ``starts`` at once.
+
+    Each round, ``evaluate(runs, points)`` gets the indices of the runs
+    still going and the point each one waits on, and returns their
+    (value, gradient) pairs in the same order; every run then takes its
+    own next step. Returns one ``SearchResult`` per start, in start order.
+    A run's steps depend on its own evaluations only, so it ends where it
+    would end alone.
+    """
+    runs = [_bfgs(x0) for x0 in starts]
+    pending = {j: next(run) for j, run in enumerate(runs)}
+    results: list[SearchResult | None] = [None] * len(runs)
+    while pending:
+        live = list(pending)
+        for j, value in zip(live, evaluate(live, [pending[j] for j in live])):
+            try:
+                pending[j] = runs[j].send(value)
+            except StopIteration as stop:
+                results[j] = stop.value
+                del pending[j]
+    return results
 
 
 def minimize(objective, x0: np.ndarray) -> SearchResult:
@@ -485,83 +613,71 @@ def minimize(objective, x0: np.ndarray) -> SearchResult:
     evaluations are spent, or when a gradient step cannot move. A
     converged run returns the point that met its test, an unconverged one
     the best point it evaluated.
+
+    The rate searches run the same search through ``_lockstep``, many runs
+    at once against one batched objective; this runs one.
     """
-    ftol, gtol, maxfun = (_SLIP_OPTIONS[key] for key in ("ftol", "gtol", "maxfun"))
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    f, grad = objective(x)
-    # hess is the BFGS model of the Hessian; scale, its curvature along the
-    # first step that showed one, also scales the gradient steps
-    nfev, hess, scale = 1, None, None
-    best_f, best_x = f, x
-    while True:
-        pgrad = np.clip(x - grad, 0.0, 1.0) - x
-        if np.abs(pgrad).max() <= gtol:
-            return SearchResult(x, f, True, nfev)
-        band = min(_ACTIVE_BAND, float(np.linalg.norm(pgrad)))
-        held = ((x <= band) & (grad > 0.0)) | ((x >= 1.0 - band) & (grad < 0.0))
-        step = -grad if scale is None else -grad / scale
-        if hess is not None and not held.all():
-            move = ~held
-            try:
-                step[move] = np.linalg.solve(hess[np.ix_(move, move)], -grad[move])
-            except np.linalg.LinAlgError:
-                hess = None
-        # the first step is one unit long, as in L-BFGS-B
-        t = min(1.0, 1.0 / float(np.linalg.norm(step))) if scale is None else 1.0
-        for _ in range(_MAX_TRIALS):
-            if nfev >= maxfun:
-                return SearchResult(best_x, best_f, False, nfev)
-            trial = np.clip(x + t * step, 0.0, 1.0)
-            slope = float(grad @ (trial - x))
-            if slope >= 0.0:
-                t *= 0.5
-                continue
-            f_new, grad_new = objective(trial)
-            nfev += 1
-            if f_new < best_f:
-                best_f, best_x = f_new, trial
-            if f_new <= f + _ARMIJO * slope:
-                break
-            # safeguarded minimizer of the quadratic through f, slope and f_new
-            t *= min(0.5, max(0.1, -slope / (2.0 * (f_new - f - slope))))
-        else:
-            if hess is None:
-                return SearchResult(best_x, best_f, False, nfev)
-            hess = None
-            continue
-        s, y = trial - x, grad_new - grad
-        sy = float(s @ y)
-        if sy > 0.0:
-            if hess is None:
-                scale = float(y @ y) / sy
-                hess = scale * np.eye(x.size)
-            bs = hess @ s
-            hess += np.outer(y, y) / sy - np.outer(bs, bs) / float(s @ bs)
-        f_old, x, f, grad = f, trial, f_new, grad_new
-        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
-            return SearchResult(x, f, True, nfev)
+    return _lockstep(lambda runs, points: [objective(x) for x in points], [x0])[0]
+
+
+def _rate_searches(
+    cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Capable rates of same-shape candidates from the rate search.
+
+    Candidate j's search runs from each of ``_SLIP_STARTS`` over the items
+    set in row j of the (b, m) mask ``free``, at least one per row, with
+    its other items held at their entries of row j of ``c``. The searches
+    of consecutive chunks of ``_CANDIDATE_CHUNK`` candidates run in
+    lockstep, every start of every candidate at once, against one
+    ``_rate_objective``. A candidate's results are the same bytes alone or
+    in any stack.
+
+    Returns the rates, with each candidate's best point over its starts in
+    its free entries, whether any start converged, and whether a solve of
+    its search stopped at the iteration cap. ``g`` and ``c`` come checked
+    from the caller.
+    """
+    c = np.array(c, dtype=float)
+    converged = np.zeros(len(cands), dtype=bool)
+    capped = np.zeros(len(cands), dtype=bool)
+    tries = len(_SLIP_STARTS)
+    for first in range(0, len(cands), _CANDIDATE_CHUNK):
+        chunk = slice(first, first + _CANDIDATE_CHUNK)
+        base, mask, hit = c[chunk], free[chunk], capped[chunk]
+        objective = _rate_objective(cands[chunk], g, alpha)
+        owner = np.repeat(np.arange(len(base)), tries)
+        starts = [np.full(int(on.sum()), level) for on in mask for level in _SLIP_STARTS]
+
+        def evaluate(runs: list[int], points: list[np.ndarray]):
+            rows = owner[runs]
+            rates, on = base[rows], mask[rows]
+            rates[on] = np.concatenate(points)
+            f, grad, cap = objective(rows, rates)
+            hit[rows[cap]] = True
+            return [(float(fj), gj[oj]) for fj, gj, oj in zip(f, grad, on)]
+
+        results = _lockstep(evaluate, starts)
+        for j in range(len(base)):
+            tried = results[j * tries : (j + 1) * tries]
+            converged[first + j] = any(res.success for res in tried)
+            # the first start wins an exact tie
+            base[j, mask[j]] = np.clip(min(tried, key=lambda res: res.fun).x, 0.0, 1.0)
+    return c, converged, capped
 
 
 def _rate_search(
     q: QMatrix, g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: list[int]
 ) -> tuple[np.ndarray, bool]:
-    """Capable rates of ``q`` from ``minimize`` over the ``free`` items, run
-    from each of ``_SLIP_STARTS``, with every other item held at its entry
-    of ``c``. Writes the best point found into the free entries of ``c``
-    and returns ``c`` with whether any start converged. ``g`` and ``c``
-    come checked from the caller, so nothing is re-checked here."""
+    """``_rate_searches`` for one candidate over the ``free`` items: the
+    rates, with the best point found in the free entries, and whether any
+    start converged. ``g`` and ``c`` come checked from the caller."""
     if not free:
         return c, True
-
-    objective = _rate_objective(q, g, alpha, c, free)
-    best_f, best_x, converged = np.inf, None, False
-    for level in _SLIP_STARTS:
-        res = minimize(objective, np.full(len(free), level))
-        converged = converged or bool(res.success)
-        if res.fun < best_f:
-            best_f, best_x = float(res.fun), np.asarray(res.x)
-    c[free] = np.clip(best_x, 0.0, 1.0)
-    return c, converged
+    mask = np.zeros((1, q.m), dtype=bool)
+    mask[0, free] = True
+    rates, converged, _ = _rate_searches([q], g, alpha, c[None], mask)
+    return rates[0], bool(converged[0])
 
 
 def profile_slip(
@@ -573,11 +689,14 @@ def profile_slip(
     """Capable success rates by direct score minimization.
 
     Keeps the ``fixed`` coordinates (e.g. moment estimates) and minimizes the
-    squared fit distance over the remaining ones with a bounded quasi-Newton
-    search (``minimize``, projected BFGS) from several deterministic starts,
-    using the exact gradient that the envelope theorem gives at the simplex
-    fit. Every coordinate of the result lies in [0, 1]; the best point found
-    is always returned. Raises ValueError for a ``g`` entry outside [0, 1]
+    squared fit distance over the remaining ones with the rate search of
+    both searches: projected BFGS (``minimize``) from each of
+    ``_SLIP_STARTS``, the runs stepped in lockstep against one batched
+    objective that fits on the closed-form Gram system and reads the exact
+    envelope-theorem gradient through the pattern lattice. The result is
+    the same bytes as that of the same candidate inside the unknown-c
+    search. Every coordinate lies in [0, 1], and the best point found is
+    always returned. Raises ValueError for a ``g`` entry outside [0, 1]
     and for a ``fixed`` item or rate out of range.
     """
     g = unit_rates(g, q.m, "g")
@@ -593,23 +712,24 @@ def profile_slip(
     return _rate_search(q, g, alpha, c, free)[0]
 
 
-def _fit_rates(
-    q: QMatrix, alpha: AlphaVector, g: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray | None, str | None]:
-    # moment-estimate every covered item; rate-search the rest
+def _moment_rates(
+    q: QMatrix, g: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Moment estimates of every item that other items cover, and the mask
+    of the uncovered items, left at 0 for the rate search; None when a
+    moment denominator vanishes."""
     c = np.zeros(q.m)
-    free = []
+    free = np.zeros(q.m, dtype=bool)
     for i in range(q.m):
         cover = find_cover_combo(q, i)
         if cover is None:
-            free.append(i)
+            free[i] = True
             continue
         try:
             c[i] = moment_slip(q, g, beta, i, cover)
         except DegenerateSampleError:
-            return None, "degenerate"
-    c, converged = _rate_search(q, g, alpha, c, free)
-    return c, None if converged else "unconverged"
+            return None
+    return c, free
 
 
 def estimate_q_unknown_c(
@@ -623,18 +743,19 @@ def estimate_q_unknown_c(
     """Q-matrix search when capable success rates are unknown.
 
     Per candidate: moment-estimate the rate of every item covered by its
-    peers and recover uncovered coordinates by bounded profile search. The
-    final scores, each candidate at its own recovered rates, are then
-    ranked by the certified screen of ``estimate_q``: only candidates that
-    could be the winner or tie with it get an exact solve, so winner, score,
-    ties and ``p_tilde`` are those of scoring every candidate exactly.
-    Candidates with degenerate moment denominators score +inf and are
-    listed in diagnostics["degenerate"].
-    Candidates whose profile search converged from no start are still
-    ranked at the best point found, and are listed in
-    diagnostics["unconverged"]; a re-scored candidate whose exact solve
-    stopped at the iteration cap, and carries no other note, is listed in
-    diagnostics["capped"].
+    peers. Then the uncovered coordinates of every candidate that has any
+    are recovered by the rate search of ``profile_slip``, all candidates'
+    searches in lockstep, chunk by chunk; each ends where it would end
+    alone. The final scores, each candidate at its own recovered rates, are
+    then ranked by the certified screen of ``estimate_q``: only candidates
+    that could be the winner or tie with it get an exact solve, so winner,
+    score, ties and ``p_tilde`` are those of scoring every candidate
+    exactly. Candidates with degenerate moment denominators score +inf and
+    are listed in diagnostics["degenerate"]. Candidates whose rate search
+    converged from no start are still ranked at the best point found, and
+    are listed in diagnostics["unconverged"]. A candidate carrying no other
+    note is listed in diagnostics["capped"] when a solve of its rate search
+    or its exact re-score stopped at the iteration cap.
 
     Returns the winner with its recovered ``c_hat``; ties are judged on the
     final scores exactly as in ``estimate_q``. Raises ValueError, before
@@ -647,16 +768,29 @@ def estimate_q_unknown_c(
     g = unit_rates(g, m, "g")
     candidates = list(enumerate_candidates(m, k, budget))
     beta = decontaminate(alpha, g)
-    rates = [_fit_rates(q, alpha, g, beta) for q in candidates]
-    fitted = [i for i, (c, _) in enumerate(rates) if c is not None]
+    estimates = [_moment_rates(q, g, beta) for q in candidates]
+    fitted = [i for i, est in enumerate(estimates) if est is not None]
     if not fitted:
         raise DegenerateSampleError("every candidate has a degenerate moment system")
-    cs = np.array([rates[i][0] for i in fitted])
+    rates = [None if est is None else est[0] for est in estimates]
+    notes = ["degenerate" if est is None else None for est in estimates]
+    searched = [i for i in fitted if estimates[i][1].any()]
+    found = _rate_searches(
+        [candidates[i] for i in searched],
+        g,
+        alpha,
+        np.array([rates[i] for i in searched]).reshape(-1, m),
+        np.array([estimates[i][1] for i in searched]).reshape(-1, m),
+    )
+    for i, c, converged, capped in zip(searched, *found):
+        rates[i] = c
+        notes[i] = "unconverged" if not converged else "capped" if capped else None
+    cs = np.array([rates[i] for i in fitted])
     screened = _screen([candidates[i] for i in fitted], cs, g, alpha, tie_tol)
-    fits = [(np.inf, note, None) for _, note in rates]
+    fits = [(np.inf, note, None) for note in notes]
     for i, (s, capped, x) in zip(fitted, screened):
-        fits[i] = (s, rates[i][1] or capped, x)
-    return _result(candidates, fits, tie_tol, [c for c, _ in rates])
+        fits[i] = (s, notes[i] or capped, x)
+    return _result(candidates, fits, tie_tol, rates)
 
 
 def _align_columns(
@@ -773,9 +907,9 @@ class IdentifiabilityReport:
     found. ``flagged`` collects candidates at or below ``threshold``, which
     is always ``IDENTIFIABILITY_TOL``. ``notes`` holds warnings about the
     inputs, and names every candidate whose rate search converged from no
-    start or whose delta solve stopped at the solver's iteration cap. An
-    incomplete Q-matrix short-circuits: ``complete`` is False and no
-    candidates are evaluated.
+    start or whose delta solve, or a solve of whose search, stopped at the
+    solver's iteration cap. An incomplete Q-matrix short-circuits:
+    ``complete`` is False and no candidates are evaluated.
     """
 
     q: QMatrix
@@ -814,12 +948,12 @@ def check_identifiability(
     columns are those of the truth, so it reproduces the population rates
     exactly. Every other candidate gets the rate search of the unknown-c
     estimator (projected BFGS from three starts, exact envelope gradient)
-    over all of its capable rates, and its delta is the exact fit
-    (``_fit``, the solve behind ``score``) at the best point found. A
-    search that converged from no start is still counted at that point,
-    and so is a delta whose solve stopped at the solver's iteration cap,
-    which can only over-estimate it; each such candidate is named in
-    ``notes``.
+    over all of its capable rates, all of them in one lockstep call, and
+    its delta is the exact fit (``_fit``, the solve behind ``score``) at
+    the best point found. A search that converged from no start is still
+    counted at that point, and so is a delta whose search or delta solve
+    stopped at the solver's iteration cap, which can only over-estimate
+    it; each such candidate is named in ``notes``.
 
     Distributions with zero-mass profiles are allowed but noted: they are the
     classic source of non-identifiability. An incomplete ``q`` skips the
@@ -844,13 +978,16 @@ def check_identifiability(
         alpha = population_alpha(q, params, p_star, ComboOrder.saturated(q.m))
         support = set(patterns(q)[p_star.probs > 0.0].tolist())
         truth = canonicalize(q)
-        for cand in enumerate_candidates(q.m, q.k, budget):
-            if cand == truth:
-                continue
-            if support <= set(patterns(cand).tolist()):
+        cands = [cand for cand in enumerate_candidates(q.m, q.k, budget) if cand != truth]
+        certified = [support <= set(patterns(cand).tolist()) for cand in cands]
+        searched = [cand for cand, cert in zip(cands, certified) if not cert]
+        full = np.ones((len(searched), q.m), dtype=bool)
+        found = zip(*_rate_searches(searched, params.g, alpha, np.zeros(full.shape), full))
+        for cand, cert in zip(cands, certified):
+            if cert:
                 deltas.append((cand, 0.0))
                 continue
-            c, converged = _rate_search(cand, params.g, alpha, np.zeros(q.m), list(range(q.m)))
+            c, converged, capped = next(found)
             sol = _fit(cand, c, params.g, alpha)
             deltas.append((cand, sol.residual))
             name = ",".join(cand.row_strings())
@@ -862,6 +999,11 @@ def check_identifiability(
             if sol.status == "iteration-cap":
                 notes.append(
                     f"delta solve for candidate {name} stopped at the iteration cap; "
+                    "its delta may be an over-estimate"
+                )
+            if capped:
+                notes.append(
+                    f"a rate-search solve for candidate {name} stopped at the iteration cap; "
                     "its delta may be an over-estimate"
                 )
     return IdentifiabilityReport(

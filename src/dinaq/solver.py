@@ -23,12 +23,12 @@ whose pivot is not clearly positive (its restricted system is singular to
 working precision) stops at its last feasible point. Any feasible point
 brackets the optimum, so its bounds stay certified; they are only looser.
 
-Both solvers stay because each is the faster one at its own job. The rate
-searches make one exact solve per objective evaluation, and on one problem
-at a time the row form is 4-5 times faster: on a 2-core x86-64 VM,
-``simplex_lsq`` took 0.12 ms at (m, k) = (3, 2) and 0.16 ms at (4, 3),
-against 0.48 ms and 0.84 ms for ``simplex_gram_bounds`` on a stack of one,
-forming M'M included. The Gram form wins only on stacks.
+The rate searches fit on the Gram form too: ``_gram_active_set``, the
+loop behind ``simplex_gram_bounds``, also returns the final points and
+whether each problem finished, so that each round of the lockstep rate
+search solves every pending trial point at once. A problem that stops at
+a singular pivot or at the cap is re-solved by ``simplex_lsq`` on its own
+rows, which stays the one exact solve behind every reported score.
 """
 
 from __future__ import annotations
@@ -185,62 +185,28 @@ def _solve_checked(
     return y, ok
 
 
-def simplex_gram_bounds(
-    gram, lin, residuals, *, max_iter: int | None = None
+def _gram_active_set(
+    gram: np.ndarray, lin: np.ndarray, max_iter: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bracket the simplex LSQ optimum of every problem in a stack, from its
-    Gram form.
+    """``simplex_lsq``'s active set, followed in lockstep on the Gram forms
+    (G, h) of a checked (b, n, n) and (b, n) stack, with the iteration cap
+    ``max_iter``, default 50 * n, as in ``simplex_lsq``.
 
-    Parameters
-    ----------
-    gram : (b, n, n) array_like
-        ``M'M`` of each problem.
-    lin : (b, n) array_like
-        ``M'beta`` of each problem.
-    residuals : callable
-        Maps feasible points x, a (b, n) array, to the exact residuals
-        ``r = M x - beta`` (shape (b, r)) and ``M'r`` (shape (b, n)).
-        It is called once, on the final points.
-    max_iter : int, optional
-        Iteration cap, default 50 * n, as in ``simplex_lsq``.
-
-    Returns
-    -------
-    (upper, lower) : two (b,) arrays
-        ``upper`` is |r| at a feasible point x of each problem and
-        ``lower = sqrt(max(0, upper^2 - gap))`` with the Frank-Wolfe duality
-        gap ``gap = grad . x - min(grad)``, ``grad = 2 M'r``. By convexity
-        the optimum lies between them for any feasible x. Both come from
-        the exact residuals, never from x'Gx - 2h'x + |beta|^2, which
-        cancels: rounding moves either bound by about 1e-14.
-
-    x follows ``simplex_lsq``'s active set (lowest-index elimination, the
-    same step, drop and entry tolerances) on (G, h), so each iteration
-    solves stacked n x n systems whatever the row count. The restricted
-    systems are solved by elimination, never by a pseudo-inverse. A
-    problem whose restricted system has a pivot at or below 1e-12 times its
-    largest support diagonal of G stops there, at its last feasible x,
-    which still brackets the optimum. Every operation acts on each problem
-    alone, so a problem's bounds are the same bytes whatever else is in
-    the stack.
+    Returns the final feasible points, shape (b, n), and per problem
+    whether it finished: it stopped because no off-support coordinate may
+    enter, not at a singular pivot or at ``max_iter`` iterations. Every
+    operation acts on each problem alone, so a problem's point and flag
+    are the same bytes whatever else is in the stack.
     """
-    gram = np.asarray_chkfinite(gram, dtype=np.float64)
-    lin = np.asarray_chkfinite(lin, dtype=np.float64)
-    if gram.ndim != 3 or gram.shape[1] != gram.shape[2]:
-        raise ValueError("Gram stack must have shape (b, n, n)")
     count, n, _ = gram.shape
-    if lin.shape != (count, n):
-        raise ValueError(f"linear terms must have shape {(count, n)}")
-    if n < 1:
-        raise ValueError("problems need at least one variable")
     if max_iter is None:
         max_iter = 50 * n
-
     diag = np.diagonal(gram, axis1=1, axis2=2)
     x = np.zeros((count, n))
     x[:, 0] = 1.0
     support = np.zeros((count, n), dtype=bool)
     support[:, 0] = True
+    finished = np.zeros(count, dtype=bool)
     live = np.arange(count)
     iterations = 0
     while live.size and iterations < max_iter:
@@ -296,10 +262,64 @@ def simplex_gram_bounds(
         x[live] = np.where(solved[:, None], step_x, xs)
         step_on = np.where(outside[:, None], keep, grown)
         support[live] = np.where(solved[:, None], step_on, on)
+        finished[live[solved & done]] = True
         live = live[solved & ~done]
 
     x = np.clip(x, 0.0, None)
     x /= x.sum(axis=1, keepdims=True)
+    return x, finished
+
+
+def simplex_gram_bounds(
+    gram, lin, residuals, *, max_iter: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bracket the simplex LSQ optimum of every problem in a stack, from its
+    Gram form.
+
+    Parameters
+    ----------
+    gram : (b, n, n) array_like
+        ``M'M`` of each problem.
+    lin : (b, n) array_like
+        ``M'beta`` of each problem.
+    residuals : callable
+        Maps feasible points x, a (b, n) array, to the exact residuals
+        ``r = M x - beta`` (shape (b, r)) and ``M'r`` (shape (b, n)).
+        It is called once, on the final points.
+    max_iter : int, optional
+        Iteration cap, default 50 * n, as in ``simplex_lsq``.
+
+    Returns
+    -------
+    (upper, lower) : two (b,) arrays
+        ``upper`` is |r| at a feasible point x of each problem and
+        ``lower = sqrt(max(0, upper^2 - gap))`` with the Frank-Wolfe duality
+        gap ``gap = grad . x - min(grad)``, ``grad = 2 M'r``. By convexity
+        the optimum lies between them for any feasible x. Both come from
+        the exact residuals, never from x'Gx - 2h'x + |beta|^2, which
+        cancels: rounding moves either bound by about 1e-14.
+
+    x follows ``simplex_lsq``'s active set (lowest-index elimination, the
+    same step, drop and entry tolerances) on (G, h), so each iteration
+    solves stacked n x n systems whatever the row count. The restricted
+    systems are solved by elimination, never by a pseudo-inverse. A
+    problem whose restricted system has a pivot at or below 1e-12 times its
+    largest support diagonal of G stops there, at its last feasible x,
+    which still brackets the optimum. Every operation acts on each problem
+    alone, so a problem's bounds are the same bytes whatever else is in
+    the stack.
+    """
+    gram = np.asarray_chkfinite(gram, dtype=np.float64)
+    lin = np.asarray_chkfinite(lin, dtype=np.float64)
+    if gram.ndim != 3 or gram.shape[1] != gram.shape[2]:
+        raise ValueError("Gram stack must have shape (b, n, n)")
+    count, n, _ = gram.shape
+    if lin.shape != (count, n):
+        raise ValueError(f"linear terms must have shape {(count, n)}")
+    if n < 1:
+        raise ValueError("problems need at least one variable")
+
+    x, _ = _gram_active_set(gram, lin, max_iter)
     resid, mtr = residuals(x)
     upper = np.sqrt((resid * resid).sum(axis=1))
     grad = 2.0 * mtr

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ from dinaq.estimator import (
     _pattern_bounds,
     _rate_objective,
     _rate_search,
+    _rate_searches,
     _screen,
 )
 from dinaq.solver import simplex_lsq
@@ -770,6 +772,21 @@ def _moment_fixed(q, g, beta):
     return fixed
 
 
+def _objective(q, g, alpha, c, free):
+    """The rate searches' batched objective for one candidate, as a function
+    of the capable rates of the ``free`` items, the others held at ``c``:
+    the scaled squared score and its gradient over the free items."""
+    evaluate = _rate_objective([q], g, alpha)
+
+    def objective(v):
+        rates = np.array(c, dtype=float)
+        rates[free] = np.clip(v, 0.0, 1.0)
+        f, grad, _ = evaluate(np.zeros(1, dtype=int), rates[None])
+        return float(f[0]), grad[0, free]
+
+    return objective
+
+
 def _random_case(rng, index):
     """(canonical candidates, order, params, alpha) for random m = 3-5 and
     k = 2-3, on population rates (odd index) or a sample of 2000 subjects
@@ -800,7 +817,7 @@ def test_rate_gradient_matches_central_differences():
         size = int(rng.integers(1, q.m + 1))
         free = sorted(int(i) for i in rng.choice(q.m, size, replace=False))
         c = rng.uniform(0.05, 0.95, q.m)
-        objective = _rate_objective(q, params.g, alpha, c, free)
+        objective = _objective(q, params.g, alpha, c, free)
 
         def support(v):
             trial = c.copy()
@@ -919,7 +936,7 @@ def test_rate_search_driver_contract(data):
     else:
         alpha = population_alpha(truth, params, p_star, order)
     free = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label="free"))
-    objective = _rate_objective(q, params.g, alpha, params.c, free)
+    objective = _objective(q, params.g, alpha, params.c, free)
     ftol, gtol = _SLIP_OPTIONS["ftol"], _SLIP_OPTIONS["gtol"]
     for level in _SLIP_STARTS:
         recorded, seen = _recorded(objective)
@@ -945,7 +962,7 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     params = noisy_params()
     alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
     q = QMatrix.from_rows(["10", "01", "01"])
-    objective = _rate_objective(q, params.g, alpha, np.zeros(3), [0, 1, 2])
+    objective = _objective(q, params.g, alpha, np.zeros(3), [0, 1, 2])
     uncapped = dinaq.estimator.minimize(objective, np.full(3, 0.5))
     assert uncapped.success
     assert uncapped.nfev > 4
@@ -963,6 +980,155 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     # the best of three starts, the first of which is the run above
     first = np.sqrt(res.fun / _SLIP_SCALE)
     assert score(q, alpha, DinaParams(c, params.g)) <= first * (1 + 1e-12)
+
+
+def _row_objective(q, g, alpha, c, free):
+    """The row-form rate objective, kept as the reference: an exact
+    ``simplex_lsq`` solve on the candidate's design, and the gradient from
+    one stacked design per free item."""
+    masters = (patterns(q)[None, :] >> np.array(free)[:, None]) & 1 == 1
+    holds = alpha.order._members[free][:, :, None] & masters[:, None, :]
+    unit = np.arange(1, len(free) + 1)
+
+    def objective(v):
+        stack = np.repeat(c[None, :], len(free) + 1, axis=0)
+        stack[:, free] = np.clip(v, 0.0, 1.0)
+        stack[unit, free] = 1.0
+        designs = design(q, stack, g, alpha.order)
+        x = simplex_lsq(designs[0], alpha.rates).x
+        r = designs[0] @ x - alpha.rates
+        grad = 2.0 * ((designs[1:] * holds) @ x @ r)
+        return _SLIP_SCALE * float(r @ r), _SLIP_SCALE * grad
+
+    return objective
+
+
+def _drawn_case(data, max_m=5):
+    """(rng, m, k, params, alpha) for a drawn m <= ``max_m`` and k <= 3, on
+    population or sampled rates of a random truth."""
+    m = data.draw(st.integers(2, max_m), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    truth = random_q(rng, m, k)
+    params = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    order = ComboOrder.saturated(m)
+    if data.draw(st.booleans(), label="sampled"):
+        config = SimConfig(q=truth, params=params, p_star=p_star, n=1000, seed=seed)
+        alpha = compute_alpha(simulate(config)[0], order)
+    else:
+        alpha = population_alpha(truth, params, p_star, order)
+    return rng, m, k, params, alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_batched_objective_matches_row_form(data):
+    """The batched objective agrees with the row-form one it replaced, on
+    score^2 (the objective over _SLIP_SCALE): the value within 1e-12
+    relative, or within 1e-12 of the larger score where it is below 1, and
+    the gradient within 1e-12 wherever the design has full column rank once
+    equal-pattern columns are merged. Elsewhere the simplex minimizer x is
+    not unique, and neither is the envelope gradient."""
+    rng, m, k, params, alpha = _drawn_case(data)
+    q = random_q(rng, m, k)
+    free = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label="free"))
+    c = rng.uniform(0.0, 1.0, m)
+    f, grad = _objective(q, params.g, alpha, c, free)(c[free])
+    f_ref, grad_ref = _row_objective(q, params.g, alpha, c, free)(c[free])
+    # rounding in the residual r moves score^2 by about 1e-16 |r|, which
+    # exceeds 1e-12 score^2 on near-exact fits
+    fit = np.sqrt(max(f, f_ref) / _SLIP_SCALE)
+    assert abs(f - f_ref) <= 1e-12 * _SLIP_SCALE * max(fit**2, fit)
+    merged = design(q, c, params.g, alpha.order)[:, np.unique(patterns(q), return_index=True)[1]]
+    if np.linalg.matrix_rank(merged) == merged.shape[1]:
+        assert np.abs(grad - grad_ref).max() <= 1e-12 * _SLIP_SCALE
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_rate_searches_independent_of_stack(data):
+    """Each candidate's search gives the same bytes alone and inside a stack
+    of random other candidates, whose lockstep chunks are cut small so that
+    the stack spans chunk boundaries; so does each row of the batched
+    objective."""
+    rng, m, k, params, alpha = _drawn_case(data, max_m=4)
+    size = data.draw(st.integers(2, 7), label="size")
+    cands = [random_q(rng, m, k) for _ in range(size)]
+    c = rng.uniform(0.0, 1.0, (size, m))
+    free = rng.random((size, m)) < 0.6
+    free[np.arange(size), rng.integers(0, m, size)] = True
+    chunk = data.draw(st.integers(1, size), label="chunk")
+    with mock.patch.object(dinaq.estimator, "_CANDIDATE_CHUNK", chunk):
+        stacked = _rate_searches(cands, params.g, alpha, c, free)
+    rows = rng.permutation(np.repeat(np.arange(size), 2))
+    values = _rate_objective(cands, params.g, alpha)(rows, c[rows])
+    for j, q in enumerate(cands):
+        alone = _rate_searches([q], params.g, alpha, c[j : j + 1], free[j : j + 1])
+        for got, want in zip(stacked, alone):
+            assert got[j].tobytes() == want[0].tobytes()
+        one = _rate_objective([q], params.g, alpha)(np.zeros(1, dtype=int), c[j : j + 1])
+        for row in np.flatnonzero(rows == j):
+            for got, want in zip(values, one):
+                assert got[row].tobytes() == want[0].tobytes()
+
+
+def _search_solves_capped(monkeypatch):
+    """Every rate-search evaluation falls back to ``simplex_lsq``, as if its
+    Gram solve had stopped short, and every such solve reports the
+    iteration cap; the exact solves of ``_fit`` are left as they are."""
+    real_solve, real_active_set = simplex_lsq, dinaq.estimator._gram_active_set
+
+    def unfinished(*args):
+        x, finished = real_active_set(*args)
+        return x, np.zeros_like(finished)
+
+    def capped(m_matrix, beta):
+        return dataclasses.replace(real_solve(m_matrix, beta), status="iteration-cap")
+
+    def exact(q, c, g, alpha):
+        return real_solve(design(q, c, g, alpha.order), alpha.rates)
+
+    monkeypatch.setattr(dinaq.estimator, "_gram_active_set", unfinished)
+    monkeypatch.setattr(dinaq.estimator, "simplex_lsq", capped)
+    monkeypatch.setattr(dinaq.estimator, "_fit", exact)
+
+
+def test_rate_search_cap_hits_are_listed(monkeypatch):
+    """A rate search whose fallback solve stops at the iteration cap marks
+    its candidate: the unknown-c search lists it in diagnostics["capped"]
+    and the probe names it in its notes, with flags and ranking as in the
+    clean run, whose Gram solves all finish."""
+    params = noisy_params()
+    config = SimConfig(q=GOLDEN, params=params, p_star=UNIFORM, n=20_000, seed=21)
+    alpha = compute_alpha(simulate(config)[0], ORDER3)
+    clean = estimate_q_unknown_c(alpha, params.g, 2)
+    probe = check_identifiability(GOLDEN, params, UNIFORM)
+    assert clean.diagnostics == {}
+    assert probe.notes == ()
+    beta = decontaminate(alpha, params.g)
+    searched = tuple(
+        q for q in enumerate_candidates(3, 2, budget=10**6)
+        if len(_moment_fixed(q, params.g, beta)) < 3
+    )
+    assert searched
+
+    _search_solves_capped(monkeypatch)
+    flagged = estimate_q_unknown_c(alpha, params.g, 2)
+    assert flagged.diagnostics == {"capped": searched}
+    assert flagged.q_hat == clean.q_hat
+    assert flagged.ties == clean.ties
+    assert flagged.score == pytest.approx(clean.score, rel=1e-9)
+    report = check_identifiability(GOLDEN, params, UNIFORM)
+    assert report.flagged == probe.flagged
+    assert len(report.notes) == len(report.deltas)
+    for (cand, delta), (_, ref), note in zip(report.deltas, probe.deltas, report.notes):
+        assert delta == pytest.approx(ref, rel=1e-9)
+        assert note == (
+            f"a rate-search solve for candidate {','.join(cand.row_strings())} stopped "
+            "at the iteration cap; its delta may be an over-estimate"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1047,14 +1213,15 @@ def test_unknown_c_lists_unconverged(monkeypatch):
     searched = tuple(q for q, f in fixed.items() if len(f) < 3)
     rates = [profile_slip(q, params.g, alpha, fixed[q]) for q in searched]
 
-    search = dinaq.estimator.minimize
+    search = dinaq.estimator._lockstep
 
     def failing(*args, **kwargs):
-        res = search(*args, **kwargs)
-        res.success = False
-        return res
+        results = search(*args, **kwargs)
+        for res in results:
+            res.success = False
+        return results
 
-    monkeypatch.setattr(dinaq.estimator, "minimize", failing)
+    monkeypatch.setattr(dinaq.estimator, "_lockstep", failing)
     flagged = estimate_q_unknown_c(alpha, params.g, 2)
     assert searched
     assert flagged.diagnostics["unconverged"] == searched
@@ -1323,14 +1490,15 @@ def test_probe_names_unconverged_searches(monkeypatch):
     clean = check_identifiability(GOLDEN, noisy_params(), UNIFORM)
     assert clean.notes == ()
 
-    search = dinaq.estimator.minimize
+    search = dinaq.estimator._lockstep
 
     def failing(*args, **kwargs):
-        res = search(*args, **kwargs)
-        res.success = False
-        return res
+        results = search(*args, **kwargs)
+        for res in results:
+            res.success = False
+        return results
 
-    monkeypatch.setattr(dinaq.estimator, "minimize", failing)
+    monkeypatch.setattr(dinaq.estimator, "_lockstep", failing)
     report = check_identifiability(GOLDEN, noisy_params(), UNIFORM)
     assert report.deltas == clean.deltas
     assert len(report.notes) == len(report.deltas)

@@ -24,7 +24,7 @@ sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import dinaq.estimator
 from dinaq.cli import main
 
-search = dinaq.estimator.minimize
+search = dinaq.estimator._lockstep
 searches = 0
 
 
@@ -34,7 +34,7 @@ def counted(*args, **kwargs):
     return search(*args, **kwargs)
 
 
-dinaq.estimator.minimize = counted
+dinaq.estimator._lockstep = counted
 with open("q.txt", "w") as f:
     f.write("10\n01\n11\n")
 with open("q6.txt", "w") as f:

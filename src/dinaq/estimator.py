@@ -666,20 +666,6 @@ def _rate_searches(
     return c, converged, capped
 
 
-def _rate_search(
-    q: QMatrix, g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: list[int]
-) -> tuple[np.ndarray, bool]:
-    """``_rate_searches`` for one candidate over the ``free`` items: the
-    rates, with the best point found in the free entries, and whether any
-    start converged. ``g`` and ``c`` come checked from the caller."""
-    if not free:
-        return c, True
-    mask = np.zeros((1, q.m), dtype=bool)
-    mask[0, free] = True
-    rates, converged, _ = _rate_searches([q], g, alpha, c[None], mask)
-    return rates[0], bool(converged[0])
-
-
 def profile_slip(
     q: QMatrix,
     g,
@@ -696,20 +682,25 @@ def profile_slip(
     envelope-theorem gradient through the pattern lattice. The result is
     the same bytes as that of the same candidate inside the unknown-c
     search. Every coordinate lies in [0, 1], and the best point found is
-    always returned. Raises ValueError for a ``g`` entry outside [0, 1]
-    and for a ``fixed`` item or rate out of range.
+    always returned. The objective reads the fit on every combination, so
+    ``alpha`` must hold rates on a saturated order. Raises ValueError for
+    an unsaturated order, for a ``g`` entry outside [0, 1] and for a
+    ``fixed`` item or rate out of range.
     """
+    _require_saturated(alpha)
     g = unit_rates(g, q.m, "g")
     fixed = dict(fixed or {})
     c = np.zeros(q.m)
+    free = np.ones((1, q.m), dtype=bool)
     for i, v in fixed.items():
         if not 0 <= int(i) < q.m:
             raise ValueError(f"fixed item index {i} out of range")
         if not 0.0 <= float(v) <= 1.0:
             raise ValueError(f"fixed rate {v} outside [0, 1]")
-        c[int(i)] = float(v)
-    free = [i for i in range(q.m) if i not in fixed]
-    return _rate_search(q, g, alpha, c, free)[0]
+        c[int(i)], free[0, int(i)] = float(v), False
+    if not free.any():
+        return c
+    return _rate_searches([q], g, alpha, c[None], free)[0][0]
 
 
 def _moment_rates(

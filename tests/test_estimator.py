@@ -50,7 +50,6 @@ from dinaq.estimator import (
     _by_mask,
     _pattern_bounds,
     _rate_objective,
-    _rate_search,
     _rate_searches,
     _screen,
 )
@@ -239,6 +238,14 @@ def test_estimate_q_requires_saturated():
     alpha = AlphaVector(ComboOrder.singles(3), noiseless_alpha().rates[:3])
     with pytest.raises(ValueError):
         estimate_q(alpha, NOISELESS, 2)
+
+
+def test_profile_slip_requires_saturated():
+    # its objective reads the fit on every combination, so rates on an
+    # unsaturated order are refused rather than misread
+    alpha = AlphaVector(ComboOrder.singles(3), noiseless_alpha().rates[:3])
+    with pytest.raises(ValueError, match="saturated"):
+        profile_slip(GOLDEN, np.zeros(3), alpha)
 
 
 def test_estimate_q_reports_ties_for_degenerate_truth():
@@ -975,7 +982,8 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     assert res.fun == best_f
     assert res.x.tobytes() == best_x.tobytes()
     assert res.fun < seen[0][0]
-    c, converged = _rate_search(q, params.g, alpha, np.zeros(3), [0, 1, 2])
+    c, converged, _ = _rate_searches([q], params.g, alpha, np.zeros((1, 3)), np.ones((1, 3), bool))
+    c, converged = c[0], converged[0]
     assert not converged
     # the best of three starts, the first of which is the run above
     first = np.sqrt(res.fun / _SLIP_SCALE)

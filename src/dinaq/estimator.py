@@ -20,10 +20,11 @@ before scoring: a moment estimator handles every item whose attributes are
 jointly covered by other items, and a bounded quasi-Newton rate search
 fills in the rest. That search minimizes the squared score with its exact
 gradient, which the envelope theorem reads off the simplex fit itself.
-The searches of all candidates and starts run in lockstep: each round
-evaluates every pending trial point with one batched objective that, like
-the screen, builds no design, and a candidate's search ends where it would
-end alone.
+The searches of all candidates and starts run in lockstep: one driver
+keeps every run's state in arrays and steps them all with masked array
+operations, each round evaluates every pending trial point with one
+batched objective that, like the screen, builds no design, and a
+candidate's search ends where it would end alone.
 
 ``check_identifiability`` probes the model in population: a complete
 Q-matrix should leave every non-equivalent candidate at a strictly positive
@@ -36,7 +37,6 @@ comes from the same lockstep rate search, over all of its capable rates.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -510,88 +510,195 @@ class SearchResult:
     nfev: int
 
 
-def _bfgs(x0: np.ndarray):
-    """The run behind ``minimize``, as a generator: it yields each point to
-    evaluate, is sent that point's (value, gradient), and returns the
-    ``SearchResult``."""
-    ftol, gtol, maxfun = (_SLIP_OPTIONS[key] for key in ("ftol", "gtol", "maxfun"))
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
-    f, grad = yield x
-    # hess is the BFGS model of the Hessian; scale, its curvature along the
-    # first step that showed one, also scales the gradient steps
-    nfev, hess, scale = 1, None, None
-    best_f, best_x = f, x
-    while True:
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (b, n) stacks: entry j is the same
+    bytes as ``a[j] @ b[j]``, which a row-sum is not."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+class _Runs:
+    """The runs of ``_lockstep`` that share a length n, as arrays.
+
+    Row j holds the state of run ``ids[j]``: its iterate (x, f, grad), the
+    point it waits on, its best evaluation, its evaluation count, the BFGS
+    model of the Hessian ``hess`` where ``modelled`` is set, and the search
+    direction ``step`` with its line-search state (t, slope, trials).
+    ``scale``, where ``scaled`` is set, is the curvature y.y / s.y along
+    the step that started the current or last model: it scales the
+    gradient steps. Every operation acts on each row alone, in forms that
+    give the bytes of the same operation on that row's 1-D arrays (a
+    stacked ``np.matmul`` for a dot or a matrix-vector product, one
+    ``np.linalg.solve`` per stack of runs that hold the same coordinates),
+    so a run ends where it would end alone.
+    """
+
+    def __init__(self, ids: np.ndarray, starts: np.ndarray, results: list):
+        b, n = starts.shape
+        self.ids, self.results = ids, results
+        self.point = np.clip(starts, 0.0, 1.0)
+        self.x, self.best_x = self.point.copy(), self.point.copy()
+        self.grad, self.step, self.hess = np.zeros((b, n)), np.zeros((b, n)), np.zeros((b, n, n))
+        self.f, self.best_f, self.scale, self.t, self.slope = np.zeros((5, b))
+        self.nfev, self.trials = np.zeros(b, dtype=int), np.zeros(b, dtype=int)
+        self.live = np.ones(b, dtype=bool)
+        self.modelled, self.scaled = np.zeros((2, b), dtype=bool)
+
+    def advance(self, idx: np.ndarray, f_new: np.ndarray, grad_new: np.ndarray) -> None:
+        """Give runs ``idx`` the (value, gradient) of the points they wait
+        on, and step each until it waits on its next point or ends."""
+        if self.nfev.any():
+            plan, trying = self._take(idx, f_new, grad_new)
+        else:  # every start's evaluation becomes its iterate
+            self.f, self.best_f, self.grad = f_new.copy(), f_new.copy(), grad_new.copy()
+            self.nfev[:] = 1
+            plan, trying = idx, idx[:0]
+        while plan.size or trying.size:
+            if plan.size:
+                trying = np.concatenate([trying, self._plan(plan)])
+            plan, trying = self._try(trying)
+
+    def _finish(self, idx: np.ndarray, success: bool) -> None:
+        """End runs ``idx``: a converged run at its iterate, an unconverged
+        one at the best point it evaluated."""
+        x, f = (self.x, self.f) if success else (self.best_x, self.best_f)
+        for j in idx:
+            result = SearchResult(x[j].copy(), float(f[j]), success, int(self.nfev[j]))
+            self.results[self.ids[j]] = result
+        self.live[idx] = False
+
+    def _take(self, idx, f_new, grad_new) -> tuple[np.ndarray, np.ndarray]:
+        """Record the evaluations of the trial points of runs ``idx``: a
+        point is accepted on the Armijo test, updating the model, or
+        shortens the step. Returns the runs to plan a step from and the
+        runs to try a shorter one."""
+        self.nfev[idx] += 1
+        self.trials[idx] += 1
+        better = f_new < self.best_f[idx]
+        self.best_f[idx[better]], self.best_x[idx[better]] = f_new[better], self.point[idx[better]]
+        ok = f_new <= self.f[idx] + _ARMIJO * self.slope[idx]
+        back, slope = idx[~ok], self.slope[idx[~ok]]
+        # safeguarded minimizer of the quadratic through f, slope and f_new
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cut = -slope / (2.0 * (f_new[~ok] - self.f[back] - slope))
+        cut = np.where(cut > 0.1, cut, 0.1)
+        self.t[back] *= np.where(cut < 0.5, cut, 0.5)
+        idx, f_new, grad_new = idx[ok], f_new[ok], grad_new[ok]
+        s, y = self.point[idx] - self.x[idx], grad_new - self.grad[idx]
+        sy = _dot(s, y)
+        curved = sy > 0.0
+        fresh = curved & ~self.modelled[idx]
+        if fresh.any():
+            self.scale[idx[fresh]] = _dot(y[fresh], y[fresh]) / sy[fresh]
+            self.hess[idx[fresh]] = self.scale[idx[fresh], None, None] * np.eye(s.shape[1])
+            self.modelled[idx[fresh]], self.scaled[idx[fresh]] = True, True
+        s, y, sy, up = s[curved], y[curved], sy[curved], idx[curved]
+        bs = np.matmul(self.hess[up], s[:, :, None])[:, :, 0]
+        yy = y[:, :, None] * y[:, None, :] / sy[:, None, None]
+        self.hess[up] += yy - bs[:, :, None] * bs[:, None, :] / _dot(s, bs)[:, None, None]
+        f_old = self.f[idx]
+        self.x[idx], self.f[idx], self.grad[idx] = self.point[idx], f_new, grad_new
+        top = np.maximum(np.maximum(np.abs(f_old), np.abs(f_new)), 1.0)
+        with np.errstate(invalid="ignore"):  # inf - inf from an infinite start
+            small = f_old - f_new <= _SLIP_OPTIONS["ftol"] * top
+        self._finish(idx[small], True)
+        return idx[~small], back
+
+    def _plan(self, idx: np.ndarray) -> np.ndarray:
+        """End runs ``idx`` that meet the projected-gradient test, and give
+        the others their next direction and first step length; returns
+        the runs to try it."""
+        x, grad = self.x[idx], self.grad[idx]
         pgrad = np.clip(x - grad, 0.0, 1.0) - x
-        if np.abs(pgrad).max() <= gtol:
-            return SearchResult(x, f, True, nfev)
-        band = min(_ACTIVE_BAND, math.sqrt(float(pgrad @ pgrad)))
+        done = np.abs(pgrad).max(axis=1) <= _SLIP_OPTIONS["gtol"]
+        self._finish(idx[done], True)
+        idx, x, grad, pgrad = idx[~done], x[~done], grad[~done], pgrad[~done]
+        root = np.sqrt(_dot(pgrad, pgrad))[:, None]
+        band = np.where(root < _ACTIVE_BAND, root, _ACTIVE_BAND)
         held = ((x <= band) & (grad > 0.0)) | ((x >= 1.0 - band) & (grad < 0.0))
-        step = -grad if scale is None else -grad / scale
-        if hess is not None and not held.all():
-            move = ~held
+        step, scaled = -grad, self.scaled[idx]
+        step[scaled] /= self.scale[idx[scaled], None]
+        solve = (self.modelled[idx] & ~held.all(axis=1)).nonzero()[0]
+        keys = held[solve] @ (1 << np.arange(held.shape[1]))
+        for key in set(keys.tolist()):
+            rows = solve[keys == key]
+            move = (~held[rows[0]]).nonzero()[0]
+            lhs, rhs = self.hess[idx[rows]][:, move][:, :, move], -grad[rows][:, move]
             try:
-                step[move] = np.linalg.solve(hess[move][:, move], -grad[move])
+                step[rows[:, None], move] = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
-                hess = None
+                # retry one run at a time: only a singular model is dropped
+                for j, a, b in zip(rows, lhs, rhs):
+                    try:
+                        step[j, move] = np.linalg.solve(a, b)
+                    except np.linalg.LinAlgError:
+                        self.modelled[idx[j]] = False
         # the first step is one unit long, as in L-BFGS-B
-        t = min(1.0, 1.0 / math.sqrt(float(step @ step))) if scale is None else 1.0
-        for _ in range(_MAX_TRIALS):
-            if nfev >= maxfun:
-                return SearchResult(best_x, best_f, False, nfev)
-            trial = np.clip(x + t * step, 0.0, 1.0)
-            slope = float(grad @ (trial - x))
-            if slope >= 0.0:
-                t *= 0.5
-                continue
-            f_new, grad_new = yield trial
-            nfev += 1
-            if f_new < best_f:
-                best_f, best_x = f_new, trial
-            if f_new <= f + _ARMIJO * slope:
-                break
-            # safeguarded minimizer of the quadratic through f, slope and f_new
-            t *= min(0.5, max(0.1, -slope / (2.0 * (f_new - f - slope))))
-        else:
-            if hess is None:
-                return SearchResult(best_x, best_f, False, nfev)
-            hess = None
-            continue
-        s, y = trial - x, grad_new - grad
-        sy = float(s @ y)
-        if sy > 0.0:
-            if hess is None:
-                scale = float(y @ y) / sy
-                hess = scale * np.eye(x.size)
-            bs = hess @ s
-            hess += y[:, None] * y / sy - bs[:, None] * bs / float(s @ bs)
-        f_old, x, f, grad = f, trial, f_new, grad_new
-        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
-            return SearchResult(x, f, True, nfev)
+        with np.errstate(divide="ignore"):
+            unit = 1.0 / np.sqrt(_dot(step, step))
+        self.t[idx] = np.where(scaled | ~(unit < 1.0), 1.0, unit)
+        self.step[idx], self.trials[idx] = step, 0
+        return idx
+
+    def _try(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One line-search trial of runs ``idx``. A run that has spent its
+        trials drops its model to plan again, or ends if it has none; a
+        run that has spent ``maxfun`` evaluations ends. Each other run
+        waits on its trial point if that descends, and halves its step if
+        not. Returns the runs to plan and the runs to try again."""
+        spent = idx[self.trials[idx] >= _MAX_TRIALS]
+        self._finish(spent[~self.modelled[spent]], False)
+        plan = spent[self.modelled[spent]]
+        self.modelled[plan] = False
+        idx = idx[self.trials[idx] < _MAX_TRIALS]
+        capped = self.nfev[idx] >= _SLIP_OPTIONS["maxfun"]
+        self._finish(idx[capped], False)
+        idx = idx[~capped]
+        x = self.x[idx]
+        trial = np.clip(x + self.t[idx, None] * self.step[idx], 0.0, 1.0)
+        slope = _dot(self.grad[idx], trial - x)
+        flat = slope >= 0.0
+        self.t[idx[flat]] *= 0.5
+        self.trials[idx[flat]] += 1
+        self.point[idx[~flat]], self.slope[idx[~flat]] = trial[~flat], slope[~flat]
+        return plan, idx[flat]
 
 
 def _lockstep(evaluate, starts: list[np.ndarray]) -> list[SearchResult]:
-    """Run the search of ``minimize`` from each of ``starts`` at once.
+    """Run the search of ``minimize`` from each of ``starts`` at once, as
+    one array driver.
 
-    Each round, ``evaluate(runs, points)`` gets the indices of the runs
-    still going and the point each one waits on, and returns their
-    (value, gradient) pairs in the same order; every run then takes its
-    own next step. Returns one ``SearchResult`` per start, in start order.
-    A run's steps depend on its own evaluations only, so it ends where it
-    would end alone.
+    The runs are grouped by length n, and each group keeps the state of
+    all of its runs in arrays (``_Runs``) that masked array operations
+    step. Each round makes one call ``evaluate(runs, points)`` for the L
+    runs still going: ``runs`` is an (L,) array of their indices into
+    ``starts``, group after group in ascending n, and ``points`` the
+    points they wait on in one 1-D array, run after run: an (L, n) stack
+    raveled, with groups of different n laid end to end. It returns the
+    (L,) values and the gradients in the layout of ``points``. Returns
+    one ``SearchResult`` per start, in start order, and calls nothing for
+    no starts. A run's steps depend on its own evaluations only, so it
+    ends where it would end alone.
     """
-    runs = [_bfgs(x0) for x0 in starts]
-    pending = {j: next(run) for j, run in enumerate(runs)}
-    results: list[SearchResult | None] = [None] * len(runs)
-    while pending:
-        live = list(pending)
-        for j, value in zip(live, evaluate(live, [pending[j] for j in live])):
-            try:
-                pending[j] = runs[j].send(value)
-            except StopIteration as stop:
-                results[j] = stop.value
-                del pending[j]
-    return results
+    results: list[SearchResult | None] = [None] * len(starts)
+    sizes = np.array([len(x0) for x0 in starts], dtype=int)
+    groups = []
+    for n in np.unique(sizes):
+        ids = np.flatnonzero(sizes == n)
+        points = np.array([starts[j] for j in ids], dtype=float).reshape(ids.size, n)
+        groups.append(_Runs(ids, points, results))
+    while True:
+        live = [(grp, grp.live.nonzero()[0]) for grp in groups if grp.live.any()]
+        if not live:
+            return results
+        f, grad = evaluate(
+            np.concatenate([grp.ids[idx] for grp, idx in live]),
+            np.concatenate([grp.point[idx].ravel() for grp, idx in live]),
+        )
+        at = 0
+        for grp, idx in live:
+            n = grp.x.shape[1]
+            grp.advance(idx, f[: idx.size], grad[at : at + idx.size * n].reshape(idx.size, n))
+            f, at = f[idx.size :], at + idx.size * n
 
 
 def minimize(objective, x0: np.ndarray) -> SearchResult:
@@ -614,10 +721,16 @@ def minimize(objective, x0: np.ndarray) -> SearchResult:
     converged run returns the point that met its test, an unconverged one
     the best point it evaluated.
 
-    The rate searches run the same search through ``_lockstep``, many runs
-    at once against one batched objective; this runs one.
+    ``objective`` takes the point as a 1-D array. This is one run of
+    ``_lockstep``, the array driver that steps the rate searches, many
+    runs at once against one batched objective.
     """
-    return _lockstep(lambda runs, points: [objective(x) for x in points], [x0])[0]
+
+    def evaluate(runs: np.ndarray, points: np.ndarray):
+        f, grad = objective(points)
+        return np.array([f], dtype=float), np.asarray(grad, dtype=float)
+
+    return _lockstep(evaluate, [x0])[0]
 
 
 def _rate_searches(
@@ -628,10 +741,13 @@ def _rate_searches(
     Candidate j's search runs from each of ``_SLIP_STARTS`` over the items
     set in row j of the (b, m) mask ``free``, at least one per row, with
     its other items held at their entries of row j of ``c``. The searches
-    of consecutive chunks of ``_CANDIDATE_CHUNK`` candidates run in
-    lockstep, every start of every candidate at once, against one
-    ``_rate_objective``. A candidate's results are the same bytes alone or
-    in any stack.
+    of consecutive chunks of ``_CANDIDATE_CHUNK`` candidates are stepped
+    by one ``_lockstep``, every start of every candidate at once, against
+    one ``_rate_objective``: each round writes the points of the runs
+    still going into the free entries of their candidates' rates, whose
+    row-major order is the order ``_lockstep`` lays the points in, and
+    reads the gradients back from the same entries. A candidate's results
+    are the same bytes alone or in any stack.
 
     Returns the rates, with each candidate's best point over its starts in
     its free entries, whether any start converged, and whether a solve of
@@ -649,13 +765,13 @@ def _rate_searches(
         owner = np.repeat(np.arange(len(base)), tries)
         starts = [np.full(int(on.sum()), level) for on in mask for level in _SLIP_STARTS]
 
-        def evaluate(runs: list[int], points: list[np.ndarray]):
+        def evaluate(runs: np.ndarray, points: np.ndarray):
             rows = owner[runs]
             rates, on = base[rows], mask[rows]
-            rates[on] = np.concatenate(points)
+            rates[on] = points
             f, grad, cap = objective(rows, rates)
             hit[rows[cap]] = True
-            return [(float(fj), gj[oj]) for fj, gj, oj in zip(f, grad, on)]
+            return f, grad[on]
 
         results = _lockstep(evaluate, starts)
         for j in range(len(base)):
@@ -677,9 +793,10 @@ def profile_slip(
     Keeps the ``fixed`` coordinates (e.g. moment estimates) and minimizes the
     squared fit distance over the remaining ones with the rate search of
     both searches: projected BFGS (``minimize``) from each of
-    ``_SLIP_STARTS``, the runs stepped in lockstep against one batched
-    objective that fits on the closed-form Gram system and reads the exact
-    envelope-theorem gradient through the pattern lattice. The result is
+    ``_SLIP_STARTS``, the runs stepped as arrays by one driver
+    (``_lockstep``) against one batched objective that fits on the
+    closed-form Gram system and reads the exact envelope-theorem gradient
+    through the pattern lattice. The result is
     the same bytes as that of the same candidate inside the unknown-c
     search. Every coordinate lies in [0, 1], and the best point found is
     always returned. The objective reads the fit on every combination, so

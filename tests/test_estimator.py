@@ -1,7 +1,9 @@
 """Scoring, Q-matrix search, slip recovery, splitting, identifiability."""
 
+import collections
 import dataclasses
 import itertools
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -44,9 +46,13 @@ from dinaq import (
     split_estimate,
 )
 from dinaq.estimator import (
+    _ACTIVE_BAND,
+    _ARMIJO,
+    _MAX_TRIALS,
     _SLIP_OPTIONS,
     _SLIP_SCALE,
     _SLIP_STARTS,
+    SearchResult,
     _by_mask,
     _pattern_bounds,
     _rate_objective,
@@ -988,6 +994,198 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     # the best of three starts, the first of which is the run above
     first = np.sqrt(res.fun / _SLIP_SCALE)
     assert score(q, alpha, DinaParams(c, params.g)) <= first * (1 + 1e-12)
+
+
+def _bfgs_reference(x0: np.ndarray, hits: collections.Counter):
+    """The generator run behind ``minimize`` before the array driver, kept
+    as the reference: it yields each point to evaluate, is sent that
+    point's (value, gradient), and returns the ``SearchResult``. ``hits``
+    counts the branches it takes."""
+    ftol, gtol, maxfun = (_SLIP_OPTIONS[key] for key in ("ftol", "gtol", "maxfun"))
+    x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
+    f, grad = yield x
+    nfev, hess, scale = 1, None, None
+    best_f, best_x = f, x
+    while True:
+        pgrad = np.clip(x - grad, 0.0, 1.0) - x
+        if np.abs(pgrad).max() <= gtol:
+            hits["gtol"] += 1
+            return SearchResult(x, f, True, nfev)
+        band = min(_ACTIVE_BAND, math.sqrt(float(pgrad @ pgrad)))
+        low, high = (x <= band) & (grad > 0.0), (x >= 1.0 - band) & (grad < 0.0)
+        if low.any():
+            hits["held low"] += 1
+        if high.any():
+            hits["held high"] += 1
+        held = low | high
+        wide = ((x <= _ACTIVE_BAND) & (grad > 0.0)) | ((x >= 1.0 - _ACTIVE_BAND) & (grad < 0.0))
+        if hess is not None and (held != wide).any():
+            hits["narrowed band"] += 1
+        step = -grad if scale is None else -grad / scale
+        if hess is not None and not held.all():
+            move = ~held
+            try:
+                step[move] = np.linalg.solve(hess[move][:, move], -grad[move])
+            except np.linalg.LinAlgError:
+                hits["singular"] += 1
+                hess = None
+        t = min(1.0, 1.0 / math.sqrt(float(step @ step))) if scale is None else 1.0
+        for _ in range(_MAX_TRIALS):
+            if nfev >= maxfun:
+                hits["maxfun"] += 1
+                return SearchResult(best_x, best_f, False, nfev)
+            trial = np.clip(x + t * step, 0.0, 1.0)
+            slope = float(grad @ (trial - x))
+            if slope >= 0.0:
+                hits["no descent"] += 1
+                t *= 0.5
+                continue
+            f_new, grad_new = yield trial
+            nfev += 1
+            if f_new < best_f:
+                best_f, best_x = f_new, trial
+            if f_new <= f + _ARMIJO * slope:
+                break
+            hits["backtrack"] += 1
+            t *= min(0.5, max(0.1, -slope / (2.0 * (f_new - f - slope))))
+        else:
+            if hess is None:
+                hits["trials spent, no model"] += 1
+                return SearchResult(best_x, best_f, False, nfev)
+            hits["trials spent, model dropped"] += 1
+            hess = None
+            continue
+        s, y = trial - x, grad_new - grad
+        sy = float(s @ y)
+        if sy > 0.0:
+            if hess is None:
+                scale = float(y @ y) / sy
+                hess = scale * np.eye(x.size)
+            bs = hess @ s
+            hess += y[:, None] * y / sy - bs[:, None] * bs / float(s @ bs)
+        f_old, x, f, grad = f, trial, f_new, grad_new
+        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            hits["ftol"] += 1
+            return SearchResult(x, f, True, nfev)
+
+
+def _lockstep_reference(evaluate, starts, hits: collections.Counter):
+    """The generator-per-run lockstep before the array driver: each round,
+    ``evaluate(runs, points)`` gets lists of the live runs and their
+    points and returns their (value, gradient) pairs."""
+    runs = [_bfgs_reference(x0, hits) for x0 in starts]
+    pending = {j: next(run) for j, run in enumerate(runs)}
+    results = [None] * len(runs)
+    while pending:
+        live = list(pending)
+        for j, value in zip(live, evaluate(live, [pending[j] for j in live])):
+            try:
+                pending[j] = runs[j].send(value)
+            except StopIteration as stop:
+                results[j] = stop.value
+                del pending[j]
+    return results
+
+
+def _boxes(specs):
+    """Box objectives and starts for runs given as (n, seed, honest, near):
+    the rotated quadratic |W (x - c)|^2, with row scales of W spread over
+    24 decades, its minimizer c drawn from [-1, 2]^n and its start from
+    [-0.5, 1.5]^n, both often outside the box. A ``near`` run spreads the
+    row scales over 6 decades and draws c from [-2e-3, 2e-3]^n, so that
+    its iterates creep up on a bound inside the widest active band. A run
+    with an ``honest`` count reads +inf at every evaluation after that
+    many, so that its line searches spend their trials (or, at 0, so that
+    it starts at +inf). Each call gives fresh evaluation counts."""
+    objectives, starts = [], []
+    for n, seed, honest, near in specs:
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-2, 4 if near else 22, n)[:, None]
+        c = rng.uniform(-2e-3, 2e-3, n) if near else rng.uniform(-1.0, 2.0, n)
+        starts.append(rng.uniform(-0.5, 1.5, n))
+        count = itertools.count(1)
+
+        def objective(x, w=w, c=c, count=count, honest=honest):
+            r = w @ (x - c)
+            lying = honest is not None and next(count) > honest
+            return (math.inf if lying else float(r @ r)), 2.0 * (r @ w)
+
+        objectives.append(objective)
+    return objectives, starts
+
+
+def _compare_lockstep(specs, maxfun) -> collections.Counter:
+    """Run the array driver and the reference on the same box objectives,
+    assert byte-equal results, and return the reference's branch counts."""
+    objectives, starts = _boxes(specs)
+    calls, hits = [], collections.Counter()
+
+    def evaluate(runs, points):
+        calls.append(len(runs))
+        values, grads, at = [], [], 0
+        for j in runs:
+            n = len(starts[j])
+            f, grad = objectives[j](points[at : at + n])
+            values.append(f)
+            grads.append(grad)
+            at += n
+        return np.array(values), np.concatenate(grads)
+
+    with mock.patch.dict(_SLIP_OPTIONS, maxfun=maxfun):
+        got = dinaq.estimator._lockstep(evaluate, starts)
+        fresh, _ = _boxes(specs)
+        want = _lockstep_reference(
+            lambda runs, points: [fresh[j](x) for j, x in zip(runs, points)], starts, hits
+        )
+    assert len(got) == len(want)
+    if not starts:
+        assert calls == []
+    for a, b in zip(got, want):
+        assert isinstance(a, SearchResult)
+        assert a.x.tobytes() == b.x.tobytes() and a.x.shape == b.x.shape
+        assert np.float64(a.fun).tobytes() == np.float64(b.fun).tobytes()
+        assert (a.success, a.nfev) == (b.success, b.nfev)
+    return hits
+
+
+# n, objective seed, evaluations before the objective reads +inf (None:
+# never), and whether the minimizer sits near a bound
+_BOX_RUN = st.tuples(
+    st.integers(1, 4), st.integers(0, 2**16), st.none() | st.integers(0, 40), st.booleans()
+)
+# 406 and 491 reach a singular restricted model (n = 3), 406 in the same
+# stacked solve as 20, whose model must survive it; near-bound 17 narrows
+# the active band
+_PINNED_RUNS = [
+    (3, 406, None, False), (3, 20, None, False), (3, 491, None, False), (1, 7, 4, False),
+    (2, 11, 15, False), (4, 3, None, False), (2, 5, 2, False), (2, 9, 0, False),
+    (2, 17, None, True),
+]
+
+
+def test_lockstep_reference_stack_reaches_every_branch():
+    """The pinned stack takes every branch of the reference run, with
+    starts outside the box, so the property below covers them all."""
+    hits = _compare_lockstep(_PINNED_RUNS, _SLIP_OPTIONS["maxfun"])
+    hits += _compare_lockstep(_PINNED_RUNS, 6)
+    assert not _compare_lockstep([], _SLIP_OPTIONS["maxfun"])
+    assert any(((x0 < 0.0) | (x0 > 1.0)).any() for x0 in _boxes(_PINNED_RUNS)[1])
+    assert set(hits) == {
+        "gtol", "ftol", "held low", "held high", "narrowed band", "singular", "maxfun",
+        "no descent", "backtrack", "trials spent, no model", "trials spent, model dropped",
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    runs=st.lists(_BOX_RUN, max_size=8),
+    maxfun=st.sampled_from([_SLIP_OPTIONS["maxfun"], 1, 3, 25]),
+)
+def test_lockstep_matches_generator_reference(runs, maxfun):
+    """The array driver gives, run for run in start order, the bytes of
+    the generator-per-run lockstep it replaced (x, fun, success, nfev),
+    on stacks of runs of mixed lengths, and calls nothing for no starts."""
+    _compare_lockstep(runs, maxfun)
 
 
 def _row_objective(q, g, alpha, c, free):

@@ -7,13 +7,12 @@ some distribution over attribute profiles reproduces those rates through the
 candidate's slip-guess design; the fitted Q-matrix is the score minimizer
 over canonical candidates.
 
-Both searches rank their candidates with one certified screen that builds
-no design: it iterates on each candidate's closed-form Gram system and
-brackets its score between bounds read from exact residuals through the
+Both searches score their candidates with one exact solve that builds no
+design: it runs the simplex solver on a stack of candidates' closed-form
+Gram systems and reads each score from the exact residual through the
 pattern lattice (``tmatrix.pattern_gram``, ``pattern_rates``,
-``pattern_moments``). Only candidates that could win or tie get an exact
-solve on their own design, so every reported winner, score and tie is
-exact.
+``pattern_moments``). The winner is the first candidate in enumeration
+order within 1e-12 of the least score, a rule that rounding cannot move.
 
 When capable success rates are unknown they are recovered per candidate
 before scoring: a moment estimator handles every item whose attributes are
@@ -51,7 +50,7 @@ from .core import (
     is_complete,
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
-from .solver import LsqSolution, _gram_active_set, simplex_gram_bounds, simplex_lsq
+from .solver import LsqSolution, _gram_active_set, simplex_lsq
 from .tmatrix import (
     ComboOrder,
     DinaParams,
@@ -88,9 +87,10 @@ _MAX_TRIALS = 30
 # and of chunk x 4^k for its Gram systems, and its rate search, three
 # starts per candidate, three times as many, so this bounds memory
 _CANDIDATE_CHUNK = 512
-# the screen's bounds sit within about 1e-14 of the exact residual; this
-# margin keeps that rounding from ever excluding a contender
-_BOUND_SLACK = 1e-12
+# the winner is the first candidate in enumeration order whose score is
+# within this of the least score, so that rounding in the solves, about
+# 1e-14, cannot pick it
+_WINNER_TOL = 1e-12
 
 
 class DegenerateSampleError(RuntimeError):
@@ -108,9 +108,10 @@ def _require_saturated(alpha: AlphaVector) -> None:
 
 def _fit(q: QMatrix, c, g, alpha: AlphaVector) -> LsqSolution:
     """The exact simplex fit of ``q`` to ``alpha`` at per-item rates (c, g):
-    ``simplex_lsq`` on the candidate's own design. ``score``, ``estimate_p``,
-    the screen's re-score and the identifiability probe's delta all read
-    this one solve. ``design`` raises ValueError when q, the rates and the
+    ``simplex_lsq`` on the candidate's own design. Only ``score`` and
+    ``estimate_p`` read it, since they accept any combination order; the
+    searches fit on closed-form Gram systems (``_pattern_fits``) and build
+    no design. ``design`` raises ValueError when q, the rates and the
     combination order disagree on m."""
     return simplex_lsq(design(q, c, g, alpha.order), alpha.rates)
 
@@ -151,17 +152,15 @@ class EstimationResult:
     ``ties`` lists every canonical candidate scoring within the tie tolerance
     of the winner, winner included; more than one entry means the data do not
     single out a class and downstream consumers should treat the result as
-    ambiguous. Among candidates whose fits agree to rounding, ``q_hat`` may
-    be any member of the tie set, chosen by the last bits of the solves;
-    only the tie set, and so exit code 2 in the CLI, is reproducible.
-    ``c_hat`` is populated only by the unknown-slip search.
-    ``p_tilde`` is the winner's exact simplex minimizer. In both searches a
-    batched screen decides which candidates get an exact solve, so the
-    winner's score and every tie are exact. ``diagnostics`` holds only the
-    lists of candidates whose fit is suspect, still ranked, each present
-    when nonempty: ``"capped"`` (an exact solve, or a solve of the unknown-c
-    rate search, stopped at the solver's iteration cap), ``"degenerate"``
-    and ``"unconverged"``.
+    ambiguous. ``q_hat`` is the first candidate in enumeration order whose
+    score is within 1e-12 of the least score, so rounding in the solves
+    cannot move it. ``c_hat`` is populated only by the unknown-slip search.
+    ``score`` and ``p_tilde`` are the winner's exact simplex fit, from the
+    same stacked solve that scores every candidate. ``diagnostics`` holds
+    only the lists of candidates whose fit is suspect, still ranked, each
+    present when nonempty: ``"capped"`` (the candidate's fit, or a solve of
+    its unknown-c rate search, stopped at the solver's iteration cap),
+    ``"degenerate"`` and ``"unconverged"``.
     """
 
     q_hat: QMatrix
@@ -171,31 +170,6 @@ class EstimationResult:
     n_candidates: int
     c_hat: np.ndarray | None = None
     diagnostics: dict | None = None
-
-
-def _certify(upper: np.ndarray, lower: np.ndarray, exact, tol: float) -> np.ndarray:
-    """Ranking scores for one screened chunk.
-
-    ``exact(i)``, an exact solve, replaces ``upper[i]`` wherever ``lower[i]``
-    is within ``tol`` of the best exact score so far, until no new entry
-    qualifies. Every other entry's exact score then exceeds that best by
-    more than ``tol``, so the first minimum and every score within ``tol``
-    of it are exact, as if every entry had been solved exactly. A chunk's
-    best is never below the best over all chunks, so chunks certified
-    separately still rank together exactly.
-    """
-    scores = upper.copy()
-    pending = np.ones(scores.size, dtype=bool)
-    best = scores.min()
-    while True:
-        # "not above" re-scores a NaN bound too
-        todo = np.flatnonzero(pending & ~(lower > best + tol + _BOUND_SLACK))
-        if not todo.size:
-            return scores
-        for i in todo:
-            scores[i] = exact(int(i))
-        pending[todo] = False
-        best = scores[~pending].min()
 
 
 def _by_mask(alpha: AlphaVector) -> np.ndarray:
@@ -222,68 +196,49 @@ def _pattern_residuals(
     return weights, resid
 
 
-def _pattern_bounds(
-    pats: np.ndarray, c: np.ndarray, g: np.ndarray, target: np.ndarray, moments: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``simplex_gram_bounds`` for the saturated-order designs of a stack of
-    candidates, given by their (b, n) patterns, without building them.
+def _pattern_fits(
+    pats: np.ndarray, c: np.ndarray, g: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The exact simplex fits of a stack of candidates, given by their
+    (b, n) patterns, to the saturated-order rates ``target`` (by bitmask,
+    ``_by_mask``), without building their designs.
 
-    ``c`` is an (m,) vector or a (b, m) stack, ``target`` the rates by
-    bitmask (``_by_mask``) and ``moments`` its ``pattern_moments`` at the
-    same rates, one row or a row per candidate. The iterations run on the
-    closed-form Gram systems; the bounds come from the exact residuals,
-    read through the pattern lattice: weights to rates (``pattern_rates``)
-    and residual to gradient (``pattern_moments``).
+    ``c`` is an (m,) vector or a (b, m) stack. The solve runs on the
+    closed-form Gram systems (``pattern_gram``, with ``pattern_moments`` of
+    the target gathered by pattern); the residual is read through the
+    pattern lattice (``_pattern_residuals``), never from the Gram form.
+    Returns the minimizers x, whether each solve finished rather than
+    stopping at the iteration cap, and the pattern weights and residuals of
+    x. Every operation acts on each problem alone.
     """
-    lin = np.take_along_axis(np.atleast_2d(moments), pats, axis=1)
-
-    def residuals(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        resid = _pattern_residuals(pats, x, c, g, target)[1]
-        return resid, np.take_along_axis(pattern_moments(resid, c, g), pats, axis=1)
-
-    return simplex_gram_bounds(pattern_gram(pats, c, g), lin, residuals)
+    lin = np.take_along_axis(np.atleast_2d(pattern_moments(target, c, g)), pats, axis=1)
+    x, finished, _ = _gram_active_set(pattern_gram(pats, c, g), lin)
+    return (x, finished, *_pattern_residuals(pats, x, c, g, target))
 
 
 def _screen(
-    cands: list[QMatrix],
-    c: np.ndarray,
-    g: np.ndarray,
-    alpha: AlphaVector,
-    tie_tol: float,
-) -> list[tuple[float, str | None, np.ndarray | None]]:
-    """Certified scores of same-shape candidates at known rates.
+    cands: list[QMatrix], c: np.ndarray, g: np.ndarray, alpha: AlphaVector
+) -> list[tuple[float, str | None, np.ndarray]]:
+    """Exact scores of same-shape candidates at known rates.
 
     Candidate i is scored at capable rates ``c[i]`` when ``c`` is a stack,
     ``c`` otherwise. Consecutive chunks of at most ``_CANDIDATE_CHUNK``
-    candidates are screened in turn: ``_pattern_bounds`` brackets a chunk's
-    scores without building a design, then ``_certify`` decides which of
-    them get the exact solve, ``_fit``, the same solve as ``score``.
+    candidates are fitted in turn, each by one stacked exact solve
+    (``_pattern_fits``) that builds no design.
 
-    Returns one (score, note, x) per candidate, in candidate order: x is
-    the exact minimizer for the re-scored candidates and None for the
-    others, and the note is "capped" where that solve stopped at the
-    iteration cap.
+    Returns one (score, note, x) per candidate, in candidate order: the
+    score is |r| at the minimizer x, and the note is "capped" where that
+    solve stopped at the iteration cap.
     """
     target = _by_mask(alpha)
     fits = []
     for start in range(0, len(cands), _CANDIDATE_CHUNK):
-        chunk = cands[start : start + _CANDIDATE_CHUNK]
+        pats = patterns(cands[start : start + _CANDIDATE_CHUNK])
         rates = c[start : start + _CANDIDATE_CHUNK] if c.ndim == 2 else c
-        moments = pattern_moments(target, rates, g)
-        upper, lower = _pattern_bounds(patterns(chunk), rates, g, target, moments)
-        solutions: dict[int, LsqSolution] = {}
-
-        def exact(i: int) -> float:
-            sol = _fit(chunk[i], rates[i] if rates.ndim == 2 else rates, g, alpha)
-            solutions[i] = sol
-            return sol.residual
-
-        for i, s in enumerate(_certify(upper, lower, exact, tie_tol)):
-            sol = solutions.get(i)
-            if sol is None:
-                fits.append((float(s), None, None))
-            else:
-                fits.append((float(s), "capped" if sol.status == "iteration-cap" else None, sol.x))
+        x, finished, _, resid = _pattern_fits(pats, rates, g, target)
+        scores = np.sqrt((resid * resid).sum(axis=1))
+        for s, done, xj in zip(scores, finished, x):
+            fits.append((float(s), None if done else "capped", xj))
     return fits
 
 
@@ -299,13 +254,14 @@ def _result(
     rates: list[np.ndarray | None] | None = None,
 ) -> EstimationResult:
     """The result of a search from its candidates and their (score, note, x)
-    fits: the winner is the least score, first in candidate order on exact
-    ties, its x gives ``p_tilde`` and, for the unknown-c search, its entry
-    of ``rates`` gives ``c_hat``. Under each note that some fit carries
-    ("capped", "degenerate", "unconverged") ``diagnostics`` lists the
-    candidates carrying it."""
+    fits: the winner is the first candidate whose score is within
+    ``_WINNER_TOL`` of the least, the ties are the candidates within
+    ``tie_tol`` of the winner's score, the winner's x gives ``p_tilde`` and,
+    for the unknown-c search, its entry of ``rates`` gives ``c_hat``. Under
+    each note that some fit carries ("capped", "degenerate", "unconverged")
+    ``diagnostics`` lists the candidates carrying it."""
     scores = np.array([f[0] for f in fits])
-    best = int(np.argmin(scores))
+    best = int(np.argmax(scores <= scores.min() + _WINNER_TOL))
     diagnostics = {
         note: tuple(qc for qc, f in zip(candidates, fits) if f[1] == note)
         for note in sorted({f[1] for f in fits} - {None})
@@ -333,20 +289,18 @@ def estimate_q(
 
     Scores one canonical representative per equivalence class of zero-row
     free m x k matrices against saturated success rates and returns the
-    minimizer (first in enumeration order on exact ties), the tie set at
-    ``tie_tol``, and the fitted profile distribution of the winner.
+    minimizer (the first in enumeration order within 1e-12 of the least
+    score), the tie set at ``tie_tol``, and the fitted profile distribution
+    of the winner.
 
     The search works on stacks of candidates without building their
     designs: the candidates arrive from ``enumerate_candidates`` unpacked
-    and checked as one stack, and each chunk of candidates is screened by
-    one batched solve on its closed-form Gram systems
-    (``simplex_gram_bounds``). Only candidates whose lower bound comes
-    within ``tie_tol`` of the best exact score get an exact ``simplex_lsq``
-    solve on their own design, and the winner's solve gives ``p_tilde``.
-    Winner, score, ties and ``p_tilde`` are therefore exactly those of
-    solving every candidate exactly. A re-scored candidate whose exact
-    solve stopped at the solver's iteration cap keeps its rank and is
-    listed in diagnostics["capped"], the only list this search can fill.
+    and checked as one stack, and each chunk of candidates is scored by one
+    stacked exact solve on its closed-form Gram systems (``_screen``), with
+    each score read from the exact residual through the pattern lattice.
+    The winner's solve gives ``p_tilde``. A candidate whose solve stopped
+    at the solver's iteration cap keeps its rank and is listed in
+    diagnostics["capped"], the only list this search can fill.
 
     Raises ValueError, before any work, for a negative or NaN ``tie_tol``,
     and BudgetExceededError when the enumeration exceeds ``budget``.
@@ -357,8 +311,7 @@ def estimate_q(
     if params.m != m:
         raise ValueError(f"params cover {params.m} items, rates cover {m}")
     candidates = list(enumerate_candidates(m, k, budget))
-    fits = _screen(candidates, params.c, params.g, alpha, tie_tol)
-    return _result(candidates, fits, tie_tol)
+    return _result(candidates, _screen(candidates, params.c, params.g, alpha), tie_tol)
 
 
 def find_cover_combo(q: QMatrix, item: int) -> int | None:
@@ -451,14 +404,11 @@ def _rate_objective(cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector):
     values, the (b, m) gradients and whether a solve stopped at the
     solver's iteration cap. ``g`` comes checked from the caller.
 
-    The simplex fit x is ``simplex_lsq``'s active set followed on the
-    closed-form Gram systems (``pattern_gram``, with ``pattern_moments`` of
-    the rates gathered by pattern). A problem whose Gram solve stops at a
-    singular pivot or at the cap is fitted by ``simplex_lsq`` on its own
-    design instead. The residual is read through the pattern lattice
-    (``pattern_rates`` of the weights w, x summed by pattern). By the
-    envelope theorem the gradient needs no re-fit: d score^2 / d c_i is
-    2 r' (dM/dc_i) x. Entry (S, A) of the design M holds the factor c_i
+    The simplex fit x is the screen's exact solve on the closed-form Gram
+    systems (``_pattern_fits``), and the residual is read through the
+    pattern lattice (``pattern_rates`` of the weights w, x summed by
+    pattern). By the envelope theorem the gradient needs no re-fit:
+    d score^2 / d c_i is 2 r' (dM/dc_i) x. Entry (S, A) of the design M holds the factor c_i
     exactly when S contains item i and profile A masters it, and it is
     linear in c_i, so entry i is 2 sum_P w_P [P masters i] times
     ``pattern_moments`` of r restricted to the combinations holding i,
@@ -478,14 +428,7 @@ def _rate_objective(cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector):
     span = max(1, _CANDIDATE_CHUNK // m)
 
     def evaluate(rows: np.ndarray, c: np.ndarray):
-        p = pats[rows]
-        lin = np.take_along_axis(pattern_moments(target, c, g), p, axis=1)
-        x, finished = _gram_active_set(pattern_gram(p, c, g), lin)
-        capped = np.zeros(len(rows), dtype=bool)
-        for j in np.flatnonzero(~finished):
-            sol = simplex_lsq(design(cands[rows[j]], c[j], g, alpha.order), alpha.rates)
-            x[j], capped[j] = sol.x, sol.status == "iteration-cap"
-        weights, resid = _pattern_residuals(p, x, c, g, target)
+        _, finished, weights, resid = _pattern_fits(pats[rows], c, g, target)
         grad = np.empty(c.shape)
         for lo in range(0, len(rows), span):
             part = slice(lo, lo + span)
@@ -494,7 +437,7 @@ def _rate_objective(cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector):
             held = resid[part, None, :] * bits
             moments = pattern_moments(held, np.where(unit, 1.0, c[part, None, :]), g)
             grad[part] = 2.0 * (weights[part, None, :] * bits * moments).sum(axis=2)
-        return _SLIP_SCALE * (resid * resid).sum(axis=1), _SLIP_SCALE * grad, capped
+        return _SLIP_SCALE * (resid * resid).sum(axis=1), _SLIP_SCALE * grad, ~finished
 
     return evaluate
 
@@ -855,15 +798,14 @@ def estimate_q_unknown_c(
     are recovered by the rate search of ``profile_slip``, all candidates'
     searches in lockstep, chunk by chunk; each ends where it would end
     alone. The final scores, each candidate at its own recovered rates, are
-    then ranked by the certified screen of ``estimate_q``: only candidates
-    that could be the winner or tie with it get an exact solve, so winner,
-    score, ties and ``p_tilde`` are those of scoring every candidate
-    exactly. Candidates with degenerate moment denominators score +inf and
-    are listed in diagnostics["degenerate"]. Candidates whose rate search
-    converged from no start are still ranked at the best point found, and
-    are listed in diagnostics["unconverged"]. A candidate carrying no other
+    then the exact fits of the stacked solve of ``estimate_q``
+    (``_screen``), and are ranked by the same rule. Candidates with
+    degenerate moment denominators score +inf and are listed in
+    diagnostics["degenerate"]. Candidates whose rate search converged from
+    no start are still ranked at the best point found, and are listed in
+    diagnostics["unconverged"]. A candidate carrying no other
     note is listed in diagnostics["capped"] when a solve of its rate search
-    or its exact re-score stopped at the iteration cap.
+    or its final fit stopped at the iteration cap.
 
     Returns the winner with its recovered ``c_hat``; ties are judged on the
     final scores exactly as in ``estimate_q``. Raises ValueError, before
@@ -894,7 +836,7 @@ def estimate_q_unknown_c(
         rates[i] = c
         notes[i] = "unconverged" if not converged else "capped" if capped else None
     cs = np.array([rates[i] for i in fitted])
-    screened = _screen([candidates[i] for i in fitted], cs, g, alpha, tie_tol)
+    screened = _screen([candidates[i] for i in fitted], cs, g, alpha)
     fits = [(np.inf, note, None) for note in notes]
     for i, (s, capped, x) in zip(fitted, screened):
         fits[i] = (s, notes[i] or capped, x)
@@ -1057,8 +999,9 @@ def check_identifiability(
     exactly. Every other candidate gets the rate search of the unknown-c
     estimator (projected BFGS from three starts, exact envelope gradient)
     over all of its capable rates, all of them in one lockstep call, and
-    its delta is the exact fit (``_fit``, the solve behind ``score``) at
-    the best point found. A search that converged from no start is still
+    its delta is its exact fit at the best point found, from one stacked
+    solve of every searched candidate (``_screen``, which scores the
+    searches' candidates). A search that converged from no start is still
     counted at that point, and so is a delta whose search or delta solve
     stopped at the solver's iteration cap, which can only over-estimate
     it; each such candidate is named in ``notes``.
@@ -1090,21 +1033,21 @@ def check_identifiability(
         certified = [support <= set(patterns(cand).tolist()) for cand in cands]
         searched = [cand for cand, cert in zip(cands, certified) if not cert]
         full = np.ones((len(searched), q.m), dtype=bool)
-        found = zip(*_rate_searches(searched, params.g, alpha, np.zeros(full.shape), full))
+        rates, *flags = _rate_searches(searched, params.g, alpha, np.zeros(full.shape), full)
+        found = zip(_screen(searched, rates, params.g, alpha), *flags)
         for cand, cert in zip(cands, certified):
             if cert:
                 deltas.append((cand, 0.0))
                 continue
-            c, converged, capped = next(found)
-            sol = _fit(cand, c, params.g, alpha)
-            deltas.append((cand, sol.residual))
+            (delta, note, _), converged, capped = next(found)
+            deltas.append((cand, delta))
             name = ",".join(cand.row_strings())
             if not converged:
                 notes.append(
                     f"rate search for candidate {name} converged "
                     "from no start; its delta is the best point found"
                 )
-            if sol.status == "iteration-cap":
+            if note == "capped":
                 notes.append(
                     f"delta solve for candidate {name} stopped at the iteration cap; "
                     "its delta may be an over-estimate"

@@ -1,7 +1,6 @@
 """Scoring, Q-matrix search, slip recovery, splitting, identifiability."""
 
 import collections
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -54,13 +53,13 @@ from dinaq.estimator import (
     _SLIP_STARTS,
     SearchResult,
     _by_mask,
-    _pattern_bounds,
     _rate_objective,
     _rate_searches,
+    _result,
     _screen,
 )
-from dinaq.solver import simplex_lsq
-from dinaq.tmatrix import pattern_moments, patterns
+from dinaq.solver import _gram_active_set, kkt_residuals, simplex_lsq
+from dinaq.tmatrix import patterns
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
 UNIFORM = ProfileDistribution.uniform(2)
@@ -264,6 +263,23 @@ def test_estimate_q_reports_ties_for_degenerate_truth():
     assert res.q_hat in res.ties
 
 
+def test_winner_is_first_within_rounding_of_least_score():
+    """The winner is the first candidate in enumeration order whose score is
+    within 1e-12 of the least: a later candidate 1e-16 below an earlier one
+    does not win, and one 1e-9 below does. Score and p_tilde are the
+    winner's; the ties hold both."""
+    cands = list(enumerate_candidates(3, 2, budget=10**6))[:2]
+    xs = [np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.4, 0.3, 0.2, 0.1])]
+    for gap, winner in [(1e-16, 0), (1e-9, 1)]:
+        scores = [0.01, 0.01 - gap]
+        assert scores[1] < scores[0]
+        res = _result(cands, [(s, None, x) for s, x in zip(scores, xs)], 1e-7)
+        assert res.q_hat == cands[winner]
+        assert res.score == scores[winner]
+        assert res.p_tilde.probs.tobytes() == xs[winner].tobytes()
+        assert res.ties == tuple(cands)
+
+
 def test_estimate_q_score_table():
     alpha = noiseless_alpha()
     res = estimate_q(alpha, NOISELESS, 2)
@@ -271,31 +287,35 @@ def test_estimate_q_score_table():
     assert res.score == min(score(q, alpha, NOISELESS) for q in enumerate_candidates(3, 2))
 
 
+def _unfinished(*args):
+    """The Gram solve, with every problem reported as stopped at the
+    iteration cap."""
+    x, finished, iterations = _gram_active_set(*args)
+    return x, np.zeros_like(finished), iterations
+
+
 def test_estimate_q_lists_capped_rescores(monkeypatch):
-    """An exact re-score that hits the solver's iteration cap is listed in
-    diagnostics["capped"]; the ranking is unchanged."""
+    """A candidate whose solve stops at the solver's iteration cap is listed
+    in diagnostics["capped"]; the ranking is unchanged. The Gram solve is
+    made to report the cap on every other problem of its stack."""
     params = noisy_params(m=4)
     truth = QMatrix.from_rows(["10", "01", "11", "10"])
     alpha = population_alpha(truth, params, UNIFORM, ComboOrder.saturated(4))
     clean = estimate_q(alpha, params, 2, tie_tol=1e-3)
     assert "capped" not in clean.diagnostics
-    rescored = []
 
-    def capped(m_matrix, beta, **kwargs):
-        rescored.append(np.array(m_matrix))
-        return dataclasses.replace(simplex_lsq(m_matrix, beta, **kwargs), status="iteration-cap")
+    def every_other(*args):
+        x, finished, iterations = _gram_active_set(*args)
+        finished[1::2] = False
+        return x, finished, iterations
 
-    monkeypatch.setattr(dinaq.estimator, "simplex_lsq", capped)
+    monkeypatch.setattr(dinaq.estimator, "_gram_active_set", every_other)
     flagged = estimate_q(alpha, params, 2, tie_tol=1e-3)
     monkeypatch.undo()
     assert_same_ranking(clean, flagged)
-    listed = flagged.diagnostics["capped"]
-    assert flagged.q_hat in listed and set(flagged.ties) <= set(listed)
-    assert flagged.score == score(flagged.q_hat, alpha, params)
-    # every solve re-scored one listed candidate of the screen; p_tilde comes
-    # from the winner's re-score, not from a solve of its own
-    designs = [design(q, params.c, params.g, alpha.order).tobytes() for q in listed]
-    assert sorted(designs) == sorted(m.tobytes() for m in rescored)
+    # 41 candidates, so one stack
+    cands = list(enumerate_candidates(4, 2, budget=10**6))
+    assert flagged.diagnostics == {"capped": tuple(cands[1::2])}
 
 
 def test_estimate_q_matches_full_table_scan():
@@ -316,19 +336,23 @@ def test_estimate_q_matches_full_table_scan():
     assert res.score == pytest.approx(best, abs=1e-12)
     assert table[res.q_hat] == pytest.approx(best, abs=1e-12)
     assert set(res.ties) == scan_ties
-    # the screen on every candidate at once: bounds near exact, ties exact
-    fits = _screen(list(table), params.c, params.g, alpha, DEFAULT_TIE_TOL)
-    for (cand, s), (got, _, _) in zip(table.items(), fits):
+    # the screen on every candidate at once: every score exact
+    fits = _screen(list(table), params.c, params.g, alpha)
+    for s, (got, _, _) in zip(table.values(), fits):
         assert got == pytest.approx(s, abs=1e-12)
-        if cand in scan_ties:
-            assert got == s
+
+
+def _first_best(scores):
+    """The winner rule: the first score within 1e-12 of the least."""
+    scores = np.asarray(scores)
+    return int(np.flatnonzero(scores <= scores.min() + 1e-12)[0])
 
 
 def _reference_search(alpha, params, k, tie_tol):
-    """The search as an exact solve of every candidate, in enumeration order."""
+    """The search as a ``score`` of every candidate, in enumeration order."""
     cands = list(enumerate_candidates(alpha.order.m, k, budget=10**6))
     scores = [score(cand, alpha, params) for cand in cands]
-    best = int(np.argmin(scores))
+    best = _first_best(scores)
     ties = {c: s for c, s in zip(cands, scores) if s <= scores[best] + tie_tol}
     return cands[best], scores[best], ties, estimate_p(cands[best], alpha, params)
 
@@ -343,9 +367,10 @@ def _reference_search(alpha, params, k, tie_tol):
     ],
 )
 def test_estimate_q_screen_matches_exact_scan(m, k, rates, tie_tol):
-    """Screening candidates with the batched bounds changes nothing: winner,
-    score, tie set and fitted distribution equal those of an exact solve of
-    every candidate, to the byte. (5, 3) spans several screen chunks."""
+    """Scoring candidates with the stacked solve on their closed-form Gram
+    systems changes nothing: winner and tie set equal those of a ``score``
+    of every candidate, and every score and the fitted distribution agree
+    within 1e-12. (5, 3) spans several screen chunks."""
     rng = np.random.default_rng(50 * m + k)
     cands = list(enumerate_candidates(m, k, budget=10**6))
     truth = cands[int(rng.integers(len(cands)))]
@@ -364,24 +389,24 @@ def test_estimate_q_screen_matches_exact_scan(m, k, rates, tie_tol):
     res = estimate_q(alpha, params, k, tie_tol=tie_tol)
     q_ref, score_ref, ties_ref, p_ref = _reference_search(alpha, params, k, tie_tol)
     assert res.q_hat == q_ref
-    assert res.score == score_ref
+    assert res.score == pytest.approx(score_ref, abs=1e-12)
     assert res.ties == tuple(ties_ref)
-    assert res.p_tilde.probs.tobytes() == p_ref.probs.tobytes()
-    # screened all at once, every tie carries its exact score, not a bound
+    np.testing.assert_allclose(res.p_tilde.probs, p_ref.probs, rtol=0, atol=1e-12)
+    # screened all at once, every candidate carries its exact score
     cands = list(enumerate_candidates(m, k, budget=10**6))
-    fits = _screen(cands, params.c, params.g, alpha, tie_tol)
-    exact = dict(zip(cands, (f[0] for f in fits)))
-    for cand, s in ties_ref.items():
-        assert exact[cand] == s
+    for cand, (got, note, _) in zip(cands, _screen(cands, params.c, params.g, alpha)):
+        assert note is None
+        assert got == pytest.approx(score(cand, alpha, params), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_row_free_bounds_bracket_exact_scores(data):
-    """The screen's bounds, computed without designs, bracket every
-    candidate's exact score on noiseless, population and sampled rates, at
-    shared or per-candidate capable rates, exact fits included; at full
-    column rank the upper bound is the exact score."""
+def test_row_free_screen_matches_exact_scores(data):
+    """The screen's scores, computed without designs, equal every
+    candidate's exact score within 1e-12 on noiseless, population and
+    sampled rates, at shared or per-candidate capable rates, exact fits
+    included, and each minimizer meets the KKT conditions on the
+    candidate's design at 1e-8."""
     m = data.draw(st.integers(2, 5), label="m")
     k = data.draw(st.integers(1, 3), label="k")
     kind = data.draw(st.sampled_from(["noiseless", "population", "sampled"]), label="rates")
@@ -410,17 +435,14 @@ def test_row_free_bounds_bracket_exact_scores(data):
         c[:, rng.random(m) < 0.2] = g[0]
     else:
         c = params.c
-    target = _by_mask(alpha)
-    upper, lower = _pattern_bounds(
-        patterns(stack), c, g, target, pattern_moments(target, c, g)
-    )
-    for j, q in enumerate(stack):
+    for j, (q, (got, note, x)) in enumerate(zip(stack, _screen(stack, c, g, alpha))):
         mat = design(q, c[j] if c.ndim == 2 else c, g, order)
-        exact = simplex_lsq(mat, alpha.rates).residual
-        assert lower[j] <= exact + 1e-12
-        assert exact <= upper[j] + 1e-12
-        if np.linalg.matrix_rank(mat) == mat.shape[1]:
-            assert upper[j] - exact <= 1e-10
+        assert note is None
+        assert abs(got - simplex_lsq(mat, alpha.rates).residual) <= 1e-12
+        cert = kkt_residuals(mat, alpha.rates, x)
+        assert cert["sum_error"] <= 1e-12
+        assert cert["stationarity_gap"] <= 1e-8
+        assert cert["dual_gap"] >= -1e-8
 
 
 def _fit_table(alpha, g, k):
@@ -447,9 +469,10 @@ def _fit_table(alpha, g, k):
     ],
 )
 def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
-    """Ranking the unknown-c search's final scores with the certified screen
-    changes nothing: winner, score, ties, c_hat and p_tilde equal those of
-    an exact solve of every candidate, to the byte. A zero-mass profile
+    """Scoring the unknown-c search's final fits with the stacked solve
+    changes nothing: winner, ties and c_hat equal those of a ``score`` of
+    every candidate at its recovered rates, to the byte, and score and
+    p_tilde agree within 1e-12. A zero-mass profile
     makes some candidates' moment systems degenerate. At m = 7 the 1,094
     candidates span three screen chunks."""
     rng = np.random.default_rng(seed)
@@ -471,28 +494,23 @@ def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
         alpha = compute_alpha(simulate(config)[0], order)
     res = estimate_q_unknown_c(alpha, params.g, 2)
     table = _fit_table(alpha, params.g, 2)
-    scores = np.array([s for _, _, s in table])
-    best = int(np.argmin(scores))
-    q_ref, c_ref, s_ref = table[best]
+    q_ref, c_ref, s_ref = table[_first_best([s for _, _, s in table])]
     assert res.q_hat == q_ref
-    assert res.score == s_ref
+    assert res.score == pytest.approx(s_ref, abs=1e-12)
     assert res.ties == tuple(q for q, _, s in table if s <= s_ref + DEFAULT_TIE_TOL)
     assert res.c_hat.tobytes() == c_ref.tobytes()
     p_ref = estimate_p(q_ref, alpha, DinaParams(c_ref, params.g))
-    assert res.p_tilde.probs.tobytes() == p_ref.probs.tobytes()
+    np.testing.assert_allclose(res.p_tilde.probs, p_ref.probs, rtol=0, atol=1e-12)
     degenerate = tuple(q for q, c, _ in table if c is None)
     assert res.diagnostics.get("degenerate", ()) == degenerate
     if p_zero and n is None:
         assert degenerate
-    # the screen at the reference's rates: the upper bound where it does not
-    # re-score, the exact score where it does
+    # the screen at the reference's rates: every score exact
     fitted = [(q, c, s) for q, c, s in table if c is not None]
     cs = np.array([c for _, c, _ in fitted])
-    fits = _screen([q for q, _, _ in fitted], cs, params.g, alpha, DEFAULT_TIE_TOL)
+    fits = _screen([q for q, _, _ in fitted], cs, params.g, alpha)
     for (_, _, s), (got, _, _) in zip(fitted, fits):
         assert got == pytest.approx(s, abs=1e-12)
-        if got <= s_ref + DEFAULT_TIE_TOL:
-            assert got == s
 
 
 @settings(max_examples=30, deadline=None)
@@ -1280,30 +1298,30 @@ def test_rate_searches_independent_of_stack(data):
                 assert got[row].tobytes() == want[0].tobytes()
 
 
-def _search_solves_capped(monkeypatch):
-    """Every rate-search evaluation falls back to ``simplex_lsq``, as if its
-    Gram solve had stopped short, and every such solve reports the
-    iteration cap; the exact solves of ``_fit`` are left as they are."""
-    real_solve, real_active_set = simplex_lsq, dinaq.estimator._gram_active_set
+def _capped_within(monkeypatch, name):
+    """Make every Gram solve made inside ``dinaq.estimator.<name>``, or
+    inside the functions it returns, report the iteration cap; the solves
+    made elsewhere are left as they are."""
+    real = getattr(dinaq.estimator, name)
 
-    def unfinished(*args):
-        x, finished = real_active_set(*args)
-        return x, np.zeros_like(finished)
+    def capped(*args):
+        with mock.patch.object(dinaq.estimator, "_gram_active_set", _unfinished):
+            out = real(*args)
+        if not callable(out):
+            return out
 
-    def capped(m_matrix, beta):
-        return dataclasses.replace(real_solve(m_matrix, beta), status="iteration-cap")
+        def inner(*inner_args):
+            with mock.patch.object(dinaq.estimator, "_gram_active_set", _unfinished):
+                return out(*inner_args)
 
-    def exact(q, c, g, alpha):
-        return real_solve(design(q, c, g, alpha.order), alpha.rates)
+        return inner
 
-    monkeypatch.setattr(dinaq.estimator, "_gram_active_set", unfinished)
-    monkeypatch.setattr(dinaq.estimator, "simplex_lsq", capped)
-    monkeypatch.setattr(dinaq.estimator, "_fit", exact)
+    monkeypatch.setattr(dinaq.estimator, name, capped)
 
 
 def test_rate_search_cap_hits_are_listed(monkeypatch):
-    """A rate search whose fallback solve stops at the iteration cap marks
-    its candidate: the unknown-c search lists it in diagnostics["capped"]
+    """A rate search whose Gram solves stop at the iteration cap marks its
+    candidate: the unknown-c search lists it in diagnostics["capped"]
     and the probe names it in its notes, with flags and ranking as in the
     clean run, whose Gram solves all finish."""
     params = noisy_params()
@@ -1320,7 +1338,7 @@ def test_rate_search_cap_hits_are_listed(monkeypatch):
     )
     assert searched
 
-    _search_solves_capped(monkeypatch)
+    _capped_within(monkeypatch, "_rate_objective")
     flagged = estimate_q_unknown_c(alpha, params.g, 2)
     assert flagged.diagnostics == {"capped": searched}
     assert flagged.q_hat == clean.q_hat
@@ -1724,10 +1742,7 @@ def test_probe_names_capped_delta_solves(monkeypatch):
     assert certified and searched
     assert not any("iteration cap" in note for note in clean.notes)
 
-    def capped(m_matrix, beta):
-        return dataclasses.replace(simplex_lsq(m_matrix, beta), status="iteration-cap")
-
-    monkeypatch.setattr(dinaq.estimator, "simplex_lsq", capped)
+    _capped_within(monkeypatch, "_screen")
     report = check_identifiability(GOLDEN, noisy_params(), p_star)
     assert report.deltas == clean.deltas
     assert report.flagged == clean.flagged

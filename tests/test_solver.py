@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dinaq.solver
 from dinaq import (
+    AlphaVector,
     ComboOrder,
     QMatrix,
     design,
@@ -13,7 +15,8 @@ from dinaq import (
     kkt_residuals,
     simplex_lsq,
 )
-from dinaq.solver import _solve_checked, simplex_gram_bounds
+from dinaq.estimator import _screen
+from dinaq.solver import _gram_active_set, _solve_checked
 
 GOLDEN_T = np.array([
     [1.0, 0.0, 1.0],
@@ -173,28 +176,76 @@ def test_solution_is_clean_distribution():
         assert sol.x.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+
+
 # ---------------------------------------------------------------------------
-# batched screen: certified bounds around the exact solve
+# the row-form active set, kept as the reference for the Gram solve
 
-def _row_form(stack, beta):
-    """The Gram form of a stack of designs and one target, with the
-    residuals read off the rows."""
-    cols = stack.transpose(0, 2, 1)
-
-    def residuals(x):
-        resid = (stack @ x[:, :, None])[:, :, 0] - beta
-        return resid, (cols @ resid[:, :, None])[:, :, 0]
-
-    return cols @ stack, cols @ beta, residuals
-
-
-def _gram_bounds(stack, beta, max_iter=None):
-    return simplex_gram_bounds(*_row_form(stack, beta), max_iter=max_iter)
+def _restricted_argmin(m, beta, support):
+    # equality-constrained LS on the support columns: the first support
+    # variable is eliminated via z0 = 1 - sum(rest), leaving an unconstrained
+    # problem handled by lstsq (minimum-norm on rank deficiency)
+    j0 = support[0]
+    base = m[:, j0]
+    rest = support[1:]
+    if not rest:
+        return np.array([1.0])
+    a = m[:, rest] - base[:, None]
+    y, *_ = np.linalg.lstsq(a, beta - base, rcond=None)
+    return np.concatenate([[1.0 - y.sum()], y])
 
 
-def _dina_stack(data):
-    """A stack of DINA designs of one shape, with rates on a 0.05 lattice so
-    c_i = g_i happens exactly and other rates stay well separated."""
+def _reference_lsq(m, beta):
+    """The simplex LSQ solve on the rows: the same pivots and tolerances as
+    the Gram solve, each restricted problem solved by ``lstsq``. Returns
+    the residual |M x - beta| at its final point."""
+    n = m.shape[1]
+    x = np.zeros(n)
+    x[0] = 1.0
+    support = [0]
+    for _ in range(50 * n):
+        z = _restricted_argmin(m, beta, support)
+        if z.min() <= -1e-12:
+            # step toward the restricted optimum until a coordinate hits
+            # zero, then drop what vanished
+            xs = x[support]
+            neg = z <= 0.0
+            ratios = xs[neg] / (xs[neg] - z[neg])
+            stepped = xs + ratios.min() * (z - xs)
+            keep = stepped > 1e-14
+            if keep.all():
+                keep[np.flatnonzero(neg)[int(np.argmin(ratios))]] = False
+            x[:] = 0.0
+            support = [s for s, kp in zip(support, keep) if kp]
+            x[support] = stepped[keep]
+            continue
+        x[:] = 0.0
+        x[support] = np.clip(z, 0.0, None)
+        grad = 2.0 * (m.T @ (m @ x - beta))
+        off = [j for j in range(n) if j not in support]
+        viol = grad[off] - grad[support].mean()
+        if not off or viol.min() >= -1e-10:
+            break
+        support = sorted(support + [off[int(np.argmin(viol))]])
+    x = np.clip(x, 0.0, None)
+    x /= x.sum()
+    return float(np.linalg.norm(m @ x - beta))
+
+
+def _assert_kkt(m, beta, x):
+    cert = kkt_residuals(m, beta, x)
+    assert cert["sum_error"] <= 1e-12
+    assert cert["min_coord"] >= 0.0
+    assert cert["stationarity_gap"] <= 1e-8
+    assert cert["dual_gap"] >= -1e-8
+
+
+def _dina_case(data):
+    """Candidates of one shape with their DINA designs at shared rates, and
+    a target. Rates lie on a 0.05 lattice so that c_i = g_i happens exactly
+    and other rates stay well separated; m = 2 and m = 3 with k = 3 give
+    fewer rows than columns, noiseless rates a zero first column, and
+    incomplete candidates and c_i = g_i duplicated columns."""
     m = data.draw(st.integers(2, 5), label="m")
     k = data.draw(st.integers(1, 3), label="k")
     row = st.integers(1, (1 << k) - 1)
@@ -202,7 +253,6 @@ def _dina_stack(data):
         st.lists(st.lists(row, min_size=m, max_size=m), min_size=1, max_size=6),
         label="row masks",
     )
-    # random row masks include incomplete (rank-deficient) candidates
     qs = [
         QMatrix(np.array([[(r >> j) & 1 for j in range(k)] for r in rows]))
         for rows in masks
@@ -225,28 +275,78 @@ def _dina_stack(data):
         beta = stack[0] @ rng.dirichlet(np.ones(stack.shape[2]))
     else:
         beta = rng.uniform(0.0, 1.0, len(order))
-    return stack, beta
+    return qs, c, g, order, stack, beta
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_bounds_bracket_exact_solve(data):
-    stack, beta = _dina_stack(data)
-    max_iter = data.draw(st.sampled_from([None, 1]), label="max_iter")
-    upper, lower = _gram_bounds(stack, beta, max_iter)
-    assert upper.shape == lower.shape == (len(stack),)
-    for mat, up, lo in zip(stack, upper, lower):
-        exact = simplex_lsq(mat, beta).residual
-        assert lo <= exact + 1e-12
-        assert lo <= up
-        if max_iter is None and np.linalg.matrix_rank(mat) == mat.shape[1]:
-            assert abs(up - exact) <= 1e-10
+def test_gram_solve_matches_row_form_reference(data):
+    """``simplex_lsq`` and the searches' stacked solve (``_screen``) agree
+    with the row-form reference on DINA designs: residuals within 1e-12,
+    status "optimal" and KKT at 1e-8."""
+    qs, c, g, order, stack, beta = _dina_case(data)
+    fits = _screen(qs, c, g, AlphaVector(order, beta))
+    for mat, (score, note, x) in zip(stack, fits):
+        ref = _reference_lsq(mat, beta)
+        sol = simplex_lsq(mat, beta)
+        assert sol.status == "optimal" and note is None
+        assert abs(sol.residual - ref) <= 1e-12
+        assert abs(score - ref) <= 1e-12
+        _assert_kkt(mat, beta, sol.x)
+        _assert_kkt(mat, beta, x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gram_solve_matches_reference_on_duplicated_columns(data):
+    """The same agreement on random designs, wide or tall, whose drawn
+    columns repeat earlier ones exactly."""
+    rows = data.draw(st.integers(1, 6), label="rows")
+    cols = data.draw(st.integers(1, 6), label="cols")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    base = rng.normal(size=(rows, cols)) * rng.uniform(0.5, 3.0)
+    copies = data.draw(st.lists(st.integers(0, cols - 1), max_size=3), label="copies")
+    mat = np.column_stack([base] + [base[:, j] for j in copies])
+    mat = mat[:, rng.permutation(mat.shape[1])]
+    beta = rng.normal(size=rows)
+    sol = simplex_lsq(mat, beta)
+    assert sol.status == "optimal"
+    assert abs(sol.residual - _reference_lsq(mat, beta)) <= 1e-12
+    _assert_kkt(mat, beta, sol.x)
+
+
+# ---------------------------------------------------------------------------
+# the Gram solve on stacks, singular pivots and the iteration cap
+
+def _gram_solve(stack, beta, max_iter=None):
+    """The Gram solve of a stack of designs and one target: points, finish
+    flags, iteration counts and the residual norms read off the rows."""
+    cols = stack.transpose(0, 2, 1)
+    x, finished, iterations = _gram_active_set(cols @ stack, cols @ beta, max_iter)
+    resid = (stack @ x[:, :, None])[:, :, 0] - beta
+    return x, finished, iterations, np.sqrt((resid * resid).sum(axis=1))
+
+
+def _assert_independent_of_stack(stack, beta, rng):
+    """Each problem's solve is the same bytes alone, in the full stack,
+    shuffled and in chunks of 17."""
+    whole = _gram_solve(stack, beta)
+    for j in range(len(stack)):
+        for got, want in zip(_gram_solve(stack[j : j + 1], beta), whole):
+            assert got.tobytes() == want[j : j + 1].tobytes()
+    perm = rng.permutation(len(stack))
+    for got, want in zip(_gram_solve(stack[perm], beta), whole):
+        assert got.tobytes() == want[perm].tobytes()
+    for start in range(0, len(stack), 17):
+        for got, want in zip(_gram_solve(stack[start : start + 17], beta), whole):
+            assert got.tobytes() == want[start : start + 17].tobytes()
 
 
 @pytest.mark.parametrize("m, k", [(3, 2), (4, 3), (6, 2)])
 def test_bounds_independent_of_batch(m, k):
-    """A member's bounds are the same bytes alone, in the full stack,
-    shuffled and in chunks of 17."""
+    """A member's solve (point, finish flag, iteration count and residual)
+    is the same bytes alone, in the full stack, shuffled and in chunks of
+    17, on separated and on noiseless rates."""
     rng = np.random.default_rng(m * 10 + k)
     order = ComboOrder.saturated(m)
     cands = list(enumerate_candidates(m, k, 10**6))[:200]
@@ -258,19 +358,7 @@ def test_bounds_independent_of_batch(m, k):
     beta = stack[len(cands) // 2] @ rng.dirichlet(np.ones(1 << k)) + rng.normal(
         0.0, 0.01, len(order)
     )
-    upper, lower = _gram_bounds(stack, beta)
-    for j in range(len(stack)):
-        up, lo = _gram_bounds(stack[j : j + 1], beta)
-        assert up.tobytes() == upper[j : j + 1].tobytes()
-        assert lo.tobytes() == lower[j : j + 1].tobytes()
-    perm = rng.permutation(len(stack))
-    up, lo = _gram_bounds(stack[perm], beta)
-    assert up.tobytes() == upper[perm].tobytes()
-    assert lo.tobytes() == lower[perm].tobytes()
-    for start in range(0, len(stack), 17):
-        up, lo = _gram_bounds(stack[start : start + 17], beta)
-        assert up.tobytes() == upper[start : start + 17].tobytes()
-        assert lo.tobytes() == lower[start : start + 17].tobytes()
+    _assert_independent_of_stack(stack, beta, rng)
 
 
 def test_checked_solve_matches_solve_and_flags_singular_systems():
@@ -291,39 +379,144 @@ def test_checked_solve_matches_solve_and_flags_singular_systems():
     assert np.array_equal(a[:2], spd[:2])
 
 
-def test_singular_restricted_system_keeps_last_feasible_point():
-    """A problem whose restricted system turns singular stops at its last
-    feasible point; its bounds still bracket the optimum, and the other
-    problems in the stack are untouched."""
-    order = ComboOrder.saturated(3)
-    c, g = np.full(3, 0.85), np.full(3, 0.15)
+def _duplicated(rng, n, rows):
+    """A design of n columns at a scale of 1e3, with column j repeated as an
+    extra last column, and j."""
+    base = rng.normal(size=(rows, n)) * 1e3
+    j = int(rng.integers(n))
+    return np.column_stack([base, base[:, j]]), j
+
+
+def _spy_singular(monkeypatch):
+    """A list that gets, per call of ``_solve_checked``, whether any system
+    of the call was singular."""
+    real = dinaq.solver._solve_checked
+    singular = []
+
+    def spy(a, rhs, floor):
+        y, ok = real(a, rhs, floor)
+        singular.append(not ok.all())
+        return y, ok
+
+    monkeypatch.setattr(dinaq.solver, "_solve_checked", spy)
+    return singular
+
+
+def test_duplicated_column_ends_at_optimum_without_it(monkeypatch):
+    """An exact duplicate of a support column shows a dual violation only
+    by rounding, which at a scale of 1e3 often exceeds the entry tolerance.
+    Its entry makes the restricted system singular and is undone, and the
+    solve ends at the optimum of the problem without the duplicate, which
+    has full column rank."""
+    singular = _spy_singular(monkeypatch)
+    undone = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 4
+        mat, j = _duplicated(rng, n, n + 2)
+        base, beta = mat[:, :-1], rng.normal(size=n + 2) * 1e3
+        singular.clear()
+        sol = simplex_lsq(mat, beta)
+        undone += any(singular)
+        alone = simplex_lsq(base, beta)
+        assert sol.status == "optimal"
+        assert sol.residual == pytest.approx(alone.residual, rel=1e-12)
+        merged = sol.x[:-1].copy()
+        merged[j] += sol.x[-1]
+        np.testing.assert_allclose(merged, alone.x, rtol=0, atol=1e-9)
+    assert undone >= 5
+
+
+def test_design_with_c_equal_g():
+    """Where c_i = g_i, profiles that differ only in whether they master
+    item i give equal design columns. The solve matches the reference, with
+    status "optimal" and KKT at 1e-8, on rates it fits exactly and on rates
+    off the model."""
     q = QMatrix.from_rows(["10", "01", "11"])
-    good = design(q, c, g, order)
-    dup = good.copy()
-    dup[:, 1] = dup[:, 0]
-    beta = good @ np.array([0.1, 0.2, 0.3, 0.4])
-    gram, lin, residuals = _row_form(np.stack([dup, good]), beta)
-    # a linear term that favours the duplicate pulls it into the support
-    # beside its twin, where the restricted system has a zero pivot
-    lin[0, 1] += 100.0
-    upper, lower = simplex_gram_bounds(gram, lin, residuals)
-    # the problem stopped at the vertex it stood on when its system failed
-    assert upper[0] == pytest.approx(np.linalg.norm(dup[:, 0] - beta), abs=1e-15)
-    exact = simplex_lsq(dup, beta).residual
-    assert lower[0] <= exact + 1e-12 <= upper[0] + 2e-12
-    alone = _gram_bounds(good[None], beta)
-    assert upper[1:].tobytes() == alone[0].tobytes()
-    assert lower[1:].tobytes() == alone[1].tobytes()
-    assert upper[1] == pytest.approx(simplex_lsq(good, beta).residual, abs=1e-12)
+    c, g = np.array([0.9, 0.2, 0.8]), np.array([0.15, 0.2, 0.25])
+    order = ComboOrder.saturated(3)
+    mat = design(q, c, g, order)
+    assert np.array_equal(mat[:, 0], mat[:, 2])
+    rng = np.random.default_rng(7)
+    for beta in (mat @ np.full(4, 0.25), rng.uniform(0.0, 1.0, len(order))):
+        sol = simplex_lsq(mat, beta)
+        assert sol.status == "optimal"
+        assert abs(sol.residual - _reference_lsq(mat, beta)) <= 1e-12
+        _assert_kkt(mat, beta, sol.x)
+        ((score, note, x),) = _screen([q], c, g, AlphaVector(order, beta))
+        assert note is None
+        assert abs(score - sol.residual) <= 1e-12
+        _assert_kkt(mat, beta, x)
+    assert simplex_lsq(mat, mat @ np.full(4, 0.25)).residual <= 1e-12
 
 
-def test_gram_bounds_reject_bad_input():
-    def residuals(x):
-        raise AssertionError("not reached")
+def test_genuine_violator_enters_after_a_blocked_column():
+    """Column 1 repeats column 0, and its linear term is raised, as rounding
+    can raise it, so that it enters first beside its twin. The singular
+    system undoes that entry and blocks it; column 2, a genuine violator,
+    still enters, and the solve finishes at the optimum without column 1.
+    Stopping at the last feasible point instead would have left the
+    problem at the first vertex."""
+    mat = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    beta = np.array([0.5, 0.5])
+    lin = mat.T @ beta
+    lin[1] += 2.0
+    x, finished, iterations = _gram_active_set((mat.T @ mat)[None], lin[None])
+    # enter 1, undo it, enter 2, finish on {0, 2}
+    assert finished[0] and iterations[0] == 4
+    np.testing.assert_allclose(x[0], [0.5, 0.0, 0.5], rtol=0, atol=1e-15)
+    assert np.linalg.norm(mat @ x[0] - beta) < np.linalg.norm(mat[:, 0] - beta)
 
-    with pytest.raises(ValueError):
-        simplex_gram_bounds(np.eye(3), np.zeros(3), residuals)
-    with pytest.raises(ValueError):
-        simplex_gram_bounds(np.ones((2, 3, 3)), np.zeros((2, 2)), residuals)
-    with pytest.raises(ValueError):
-        simplex_gram_bounds(np.full((1, 2, 2), np.nan), np.zeros((1, 2)), residuals)
+
+def test_a_column_leaving_clears_the_blocks(monkeypatch):
+    """A blocked column may enter again once another column leaves the
+    support. The restricted system right after the first entry is reported
+    singular, as rounding could make it, so that column is undone and
+    blocked; a later step drops column 0, which clears the block, and the
+    solve still ends at the optimum, on a support that holds the column."""
+    mat = np.array([[-3.0, -1.0, -1.0], [2.0, 0.0, -3.0], [-1.0, 1.0, 2.0], [2.0, 3.0, -2.0]])
+    beta = np.array([3.0, -3.0, 0.0, -2.0])
+    want = simplex_lsq(mat, beta)
+    real = dinaq.solver._solve_checked
+    calls = []
+
+    def second_singular(a, rhs, floor):
+        y, ok = real(a, rhs, floor)
+        calls.append(a)
+        return y, ok & (len(calls) != 2)
+
+    monkeypatch.setattr(dinaq.solver, "_solve_checked", second_singular)
+    sol = simplex_lsq(mat, beta)
+    assert sol.status == "optimal" and sol.iterations > want.iterations
+    assert sol.x[0] == 0.0 and (sol.x[1:] > 0.0).all()
+    np.testing.assert_allclose(sol.x, want.x, rtol=0, atol=1e-12)
+
+
+def test_singular_pivots_independent_of_stack(monkeypatch):
+    """Problems whose solves undo entries give the same bytes alone and in
+    any stack beside problems that never do: scaled designs with a
+    duplicated column, a c_i = g_i design and a noiseless one."""
+    rng = np.random.default_rng(3)
+    order = ComboOrder.saturated(3)
+    q = QMatrix.from_rows(["10", "01", "11"])
+    stack = [_duplicated(rng, 3, 7)[0] for _ in range(30)]
+    stack += [design(q, [0.9, 0.2, 0.8], [0.15, 0.2, 0.25], order)]
+    stack += [design(q, np.ones(3), np.zeros(3), order)]
+    stack += [rng.uniform(0.0, 1.0, (7, 4)) for _ in range(10)]
+    singular = _spy_singular(monkeypatch)
+    _assert_independent_of_stack(np.stack(stack), rng.normal(size=7) * 1e3, rng)
+    assert any(singular)
+
+
+def test_iteration_cap_stops_at_a_feasible_point():
+    """At the cap a problem stops unfinished at a feasible point, and
+    ``simplex_lsq`` would report it as "iteration-cap"."""
+    rng = np.random.default_rng(8)
+    stack = rng.normal(size=(5, 6, 5))
+    beta = rng.normal(size=6)
+    x, finished, iterations, _ = _gram_solve(stack, beta, max_iter=1)
+    assert not finished.any() and (iterations == 1).all()
+    assert (x >= 0.0).all()
+    np.testing.assert_allclose(x.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    x, finished, iterations, _ = _gram_solve(stack, beta)
+    assert finished.all() and (iterations > 1).all()

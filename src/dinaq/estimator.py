@@ -16,14 +16,15 @@ order within 1e-12 of the least score, a rule that rounding cannot move.
 
 When capable success rates are unknown they are recovered per candidate
 before scoring: a moment estimator handles every item whose attributes are
-jointly covered by other items, and a bounded quasi-Newton rate search
-fills in the rest. That search minimizes the squared score with its exact
-gradient, which the envelope theorem reads off the simplex fit itself.
-The searches of all candidates and starts run in lockstep: one driver
-keeps every run's state in arrays and steps them all with masked array
-operations, each round evaluates every pending trial point with one
-batched objective that, like the screen, builds no design, and a
-candidate's search ends where it would end alone.
+jointly covered by other items, for a whole chunk of candidates in array
+passes, and a bounded quasi-Newton rate search fills in the rest. That
+search minimizes the squared score with its exact gradient, which the
+envelope theorem reads off the simplex fit itself. The searches of all
+candidates and starts run in lockstep: one driver keeps every run's state
+in arrays and steps them all with masked array operations, each round
+evaluates every pending trial point with one batched objective that, like
+the screen, builds no design, and a candidate's search ends where it would
+end alone.
 
 ``check_identifiability`` probes the model in population: a complete
 Q-matrix should leave every non-equivalent candidate at a strictly positive
@@ -251,15 +252,16 @@ def _result(
     candidates: list[QMatrix],
     fits: list[tuple],
     tie_tol: float,
-    rates: list[np.ndarray | None] | None = None,
+    rates: np.ndarray | None = None,
 ) -> EstimationResult:
     """The result of a search from its candidates and their (score, note, x)
     fits: the winner is the first candidate whose score is within
     ``_WINNER_TOL`` of the least, the ties are the candidates within
     ``tie_tol`` of the winner's score, the winner's x gives ``p_tilde`` and,
-    for the unknown-c search, its entry of ``rates`` gives ``c_hat``. Under
-    each note that some fit carries ("capped", "degenerate", "unconverged")
-    ``diagnostics`` lists the candidates carrying it."""
+    for the unknown-c search, a copy of its row of the (b, m) ``rates``
+    gives ``c_hat``. Under each note that some fit carries ("capped",
+    "degenerate", "unconverged") ``diagnostics`` lists the candidates
+    carrying it."""
     scores = np.array([f[0] for f in fits])
     best = int(np.argmax(scores <= scores.min() + _WINNER_TOL))
     diagnostics = {
@@ -272,7 +274,7 @@ def _result(
         ties=tuple(qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol),
         p_tilde=ProfileDistribution(candidates[best].k, fits[best][2]),
         n_candidates=len(candidates),
-        c_hat=None if rates is None else rates[best],
+        c_hat=None if rates is None else rates[best].copy(),
         diagnostics=diagnostics,
     )
 
@@ -314,27 +316,55 @@ def estimate_q(
     return _result(candidates, _screen(candidates, params.c, params.g, alpha), tie_tol)
 
 
+def _covers(entries: np.ndarray) -> np.ndarray:
+    """The cover of every item of a (b, m, k) stack of Q-matrix entries:
+    the bitmask of the first smallest set of other items, in
+    ``itertools.combinations`` order, whose rows jointly dominate the
+    item's row, or 0 where no set of other items does.
+
+    The row masks come from the stack in one product. Set sizes s = 1, 2,
+    ... are walked until every (candidate, item) pair is resolved, which
+    is by s = k, since one item per attribute suffices: a size's (b, C)
+    unions are ORed one set position at a time, and each pair still open
+    takes the argmax of its dominating sets that leave it out, the one
+    step that chooses a cover. A pair is free from the start when the OR
+    of all the other rows misses its row.
+    """
+    rows = entries @ (1 << np.arange(entries.shape[2]))
+    m = rows.shape[1]
+    covers = np.zeros(rows.shape, dtype=np.int64)
+    others = np.bitwise_or.reduce(np.where(np.eye(m, dtype=bool), 0, rows[:, None, :]), axis=2)
+    pending = others & rows == rows
+    for size in range(1, m):
+        todo = np.flatnonzero(pending.any(axis=1))
+        if not todo.size:
+            break
+        sets = np.array(list(itertools.combinations(range(m), size)))
+        part = rows[todo]
+        union = part[:, sets[:, 0]]
+        for pos in range(1, size):
+            union |= part[:, sets[:, pos]]
+        masks = (1 << sets).sum(axis=1)
+        want = part[:, :, None]
+        # dominating[j, i, s]: set s leaves item i out and dominates its row
+        dominating = (union[:, None, :] & want == want) & (masks >> np.arange(m)[:, None] & 1 == 0)
+        hit = pending[todo] & dominating.any(axis=2)
+        covers[todo] = np.where(hit, masks[dominating.argmax(axis=2)], covers[todo])
+        pending[todo] &= ~hit
+    return covers
+
+
 def find_cover_combo(q: QMatrix, item: int) -> int | None:
     """Smallest set of other items whose attributes jointly dominate the
     target item's requirement; returns its bitmask, or None when no set of
     other items suffices. Ties at equal size break lexicographically by the
-    sorted item tuple.
+    sorted item tuple. This is the batched cover search of the unknown-c
+    search (``_covers``) on a stack of one. Raises ValueError for an item
+    index out of range.
     """
     if not 0 <= item < q.m:
         raise ValueError(f"item index {item} out of range for m={q.m}")
-    target = q.row_masks[item]
-    others = [i for i in range(q.m) if i != item]
-    for size in range(1, len(others) + 1):
-        for idx in itertools.combinations(others, size):
-            union = 0
-            for i in idx:
-                union |= q.row_masks[i]
-            if union & target == target:
-                mask = 0
-                for i in idx:
-                    mask |= 1 << i
-                return mask
-    return None
+    return int(_covers(q.entries[None])[0, item]) or None
 
 
 def decontaminate(alpha: AlphaVector, g) -> np.ndarray:
@@ -502,10 +532,12 @@ class _Runs:
 
     def _finish(self, idx: np.ndarray, success: bool) -> None:
         """End runs ``idx``: a converged run at its iterate, an unconverged
-        one at the best point it evaluated."""
-        x, f = (self.x, self.f) if success else (self.best_x, self.best_f)
+        one at the best point it evaluated. A run whose iterate has no
+        finite value has not converged, whatever test it met."""
         for j in idx:
-            result = SearchResult(x[j].copy(), float(f[j]), success, int(self.nfev[j]))
+            won = success and bool(np.isfinite(self.f[j]))
+            x, f = (self.x, self.f) if won else (self.best_x, self.best_f)
+            result = SearchResult(x[j].copy(), float(f[j]), won, int(self.nfev[j]))
             self.results[self.ids[j]] = result
         self.live[idx] = False
 
@@ -660,7 +692,8 @@ def minimize(objective, x0: np.ndarray) -> SearchResult:
     The stopping tests, with ``_SLIP_OPTIONS``, are L-BFGS-B's: converged
     when |P(x - g) - x|_inf <= gtol, or when one step gains at most
     ftol * max(|f_old|, |f_new|, 1); unconverged once ``maxfun``
-    evaluations are spent, or when a gradient step cannot move. A
+    evaluations are spent, or when a gradient step cannot move, and so is
+    a run that meets a test at a point without a finite value. A
     converged run returns the point that met its test, an unconverged one
     the best point it evaluated.
 
@@ -763,24 +796,29 @@ def profile_slip(
     return _rate_searches([q], g, alpha, c[None], free)[0][0]
 
 
-def _moment_rates(
-    q: QMatrix, g: np.ndarray, beta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Moment estimates of every item that other items cover, and the mask
-    of the uncovered items, left at 0 for the rate search; None when a
-    moment denominator vanishes."""
-    c = np.zeros(q.m)
-    free = np.zeros(q.m, dtype=bool)
-    for i in range(q.m):
-        cover = find_cover_combo(q, i)
-        if cover is None:
-            free[i] = True
-            continue
-        try:
-            c[i] = moment_slip(q, g, beta, i, cover)
-        except DegenerateSampleError:
-            return None
-    return c, free
+def _moment_stage(
+    cands: list[QMatrix], g: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The moment stage of the unknown-c search for same-shape candidates,
+    in array passes over consecutive chunks of ``_CANDIDATE_CHUNK``.
+
+    Returns the (b, m) capable rates, the (b, m) mask of the free items
+    (those with no cover, ``_covers``), left at 0 for the rate search,
+    and the (b,) flags of the degenerate candidates, where some cover's
+    de-contaminated rate is below ``DEGENERATE_TOL``. Every other entry
+    is ``moment_slip``'s estimate from the item's cover, to the byte;
+    a degenerate candidate's rates are not read. ``g`` and ``beta``
+    (``decontaminate``) come checked from the caller.
+    """
+    bits = 1 << np.arange(len(g))
+    parts = []
+    for start in range(0, len(cands), _CANDIDATE_CHUNK):
+        covers = _covers(np.stack([q.entries for q in cands[start : start + _CANDIDATE_CHUNK]]))
+        free, den = covers == 0, beta[covers]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(free, 0.0, np.clip(g + beta[covers | bits] / den, 0.0, 1.0))
+        parts.append((c, free, (~free & (np.abs(den) < DEGENERATE_TOL)).any(axis=1)))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def estimate_q_unknown_c(
@@ -793,13 +831,16 @@ def estimate_q_unknown_c(
 ) -> EstimationResult:
     """Q-matrix search when capable success rates are unknown.
 
-    Per candidate: moment-estimate the rate of every item covered by its
-    peers. Then the uncovered coordinates of every candidate that has any
-    are recovered by the rate search of ``profile_slip``, all candidates'
-    searches in lockstep, chunk by chunk; each ends where it would end
-    alone. The final scores, each candidate at its own recovered rates, are
-    then the exact fits of the stacked solve of ``estimate_q``
-    (``_screen``), and are ranked by the same rule. Candidates with
+    First the moment stage (``_moment_stage``) estimates the rate of every
+    item covered by its peers, ``moment_slip``'s estimate from
+    ``find_cover_combo``'s cover to the byte, for a whole chunk of
+    candidates in array passes. Then the uncovered coordinates of every
+    candidate that has any are recovered by the rate search of
+    ``profile_slip``, all candidates' searches in lockstep, chunk by chunk;
+    each ends where it would end alone. The final scores, each candidate
+    at its own recovered rates, are then the exact fits of the stacked
+    solve of ``estimate_q`` (``_screen``), and are ranked by the same
+    rule. Candidates with
     degenerate moment denominators score +inf and are listed in
     diagnostics["degenerate"]. Candidates whose rate search converged from
     no start are still ranked at the best point found, and are listed in
@@ -817,26 +858,17 @@ def estimate_q_unknown_c(
     m = alpha.order.m
     g = unit_rates(g, m, "g")
     candidates = list(enumerate_candidates(m, k, budget))
-    beta = decontaminate(alpha, g)
-    estimates = [_moment_rates(q, g, beta) for q in candidates]
-    fitted = [i for i, est in enumerate(estimates) if est is not None]
-    if not fitted:
+    rates, free, degenerate = _moment_stage(candidates, g, decontaminate(alpha, g))
+    fitted = np.flatnonzero(~degenerate)
+    if not fitted.size:
         raise DegenerateSampleError("every candidate has a degenerate moment system")
-    rates = [None if est is None else est[0] for est in estimates]
-    notes = ["degenerate" if est is None else None for est in estimates]
-    searched = [i for i in fitted if estimates[i][1].any()]
-    found = _rate_searches(
-        [candidates[i] for i in searched],
-        g,
-        alpha,
-        np.array([rates[i] for i in searched]).reshape(-1, m),
-        np.array([estimates[i][1] for i in searched]).reshape(-1, m),
-    )
-    for i, c, converged, capped in zip(searched, *found):
-        rates[i] = c
+    notes = ["degenerate" if flag else None for flag in degenerate]
+    searched = fitted[free[fitted].any(axis=1)]
+    searches = [candidates[i] for i in searched]
+    rates[searched], *found = _rate_searches(searches, g, alpha, rates[searched], free[searched])
+    for i, converged, capped in zip(searched, *found):
         notes[i] = "unconverged" if not converged else "capped" if capped else None
-    cs = np.array([rates[i] for i in fitted])
-    screened = _screen([candidates[i] for i in fitted], cs, g, alpha)
+    screened = _screen([candidates[i] for i in fitted], rates[fitted], g, alpha)
     fits = [(np.inf, note, None) for note in notes]
     for i, (s, capped, x) in zip(fitted, screened):
         fits[i] = (s, notes[i] or capped, x)

@@ -604,6 +604,76 @@ def random_q(rng, m, k):
     return QMatrix(tuple(tuple(mask_to_bits(int(r), k)) for r in rows))
 
 
+def _cover_walk(q, item):
+    """The per-candidate cover search that ``find_cover_combo`` ran before
+    it was batched, kept as the reference: the first dominating set of
+    other items in ``itertools.combinations`` order, smallest sets first."""
+    target = q.row_masks[item]
+    others = [i for i in range(q.m) if i != item]
+    for size in range(1, len(others) + 1):
+        for idx in itertools.combinations(others, size):
+            union = 0
+            for i in idx:
+                union |= q.row_masks[i]
+            if union & target == target:
+                return sum(1 << i for i in idx)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_moment_stage_matches_single_candidate_reference(data):
+    """The batched moment stage gives every candidate of a random stack,
+    cut into small chunks so that the stack spans chunk boundaries, the
+    covers of the per-candidate walk and ``moment_slip``'s estimates,
+    free masks and degenerate flags, to the byte. Planted denominators
+    (zero, just inside and at the degenerate tolerance) hit some covers."""
+    m = data.draw(st.integers(1, 8), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    truth = random_q(rng, m, k)
+    params = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    order = ComboOrder.saturated(m)
+    if data.draw(st.booleans(), label="sampled"):
+        config = SimConfig(q=truth, params=params, p_star=p_star, n=500, seed=seed)
+        alpha = compute_alpha(simulate(config)[0], order)
+    else:
+        alpha = population_alpha(truth, params, p_star, order)
+    size = data.draw(st.integers(1, 12), label="size")
+    cands = [random_q(rng, m, k) for _ in range(size)]
+    covers = [[_cover_walk(q, i) for i in range(m)] for q in cands]
+    beta = np.array(decontaminate(alpha, params.g))
+    used = sorted({cover for row in covers for cover in row if cover})
+    planted = data.draw(st.lists(st.sampled_from(used), max_size=3) if used else st.just([]))
+    for cover in planted:
+        beta[cover] = rng.choice([0.0, -5e-13, 9.9e-13, 1e-12])
+    np.testing.assert_array_equal(
+        dinaq.estimator._covers(np.stack([q.entries for q in cands])),
+        [[cover or 0 for cover in row] for row in covers],
+    )
+    chunk = data.draw(st.integers(1, size), label="chunk")
+    with mock.patch.object(dinaq.estimator, "_CANDIDATE_CHUNK", chunk):
+        c, free, degenerate = dinaq.estimator._moment_stage(cands, params.g, beta)
+    assert c.shape == free.shape == (size, m) and degenerate.shape == (size,)
+    for j, q in enumerate(cands):
+        assert [find_cover_combo(q, i) for i in range(m)] == covers[j]
+        assert free[j].tolist() == [cover is None for cover in covers[j]]
+        flagged = False
+        for i, cover in enumerate(covers[j]):
+            if cover is None:
+                assert c[j, i] == 0.0
+                continue
+            try:
+                want = moment_slip(q, params.g, beta, i, cover)
+            except DegenerateSampleError:
+                flagged = True
+                continue
+            assert c[j, i].tobytes() == np.float64(want).tobytes()
+        assert degenerate[j] == flagged
+
+
 def test_decontaminate_matches_operator_rows():
     """The per-item pass equals the operator's product and the subset sum
     sum_{U subset of S} alpha[U] prod_{i in S minus U} (-g_i), alpha[0] = 1."""
@@ -1014,21 +1084,41 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     assert score(q, alpha, DinaParams(c, params.g)) <= first * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("grad, nfev", [((0.0, 0.0), 1), ((1.0, -1.0), 2), ((0.3, 0.2), 4)])
+def test_rate_search_never_finite_is_unconverged(grad, nfev):
+    """A run that meets a stopping test without ever seeing a finite value
+    is reported unconverged, at its start."""
+    res = dinaq.estimator.minimize(lambda x: (math.inf, np.array(grad)), np.array([0.5, 0.5]))
+    assert not res.success
+    assert res.fun == math.inf
+    assert res.nfev == nfev
+    assert res.x.tolist() == [0.5, 0.5]
+
+
 def _bfgs_reference(x0: np.ndarray, hits: collections.Counter):
     """The generator run behind ``minimize`` before the array driver, kept
     as the reference: it yields each point to evaluate, is sent that
     point's (value, gradient), and returns the ``SearchResult``. ``hits``
-    counts the branches it takes."""
+    counts the branches it takes. A run that meets a stopping test
+    without a finite value ends unconverged, at the best point it
+    evaluated."""
     ftol, gtol, maxfun = (_SLIP_OPTIONS[key] for key in ("ftol", "gtol", "maxfun"))
     x = np.clip(np.asarray(x0, dtype=float), 0.0, 1.0)
     f, grad = yield x
     nfev, hess, scale = 1, None, None
     best_f, best_x = f, x
+
+    def converged():
+        if math.isfinite(f):
+            return SearchResult(x, f, True, nfev)
+        hits["never finite"] += 1
+        return SearchResult(best_x, best_f, False, nfev)
+
     while True:
         pgrad = np.clip(x - grad, 0.0, 1.0) - x
         if np.abs(pgrad).max() <= gtol:
             hits["gtol"] += 1
-            return SearchResult(x, f, True, nfev)
+            return converged()
         band = min(_ACTIVE_BAND, math.sqrt(float(pgrad @ pgrad)))
         low, high = (x <= band) & (grad > 0.0), (x >= 1.0 - band) & (grad < 0.0)
         if low.any():
@@ -1084,7 +1174,7 @@ def _bfgs_reference(x0: np.ndarray, hits: collections.Counter):
         f_old, x, f, grad = f, trial, f_new, grad_new
         if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
             hits["ftol"] += 1
-            return SearchResult(x, f, True, nfev)
+            return converged()
 
 
 def _lockstep_reference(evaluate, starts, hits: collections.Counter):
@@ -1173,11 +1263,11 @@ _BOX_RUN = st.tuples(
 )
 # 406 and 491 reach a singular restricted model (n = 3), 406 in the same
 # stacked solve as 20, whose model must survive it; near-bound 17 narrows
-# the active band
+# the active band; 1 meets the projected-gradient test at +inf
 _PINNED_RUNS = [
     (3, 406, None, False), (3, 20, None, False), (3, 491, None, False), (1, 7, 4, False),
     (2, 11, 15, False), (4, 3, None, False), (2, 5, 2, False), (2, 9, 0, False),
-    (2, 17, None, True),
+    (2, 17, None, True), (1, 1, 0, False),
 ]
 
 
@@ -1191,6 +1281,7 @@ def test_lockstep_reference_stack_reaches_every_branch():
     assert set(hits) == {
         "gtol", "ftol", "held low", "held high", "narrowed band", "singular", "maxfun",
         "no descent", "backtrack", "trials spent, no model", "trials spent, model dropped",
+        "never finite",
     }
 
 
@@ -1453,6 +1544,28 @@ def test_unknown_c_lists_unconverged(monkeypatch):
     # each candidate's recovered rates, and so its score, are unchanged
     for q, c in zip(searched, rates):
         assert profile_slip(q, params.g, alpha, fixed[q]).tobytes() == c.tobytes()
+
+
+def test_unknown_c_searches_never_walk_one_candidate(monkeypatch):
+    """The unknown-c search and a known-g split take their covers and
+    moment estimates from the batched stage alone: with the single-
+    candidate cover search and moment estimate made to raise, they
+    return what they return without."""
+    params = DinaParams(np.full(6, 0.85), np.full(6, 0.15))
+    config = SimConfig(q=STACKED, params=params, p_star=UNIFORM, n=20_000, seed=8)
+    resp, _ = simulate(config)
+    alpha = compute_alpha(resp, ComboOrder.saturated(6))
+    groups = [[0, 1, 2, 3], [2, 3, 4, 5]]
+    whole = estimate_q_unknown_c(alpha, params.g, 2)
+    stitched = split_estimate(resp, groups, 2, g=params.g)
+
+    def refuse(*args):
+        raise AssertionError("per-candidate moment path")
+
+    monkeypatch.setattr(dinaq.estimator, "find_cover_combo", refuse)
+    monkeypatch.setattr(dinaq.estimator, "moment_slip", refuse)
+    assert_same_ranking(estimate_q_unknown_c(alpha, params.g, 2), whole)
+    assert split_estimate(resp, groups, 2, g=params.g) == stitched
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import sys
 import time
@@ -171,25 +172,25 @@ def _parse_groups(value) -> list[list[int]]:
     return groups
 
 
-# config keys whose own parsers take richer JSON (numbers, lists, objects)
-# and check it; every other key must match its option's type
-_PARSED_KEYS = {"c", "g", "groups", "pstar"}
-
-
-def _check_config_value(key: str, kind, value) -> None:
+def _check_config_value(key: str, value) -> None:
+    # a value must have its option's type, where the option has one
+    kind = _OPTIONS[key].get("type")
+    if kind is None:
+        return
     if kind is int:
         ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif kind is float:
         ok, want = _is_number(value), "a number"
-    elif key in _PARSED_KEYS:
-        return
     else:
         ok, want = isinstance(value, str), "a string"
     if not ok:
         raise CliError(f"bad --{key.replace('_', '-')} value {value!r}: expected {want}")
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace, keys: tuple[str, ...]) -> None:
+    """Set each option in ``keys`` that no flag gave from the --config
+    file, if there is one; a key outside ``keys`` or a value of the wrong
+    type is a CliError."""
     if args.config is None:
         return
     try:
@@ -198,13 +199,13 @@ def _apply_config(args: argparse.Namespace) -> None:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise CliError("config file must hold a JSON object")
-    unknown = sorted(set(cfg) - set(args.config_keys))
+    unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise CliError(f"unknown config keys: {', '.join(unknown)}")
-    for key, kind in args.config_keys.items():
+    for key in keys:
         if key in cfg:
-            _check_config_value(key, kind, cfg[key])
-            if getattr(args, key, None) is None:
+            _check_config_value(key, cfg[key])
+            if getattr(args, key) is None:
                 setattr(args, key, cfg[key])
 
 
@@ -217,12 +218,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_json(report: dict, out: str | None) -> None:
     _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
-
-
-def _require(args: argparse.Namespace, names: list[str]) -> None:
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise CliError(f"--{name.replace('_', '-')} is required")
 
 
 # The (c, g) that each estimate --mode and tmatrix --variant fixes: a number
@@ -264,7 +259,6 @@ def _table_rates(args: argparse.Namespace, m: int, what: str) -> list[np.ndarray
 # subcommands
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _require(args, ["q", "pstar", "c", "g", "n", "out"])
     if args.seed is None:
         raise CliError("--seed is required: every stochastic command must be seeded")
     q = _load(args.q, QMatrix, "Q-matrix")
@@ -321,7 +315,6 @@ def _estimate_report(
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    _require(args, ["responses", "k", "mode"])
     responses = _load(args.responses, ResponseData, "response")
     m, k = responses.m, int(args.k)
     if k < 1:
@@ -368,7 +361,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _require(args, ["q", "c", "g", "pstar"])
     q = _load(args.q, QMatrix, "Q-matrix")
     params = DinaParams(_parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g"))
     p_star = _load_pstar(args.pstar, q.k)
@@ -422,7 +414,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_tmatrix(args: argparse.Namespace) -> int:
-    _require(args, ["q", "variant"])
     q = _load(args.q, QMatrix, "Q-matrix")
     order = ComboOrder.saturated(q.m)
     c, g = _table_rates(args, q.m, "variant")
@@ -445,7 +436,6 @@ def _cmd_tmatrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
-    _require(args, ["responses"])
     responses = _load(args.responses, ResponseData, "response")
     alpha = compute_alpha(responses, ComboOrder.saturated(responses.m))
     lines = ["combo\trate"]
@@ -460,70 +450,65 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _finish(parser: argparse.ArgumentParser, handler) -> None:
-    # every option added so far is a config key, mapped to its option's type;
-    # --config itself is not
-    options = vars(parser.parse_args([]))
-    keys = {a.dest: a.type for a in parser._actions if a.dest in options}
-    parser.add_argument("--config", help="JSON config; flags override its keys")
-    parser.set_defaults(handler=handler, config_keys=keys)
+# Every option, once: the keyword arguments of its add_argument call. c, g,
+# pstar and groups have no type, so a --config file may give them as JSON
+# numbers, lists or objects, which their own parsers check.
+_OPTIONS = {
+    "q": dict(type=str, help="Q-matrix file (one 0/1 row per item)"),
+    "responses": dict(type=str, help="response file"),
+    "pstar": dict(help="profile distribution: JSON file or inline JSON"),
+    "c": dict(help="capable success rates, comma separated or one broadcast value"),
+    "g": dict(help="guessing rates, same format as --c"),
+    "n": dict(type=int, help="number of subjects"),
+    "k": dict(type=int, help="number of attributes to fit"),
+    "mode": dict(type=str, help="noiseless | known-cg (reads --c, --g) | known-g (reads --g)"),
+    "variant": dict(
+        type=str, help="plain | slip (reads --c) | slip-guess, augmented (read --c, --g)"
+    ),
+    "groups": dict(
+        action="append", help="split estimation: 1-based items like 1,2,3,4; repeat per group"
+    ),
+    "budget": dict(type=int, help="candidate enumeration budget"),
+    "tie_tol": dict(type=float, help="tie tolerance on scores"),
+    "seed": dict(type=int, help="run seed: simulate requires it, estimate echoes it"),
+    "out": dict(type=str, help="output path (default stdout); simulate writes its responses here"),
+}
+
+# Each command: its help, its handler, the options it requires (checked in
+# this order once --config is applied) and its other options. A command's
+# options are also the keys of its --config file.
+_COMMANDS = {
+    "simulate": (
+        "draw synthetic DINA response data", _cmd_simulate,
+        ("q", "pstar", "c", "g", "n", "out"), ("seed",),
+    ),
+    "estimate": (
+        "fit a Q-matrix to response data", _cmd_estimate,
+        ("responses", "k", "mode"), ("c", "g", "groups", "budget", "tie_tol", "seed", "out"),
+    ),
+    "verify": (
+        "rank and identifiability checks for a Q-matrix", _cmd_verify,
+        ("q", "c", "g", "pstar"), ("budget", "out"),
+    ),
+    "tmatrix": (
+        "dump a response-rate design matrix", _cmd_tmatrix, ("q", "variant"), ("c", "g", "out"),
+    ),
+    "alpha": ("dump empirical joint success rates", _cmd_alpha, ("responses",), ("out",)),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dinaq`` parser, built from ``_COMMANDS`` and ``_OPTIONS`` on
+    first use and shared by every later call."""
     parser = _Parser(prog="dinaq", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"dinaq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="draw synthetic DINA response data")
-    p_sim.add_argument("--q", help="Q-matrix file (one 0/1 row per item)")
-    p_sim.add_argument("--pstar", help="profile distribution: JSON file or inline JSON")
-    p_sim.add_argument("--c", help="capable success rates, comma separated or one broadcast value")
-    p_sim.add_argument("--g", help="guessing rates, same format as --c")
-    p_sim.add_argument("--n", type=int, help="number of subjects")
-    p_sim.add_argument("--seed", type=int, help="run seed (required)")
-    p_sim.add_argument("--out", help="response file to write")
-    _finish(p_sim, _cmd_simulate)
-
-    p_est = sub.add_parser("estimate", help="fit a Q-matrix to response data")
-    p_est.add_argument("--responses", help="response file")
-    p_est.add_argument("--k", type=int, help="number of attributes to fit")
-    p_est.add_argument("--mode", help="noiseless | known-cg | known-g")
-    p_est.add_argument("--c", help="capable success rates (mode known-cg)")
-    p_est.add_argument("--g", help="guessing rates (modes known-cg, known-g)")
-    p_est.add_argument(
-        "--groups", action="append",
-        help="split estimation: 1-based item list like 1,2,3,4; repeat per group",
-    )
-    p_est.add_argument("--budget", type=int, help="candidate enumeration budget")
-    p_est.add_argument("--tie-tol", dest="tie_tol", type=float, help="tie tolerance on scores")
-    p_est.add_argument("--seed", type=int, help="echoed into the report")
-    p_est.add_argument("--out", help="report JSON path (default stdout)")
-    _finish(p_est, _cmd_estimate)
-
-    p_ver = sub.add_parser("verify", help="rank and identifiability checks for a Q-matrix")
-    p_ver.add_argument("--q", help="Q-matrix file")
-    p_ver.add_argument("--c", help="capable success rates")
-    p_ver.add_argument("--g", help="guessing rates")
-    p_ver.add_argument("--pstar", help="profile distribution: JSON file or inline JSON")
-    p_ver.add_argument("--budget", type=int, help="candidate enumeration budget")
-    p_ver.add_argument("--out", help="report JSON path (default stdout)")
-    _finish(p_ver, _cmd_verify)
-
-    p_tm = sub.add_parser("tmatrix", help="dump a response-rate design matrix")
-    p_tm.add_argument("--q", help="Q-matrix file")
-    p_tm.add_argument(
-        "--variant", help="plain | slip | slip-guess | augmented",
-    )
-    p_tm.add_argument("--c", help="capable success rates (slip variants)")
-    p_tm.add_argument("--g", help="guessing rates (slip-guess, augmented)")
-    p_tm.add_argument("--out", help="TSV path (default stdout)")
-    _finish(p_tm, _cmd_tmatrix)
-
-    p_al = sub.add_parser("alpha", help="dump empirical joint success rates")
-    p_al.add_argument("--responses", help="response file")
-    p_al.add_argument("--out", help="TSV path (default stdout)")
-    _finish(p_al, _cmd_alpha)
-
+    for command, (text, _, required, others) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=text)
+        for name in required + others:
+            p_cmd.add_argument("--" + name.replace("_", "-"), **_OPTIONS[name])
+        p_cmd.add_argument("--config", help="JSON config; flags override its keys")
     return parser
 
 
@@ -531,8 +516,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
-        return args.handler(args)
+        _, handler, required, others = _COMMANDS[args.command]
+        _apply_config(args, required + others)
+        for name in required:
+            if getattr(args, name) is None:
+                raise CliError(f"--{name.replace('_', '-')} is required")
+        return handler(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -70,14 +70,15 @@ IDENTIFIABILITY_TOL = 1e-6
 
 # deterministic multi-start levels for the bounded profile search
 _SLIP_STARTS = (0.5, 0.85, 0.25)
-# The profile search minimizes _SLIP_SCALE * score^2. ``minimize`` stops once a
-# step gains less than ftol * max(|objective|, 1), an absolute test below 1:
-# on score^2 itself that leaves near-exact fits at scores up to about 3e-8. The
-# scale keeps the test relative down to a score of 1e-4 and makes it 1e-21
-# on score^2 below that; gtol is 1e-12 on the gradient of score^2.
+# The profile search minimizes _SLIP_SCALE * score^2. ``_lockstep`` stops
+# once a step gains less than ftol * max(|objective|, 1), an absolute test
+# below 1: on score^2 itself that leaves near-exact fits at scores up to
+# about 3e-8. The scale keeps the test relative down to a score of 1e-4 and
+# makes it 1e-21 on score^2 below that; gtol is 1e-12 on the gradient of
+# score^2.
 _SLIP_SCALE = 1e8
 _SLIP_OPTIONS = {"ftol": 1e-13, "gtol": 1e-4, "maxfun": 4000}
-# ``minimize``: widest epsilon-active band at a bound, Armijo sufficient
+# ``_lockstep``: widest epsilon-active band at a bound, Armijo sufficient
 # decrease, and trial points per line search before it gives up
 _ACTIVE_BAND = 1e-3
 _ARMIJO = 1e-4
@@ -474,7 +475,7 @@ def _rate_objective(cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector):
 
 @dataclass(eq=False)
 class SearchResult:
-    """One run of ``minimize``: the best point found, its objective value,
+    """One run of ``_lockstep``: the best point found, its objective value,
     whether a stopping test was met, and the objective evaluations spent."""
 
     x: np.ndarray
@@ -639,8 +640,26 @@ class _Runs:
 
 
 def _lockstep(evaluate, starts: list[np.ndarray]) -> list[SearchResult]:
-    """Run the search of ``minimize`` from each of ``starts`` at once, as
-    one array driver.
+    """Minimize an objective (value and gradient) over the box [0, 1]^n
+    from each of ``starts`` at once by projected BFGS (Bertsekas, SIAM J.
+    Control Optim. 1982), as one array driver.
+
+    Each step holds the epsilon-active coordinates, those within
+    min(``_ACTIVE_BAND``, |P(x - g) - x|) of a bound that the gradient g
+    pushes out, on a projected gradient step, and moves the others by the
+    quasi-Newton step of the BFGS model restricted to them. An Armijo
+    backtracking search along the projection arc P(x + t d) takes the
+    step; the model skips its update when the step shows no positive
+    curvature, and restarts from a scaled identity when its step cannot
+    move.
+
+    The stopping tests, with ``_SLIP_OPTIONS``, are L-BFGS-B's: converged
+    when |P(x - g) - x|_inf <= gtol, or when one step gains at most
+    ftol * max(|f_old|, |f_new|, 1); unconverged once ``maxfun``
+    evaluations are spent, or when a gradient step cannot move, and so is
+    a run that meets a test at a point without a finite value. A
+    converged run returns the point that met its test, an unconverged one
+    the best point it evaluated.
 
     The runs are grouped by length n, and each group keeps the state of
     all of its runs in arrays (``_Runs``) that masked array operations
@@ -674,39 +693,6 @@ def _lockstep(evaluate, starts: list[np.ndarray]) -> list[SearchResult]:
             n = grp.x.shape[1]
             grp.advance(idx, f[: idx.size], grad[at : at + idx.size * n].reshape(idx.size, n))
             f, at = f[idx.size :], at + idx.size * n
-
-
-def minimize(objective, x0: np.ndarray) -> SearchResult:
-    """Minimize ``objective`` (value and gradient) over the box [0, 1]^n
-    from ``x0`` by projected BFGS (Bertsekas, SIAM J. Control Optim. 1982).
-
-    Each step holds the epsilon-active coordinates, those within
-    min(``_ACTIVE_BAND``, |P(x - g) - x|) of a bound that the gradient g
-    pushes out, on a projected gradient step, and moves the others by the
-    quasi-Newton step of the BFGS model restricted to them. An Armijo
-    backtracking search along the projection arc P(x + t d) takes the
-    step; the model skips its update when the step shows no positive
-    curvature, and restarts from a scaled identity when its step cannot
-    move.
-
-    The stopping tests, with ``_SLIP_OPTIONS``, are L-BFGS-B's: converged
-    when |P(x - g) - x|_inf <= gtol, or when one step gains at most
-    ftol * max(|f_old|, |f_new|, 1); unconverged once ``maxfun``
-    evaluations are spent, or when a gradient step cannot move, and so is
-    a run that meets a test at a point without a finite value. A
-    converged run returns the point that met its test, an unconverged one
-    the best point it evaluated.
-
-    ``objective`` takes the point as a 1-D array. This is one run of
-    ``_lockstep``, the array driver that steps the rate searches, many
-    runs at once against one batched objective.
-    """
-
-    def evaluate(runs: np.ndarray, points: np.ndarray):
-        f, grad = objective(points)
-        return np.array([f], dtype=float), np.asarray(grad, dtype=float)
-
-    return _lockstep(evaluate, [x0])[0]
 
 
 def _rate_searches(
@@ -768,11 +754,10 @@ def profile_slip(
 
     Keeps the ``fixed`` coordinates (e.g. moment estimates) and minimizes the
     squared fit distance over the remaining ones with the rate search of
-    both searches: projected BFGS (``minimize``) from each of
-    ``_SLIP_STARTS``, the runs stepped as arrays by one driver
-    (``_lockstep``) against one batched objective that fits on the
-    closed-form Gram system and reads the exact envelope-theorem gradient
-    through the pattern lattice. The result is
+    both searches: projected BFGS from each of ``_SLIP_STARTS``, the runs
+    stepped as arrays by one driver (``_lockstep``) against one batched
+    objective that fits on the closed-form Gram system and reads the exact
+    envelope-theorem gradient through the pattern lattice. The result is
     the same bytes as that of the same candidate inside the unknown-c
     search. Every coordinate lies in [0, 1], and the best point found is
     always returned. The objective reads the fit on every combination, so

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, report schemas."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from dinaq import ResponseData
-from dinaq.cli import main
+from dinaq.cli import _COMMANDS, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dinaq" / "schemas"
 
@@ -309,17 +310,59 @@ def test_config_rejects_unknown_keys(workdir, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_config_keys_are_the_options(workdir, capsys):
-    # every option but --config and --help is a config key, and nothing else
-    for key in ("config", "help", "handler", "config_keys"):
+@pytest.mark.parametrize(
+    "command, cfg, code, foreign",
+    [
+        ("simulate", {
+            "q": "q.txt", "pstar": "pstar.json", "c": 0.9, "g": 0.1, "n": 10,
+            "out": "sim.txt", "seed": 1,
+        }, 0, "budget"),
+        ("estimate", {
+            "responses": "resp.txt", "k": 2, "mode": "known-cg", "c": 0.9, "g": 0.1,
+            "groups": ["1,2", "2,3"], "budget": 1, "tie_tol": 1e-7, "seed": 1, "out": "est.json",
+        }, 4, "pstar"),
+        ("verify", {
+            "q": "q.txt", "c": 0.9, "g": 0.1, "pstar": "pstar.json",
+            "budget": 1, "out": "verify.json",
+        }, 4, "seed"),
+        ("tmatrix", {"q": "q.txt", "variant": "slip-guess", "c": 0.9, "g": 0.1, "out": "t.tsv"},
+         0, "pstar"),
+        ("alpha", {"responses": "resp.txt", "out": "alpha.tsv"}, 0, "k"),
+    ],
+    ids=["simulate", "estimate", "verify", "tmatrix", "alpha"],
+)
+def test_config_keys_are_the_options(workdir, capsys, command, cfg, code, foreign):
+    # every option of the command but --config and --help is a config key,
+    # and nothing else, not even an option of another command
+    simulate_default(workdir, n=100)
+    for key in ("config", "help", "handler", "config_keys", foreign):
         (workdir / "cfg.json").write_text(json.dumps({key: 1}))
-        assert run(["verify", "--config", "cfg.json"]) == 3
+        assert run([command, "--config", "cfg.json"]) == 3
         assert f"unknown config keys: {key}" in capsys.readouterr().err
-    (workdir / "cfg.json").write_text(json.dumps({
-        "q": "q.txt", "c": 0.9, "g": 0.1, "pstar": "pstar.json",
-        "budget": 1, "out": "verify.json",
-    }))
-    assert run(["verify", "--config", "cfg.json"]) == 4
+    _, _, required, others = _COMMANDS[command]
+    assert sorted(cfg) == sorted(required + others)
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    assert run([command, "--config", "cfg.json"]) == code
+
+
+def test_main_reuses_one_parser(workdir, capsys, monkeypatch):
+    # main builds its parser on first use only, and each command's --help
+    # names every option of the command
+    simulate_default(workdir, n=100)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a parser again")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+    assert run(["alpha", "--responses", "resp.txt"]) == 0
+    capsys.readouterr()
+    for command, (_, _, required, others) in _COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        for name in required + others + ("config",):
+            assert f"--{name.replace('_', '-')} " in text
 
 
 @pytest.mark.parametrize(

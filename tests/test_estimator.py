@@ -992,7 +992,7 @@ def test_score_and_profile_fit_invariant_under_column_permutation(data):
 
 def test_profile_slip_fits_near_exact_in_either_column_order():
     # the candidate can fit these rates almost exactly; this pins
-    # _SLIP_SCALE, since minimize's ftol test is absolute below 1 and on
+    # _SLIP_SCALE, since _lockstep's ftol test is absolute below 1 and on
     # unscaled score^2 would stop the search short of a 1e-9 fit
     rng = np.random.default_rng(29651)
     q, truth = random_q(rng, 3, 3), random_q(rng, 3, 3)
@@ -1002,6 +1002,17 @@ def test_profile_slip_fits_near_exact_in_either_column_order():
     for cand in (q, _permuted_columns(q, [0, 2, 1])):
         c = profile_slip(cand, params.g, alpha)
         assert score(cand, alpha, DinaParams(c, params.g)) <= 1e-9
+
+
+def _one_run(objective, x0: np.ndarray) -> SearchResult:
+    """One ``_lockstep`` run from ``x0`` of ``objective``, which takes the
+    point as a 1-D array and returns its value and gradient."""
+
+    def evaluate(runs: np.ndarray, points: np.ndarray):
+        f, grad = objective(points)
+        return np.array([f], dtype=float), np.asarray(grad, dtype=float)
+
+    return dinaq.estimator._lockstep(evaluate, [x0])[0]
 
 
 def _recorded(objective):
@@ -1041,7 +1052,7 @@ def test_rate_search_driver_contract(data):
     ftol, gtol = _SLIP_OPTIONS["ftol"], _SLIP_OPTIONS["gtol"]
     for level in _SLIP_STARTS:
         recorded, seen = _recorded(objective)
-        res = dinaq.estimator.minimize(recorded, np.full(len(free), level))
+        res = _one_run(recorded, np.full(len(free), level))
         assert res.x.shape == (len(free),)
         assert ((res.x >= 0.0) & (res.x <= 1.0)).all()
         assert res.nfev == len(seen)
@@ -1064,12 +1075,12 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
     q = QMatrix.from_rows(["10", "01", "01"])
     objective = _objective(q, params.g, alpha, np.zeros(3), [0, 1, 2])
-    uncapped = dinaq.estimator.minimize(objective, np.full(3, 0.5))
+    uncapped = _one_run(objective, np.full(3, 0.5))
     assert uncapped.success
     assert uncapped.nfev > 4
     monkeypatch.setitem(_SLIP_OPTIONS, "maxfun", 4)
     recorded, seen = _recorded(objective)
-    res = dinaq.estimator.minimize(recorded, np.full(3, 0.5))
+    res = _one_run(recorded, np.full(3, 0.5))
     assert not res.success
     assert res.nfev == len(seen) == 4
     best_f, best_x = min(seen, key=lambda e: e[0])
@@ -1088,7 +1099,7 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
 def test_rate_search_never_finite_is_unconverged(grad, nfev):
     """A run that meets a stopping test without ever seeing a finite value
     is reported unconverged, at its start."""
-    res = dinaq.estimator.minimize(lambda x: (math.inf, np.array(grad)), np.array([0.5, 0.5]))
+    res = _one_run(lambda x: (math.inf, np.array(grad)), np.array([0.5, 0.5]))
     assert not res.success
     assert res.fun == math.inf
     assert res.nfev == nfev
@@ -1096,7 +1107,7 @@ def test_rate_search_never_finite_is_unconverged(grad, nfev):
 
 
 def _bfgs_reference(x0: np.ndarray, hits: collections.Counter):
-    """The generator run behind ``minimize`` before the array driver, kept
+    """The generator run behind the rate search before the array driver, kept
     as the reference: it yields each point to evaluate, is sent that
     point's (value, gradient), and returns the ``SearchResult``. ``hits``
     counts the branches it takes. A run that meets a stopping test

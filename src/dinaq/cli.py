@@ -1,4 +1,6 @@
-"""Command line interface.
+"""Learn the Q-matrix of a DINA model from item responses, and check its identifiability.
+
+The ``dinaq`` command line interface.
 
 Subcommands::
 

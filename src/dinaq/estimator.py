@@ -7,31 +7,44 @@ some distribution over attribute profiles reproduces those rates through the
 candidate's slip-guess design; the fitted Q-matrix is the score minimizer
 over canonical candidates.
 
-Both searches score their candidates with one exact solve that builds no
-design: it runs the simplex solver on a stack of candidates' closed-form
-Gram systems and reads each score from the exact residual through the
-pattern lattice (``tmatrix.pattern_gram``, ``pattern_rates``,
-``pattern_moments``). The winner is the first candidate in enumeration
-order within 1e-12 of the least score, a rule that rounding cannot move.
+Both searches and the identifiability probe are three configurations of
+one pipeline (``_search``): a candidate source, the enumeration of
+canonical candidates, less the truth for the probe; a rate policy, which
+gives each candidate its capable rates, the items whose rates are still
+free and whether it is fitted at all; then one rate search over the
+candidates with a free item and one exact screen of the fitted ones. The
+policies are fixed rates (``estimate_q``), a moment stage followed by a
+search of the uncovered items (``estimate_q_unknown_c``), and a search of
+every item (``check_identifiability``). Each candidate leaves one record:
+its score, the flags of what went wrong in its fit, and its fit; the
+search results' notes and the probe's sentences are read from those flags
+through one table (``_NOTES``).
 
-When capable success rates are unknown they are recovered per candidate
-before scoring: a moment estimator handles every item whose attributes are
-jointly covered by other items, for a whole chunk of candidates in array
-passes, and a bounded quasi-Newton rate search fills in the rest. That
-search minimizes the squared score with its exact gradient, which the
-envelope theorem reads off the simplex fit itself. The searches of all
-candidates and starts run in lockstep: one driver keeps every run's state
-in arrays and steps them all with masked array operations, each round
-evaluates every pending trial point with one batched objective that, like
-the screen, builds no design, and a candidate's search ends where it would
-end alone.
+The screen builds no design: it runs the simplex solver on a stack of
+candidates' closed-form Gram systems and reads each score from the exact
+residual through the pattern lattice (``tmatrix.pattern_gram``,
+``pattern_rates``, ``pattern_moments``). The winner is the first
+candidate in enumeration order within 1e-12 of the least score, a rule
+that rounding cannot move.
+
+When capable success rates are unknown the moment stage estimates, for a
+whole chunk of candidates in array passes, every item whose attributes
+are jointly covered by other items, and a bounded quasi-Newton rate
+search fills in the rest. That search minimizes the squared score with
+its exact gradient, which the envelope theorem reads off the simplex fit
+itself. The searches of all candidates and starts run in lockstep: one
+driver keeps every run's state in arrays and steps them all with masked
+array operations, each round evaluates every pending trial point with one
+batched objective that, like the screen, builds no design, and a
+candidate's search ends where it would end alone.
 
 ``check_identifiability`` probes the model in population: a complete
 Q-matrix should leave every non-equivalent candidate at a strictly positive
 fit distance no matter how that candidate tunes its capable rates. A
 candidate that holds every capability pattern the population uses fits it
 exactly and is flagged without numerics; every other candidate's distance
-comes from the same lockstep rate search, over all of its capable rates.
+comes from the same lockstep rate search, over all of its capable rates,
+and the same screen.
 """
 
 from __future__ import annotations
@@ -93,6 +106,22 @@ _CANDIDATE_CHUNK = 512
 # within this of the least score, so that rounding in the solves, about
 # 1e-14, cannot pick it
 _WINNER_TOL = 1e-12
+# the flags of a search record (``_search``), in the order their notes are
+# made: the candidate is not fitted, its rate search converged from no
+# start, its screen solve stopped at the solver's iteration cap, a solve of
+# its rate search did. Each flag's note in a search result, where the first
+# set flag gives a candidate's one note (only a degenerate candidate of the
+# unknown-c search goes unfitted there), and its sentence in the probe's
+# notes, one per set flag
+_NOTES = (
+    ("degenerate", None),
+    ("unconverged", "rate search for candidate {} converged from no start; "
+     "its delta is the best point found"),
+    ("capped", "delta solve for candidate {} stopped at the iteration cap; "
+     "its delta may be an over-estimate"),
+    ("capped", "a rate-search solve for candidate {} stopped at the iteration cap; "
+     "its delta may be an over-estimate"),
+)
 
 
 class DegenerateSampleError(RuntimeError):
@@ -255,8 +284,9 @@ def _result(
     tie_tol: float,
     rates: np.ndarray | None = None,
 ) -> EstimationResult:
-    """The result of a search from its candidates and their (score, note, x)
-    fits: the winner is the first candidate whose score is within
+    """The result of a search from its candidates and their fits, each
+    (score, note, x) or a pipeline record that adds flags after them
+    (``_search``): the winner is the first candidate whose score is within
     ``_WINNER_TOL`` of the least, the ties are the candidates within
     ``tie_tol`` of the winner's score, the winner's x gives ``p_tilde`` and,
     for the unknown-c search, a copy of its row of the (b, m) ``rates``
@@ -278,43 +308,6 @@ def _result(
         c_hat=None if rates is None else rates[best].copy(),
         diagnostics=diagnostics,
     )
-
-
-def estimate_q(
-    alpha: AlphaVector,
-    params: DinaParams,
-    k: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    tie_tol: float = DEFAULT_TIE_TOL,
-) -> EstimationResult:
-    """Exhaustive Q-matrix search with known per-item rates.
-
-    Scores one canonical representative per equivalence class of zero-row
-    free m x k matrices against saturated success rates and returns the
-    minimizer (the first in enumeration order within 1e-12 of the least
-    score), the tie set at ``tie_tol``, and the fitted profile distribution
-    of the winner.
-
-    The search works on stacks of candidates without building their
-    designs: the candidates arrive from ``enumerate_candidates`` unpacked
-    and checked as one stack, and each chunk of candidates is scored by one
-    stacked exact solve on its closed-form Gram systems (``_screen``), with
-    each score read from the exact residual through the pattern lattice.
-    The winner's solve gives ``p_tilde``. A candidate whose solve stopped
-    at the solver's iteration cap keeps its rank and is listed in
-    diagnostics["capped"], the only list this search can fill.
-
-    Raises ValueError, before any work, for a negative or NaN ``tie_tol``,
-    and BudgetExceededError when the enumeration exceeds ``budget``.
-    """
-    _check_tie_tol(tie_tol)
-    _require_saturated(alpha)
-    m = alpha.order.m
-    if params.m != m:
-        raise ValueError(f"params cover {params.m} items, rates cover {m}")
-    candidates = list(enumerate_candidates(m, k, budget))
-    return _result(candidates, _screen(candidates, params.c, params.g, alpha), tie_tol)
 
 
 def _covers(entries: np.ndarray) -> np.ndarray:
@@ -806,6 +799,106 @@ def _moment_stage(
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
+def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, support=None):
+    """The one search pipeline: a candidate source, a rate policy, then one
+    rate search and one exact screen shared by every configuration.
+
+    The entry checks ``tie_tol``, the saturated order, and ``params`` or
+    ``g`` against the rates' m, before any work. The candidates are
+    ``enumerate_candidates``' in enumeration order, less ``truth`` when it
+    is given. The rate policy gives each candidate its capable rates, the
+    mask of its free items and whether it is fitted:
+
+    - ``params`` alone (``estimate_q``): ``params.c``, one (m,) vector for
+      every candidate; no item is free and every candidate is fitted;
+    - ``g`` (``estimate_q_unknown_c``): the moment stage
+      (``_moment_stage``), whose uncovered items are free; a degenerate
+      candidate is not fitted, and DegenerateSampleError is raised when
+      no candidate is left;
+    - ``params`` and ``support`` (``check_identifiability``): every item
+      free, from rates 0; a candidate whose capability patterns include
+      every pattern in ``support`` is not fitted.
+
+    Then one ``_rate_searches`` call runs the searches of the fitted
+    candidates with a free item, at ``params.g`` or ``g``, and writes
+    their best points into the rates, and one ``_screen`` call fits every
+    fitted candidate at its rates.
+
+    Returns the candidates, one record (score, note, x, flags) per
+    candidate, and the rates. ``flags`` holds the ``_NOTES`` flags; the
+    note is the search result's note of the first flag set, or None. An
+    unfitted candidate has x None and scores +inf, or 0.0 in the probe,
+    where its patterns certify an exact fit.
+    """
+    _check_tie_tol(tie_tol)
+    _require_saturated(alpha)
+    m = alpha.order.m
+    if params is not None and params.m != m:
+        raise ValueError(f"params cover {params.m} items, rates cover {m}")
+    g = unit_rates(g, m, "g") if params is None else params.g
+    cands = [cand for cand in enumerate_candidates(m, k, budget) if truth is None or cand != truth]
+    b = len(cands)
+    flags = np.zeros((b, len(_NOTES)), dtype=bool)
+    # the rate policy: each candidate's rates and free items, and which
+    # candidates go unfitted (flag 0)
+    if support is not None:
+        rates, free = np.zeros((b, m)), np.ones((b, m), dtype=bool)
+        flags[:, 0] = [support <= set(patterns(cand).tolist()) for cand in cands]
+    elif params is not None:
+        rates, free = np.array(params.c), np.zeros((b, m), dtype=bool)
+    else:
+        rates, free, flags[:, 0] = _moment_stage(cands, g, decontaminate(alpha, g))
+        if flags[:, 0].all():
+            raise DegenerateSampleError("every candidate has a degenerate moment system")
+    fitted = np.flatnonzero(~flags[:, 0])
+    searched = fitted[free[fitted].any(axis=1)]
+    rates[searched], converged, flags[searched, 3] = _rate_searches(
+        [cands[i] for i in searched], g, alpha, rates[searched], free[searched]
+    )
+    flags[searched, 1] = ~converged
+    fitted_rates = rates[fitted] if rates.ndim == 2 else rates
+    screened = iter(_screen([cands[i] for i in fitted.tolist()], fitted_rates, g, alpha))
+    fill = (np.inf if support is None else 0.0, None, None)
+    fits = [fill if skip else next(screened) for skip in flags[:, 0].tolist()]
+    flags[:, 2] = [note == "capped" for _, note, _ in fits]
+    first, noted = flags.argmax(axis=1).tolist(), flags.any(axis=1).tolist()
+    notes = [_NOTES[j][0] if on else None for j, on in zip(first, noted)]
+    return cands, [(s, n, x, row) for (s, _, x), n, row in zip(fits, notes, flags.tolist())], rates
+
+
+def estimate_q(
+    alpha: AlphaVector,
+    params: DinaParams,
+    k: int,
+    *,
+    budget: int = DEFAULT_BUDGET,
+    tie_tol: float = DEFAULT_TIE_TOL,
+) -> EstimationResult:
+    """Exhaustive Q-matrix search with known per-item rates.
+
+    Scores one canonical representative per equivalence class of zero-row
+    free m x k matrices against saturated success rates and returns the
+    minimizer (the first in enumeration order within 1e-12 of the least
+    score), the tie set at ``tie_tol``, and the fitted profile distribution
+    of the winner.
+
+    This is the search pipeline (``_search``) at the fixed rates of
+    ``params``: the candidates arrive from ``enumerate_candidates``
+    unpacked and checked as one stack, none is searched, and each chunk of
+    candidates is scored by one stacked exact solve on its closed-form
+    Gram systems (``_screen``), with each score read from the exact
+    residual through the pattern lattice. The winner's solve gives
+    ``p_tilde``. A candidate whose solve stopped at the solver's iteration
+    cap keeps its rank and is listed in diagnostics["capped"], the only
+    list this search can fill.
+
+    Raises ValueError, before any work, for a negative or NaN ``tie_tol``,
+    and BudgetExceededError when the enumeration exceeds ``budget``.
+    """
+    cands, fits, _ = _search(alpha, k, budget, tie_tol, params=params)
+    return _result(cands, fits, tie_tol)
+
+
 def estimate_q_unknown_c(
     alpha: AlphaVector,
     g,
@@ -816,6 +909,7 @@ def estimate_q_unknown_c(
 ) -> EstimationResult:
     """Q-matrix search when capable success rates are unknown.
 
+    This is the search pipeline (``_search``) with the moment policy.
     First the moment stage (``_moment_stage``) estimates the rate of every
     item covered by its peers, ``moment_slip``'s estimate from
     ``find_cover_combo``'s cover to the byte, for a whole chunk of
@@ -838,26 +932,8 @@ def estimate_q_unknown_c(
     any work, for a negative or NaN ``tie_tol`` or a ``g`` entry outside
     [0, 1].
     """
-    _check_tie_tol(tie_tol)
-    _require_saturated(alpha)
-    m = alpha.order.m
-    g = unit_rates(g, m, "g")
-    candidates = list(enumerate_candidates(m, k, budget))
-    rates, free, degenerate = _moment_stage(candidates, g, decontaminate(alpha, g))
-    fitted = np.flatnonzero(~degenerate)
-    if not fitted.size:
-        raise DegenerateSampleError("every candidate has a degenerate moment system")
-    notes = ["degenerate" if flag else None for flag in degenerate]
-    searched = fitted[free[fitted].any(axis=1)]
-    searches = [candidates[i] for i in searched]
-    rates[searched], *found = _rate_searches(searches, g, alpha, rates[searched], free[searched])
-    for i, converged, capped in zip(searched, *found):
-        notes[i] = "unconverged" if not converged else "capped" if capped else None
-    screened = _screen([candidates[i] for i in fitted], rates[fitted], g, alpha)
-    fits = [(np.inf, note, None) for note in notes]
-    for i, (s, capped, x) in zip(fitted, screened):
-        fits[i] = (s, notes[i] or capped, x)
-    return _result(candidates, fits, tie_tol, rates)
+    cands, fits, rates = _search(alpha, k, budget, tie_tol, g=g)
+    return _result(cands, fits, tie_tol, rates)
 
 
 def _align_columns(
@@ -917,9 +993,12 @@ def split_estimate(
 
     Exactly one of ``params`` (known per-item rates, sliced per group) or
     ``g`` (guessing rates only; slip rates recovered per group) must be
-    given. Returns the canonical stitched matrix.
+    given. Returns the canonical stitched matrix. Raises ValueError, before
+    any work, for a nonpositive ``k``.
     """
     _check_tie_tol(tie_tol)
+    if k < 1:
+        raise ValueError("m and k must be positive")
     if (params is None) == (g is None):
         raise ValueError("pass exactly one of params or g")
     m = responses.m
@@ -1013,7 +1092,8 @@ def check_identifiability(
     every pattern that the support of ``p_star`` induces under ``q`` gets
     delta 0.0 without a search: at the true capable rates its pattern
     columns are those of the truth, so it reproduces the population rates
-    exactly. Every other candidate gets the rate search of the unknown-c
+    exactly. This is the search pipeline (``_search``) with every item
+    free: every other candidate gets the rate search of the unknown-c
     estimator (projected BFGS from three starts, exact envelope gradient)
     over all of its capable rates, all of them in one lockstep call, and
     its delta is its exact fit at the best point found, from one stacked
@@ -1045,35 +1125,13 @@ def check_identifiability(
             )
         alpha = population_alpha(q, params, p_star, ComboOrder.saturated(q.m))
         support = set(patterns(q)[p_star.probs > 0.0].tolist())
-        truth = canonicalize(q)
-        cands = [cand for cand in enumerate_candidates(q.m, q.k, budget) if cand != truth]
-        certified = [support <= set(patterns(cand).tolist()) for cand in cands]
-        searched = [cand for cand, cert in zip(cands, certified) if not cert]
-        full = np.ones((len(searched), q.m), dtype=bool)
-        rates, *flags = _rate_searches(searched, params.g, alpha, np.zeros(full.shape), full)
-        found = zip(_screen(searched, rates, params.g, alpha), *flags)
-        for cand, cert in zip(cands, certified):
-            if cert:
-                deltas.append((cand, 0.0))
-                continue
-            (delta, note, _), converged, capped = next(found)
+        cands, fits, _ = _search(
+            alpha, q.k, budget, params=params, truth=canonicalize(q), support=support
+        )
+        for cand, (delta, _, _, flags) in zip(cands, fits):
             deltas.append((cand, delta))
             name = ",".join(cand.row_strings())
-            if not converged:
-                notes.append(
-                    f"rate search for candidate {name} converged "
-                    "from no start; its delta is the best point found"
-                )
-            if note == "capped":
-                notes.append(
-                    f"delta solve for candidate {name} stopped at the iteration cap; "
-                    "its delta may be an over-estimate"
-                )
-            if capped:
-                notes.append(
-                    f"a rate-search solve for candidate {name} stopped at the iteration cap; "
-                    "its delta may be an over-estimate"
-                )
+            notes += [text.format(name) for (_, text), on in zip(_NOTES, flags) if on and text]
     return IdentifiabilityReport(
         q=q,
         complete=complete,

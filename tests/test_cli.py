@@ -346,8 +346,9 @@ def test_config_keys_are_the_options(workdir, capsys, command, cfg, code, foreig
 
 
 def test_main_reuses_one_parser(workdir, capsys, monkeypatch):
-    # main builds its parser on first use only, and each command's --help
-    # names every option of the command
+    # main builds its parser on first use only, each command's --help
+    # names every option of the command, and the top-level --help says
+    # what dinaq does
     simulate_default(workdir, n=100)
 
     def refuse(*args, **kwargs):
@@ -363,6 +364,13 @@ def test_main_reuses_one_parser(workdir, capsys, monkeypatch):
         text = capsys.readouterr().out
         for name in required + others + ("config",):
             assert f"--{name.replace('_', '-')} " in text
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert (
+        "Learn the Q-matrix of a DINA model from item responses, and check its identifiability."
+        in " ".join(capsys.readouterr().out.split())
+    )
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import collections
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -1646,6 +1647,17 @@ def test_split_validation():
         split_estimate(resp, [[0, 0, 1, 2]], 2, params=params)
     with pytest.raises(ValueError):
         split_estimate(resp, [], 2, params=params)
+    # a nonpositive k is refused before any group's rates are computed
+
+    def refuse(*args):
+        raise AssertionError("compute_alpha ran")
+
+    with mock.patch.object(dinaq.estimator, "compute_alpha", refuse):
+        for k in (-1, 0):
+            with pytest.raises(ValueError, match="m and k must be positive"):
+                split_estimate(resp, [[0, 1, 2]], k, params=params)
+            with pytest.raises(ValueError, match="m and k must be positive"):
+                split_estimate(resp, [[0, 1, 2]], k, g=params.g)
     # search arguments: a negative or NaN tie tolerance
     alpha = compute_alpha(resp, ORDER3)
     for bad in ({"tie_tol": -1.0}, {"tie_tol": np.nan}):
@@ -1669,6 +1681,33 @@ def test_split_validation():
         with pytest.raises(ValueError):
             profile_slip(GOLDEN, g, alpha)
 
+
+
+def test_every_search_solve_goes_through_the_pipeline(monkeypatch):
+    """The known-rates search, the unknown-c search and the probe are
+    configurations of one pipeline: every Gram solve that each of them
+    makes is made while ``_search`` is on the stack."""
+    params = noisy_params()
+    alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
+    pipeline = dinaq.estimator._search.__code__
+    solves = []
+
+    def recording(*args):
+        frame, inside = sys._getframe(1), False
+        while frame is not None and not inside:
+            inside, frame = frame.f_code is pipeline, frame.f_back
+        solves.append(inside)
+        return _gram_active_set(*args)
+
+    monkeypatch.setattr(dinaq.estimator, "_gram_active_set", recording)
+    for search in (
+        lambda: estimate_q(alpha, params, 2),
+        lambda: estimate_q_unknown_c(alpha, params.g, 2),
+        lambda: check_identifiability(GOLDEN, params, UNIFORM),
+    ):
+        solves.clear()
+        search()
+        assert solves and all(solves)
 
 
 def test_searches_refuse_bad_tie_tol_before_any_work():

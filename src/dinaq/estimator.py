@@ -15,10 +15,14 @@ free and whether it is fitted at all; then one rate search over the
 candidates with a free item and one exact screen of the fitted ones. The
 policies are fixed rates (``estimate_q``), a moment stage followed by a
 search of the uncovered items (``estimate_q_unknown_c``), and a search of
-every item (``check_identifiability``). Each candidate leaves one record:
-its score, the flags of what went wrong in its fit, and its fit; the
-search results' notes and the probe's sentences are read from those flags
-through one table (``_NOTES``).
+every item (``check_identifiability``). A candidate's fit depends on it
+only through the capability patterns its profiles induce, so the
+pipeline stacks the candidates once, as (b, m, k) entries and (b, 2^k)
+patterns, and every stage reads rows of those stacks. It returns one
+array record: the scores, the fits, the rates and a (b, 4) array of
+flags of what went wrong in each fit; the search results' notes and the
+probe's sentences are read from those flags through one table
+(``_NOTES``).
 
 The screen builds no design: it runs the simplex solver on a stack of
 candidates' closed-form Gram systems and reads each score from the exact
@@ -248,29 +252,29 @@ def _pattern_fits(
 
 
 def _screen(
-    cands: list[QMatrix], c: np.ndarray, g: np.ndarray, alpha: AlphaVector
-) -> list[tuple[float, str | None, np.ndarray]]:
+    pats: np.ndarray, c: np.ndarray, g: np.ndarray, alpha: AlphaVector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact scores of same-shape candidates at known rates.
 
-    Candidate i is scored at capable rates ``c[i]`` when ``c`` is a stack,
-    ``c`` otherwise. Consecutive chunks of at most ``_CANDIDATE_CHUNK``
-    candidates are fitted in turn, each by one stacked exact solve
-    (``_pattern_fits``) that builds no design.
+    The candidates are the rows of a (b, 2^k) pattern stack (``patterns``),
+    possibly empty. Candidate i is scored at capable rates ``c[i]`` when
+    ``c`` is a (b, m) stack, ``c`` otherwise. Consecutive chunks of at
+    most ``_CANDIDATE_CHUNK`` rows are fitted in turn, each by one stacked
+    exact solve (``_pattern_fits``) that builds no design.
 
-    Returns one (score, note, x) per candidate, in candidate order: the
-    score is |r| at the minimizer x, and the note is "capped" where that
-    solve stopped at the iteration cap.
+    Returns three arrays in candidate order: the (b,) scores, each |r| at
+    the minimizer, the (b,) flags of the solves that finished rather than
+    stopping at the iteration cap, and the (b, 2^k) minimizers x.
     """
     target = _by_mask(alpha)
-    fits = []
-    for start in range(0, len(cands), _CANDIDATE_CHUNK):
-        pats = patterns(cands[start : start + _CANDIDATE_CHUNK])
-        rates = c[start : start + _CANDIDATE_CHUNK] if c.ndim == 2 else c
-        x, finished, _, resid = _pattern_fits(pats, rates, g, target)
-        scores = np.sqrt((resid * resid).sum(axis=1))
-        for s, done, xj in zip(scores, finished, x):
-            fits.append((float(s), None if done else "capped", xj))
-    return fits
+    b = len(pats)
+    scores, finished, x = np.empty(b), np.empty(b, dtype=bool), np.empty(pats.shape)
+    for start in range(0, b, _CANDIDATE_CHUNK):
+        chunk = slice(start, start + _CANDIDATE_CHUNK)
+        rates = c[chunk] if c.ndim == 2 else c
+        x[chunk], finished[chunk], _, resid = _pattern_fits(pats[chunk], rates, g, target)
+        scores[chunk] = np.sqrt((resid * resid).sum(axis=1))
+    return scores, finished, x
 
 
 def _check_tie_tol(tie_tol: float) -> None:
@@ -280,33 +284,37 @@ def _check_tie_tol(tie_tol: float) -> None:
 
 def _result(
     candidates: list[QMatrix],
-    fits: list[tuple],
+    scores: np.ndarray,
+    x: np.ndarray,
+    flags: np.ndarray,
+    rates: np.ndarray,
     tie_tol: float,
-    rates: np.ndarray | None = None,
 ) -> EstimationResult:
-    """The result of a search from its candidates and their fits, each
-    (score, note, x) or a pipeline record that adds flags after them
-    (``_search``): the winner is the first candidate whose score is within
-    ``_WINNER_TOL`` of the least, the ties are the candidates within
-    ``tie_tol`` of the winner's score, the winner's x gives ``p_tilde`` and,
-    for the unknown-c search, a copy of its row of the (b, m) ``rates``
-    gives ``c_hat``. Under each note that some fit carries ("capped",
-    "degenerate", "unconverged") ``diagnostics`` lists the candidates
-    carrying it."""
-    scores = np.array([f[0] for f in fits])
+    """The result of a search from its candidates and its array record
+    (``_search``): the (b,) scores, the (b, 2^k) fits x, the (b, 4)
+    ``_NOTES`` flags and the rates. The winner is the first candidate whose
+    score is within ``_WINNER_TOL`` of the least, the ties are the
+    candidates within ``tie_tol`` of the winner's score, the winner's x
+    gives ``p_tilde`` and, where the search recovered each candidate's
+    rates (a (b, m) stack, the unknown-c search), a copy of the winner's
+    row gives ``c_hat``; known rates, one (m,) vector, give none. A
+    candidate's note is that of its first set flag ("degenerate",
+    "unconverged", "capped"), and under each note that some candidate
+    carries ``diagnostics`` lists the candidates carrying it."""
     best = int(np.argmax(scores <= scores.min() + _WINNER_TOL))
-    diagnostics = {
-        note: tuple(qc for qc, f in zip(candidates, fits) if f[1] == note)
-        for note in sorted({f[1] for f in fits} - {None})
-    }
+    names = np.array([name for name, _ in _NOTES])
+    notes = np.where(flags.any(axis=1), names[flags.argmax(axis=1)], "")
     return EstimationResult(
         q_hat=candidates[best],
-        score=fits[best][0],
-        ties=tuple(qc for qc, s in zip(candidates, scores) if s <= scores[best] + tie_tol),
-        p_tilde=ProfileDistribution(candidates[best].k, fits[best][2]),
+        score=float(scores[best]),
+        ties=tuple(candidates[i] for i in np.flatnonzero(scores <= scores[best] + tie_tol)),
+        p_tilde=ProfileDistribution(candidates[best].k, x[best]),
         n_candidates=len(candidates),
-        c_hat=None if rates is None else rates[best].copy(),
-        diagnostics=diagnostics,
+        c_hat=rates[best].copy() if rates.ndim == 2 else None,
+        diagnostics={
+            note: tuple(candidates[i] for i in np.flatnonzero(notes == note))
+            for note in sorted(set(notes.tolist()) - {""})
+        },
     )
 
 
@@ -418,13 +426,13 @@ def moment_slip(q: QMatrix, g, beta: np.ndarray, item: int, cover: int) -> float
     return float(np.clip(g[item] + num / den, 0.0, 1.0))
 
 
-def _rate_objective(cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector):
-    """The rate searches' objective for a stack of same-shape candidates:
-    ``_SLIP_SCALE`` times the squared score, and its gradient in every
-    item's capable rate, built from no design.
+def _rate_objective(pats: np.ndarray, g: np.ndarray, alpha: AlphaVector):
+    """The rate searches' objective for the candidates of a (b, 2^k) pattern
+    stack: ``_SLIP_SCALE`` times the squared score, and its gradient in
+    every item's capable rate, built from no design.
 
-    Returns ``evaluate(rows, c)``: for each j, candidate ``cands[rows[j]]``
-    at the capable rates ``c[j]``, a (b, m) stack. It gives the (b,)
+    Returns ``evaluate(rows, c)``: for each j, candidate ``rows[j]`` of the
+    stack at the capable rates ``c[j]``, a (b, m) stack. It gives the (b,)
     values, the (b, m) gradients and whether a solve stopped at the
     solver's iteration cap. ``g`` comes checked from the caller.
 
@@ -442,7 +450,6 @@ def _rate_objective(cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector):
     else is in the stack.
     """
     target = _by_mask(alpha)
-    pats = patterns(cands)
     m, size = alpha.order.m, target.size
     # bits[i, S]: item i belongs to combination S, or pattern S masters it
     bits = (np.arange(size) >> np.arange(m)[:, None]) & 1 == 1
@@ -689,9 +696,10 @@ def _lockstep(evaluate, starts: list[np.ndarray]) -> list[SearchResult]:
 
 
 def _rate_searches(
-    cands: list[QMatrix], g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: np.ndarray
+    pats: np.ndarray, g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Capable rates of same-shape candidates from the rate search.
+    """Capable rates of the candidates of a (b, 2^k) pattern stack from the
+    rate search.
 
     Candidate j's search runs from each of ``_SLIP_STARTS`` over the items
     set in row j of the (b, m) mask ``free``, at least one per row, with
@@ -710,13 +718,13 @@ def _rate_searches(
     from the caller.
     """
     c = np.array(c, dtype=float)
-    converged = np.zeros(len(cands), dtype=bool)
-    capped = np.zeros(len(cands), dtype=bool)
+    converged = np.zeros(len(pats), dtype=bool)
+    capped = np.zeros(len(pats), dtype=bool)
     tries = len(_SLIP_STARTS)
-    for first in range(0, len(cands), _CANDIDATE_CHUNK):
+    for first in range(0, len(pats), _CANDIDATE_CHUNK):
         chunk = slice(first, first + _CANDIDATE_CHUNK)
         base, mask, hit = c[chunk], free[chunk], capped[chunk]
-        objective = _rate_objective(cands[chunk], g, alpha)
+        objective = _rate_objective(pats[chunk], g, alpha)
         owner = np.repeat(np.arange(len(base)), tries)
         starts = [np.full(int(on.sum()), level) for on in mask for level in _SLIP_STARTS]
 
@@ -771,14 +779,15 @@ def profile_slip(
         c[int(i)], free[0, int(i)] = float(v), False
     if not free.any():
         return c
-    return _rate_searches([q], g, alpha, c[None], free)[0][0]
+    return _rate_searches(patterns(q)[None], g, alpha, c[None], free)[0][0]
 
 
 def _moment_stage(
-    cands: list[QMatrix], g: np.ndarray, beta: np.ndarray
+    entries: np.ndarray, g: np.ndarray, beta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The moment stage of the unknown-c search for same-shape candidates,
-    in array passes over consecutive chunks of ``_CANDIDATE_CHUNK``.
+    """The moment stage of the unknown-c search for a nonempty (b, m, k)
+    stack of Q-matrix entries, in array passes: the covers over
+    consecutive chunks of ``_CANDIDATE_CHUNK``, then the estimates at once.
 
     Returns the (b, m) capable rates, the (b, m) mask of the free items
     (those with no cover, ``_covers``), left at 0 for the rate search,
@@ -788,15 +797,14 @@ def _moment_stage(
     a degenerate candidate's rates are not read. ``g`` and ``beta``
     (``decontaminate``) come checked from the caller.
     """
-    bits = 1 << np.arange(len(g))
-    parts = []
-    for start in range(0, len(cands), _CANDIDATE_CHUNK):
-        covers = _covers(np.stack([q.entries for q in cands[start : start + _CANDIDATE_CHUNK]]))
-        free, den = covers == 0, beta[covers]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = np.where(free, 0.0, np.clip(g + beta[covers | bits] / den, 0.0, 1.0))
-        parts.append((c, free, (~free & (np.abs(den) < DEGENERATE_TOL)).any(axis=1)))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    covers = np.concatenate([
+        _covers(entries[start : start + _CANDIDATE_CHUNK])
+        for start in range(0, len(entries), _CANDIDATE_CHUNK)
+    ])
+    free, den, bits = covers == 0, beta[covers], 1 << np.arange(len(g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(free, 0.0, np.clip(g + beta[covers | bits] / den, 0.0, 1.0))
+    return c, free, (~free & (np.abs(den) < DEGENERATE_TOL)).any(axis=1)
 
 
 def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, support=None):
@@ -806,8 +814,10 @@ def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, s
     The entry checks ``tie_tol``, the saturated order, and ``params`` or
     ``g`` against the rates' m, before any work. The candidates are
     ``enumerate_candidates``' in enumeration order, less ``truth`` when it
-    is given. The rate policy gives each candidate its capable rates, the
-    mask of its free items and whether it is fitted:
+    is given, stacked once: every stage reads rows of their (b, m, k)
+    entries or of their (b, 2^k) patterns (``patterns``). The rate policy
+    gives each candidate its capable rates, the mask of its free items and
+    whether it is fitted:
 
     - ``params`` alone (``estimate_q``): ``params.c``, one (m,) vector for
       every candidate; no item is free and every candidate is fitted;
@@ -816,19 +826,18 @@ def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, s
       candidate is not fitted, and DegenerateSampleError is raised when
       no candidate is left;
     - ``params`` and ``support`` (``check_identifiability``): every item
-      free, from rates 0; a candidate whose capability patterns include
-      every pattern in ``support`` is not fitted.
+      free, from rates 0; a candidate whose patterns include every pattern
+      of the array ``support`` is not fitted.
 
     Then one ``_rate_searches`` call runs the searches of the fitted
     candidates with a free item, at ``params.g`` or ``g``, and writes
     their best points into the rates, and one ``_screen`` call fits every
     fitted candidate at its rates.
 
-    Returns the candidates, one record (score, note, x, flags) per
-    candidate, and the rates. ``flags`` holds the ``_NOTES`` flags; the
-    note is the search result's note of the first flag set, or None. An
-    unfitted candidate has x None and scores +inf, or 0.0 in the probe,
-    where its patterns certify an exact fit.
+    Returns the candidates and one array record: the (b,) scores, the
+    (b, 2^k) fits x, the (b, 4) ``_NOTES`` flags and the rates. An
+    unfitted candidate has x 0 and scores +inf, or 0.0 in the probe, where
+    its patterns certify an exact fit.
     """
     _check_tie_tol(tie_tol)
     _require_saturated(alpha)
@@ -838,32 +847,31 @@ def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, s
     g = unit_rates(g, m, "g") if params is None else params.g
     cands = [cand for cand in enumerate_candidates(m, k, budget) if truth is None or cand != truth]
     b = len(cands)
+    entries = np.array([cand.entries for cand in cands], dtype=np.uint8).reshape(b, m, k)
+    pats = patterns(entries)
     flags = np.zeros((b, len(_NOTES)), dtype=bool)
     # the rate policy: each candidate's rates and free items, and which
     # candidates go unfitted (flag 0)
     if support is not None:
         rates, free = np.zeros((b, m)), np.ones((b, m), dtype=bool)
-        flags[:, 0] = [support <= set(patterns(cand).tolist()) for cand in cands]
+        flags[:, 0] = (pats[:, :, None] == support).any(axis=1).all(axis=1)
     elif params is not None:
         rates, free = np.array(params.c), np.zeros((b, m), dtype=bool)
     else:
-        rates, free, flags[:, 0] = _moment_stage(cands, g, decontaminate(alpha, g))
+        rates, free, flags[:, 0] = _moment_stage(entries, g, decontaminate(alpha, g))
         if flags[:, 0].all():
             raise DegenerateSampleError("every candidate has a degenerate moment system")
     fitted = np.flatnonzero(~flags[:, 0])
     searched = fitted[free[fitted].any(axis=1)]
     rates[searched], converged, flags[searched, 3] = _rate_searches(
-        [cands[i] for i in searched], g, alpha, rates[searched], free[searched]
+        pats[searched], g, alpha, rates[searched], free[searched]
     )
     flags[searched, 1] = ~converged
+    scores, x = np.full(b, np.inf if support is None else 0.0), np.zeros(pats.shape)
     fitted_rates = rates[fitted] if rates.ndim == 2 else rates
-    screened = iter(_screen([cands[i] for i in fitted.tolist()], fitted_rates, g, alpha))
-    fill = (np.inf if support is None else 0.0, None, None)
-    fits = [fill if skip else next(screened) for skip in flags[:, 0].tolist()]
-    flags[:, 2] = [note == "capped" for _, note, _ in fits]
-    first, noted = flags.argmax(axis=1).tolist(), flags.any(axis=1).tolist()
-    notes = [_NOTES[j][0] if on else None for j, on in zip(first, noted)]
-    return cands, [(s, n, x, row) for (s, _, x), n, row in zip(fits, notes, flags.tolist())], rates
+    scores[fitted], finished, x[fitted] = _screen(pats[fitted], fitted_rates, g, alpha)
+    flags[fitted, 2] = ~finished
+    return cands, scores, x, flags, rates
 
 
 def estimate_q(
@@ -895,8 +903,7 @@ def estimate_q(
     Raises ValueError, before any work, for a negative or NaN ``tie_tol``,
     and BudgetExceededError when the enumeration exceeds ``budget``.
     """
-    cands, fits, _ = _search(alpha, k, budget, tie_tol, params=params)
-    return _result(cands, fits, tie_tol)
+    return _result(*_search(alpha, k, budget, tie_tol, params=params), tie_tol)
 
 
 def estimate_q_unknown_c(
@@ -932,8 +939,7 @@ def estimate_q_unknown_c(
     any work, for a negative or NaN ``tie_tol`` or a ``g`` entry outside
     [0, 1].
     """
-    cands, fits, rates = _search(alpha, k, budget, tie_tol, g=g)
-    return _result(cands, fits, tie_tol, rates)
+    return _result(*_search(alpha, k, budget, tie_tol, g=g), tie_tol)
 
 
 def _align_columns(
@@ -989,7 +995,8 @@ def split_estimate(
     merged. Groups must cover every item; with k > 1 each group after the
     first needs enough overlap to pin the matching or AlignmentError is
     raised ("ambiguous" when several matchings work, "disagree" when none
-    does).
+    does), naming the group's 1-based position in ``groups``, its fitted
+    rows, its score and the size of its tie set.
 
     Exactly one of ``params`` (known per-item rates, sliced per group) or
     ``g`` (guessing rates only; slip rates recovered per group) must be
@@ -1024,21 +1031,24 @@ def split_estimate(
 
     rows = np.zeros((m, k), dtype=np.uint8)
     known = np.zeros(m, dtype=bool)
-    for grp in group_lists:
+    for pos, grp in enumerate(group_lists, 1):
         sub = responses.restrict(grp)
         sub_alpha = compute_alpha(sub, ComboOrder.saturated(len(grp)))
         if params is not None:
             res = estimate_q(sub_alpha, params.subset(grp), k, budget=budget, tie_tol=tie_tol)
         else:
             res = estimate_q_unknown_c(sub_alpha, g[grp], k, budget=budget, tie_tol=tie_tol)
+        # the first group fixes the global column frame
+        aligned = res.q_hat.entries
         if known.any():
-            aligned = _align_columns(rows, known, grp, res.q_hat.entries)
-        else:
-            # first group fixes the global column frame
-            aligned = res.q_hat.entries
-        for t, item in enumerate(grp):
-            rows[item] = aligned[t]
-            known[item] = True
+            try:
+                aligned = _align_columns(rows, known, grp, aligned)
+            except AlignmentError as err:
+                raise AlignmentError(
+                    f"group {pos} was fitted as {','.join(res.q_hat.row_strings())} "
+                    f"(score {res.score:.6g}, tie set of {len(res.ties)}): {err}"
+                ) from err
+        rows[grp], known[grp] = aligned, True
     return canonicalize(QMatrix(rows))
 
 
@@ -1124,14 +1134,14 @@ def check_identifiability(
                 "profile distribution has zero-mass profiles; identifiability may degenerate"
             )
         alpha = population_alpha(q, params, p_star, ComboOrder.saturated(q.m))
-        support = set(patterns(q)[p_star.probs > 0.0].tolist())
-        cands, fits, _ = _search(
+        support = np.unique(patterns(q)[p_star.probs > 0.0])
+        cands, scores, _, flags, _ = _search(
             alpha, q.k, budget, params=params, truth=canonicalize(q), support=support
         )
-        for cand, (delta, _, _, flags) in zip(cands, fits):
-            deltas.append((cand, delta))
-            name = ",".join(cand.row_strings())
-            notes += [text.format(name) for (_, text), on in zip(_NOTES, flags) if on and text]
+        deltas = list(zip(cands, scores.tolist()))
+        for i in np.flatnonzero(flags.any(axis=1)):
+            name = ",".join(cands[i].row_strings())
+            notes += [text.format(name) for (_, text), on in zip(_NOTES, flags[i]) if on and text]
     return IdentifiabilityReport(
         q=q,
         complete=complete,

@@ -234,28 +234,17 @@ def _single_item_indicators(entries: np.ndarray, profiles: Sequence[int]) -> np.
     return (np.array(profiles, dtype=np.int64) & reach) == reach
 
 
-def _entries(q: QMatrix | Sequence[QMatrix]) -> np.ndarray:
-    """The (m, k) entries of one Q-matrix, or the (b, m, k) stack of a
-    nonempty sequence of same-shape Q-matrices."""
-    if isinstance(q, QMatrix):
-        return q.entries
-    if not len(q):
-        raise ValueError("need at least one Q-matrix")
-    if len({cand.entries.shape for cand in q}) != 1:
-        raise ValueError("stacked Q-matrices must share one shape")
-    return np.stack([cand.entries for cand in q])
-
-
-def patterns(q: QMatrix | Sequence[QMatrix]) -> np.ndarray:
+def patterns(q: QMatrix | np.ndarray) -> np.ndarray:
     """Capability pattern of every profile, in the design's column order.
 
     Entry A is the bitmask of the items that profile A masters (bit i for
     item i); the zero profile masters none. A design column depends on its
     profile only through this pattern, so two profiles with equal patterns
     have byte-identical columns at any (c, g). Shape (2^k,) for one
-    Q-matrix, (b, 2^k) for a sequence of b Q-matrices of one shape.
+    Q-matrix, (b, 2^k) for a (b, m, k) stack of Q-matrix entries, which
+    may be empty.
     """
-    entries = _entries(q)
+    entries = q.entries if isinstance(q, QMatrix) else np.asarray(q)
     m, k = entries.shape[-2:]
     masters = _single_item_indicators(entries, subsets_card_lex(k, nonempty=False))
     return (masters.astype(np.int64) << np.arange(m)[:, None]).sum(axis=-2)
@@ -423,25 +412,18 @@ def design(
 
     c and g need not lie in [0, 1]: the difference identity evaluates the
     design at c - g.
-
-    c may also be a (b, m) stack of rate vectors sharing q and g. The
-    result then has shape (b, len(order), 2^k), and slice j is
-    ``design(q, c[j], g, order)`` to the byte, since every entry is the
-    same product.
     """
     m, k = q.m, q.k
     if order.m != m:
         raise ValueError(f"order is over {order.m} items but Q-matrix has {m}")
     c, g = _checked_rates(c, g)
-    if g.shape != (m,) or c.ndim > 2:
-        raise ValueError(f"c and g must be vectors of length {m}, c or a stack of them")
+    if g.shape != (m,) or c.shape != (m,):
+        raise ValueError(f"c and g must be vectors of length {m}")
     profiles = subsets_card_lex(k, nonempty=False)
-    factors = np.where(_single_item_indicators(q.entries, profiles), c[..., None], g[:, None])
-    values = np.ones(factors.shape[:-2] + (len(order), len(profiles)), dtype=np.float64)
+    factors = np.where(_single_item_indicators(q.entries, profiles), c[:, None], g[:, None])
+    values = np.ones((len(order), len(profiles)), dtype=np.float64)
     for i in range(m):
-        np.multiply(
-            values, factors[..., i, None, :], out=values, where=order._members[i][:, None]
-        )
+        np.multiply(values, factors[i], out=values, where=order._members[i][:, None])
     return values
 
 

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from dinaq import ResponseData
+from dinaq import ComboOrder, ResponseData, compute_alpha, estimate_q_unknown_c
 from dinaq.cli import _COMMANDS, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dinaq" / "schemas"
@@ -206,6 +206,30 @@ def test_estimate_groups(workdir):
     jsonschema.validate(report, load_schema("estimate_report.v1.schema.json"))
     assert report["groups"] == [[1, 2, 3, 4], [3, 4, 5, 6]]
     assert sorted(report["q_hat"]) == sorted(["10", "01", "11", "10", "01", "11"])
+
+
+def test_split_alignment_failure_names_the_group(workdir, capsys):
+    """A known-g split whose second group is fitted in a frame that its
+    overlap rows cannot match exits 3, and the message names the group's
+    position and the rows, score and tie set of that group's fit."""
+    (workdir / "q4.txt").write_text("10\n01\n11\n10\n")
+    code = run([
+        "simulate", "--q", "q4.txt", "--pstar", "pstar.json",
+        "--c", "0.9", "--g", "0.1", "--n", "3000", "--seed", "1", "--out", "r4.txt",
+    ])
+    assert code == 0
+    capsys.readouterr()
+    code = run([
+        "estimate", "--responses", "r4.txt", "--k", "2", "--mode", "known-g", "--g", "0.1",
+        "--groups", "1,2,3", "--groups", "1,2,4", "--out", "split.json",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    sub = ResponseData.from_text((workdir / "r4.txt").read_text()).restrict([0, 1, 3])
+    res = estimate_q_unknown_c(compute_alpha(sub, ComboOrder.saturated(3)), np.full(3, 0.1), 2)
+    rows = ",".join(res.q_hat.row_strings())
+    assert f"group 2 was fitted as {rows} (score {res.score:.6g}, " in err
+    assert f"tie set of {len(res.ties)}): overlap rows disagree between groups" in err
 
 
 def test_estimate_tie_exit_code(workdir):

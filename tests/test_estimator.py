@@ -274,7 +274,8 @@ def test_winner_is_first_within_rounding_of_least_score():
     for gap, winner in [(1e-16, 0), (1e-9, 1)]:
         scores = [0.01, 0.01 - gap]
         assert scores[1] < scores[0]
-        res = _result(cands, [(s, None, x) for s, x in zip(scores, xs)], 1e-7)
+        flags, rates = np.zeros((2, 4), dtype=bool), np.zeros(3)
+        res = _result(cands, np.array(scores), np.array(xs), flags, rates, 1e-7)
         assert res.q_hat == cands[winner]
         assert res.score == scores[winner]
         assert res.p_tilde.probs.tobytes() == xs[winner].tobytes()
@@ -319,6 +320,12 @@ def test_estimate_q_lists_capped_rescores(monkeypatch):
     assert flagged.diagnostics == {"capped": tuple(cands[1::2])}
 
 
+def _stacked_patterns(cands):
+    """The (b, 2^k) pattern stack of same-shape candidates, the form in
+    which the search stages take them."""
+    return patterns(np.stack([q.entries for q in cands]))
+
+
 def test_estimate_q_matches_full_table_scan():
     """Winner and tie set agree with an independent scan scoring every
     canonical candidate directly."""
@@ -338,8 +345,8 @@ def test_estimate_q_matches_full_table_scan():
     assert table[res.q_hat] == pytest.approx(best, abs=1e-12)
     assert set(res.ties) == scan_ties
     # the screen on every candidate at once: every score exact
-    fits = _screen(list(table), params.c, params.g, alpha)
-    for s, (got, _, _) in zip(table.values(), fits):
+    scores, _, _ = _screen(_stacked_patterns(table), params.c, params.g, alpha)
+    for s, got in zip(table.values(), scores):
         assert got == pytest.approx(s, abs=1e-12)
 
 
@@ -395,8 +402,9 @@ def test_estimate_q_screen_matches_exact_scan(m, k, rates, tie_tol):
     np.testing.assert_allclose(res.p_tilde.probs, p_ref.probs, rtol=0, atol=1e-12)
     # screened all at once, every candidate carries its exact score
     cands = list(enumerate_candidates(m, k, budget=10**6))
-    for cand, (got, note, _) in zip(cands, _screen(cands, params.c, params.g, alpha)):
-        assert note is None
+    scores, finished, _ = _screen(_stacked_patterns(cands), params.c, params.g, alpha)
+    for cand, got, done in zip(cands, scores, finished):
+        assert done
         assert got == pytest.approx(score(cand, alpha, params), abs=1e-12)
 
 
@@ -436,9 +444,10 @@ def test_row_free_screen_matches_exact_scores(data):
         c[:, rng.random(m) < 0.2] = g[0]
     else:
         c = params.c
-    for j, (q, (got, note, x)) in enumerate(zip(stack, _screen(stack, c, g, alpha))):
+    fits = zip(stack, *_screen(_stacked_patterns(stack), c, g, alpha))
+    for j, (q, got, done, x) in enumerate(fits):
         mat = design(q, c[j] if c.ndim == 2 else c, g, order)
-        assert note is None
+        assert done
         assert abs(got - simplex_lsq(mat, alpha.rates).residual) <= 1e-12
         cert = kkt_residuals(mat, alpha.rates, x)
         assert cert["sum_error"] <= 1e-12
@@ -509,8 +518,8 @@ def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
     # the screen at the reference's rates: every score exact
     fitted = [(q, c, s) for q, c, s in table if c is not None]
     cs = np.array([c for _, c, _ in fitted])
-    fits = _screen([q for q, _, _ in fitted], cs, params.g, alpha)
-    for (_, _, s), (got, _, _) in zip(fitted, fits):
+    scores, _, _ = _screen(_stacked_patterns([q for q, _, _ in fitted]), cs, params.g, alpha)
+    for (_, _, s), got in zip(fitted, scores):
         assert got == pytest.approx(s, abs=1e-12)
 
 
@@ -656,7 +665,9 @@ def test_moment_stage_matches_single_candidate_reference(data):
     )
     chunk = data.draw(st.integers(1, size), label="chunk")
     with mock.patch.object(dinaq.estimator, "_CANDIDATE_CHUNK", chunk):
-        c, free, degenerate = dinaq.estimator._moment_stage(cands, params.g, beta)
+        c, free, degenerate = dinaq.estimator._moment_stage(
+            np.stack([q.entries for q in cands]), params.g, beta
+        )
     assert c.shape == free.shape == (size, m) and degenerate.shape == (size,)
     for j, q in enumerate(cands):
         assert [find_cover_combo(q, i) for i in range(m)] == covers[j]
@@ -878,7 +889,7 @@ def _objective(q, g, alpha, c, free):
     """The rate searches' batched objective for one candidate, as a function
     of the capable rates of the ``free`` items, the others held at ``c``:
     the scaled squared score and its gradient over the free items."""
-    evaluate = _rate_objective([q], g, alpha)
+    evaluate = _rate_objective(patterns(q)[None], g, alpha)
 
     def objective(v):
         rates = np.array(c, dtype=float)
@@ -1088,7 +1099,9 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     assert res.fun == best_f
     assert res.x.tobytes() == best_x.tobytes()
     assert res.fun < seen[0][0]
-    c, converged, _ = _rate_searches([q], params.g, alpha, np.zeros((1, 3)), np.ones((1, 3), bool))
+    c, converged, _ = _rate_searches(
+        patterns(q)[None], params.g, alpha, np.zeros((1, 3)), np.ones((1, 3), bool)
+    )
     c, converged = c[0], converged[0]
     assert not converged
     # the best of three starts, the first of which is the run above
@@ -1321,7 +1334,7 @@ def _row_objective(q, g, alpha, c, free):
         stack = np.repeat(c[None, :], len(free) + 1, axis=0)
         stack[:, free] = np.clip(v, 0.0, 1.0)
         stack[unit, free] = 1.0
-        designs = design(q, stack, g, alpha.order)
+        designs = np.stack([design(q, rates, g, alpha.order) for rates in stack])
         x = simplex_lsq(designs[0], alpha.rates).x
         r = designs[0] @ x - alpha.rates
         grad = 2.0 * ((designs[1:] * holds) @ x @ r)
@@ -1387,15 +1400,17 @@ def test_rate_searches_independent_of_stack(data):
     free = rng.random((size, m)) < 0.6
     free[np.arange(size), rng.integers(0, m, size)] = True
     chunk = data.draw(st.integers(1, size), label="chunk")
+    pats = _stacked_patterns(cands)
     with mock.patch.object(dinaq.estimator, "_CANDIDATE_CHUNK", chunk):
-        stacked = _rate_searches(cands, params.g, alpha, c, free)
+        stacked = _rate_searches(pats, params.g, alpha, c, free)
     rows = rng.permutation(np.repeat(np.arange(size), 2))
-    values = _rate_objective(cands, params.g, alpha)(rows, c[rows])
+    values = _rate_objective(pats, params.g, alpha)(rows, c[rows])
     for j, q in enumerate(cands):
-        alone = _rate_searches([q], params.g, alpha, c[j : j + 1], free[j : j + 1])
+        alone = _rate_searches(pats[j : j + 1], params.g, alpha, c[j : j + 1], free[j : j + 1])
         for got, want in zip(stacked, alone):
             assert got[j].tobytes() == want[0].tobytes()
-        one = _rate_objective([q], params.g, alpha)(np.zeros(1, dtype=int), c[j : j + 1])
+        alone_objective = _rate_objective(pats[j : j + 1], params.g, alpha)
+        one = alone_objective(np.zeros(1, dtype=int), c[j : j + 1])
         for row in np.flatnonzero(rows == j):
             for got, want in zip(values, one):
                 assert got[row].tobytes() == want[0].tobytes()
@@ -1708,6 +1723,58 @@ def test_every_search_solve_goes_through_the_pipeline(monkeypatch):
         solves.clear()
         search()
         assert solves and all(solves)
+
+
+def test_each_search_stacks_its_patterns_once(monkeypatch):
+    """Each search computes its candidates' capability patterns as one
+    stack, every candidate's row once, however many chunks its stages
+    take: one ``patterns`` call for each estimate and for ``profile_slip``,
+    and two for the probe, the truth's support and then the stack."""
+    real = dinaq.estimator.patterns
+    calls = []
+
+    def counted(q):
+        out = real(q)
+        calls.append(out.reshape(-1, out.shape[-1]))
+        return out
+
+    monkeypatch.setattr(dinaq.estimator, "patterns", counted)
+    monkeypatch.setattr(dinaq.estimator, "_CANDIDATE_CHUNK", 4)
+    params = noisy_params()
+    alpha = population_alpha(GOLDEN, params, UNIFORM, ORDER3)
+    cands = list(enumerate_candidates(3, 2, budget=10**6))
+    others = [cand for cand in cands if cand != canonicalize(GOLDEN)]
+    for search, want in (
+        (lambda: estimate_q(alpha, params, 2), [cands]),
+        (lambda: estimate_q_unknown_c(alpha, params.g, 2), [cands]),
+        (lambda: profile_slip(GOLDEN, params.g, alpha), [[GOLDEN]]),
+        (lambda: check_identifiability(GOLDEN, params, UNIFORM), [[GOLDEN], others]),
+    ):
+        calls.clear()
+        search()
+        assert len(calls) == len(want)
+        for got, stack in zip(calls, want):
+            assert got.tobytes() == real(np.stack([q.entries for q in stack])).tobytes()
+
+
+def test_zero_candidate_probe_and_single_candidate_searches():
+    """A complete k = 1 Q-matrix on two items has no candidate besides
+    itself: the probe runs on an empty stack and has nothing to report,
+    and both searches return the one candidate."""
+    q = QMatrix.from_rows(["1", "1"])
+    params = DinaParams(np.array([0.9, 0.85]), np.array([0.1, 0.2]))
+    p_star = ProfileDistribution(1, np.array([0.4, 0.6]))
+    report = check_identifiability(q, params, p_star)
+    assert report.deltas == ()
+    assert report.flagged == ()
+    assert report.min_delta is None
+    assert report.notes == ()
+    assert report.identifiable
+    alpha = population_alpha(q, params, p_star, ComboOrder.saturated(2))
+    for res in (estimate_q(alpha, params, 1), estimate_q_unknown_c(alpha, params.g, 1)):
+        assert res.n_candidates == 1
+        assert res.q_hat == q
+        assert res.ties == (q,)
 
 
 def test_searches_refuse_bad_tie_tol_before_any_work():

@@ -17,6 +17,7 @@ from dinaq import (
 )
 from dinaq.estimator import _screen
 from dinaq.solver import _gram_active_set, _solve_checked
+from dinaq.tmatrix import patterns
 
 GOLDEN_T = np.array([
     [1.0, 0.0, 1.0],
@@ -285,11 +286,11 @@ def test_gram_solve_matches_row_form_reference(data):
     with the row-form reference on DINA designs: residuals within 1e-12,
     status "optimal" and KKT at 1e-8."""
     qs, c, g, order, stack, beta = _dina_case(data)
-    fits = _screen(qs, c, g, AlphaVector(order, beta))
-    for mat, (score, note, x) in zip(stack, fits):
+    pats = patterns(np.stack([q.entries for q in qs]))
+    for mat, score, done, x in zip(stack, *_screen(pats, c, g, AlphaVector(order, beta))):
         ref = _reference_lsq(mat, beta)
         sol = simplex_lsq(mat, beta)
-        assert sol.status == "optimal" and note is None
+        assert sol.status == "optimal" and done
         assert abs(sol.residual - ref) <= 1e-12
         assert abs(score - ref) <= 1e-12
         _assert_kkt(mat, beta, sol.x)
@@ -443,8 +444,8 @@ def test_design_with_c_equal_g():
         assert sol.status == "optimal"
         assert abs(sol.residual - _reference_lsq(mat, beta)) <= 1e-12
         _assert_kkt(mat, beta, sol.x)
-        ((score, note, x),) = _screen([q], c, g, AlphaVector(order, beta))
-        assert note is None
+        (score,), (done,), (x,) = _screen(patterns(q)[None], c, g, AlphaVector(order, beta))
+        assert done
         assert abs(score - sol.residual) <= 1e-12
         _assert_kkt(mat, beta, x)
     assert simplex_lsq(mat, mat @ np.full(4, 0.25)).residual <= 1e-12

@@ -281,8 +281,10 @@ def test_design_matches_row_reference_bytes(m, k):
 @pytest.mark.parametrize("m", range(1, 7))
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_design_stack_slices_match_bytes(m, k):
-    """Each slice of a design built on a stack of c vectors is byte-identical
-    to the design at that c alone, on grid levels, c = g and signed zeros."""
+    """The design at each c of a stack of rate vectors, on grid levels,
+    c = g and signed zeros, is byte-identical to the row-at-a-time
+    reference on every kind of order. The stack itself is refused, as is
+    any other shape of c or g than (m,)."""
     rng = np.random.default_rng(9_500 + 10 * m + k)
     q = _random_q(rng, m, k)
     g = rng.uniform(0, 0.3, m)
@@ -291,12 +293,11 @@ def test_design_stack_slices_match_bytes(m, k):
     cs[5:10] = rng.uniform(-1, 1, (5, m))
     cs[10, 0] = -0.0
     for order in _orders(rng, m).values():
-        stack = design(q, cs, g, order)
-        assert stack.shape == (len(cs), len(order), 1 << k)
-        for c, got in zip(cs, stack):
-            assert got.tobytes() == design(q, c, g, order).tobytes()
+        for c in cs:
+            got = design(q, c, g, order)
+            assert got.tobytes() == _row_reference_design(q, c, g, order).tobytes()
     order = ComboOrder.saturated(m)
-    for bad in (np.ones((2, 2, m)), np.ones((2, m + 1))):
+    for bad in (cs, np.ones((2, 2, m)), np.ones((2, m + 1))):
         with pytest.raises(ValueError):
             design(q, bad, g, order)
     with pytest.raises(ValueError):
@@ -353,7 +354,7 @@ def test_closed_forms_match_design(data):
         design(q, c[j] if c.ndim == 2 else c, g, order) for j, q in enumerate(qs)
     ])
     cols = designs.transpose(0, 2, 1)
-    pats = patterns(qs)
+    pats = patterns(np.stack([q.entries for q in qs]))
     combos = np.array(order.combos)
 
     def close(got, want, scale):

@@ -21,6 +21,17 @@ solve of one problem given by its rows: a stack of one, with the residual
 read off the rows. The searches call the same solve on closed-form Gram
 systems that build no design.
 
+The stack runs with the problem axis last: (n, n, b) Gram and eliminated
+systems, (n, b) points, supports and gradients. The systems are small
+(n = 2^k, 4 at k = 2), so with the problems innermost each array
+operation's inner loop runs over the stack instead of over n numbers.
+Elementwise operations give the same bytes in either layout; a sum over n
+does not, since numpy sums a contiguous last axis pairwise (eight
+accumulators from 8 terms on) and a leading axis left to right. The sums
+over n therefore add in the order of numpy's last-axis sum
+(``_sum_leading``), and the results are the bytes of the same method run
+on (b, n, n) stacks.
+
 The problem is convex, so the certificate in ``kkt_residuals`` (common
 gradient multiplier on the support, no profitable coordinate off it) is both
 necessary and sufficient for global optimality.
@@ -93,14 +104,45 @@ def simplex_lsq(m_matrix, beta) -> LsqSolution:
     )
 
 
+def _sum_leading(v: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of ``v`` in the order of numpy's sum over a
+    contiguous last axis, so that the result is the same bytes as that sum
+    of the transposed array.
+
+    numpy's order, by the number of terms: fewer than 8, left to right
+    from +0.0, which is also how it sums a leading axis, so its own sum
+    serves; 8 to 128, eight accumulators, the j-th taking every eighth term
+    from the j-th, combined as ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)),
+    then the terms past the last multiple of 8 left to right; more, the
+    two halves (the first a multiple of 8 long) summed alone, then added.
+    Adding 0.0 to the first accumulator stands for the start from +0.0:
+    it turns a sum of negative zeros into +0.0 and changes nothing else.
+    """
+    n = v.shape[0]
+    if n < 8:
+        return v.sum(axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_leading(v[:half]) + _sum_leading(v[half:])
+    full = n - n % 8
+    acc = v[:8] if full == 8 else v[:8] + v[8:16]
+    for i in range(16, full, 8):
+        acc += v[i : i + 8]
+    total = ((acc[0] + 0.0 + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for row in v[full:]:
+        total += row
+    return total
+
+
 def _solve_checked(
     a: np.ndarray, rhs: np.ndarray, floor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve stacked symmetric positive semidefinite systems a y = rhs by
-    elimination without pivoting.
+    elimination without pivoting, with the problem axis last: ``a`` of
+    shape (n, n, b), ``rhs`` and ``floor`` (n, b), one floor per pivot.
 
-    Returns y and, per system, whether every pivot stayed above its entry
-    of ``floor`` (shape (b, n), one floor per pivot).
+    Returns y, shape (n, b), and, per system, whether every pivot stayed
+    above its floor.
     A pivot of a positive definite system is the squared distance of its
     column from the span of the earlier ones, so a pivot at or below the
     floor means the system is singular to working precision; such a
@@ -108,22 +150,64 @@ def _solve_checked(
     """
     a = a.copy()
     y = rhs.copy()
-    n = a.shape[-1]
-    ok = np.ones(len(a), dtype=bool)
+    n = a.shape[0]
+    ok = np.ones(a.shape[-1], dtype=bool)
     for j in range(n):
-        pivot = a[:, j, j]
-        ok &= pivot > floor[:, j]
-        # a failed system continues on a unit pivot, only to keep the
-        # arithmetic finite; its y is discarded
-        pivot[~ok] = 1.0
-        factor = a[:, j + 1 :, j] / pivot[:, None]
-        # below the pivot only the trailing block is read again
-        a[:, j + 1 :, j + 1 :] -= factor[:, :, None] * a[:, j, None, j + 1 :]
-        y[:, j + 1 :] -= factor * y[:, j, None]
+        pivot = a[j, j]
+        good = pivot > floor[j]
+        if not good.all():
+            # a failed system goes on as an identity with a zero right-hand
+            # side from its failed pivot on, only to keep the arithmetic
+            # finite; its y is discarded
+            failed = np.flatnonzero(ok & ~good)
+            ok &= good
+            a[j:, j:, failed] = np.eye(n - j)[:, :, None]
+            y[j:, failed] = 0.0
+        if j + 1 < n:
+            factor = a[j + 1 :, j] / pivot
+            # below the pivot only the trailing block is read again
+            a[j + 1 :, j + 1 :] -= factor[:, None] * a[j, None, j + 1 :]
+            y[j + 1 :] -= factor * y[j]
     for j in range(n - 1, -1, -1):
-        y[:, j] -= (a[:, j, j + 1 :] * y[:, j + 1 :]).sum(axis=1)
-        y[:, j] /= a[:, j, j]
+        if j + 1 < n:
+            y[j] -= _sum_leading(a[j, j + 1 :] * y[j + 1 :])
+        y[j] /= a[j, j]
     return y, ok
+
+
+def _eliminated(
+    gram: np.ndarray, lin: np.ndarray, j0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The restricted normal equations with support variable j0 eliminated,
+    before they are masked to the support: with a_j = m_j - m_j0 they read
+    (a'a) y = a'(beta - m_j0). Shapes (n, n, b) and (n, b), as ``gram``
+    and ``lin``."""
+    lanes = np.arange(j0.size)
+    g0 = gram[:, j0, lanes]
+    g00 = g0[j0, lanes]
+    return (
+        gram - g0[:, None] - g0[None, :] + g00,
+        lin - g0 - lin[j0, lanes] + g00,
+    )
+
+
+def _boundary_step(
+    xs: np.ndarray, z: np.ndarray, on: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step from the feasible points xs toward restricted optima z that
+    left the simplex, until the first support coordinate hits zero, and
+    drop what vanished. Shapes (n, b); returns the points and supports."""
+    neg = on & (z <= 0.0)
+    denom = xs - z
+    ratios = np.full(xs.shape, np.inf)
+    ratios[neg] = 0.0
+    np.divide(xs, denom, out=ratios, where=neg & (denom > 0.0))
+    stepped = xs + ratios.min(axis=0) * (z - xs)
+    keep = on & (stepped > _DROP_TOL)
+    stuck = np.flatnonzero((keep == on).all(axis=0))
+    # fp dust kept everything positive; force out the blocker
+    keep[ratios[:, stuck].argmin(axis=0), stuck] = False
+    return np.where(keep, stepped, 0.0), keep
 
 
 def _gram_active_set(
@@ -139,6 +223,18 @@ def _gram_active_set(
     at the cap, and its iteration count. Every operation acts on each
     problem alone, so a problem's results are the same bytes whatever else
     is in the stack.
+
+    The state runs with the problem axis last, (n, n, b) and (n, b), so
+    that each array operation's inner loop runs over the problems rather
+    than over n = 2^k numbers: the stack is moved to that layout on entry
+    and x back on exit. Elementwise operations give the same bytes in
+    either layout; a sum over n adds in the order numpy's sum over a
+    contiguous last axis would (``_sum_leading``), so the results are the
+    bytes of the same method run on the (b, n, n) stack. Only live
+    problems are held, gathered again when some finish; each problem's
+    eliminated system is cached until its lowest-index support column
+    changes, and the step to the boundary runs only on the problems whose
+    restricted optimum left the simplex.
 
     A restricted system is singular when a pivot of its elimination is at
     or below 1e-12 times the largest diagonal entry of G on the support.
@@ -166,86 +262,91 @@ def _gram_active_set(
     count, n, _ = gram.shape
     if max_iter is None:
         max_iter = 50 * n
-    diag = np.diagonal(gram, axis1=1, axis2=2)
-    eye = np.eye(n)
-    x = np.zeros((count, n))
-    x[:, 0] = 1.0
-    support = np.zeros((count, n), dtype=bool)
-    support[:, 0] = True
-    blocked = np.zeros((count, n), dtype=bool)
-    # the column that entered on a problem's last iteration, -1 for none
-    entered = np.full(count, -1)
+    # a (b, n, n) view of an (n, n, b) array, as pattern_gram returns, moves
+    # without a copy
+    g = np.ascontiguousarray(gram.transpose(1, 2, 0))
+    h = np.ascontiguousarray(lin.T)
+    diag = g[np.arange(n), np.arange(n)]
+    eye = np.eye(n)[:, :, None]
+    x_out = np.empty((n, count))
     finished = np.zeros(count, dtype=bool)
     iterations = np.zeros(count, dtype=int)
-    live = np.arange(count)
-    # every live problem has run the same number of iterations
-    while live.size and iterations[live[0]] < max_iter:
-        iterations[live] += 1
-        on, xs, g, h = support[live], x[live], gram[live], lin[live]
-        idx = np.arange(live.size)
-        # eliminate the lowest-index support variable j0: with a_j = m_j - m_j0
-        # the restricted normal equations read (a'a) y = a'(beta - m_j0)
-        j0 = on.argmax(axis=1)
+    # the state of the live problems, which are ``ids``
+    ids = np.arange(count)
+    x = np.zeros((n, count))
+    x[0] = 1.0
+    on = np.zeros((n, count), dtype=bool)
+    on[0] = True
+    blocked = np.zeros((n, count), dtype=bool)
+    # the column that entered on a problem's last iteration, -1 for none
+    entered = np.full(count, -1)
+    # each problem's eliminated system before masking, and the j0 it is for
+    cached = np.zeros(count, dtype=int)
+    elim, base = _eliminated(g, h, cached)
+    it = 0
+    while ids.size and it < max_iter:
+        it += 1
+        lanes = np.arange(ids.size)
+        # eliminate the lowest-index support variable j0
+        j0 = on.argmax(axis=0)
+        stale = np.flatnonzero(j0 != cached)
+        if stale.size:
+            elim[:, :, stale], base[:, stale] = _eliminated(
+                g[:, :, stale], h[:, stale], j0[stale]
+            )
+            cached[stale] = j0[stale]
         rest = on.copy()
-        rest[idx, j0] = False
-        g0 = g[idx, :, j0]
-        g00 = g[idx, j0, j0]
-        a = g - g0[:, :, None] - g0[:, None, :] + g00[:, None, None]
+        rest[j0, lanes] = False
         # unit rows and columns off the support keep y there at 0
-        a = np.where(rest[:, :, None] & rest[:, None, :], a, eye)
-        rhs = (h - g0 - h[idx, j0][:, None] + g00[:, None]) * rest
-        floor = _PIVOT_TOL * np.where(on, diag[live], 0.0).max(axis=1)
-        y, solved = _solve_checked(a, rhs, np.where(rest, floor[:, None], -1.0))
-        z = y.copy()
-        z[idx, j0] = 1.0 - y.sum(axis=1)
-
-        outside = np.where(on, z, np.inf).min(axis=1) <= -FEASIBILITY_TOL
-        # restricted optimum left the simplex: step toward it until the first
-        # support coordinate hits zero, then drop what vanished
-        neg = on & (z <= 0.0) & outside[:, None]
-        denom = xs - z
-        ratios = np.full(xs.shape, np.inf)
-        ratios[neg] = 0.0
-        np.divide(xs, denom, out=ratios, where=neg & (denom > 0.0))
-        step = np.where(outside, ratios.min(axis=1), 0.0)
-        stepped = xs + step[:, None] * (z - xs)
-        keep = on & (stepped > _DROP_TOL)
-        stuck = outside & (keep == on).all(axis=1)
-        # fp dust kept everything positive; force out the blocker
-        keep[stuck, ratios[stuck].argmin(axis=1)] = False
-        moved = np.where(keep, stepped, 0.0)
+        a = np.where(rest[:, None] & rest[None, :], elim, eye)
+        floor = _PIVOT_TOL * np.where(on, diag, 0.0).max(axis=0)
+        z, solved = _solve_checked(a, base * rest, np.where(rest, floor, -1.0))
+        z[j0, lanes] = 1.0 - _sum_leading(z)
+        outside = np.where(on, z, np.inf).min(axis=0) <= -FEASIBILITY_TOL
 
         # restricted optimum feasible: take it, then let the most violated
         # off-support coordinate that is not blocked enter
-        fitted = np.where(on, np.clip(z, 0.0, None), 0.0)
-        grad = 2.0 * ((g * fitted[:, None, :]).sum(axis=2) - h)
-        lam = np.where(on, grad, 0.0).sum(axis=1) / on.sum(axis=1)
-        viol = np.where(on | blocked[live], np.inf, grad - lam[:, None])
-        pick = viol.argmin(axis=1)
-        done = ~outside & (viol[idx, pick] >= -_ENTER_TOL)
+        step_x = np.where(on, np.clip(z, 0.0, None), 0.0)
+        grad = 2.0 * (_sum_leading((g * step_x[None]).transpose(1, 0, 2)) - h)
+        lam = _sum_leading(np.where(on, grad, 0.0)) / on.sum(axis=0)
+        viol = np.where(on | blocked, np.inf, grad - lam)
+        pick = viol.argmin(axis=0)
+        done = ~outside & (viol[pick, lanes] >= -_ENTER_TOL)
         enter = ~outside & ~done
-        grown = on.copy()
-        grown[idx[enter], pick[enter]] = True
-
-        step_x = np.where(outside[:, None], moved, fitted)
-        step_on = np.where(outside[:, None], keep, grown)
+        step_on = on.copy()
+        step_on[pick[enter], lanes[enter]] = True
+        # restricted optimum left the simplex: step toward it instead
+        out = np.flatnonzero(outside)
+        if out.size:
+            step_x[:, out], step_on[:, out] = _boundary_step(x[:, out], z[:, out], on[:, out])
         # a singular system right after an entry undoes it and blocks the
         # column; any other leaves the problem where it stands
-        failed = idx[~solved]
+        failed = np.flatnonzero(~solved)
         if failed.size:
-            step_x[failed], step_on[failed] = xs[failed], on[failed]
-            last = entered[live[failed]]
+            step_x[:, failed], step_on[:, failed] = x[:, failed], on[:, failed]
+            last = entered[failed]
             undo = last >= 0
-            step_on[failed[undo], last[undo]] = False
-            blocked[live[failed[undo]], last[undo]] = True
-        x[live], support[live] = step_x, step_on
+            step_on[last[undo], failed[undo]] = False
+            blocked[last[undo], failed[undo]] = True
+        x, on = step_x, step_on
         # a column leaving the support clears every block
-        blocked[live[solved & outside]] = False
-        entered[live] = np.where(solved & enter, pick, -1)
-        finished[live[solved & done]] = True
-        live = live[~(solved & done)]
+        blocked[:, solved & outside] = False
+        entered = np.where(solved & enter, pick, -1)
+        over = solved & done
+        if over.any():
+            x_out[:, ids[over]] = x[:, over]
+            finished[ids[over]] = True
+            iterations[ids[over]] = it
+            go = np.flatnonzero(~over)
+            ids, entered, cached = ids[go], entered[go], cached[go]
+            x, on, blocked, h, diag, base = (
+                v[:, go] for v in (x, on, blocked, h, diag, base)
+            )
+            g, elim = g[:, :, go], elim[:, :, go]
+    x_out[:, ids] = x
+    iterations[ids] = it
 
-    x = np.clip(x, 0.0, None)
+    x = np.clip(np.ascontiguousarray(x_out.T), 0.0, None)
     x /= x.sum(axis=1, keepdims=True)
     return x, finished, iterations
 

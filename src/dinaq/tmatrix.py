@@ -270,14 +270,21 @@ def pattern_gram(pats, c, g) -> np.ndarray:
     P <- P + t (1 + P) with t = f_i(A) f_i(B), so that no cancellation
     costs digits: with rates in [0, 1] every term is nonnegative. Shape
     (..., n, n); equal patterns give equal rows and columns exactly.
+
+    The products are built with the stack axes last, the layout the
+    solver runs in (``solver._gram_active_set``), and returned as a view in
+    the (..., n, n) shape, so that the solver's move to its layout costs
+    no copy.
     """
     c, g = _checked_rates(c, g)
     f = _pattern_factors(np.asarray(pats), c, g)
-    gram = np.zeros(f.shape[:-2] + (f.shape[-1],) * 2)
-    for i in range(g.shape[0]):
-        t = f[..., i, :, None] * f[..., i, None, :]
+    # (m, n, ...): item, pattern, then the stack
+    f = np.ascontiguousarray(np.moveaxis(f, (-2, -1), (0, 1)))
+    gram = np.zeros(f.shape[1:2] * 2 + f.shape[2:])
+    for fi in f:
+        t = fi[:, None] * fi[None, :]
         gram += t * (1.0 + gram)
-    return gram
+    return np.moveaxis(gram, (0, 1), (-2, -1))
 
 
 def _kronecker_pass(values: np.ndarray, step, lead: tuple[int, ...] = ()) -> np.ndarray:

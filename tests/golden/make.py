@@ -94,6 +94,13 @@ CASES = [
          k=2, rates=3000, pstar="dirichlet", seed=112, groups=["1,2,3,4", "3,4,5,6"]),
     dict(name="split-known-g-m6", mode="known-g", q=["10", "01", "11", "10", "01", "11"],
          k=2, rates=6000, pstar="dirichlet", seed=113, groups=["1,2,3,4", "3,4,5,6"]),
+    # n = 16 Gram systems: the solver's sums over 16 terms take two rounds of
+    # numpy's eight pairwise accumulators
+    dict(name="cg-population-m4-k4", mode="known-cg", q=["1000", "0100", "0010", "0001"],
+         k=4, rates="population", pstar="dirichlet", seed=119),
+    # the rate search's Gram solve with a (b, m) stack of c, at n = 8
+    dict(name="g-sampled-m4-k3", mode="known-g", q=["100", "010", "001", "110"],
+         k=3, rates=4000, pstar="dirichlet", seed=120),
     dict(name="probe-full-m3", q=["10", "01", "11"], pstar="uniform", seed=114, verify=True),
     dict(name="probe-point-mass-m3", q=["10", "01", "11"], pstar={"11": 1.0}, seed=115,
          verify=True),

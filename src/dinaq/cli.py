@@ -39,7 +39,6 @@ from .core import (
     ProfileDistribution,
     QMatrix,
     bit_label,
-    is_complete,
     profile_order,
 )
 from .estimator import (
@@ -120,24 +119,19 @@ def _parse_rates(value, m: int, name: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _is_file(path: Path) -> bool:
+def _is_file(path: str) -> bool:
     try:
-        return path.is_file()
+        return Path(path).is_file()
     except OSError as exc:
-        # a value too long to name a file can only be inline JSON
-        if exc.errno == errno.ENAMETOOLONG:
-            return False
-        raise
+        # a value too long to name a file can only be inline JSON; any other
+        # failure is left to the read, which reports it
+        return exc.errno != errno.ENAMETOOLONG
 
 
 def _load_pstar(value, k: int) -> ProfileDistribution:
     mapping = value
     if isinstance(value, str):
-        candidate = Path(value)
-        try:
-            text = candidate.read_text() if _is_file(candidate) else value
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CliError(f"cannot read p* file {value}: {exc}") from exc
+        text = _read_text(value, "p*") if _is_file(value) else value
         try:
             mapping = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -240,6 +234,21 @@ _RATES = {
 }
 
 
+def _load_model(args: argparse.Namespace) -> tuple[QMatrix, DinaParams, ProfileDistribution, dict]:
+    """The (Q, params, p*) of --q, --c, --g and --pstar, and the report
+    fields that echo them."""
+    q = _load(args.q, QMatrix, "Q-matrix")
+    params = DinaParams(_parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g"))
+    p_star = _load_pstar(args.pstar, q.k)
+    echo = {
+        "q": q.row_strings(),
+        "c": [float(v) for v in params.c],
+        "g": [float(v) for v in params.g],
+        "p_star": p_star.as_dict(),
+    }
+    return q, params, p_star, echo
+
+
 def _table_rates(args: argparse.Namespace, m: int, what: str) -> list[np.ndarray | None]:
     """The (c, g) per-item rates that ``_RATES`` gives the --mode or
     --variant (``what``) in ``args``, None for a rate left to the search."""
@@ -263,19 +272,14 @@ def _table_rates(args: argparse.Namespace, m: int, what: str) -> list[np.ndarray
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise CliError("--seed is required: every stochastic command must be seeded")
-    q = _load(args.q, QMatrix, "Q-matrix")
-    params = DinaParams(_parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g"))
-    p_star = _load_pstar(args.pstar, q.k)
+    q, params, p_star, echo = _load_model(args)
     config = SimConfig(q=q, params=params, p_star=p_star, n=int(args.n), seed=int(args.seed))
     responses, _ = simulate(config)
     out = Path(args.out)
     out.write_text(responses.to_text())
     meta = {
         "schema": "simulate_meta.v1",
-        "q": q.row_strings(),
-        "c": [float(v) for v in params.c],
-        "g": [float(v) for v in params.g],
-        "p_star": p_star.as_dict(),
+        **echo,
         "n": config.n,
         "seed": config.seed,
         "m": q.m,
@@ -283,7 +287,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "out": str(out),
         "version": __version__,
     }
-    Path(str(out) + ".meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _emit_json(meta, f"{out}.meta.json")
     print(f"wrote {out} ({config.n} subjects, {q.m} items) and {out}.meta.json")
     return EXIT_OK
 
@@ -363,27 +367,23 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    q = _load(args.q, QMatrix, "Q-matrix")
-    params = DinaParams(_parse_rates(args.c, q.m, "c"), _parse_rates(args.g, q.m, "g"))
-    p_star = _load_pstar(args.pstar, q.k)
+    q, params, p_star, echo = _load_model(args)
     budget = DEFAULT_BUDGET if args.budget is None else int(args.budget)
     t0 = time.perf_counter()
-    checks: dict[str, dict] = {}
-
-    complete = is_complete(q)
-    checks["completeness"] = {"passed": bool(complete)}
-
     order = ComboOrder.saturated(q.m)
     aug = np.vstack([design(q, params.c, params.g, order), np.ones((1, 1 << q.k))])
     aug_minsv = float(np.linalg.svd(aug, compute_uv=False).min())
-    checks["augmented_rank"] = {
-        "passed": aug_minsv > _RANK_TOL,
-        "min_singular_value": aug_minsv,
-        "min_rate_separation": float(np.abs(params.c - params.g).min()),
+    # an incomplete Q-matrix skips the probe, which says so in ``complete``
+    report_id = check_identifiability(q, params, p_star, budget=budget)
+    checks: dict[str, dict] = {
+        "completeness": {"passed": bool(report_id.complete)},
+        "augmented_rank": {
+            "passed": aug_minsv > _RANK_TOL,
+            "min_singular_value": aug_minsv,
+            "min_rate_separation": float(np.abs(params.c - params.g).min()),
+        },
     }
-
-    if complete:
-        report_id = check_identifiability(q, params, p_star, budget=budget)
+    if report_id.complete:
         checks["identifiability"] = {
             "passed": bool(report_id.identifiable),
             "min_delta": report_id.min_delta,
@@ -403,10 +403,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     all_passed = all(chk.get("passed") is True for chk in checks.values())
     report = {
         "schema": "verify_report.v2",
-        "q": q.row_strings(),
-        "c": [float(v) for v in params.c],
-        "g": [float(v) for v in params.g],
-        "p_star": p_star.as_dict(),
+        **echo,
         "all_passed": all_passed,
         "checks": checks,
         "wall_time": time.perf_counter() - t0,

@@ -713,9 +713,9 @@ def _rate_searches(
     are the same bytes alone or in any stack.
 
     Returns the rates, with each candidate's best point over its starts in
-    its free entries, whether any start converged, and whether a solve of
-    its search stopped at the iteration cap. ``g`` and ``c`` come checked
-    from the caller.
+    its free entries (``_lockstep`` keeps every point inside [0, 1]),
+    whether any start converged, and whether a solve of its search stopped
+    at the iteration cap. ``g`` and ``c`` come checked from the caller.
     """
     c = np.array(c, dtype=float)
     converged = np.zeros(len(pats), dtype=bool)
@@ -741,7 +741,7 @@ def _rate_searches(
             tried = results[j * tries : (j + 1) * tries]
             converged[first + j] = any(res.success for res in tried)
             # the first start wins an exact tie
-            base[j, mask[j]] = np.clip(min(tried, key=lambda res: res.fun).x, 0.0, 1.0)
+            base[j, mask[j]] = min(tried, key=lambda res: res.fun).x
     return c, converged, capped
 
 

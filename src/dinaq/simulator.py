@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import ProfileDistribution, QMatrix
-from .tmatrix import ComboOrder, DinaParams, _kronecker_pass, design
+from .tmatrix import ComboOrder, DinaParams, _single_item_indicators, design, pattern_rates
 
 _PROFILE_STREAM = 0
 _RESPONSE_STREAM = 1
@@ -253,8 +253,7 @@ def capability_matrix(profiles: np.ndarray, q: QMatrix) -> np.ndarray:
     if p.ndim != 2 or p.shape[1] != q.k:
         raise ValueError(f"profiles must be (n, {q.k})")
     masks = p.astype(np.int64) @ (1 << np.arange(q.k, dtype=np.int64))
-    reach = np.array(q.row_masks, dtype=np.int64)
-    return ((masks[:, None] & reach[None, :]) == reach[None, :]).astype(np.uint8)
+    return _single_item_indicators(q.entries, masks).T.astype(np.uint8, order="C")
 
 
 def dina_responses(
@@ -289,9 +288,11 @@ def compute_alpha(responses: ResponseData, order: ComboOrder) -> AlphaVector:
     """Empirical joint success rates for every combination in ``order``.
 
     Counts are exact integer counts divided by N: a subject contributes to
-    combination S when their response row dominates S. Computed with a
-    superset-sum transform over the 2^m pattern lattice, so cost is
-    O(N + m 2^m) rather than O(N |order|).
+    combination S when their response row dominates S. They are the
+    noiseless success map, ``pattern_rates`` at c = 1, g = 0, applied to
+    the counts of the 2^m response patterns: each pass adds the count of a
+    pattern with item i to the one without it, exactly while N < 2^53. Cost
+    is O(N + m 2^m) rather than O(N |order|).
     """
     if order.m != responses.m:
         raise ValueError(f"order is over {order.m} items, responses have {responses.m}")
@@ -299,16 +300,9 @@ def compute_alpha(responses: ResponseData, order: ComboOrder) -> AlphaVector:
     masks = np.zeros(responses.n, dtype=np.int64)
     for i, column in enumerate(responses.values.T):
         masks |= column.astype(np.int64) << i
-    counts = np.bincount(masks, minlength=1 << m).astype(np.int64)
-
-    def step(i, lo, hi, new_lo, new_hi):
-        # superset sum: a pattern without item i also counts those with it
-        np.add(lo, hi, out=new_lo)
-        new_hi[...] = hi
-
-    # totals[s] = number of response rows dominating s, exact in integers
-    totals = _kronecker_pass(counts, step)
-    rates = totals[np.fromiter(order.combos, np.int64, len(order))].astype(np.float64)
+    counts = np.bincount(masks, minlength=1 << m)
+    totals = pattern_rates(counts, np.ones(m), np.zeros(m))
+    rates = totals[np.fromiter(order.combos, np.int64, len(order))]
     return AlphaVector(order, rates / responses.n, n_subjects=responses.n)
 
 

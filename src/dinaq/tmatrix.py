@@ -39,8 +39,11 @@ for c_i when pattern P masters item i and g_i when it does not; then
   over the 2^m lattice, O(m 2^m), since the design over all patterns is
   the Kronecker product of the per-item 2 x 2 factors [[1, 1], [g_i, c_i]].
 
-These passes, and the superset sums of ``simulator.compute_alpha``, all run
-on one lattice pass, ``_kronecker_pass``, each with its own per-item step.
+These passes run on one lattice pass, ``_kronecker_pass``, each with its
+own per-item step. The empirical rates of ``simulator.compute_alpha`` are
+the noiseless success map, ``pattern_rates`` at c = 1, g = 0, applied to
+the counts of the response patterns: at those rates pattern P succeeds on
+combination S exactly when P contains S.
 """
 
 from __future__ import annotations
@@ -146,13 +149,8 @@ class ComboOrder:
         """
         if not 1 <= lead <= m:
             raise ValueError("lead must be in 1..m")
-        if m > MAX_SATURATED_ITEMS:
-            raise ValueError(
-                f"saturated order capped at m <= {MAX_SATURATED_ITEMS}, got {m}"
-            )
-        head = subsets_card_lex(lead)
-        tail = [s for s in subsets_card_lex(m) if s >= (1 << lead)]
-        return cls(m, tuple(head + tail))
+        # a stable sort keeps the saturated order within each part
+        return cls(m, tuple(sorted(cls.saturated(m).combos, key=lambda s: s >= 1 << lead)))
 
     @classmethod
     def from_item_sets(cls, m: int, sets: Iterable[Iterable[int]]) -> "ComboOrder":
@@ -168,8 +166,9 @@ class ComboOrder:
         return cls(m, tuple(combos))
 
 
-def rate_vector(v: Iterable[float], m: int, name: str) -> np.ndarray:
-    """Per-item rates ``v`` as a finite float64 array of shape (m,).
+def unit_rates(v: Iterable[float], m: int, name: str) -> np.ndarray:
+    """Per-item rates ``v`` as a finite float64 array of shape (m,) whose
+    entries all lie in [0, 1].
 
     Raises ValueError for any other shape: a 2-d array holding m numbers is
     rejected, not flattened.
@@ -177,12 +176,6 @@ def rate_vector(v: Iterable[float], m: int, name: str) -> np.ndarray:
     v = np.asarray_chkfinite(v, dtype=np.float64)
     if v.shape != (m,):
         raise ValueError(f"{name} must have length {m}")
-    return v
-
-
-def unit_rates(v: Iterable[float], m: int, name: str) -> np.ndarray:
-    """``rate_vector`` whose entries all lie in [0, 1]."""
-    v = rate_vector(v, m, name)
     if v.min() < 0.0 or v.max() > 1.0:
         raise ValueError(f"{name} entries must lie in [0, 1]")
     return v
@@ -426,9 +419,8 @@ def design(
     c, g = _checked_rates(c, g)
     if g.shape != (m,) or c.shape != (m,):
         raise ValueError(f"c and g must be vectors of length {m}")
-    profiles = subsets_card_lex(k, nonempty=False)
-    factors = np.where(_single_item_indicators(q.entries, profiles), c[:, None], g[:, None])
-    values = np.ones((len(order), len(profiles)), dtype=np.float64)
+    factors = _pattern_factors(patterns(q), c, g)
+    values = np.ones((len(order), 1 << k), dtype=np.float64)
     for i in range(m):
         np.multiply(values, factors[i], out=values, where=order._members[i][:, None])
     return values

@@ -56,6 +56,18 @@ def test_package_exports_what_it_imports():
     assert sorted(set(imported) - set(dinaq.__all__)) == []
 
 
+def test_only_tmatrix_reads_the_lattice_pass():
+    """Every lattice pass runs through one of tmatrix's rate passes, so no
+    other module imports or reads ``_kronecker_pass``."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        if "_kronecker_pass" in names:
+            readers.append(path.name)
+    assert readers == ["tmatrix.py"]
 
 
 def orphaned_privates(sources: dict[str, str]) -> list[str]:

@@ -19,6 +19,7 @@ from dinaq import (
     compute_alpha,
     design,
     dina_responses,
+    ideal_response,
     population_alpha,
     sample_profiles,
     simulate,
@@ -216,6 +217,25 @@ def test_capability_matrix_golden():
         [0, 0, 0],
     ])
     assert np.array_equal(xi, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_capability_matrix_matches_ideal_response(data):
+    """The array rule agrees with core's scalar definition entry by entry,
+    on random Q-matrices and profile lists that repeat profiles."""
+    m, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 4))
+    nonzero_row = st.lists(st.integers(0, 1), min_size=k, max_size=k).filter(any)
+    q = QMatrix(np.array(data.draw(st.lists(nonzero_row, min_size=m, max_size=m))))
+    distinct = data.draw(
+        st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=1, max_size=6)
+    )
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), max_size=20))
+    profiles = np.array([distinct[j] for j in picks], dtype=np.uint8).reshape(-1, k)
+    xi = capability_matrix(profiles, q)
+    assert xi.shape == (len(picks), m)
+    for r, profile in enumerate(profiles):
+        assert [int(v) for v in xi[r]] == [ideal_response(profile, q, i) for i in range(m)]
 
 
 def test_noiseless_responses_equal_capability():

@@ -16,6 +16,7 @@ from dinaq import (
     build_d,
     design,
     ideal_response,
+    subsets_card_lex,
 )
 from dinaq.tmatrix import (
     difference_pass,
@@ -67,6 +68,26 @@ def test_block_order_prefixes_lead_items():
     # combos of the first two items come first, in cardinality-then-lex order
     assert order.combos[:3] == (1, 2, 3)
     assert set(order.combos) == set(range(1, 16))
+    # at every size: the lead items' combinations, then the rest in order
+    for m in range(1, 9):
+        for lead in range(1, m + 1):
+            head = subsets_card_lex(lead)
+            rest = [s for s in subsets_card_lex(m) if s not in head]
+            assert ComboOrder.block(m, lead).combos == tuple(head + rest)
+
+
+@pytest.mark.parametrize(
+    "m, lead, message",
+    [
+        (4, 0, "lead must be in 1..m"),
+        (4, 5, "lead must be in 1..m"),
+        (15, 3, "saturated order capped at m <= 14, got 15"),
+    ],
+)
+def test_block_refuses_bad_lead_and_too_many_items(m, lead, message):
+    with pytest.raises(ValueError) as info:
+        ComboOrder.block(m, lead)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

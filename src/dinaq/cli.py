@@ -23,11 +23,11 @@ underscores), anything else is rejected.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -119,23 +119,16 @@ def _parse_rates(value, m: int, name: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _is_file(path: str) -> bool:
-    try:
-        return Path(path).is_file()
-    except OSError as exc:
-        # a value too long to name a file can only be inline JSON; any other
-        # failure is left to the read, which reports it
-        return exc.errno != errno.ENAMETOOLONG
-
-
 def _load_pstar(value, k: int) -> ProfileDistribution:
     mapping = value
     if isinstance(value, str):
-        text = _read_text(value, "p*") if _is_file(value) else value
+        # inline JSON is an object, so it opens with "{"; any other string
+        # names a file, and a failed read names it
+        text = value if value.lstrip().startswith("{") else _read_text(value, "p*")
         try:
             mapping = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise CliError(f"--pstar is neither a readable file nor JSON: {exc}") from exc
+            raise CliError(f"--pstar is not valid JSON: {exc}") from exc
     if not isinstance(mapping, dict):
         raise CliError("--pstar must be a JSON object of profile label to probability")
     try:
@@ -273,7 +266,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise CliError("--seed is required: every stochastic command must be seeded")
     q, params, p_star, echo = _load_model(args)
-    config = SimConfig(q=q, params=params, p_star=p_star, n=int(args.n), seed=int(args.seed))
+    # a warning about the configuration is one stable stderr line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = SimConfig(q=q, params=params, p_star=p_star, n=int(args.n), seed=int(args.seed))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     responses, _ = simulate(config)
     out = Path(args.out)
     out.write_text(responses.to_text())

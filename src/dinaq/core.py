@@ -36,7 +36,7 @@ MAX_ATTRIBUTES = 10
 
 DEFAULT_BUDGET = 10**7
 
-# column-key tuples unpacked per vectorized step of enumerate_candidates;
+# column-key tuples unpacked per vectorized step of _candidate_blocks;
 # bounds the memory of one step whatever the size of the space
 _ENUM_BLOCK = 1 << 14
 
@@ -119,7 +119,8 @@ class QMatrix:
 
     @classmethod
     def _from_stack(cls, stack: np.ndarray) -> list["QMatrix"]:
-        """One QMatrix per slice of a nonempty (b, m, k) stack of entries.
+        """One QMatrix per slice of a (b, m, k) stack of entries, in order;
+        an empty stack gives [].
 
         The stack passes the constructor's checks once as a whole; each
         matrix holds a read-only view of its slice.
@@ -242,28 +243,11 @@ def canonicalize(q: QMatrix) -> QMatrix:
     return QMatrix(q.entries[:, idx])
 
 
-def enumerate_candidates(
-    m: int, k: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[QMatrix]:
-    """Yield one canonical representative per equivalence class.
-
-    Covers every zero-row-free m x k binary matrix: each such matrix is
-    equivalent to exactly one yielded representative. Enumeration runs
-    directly in canonical space (non-increasing column keys), so no dedup
-    storage is needed and the order is deterministic.
-
-    Column-key tuples are read in blocks of ``_ENUM_BLOCK``. A block keeps
-    the tuples whose columns cover every row, unpacks all their entries
-    with one vectorized shift of the keys and checks them as one stack
-    (``QMatrix._from_stack``). At m = 6, k = 2 all 365 candidates come from
-    one block.
-
-    Raises BudgetExceededError, before the walk starts, when either of its
-    two counts exceeds ``budget``: the raw candidate space (2^k - 1)^m, or
-    the C(2^m + k - 1, k) column-key tuples the walk reads to find the
-    covering ones. Raises ValueError for a NaN budget, which no count would
-    exceed.
-    """
+def _candidate_blocks(m: int, k: int, budget: int) -> Iterator[np.ndarray]:
+    """The canonical candidates of ``enumerate_candidates``, in its order,
+    as checked read-only (b, m, k) uint8 stacks of entries, one per block
+    of column-key tuples, empty where no tuple of the block covers every
+    row; it raises the same errors at the same point."""
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
     if budget != budget:
@@ -286,13 +270,36 @@ def enumerate_candidates(
         itertools.combinations_with_replacement(range(2**m - 1, -1, -1), k)
     )
     while True:
-        block = np.fromiter(itertools.islice(keys, _ENUM_BLOCK * k), np.int64)
+        block = np.fromiter(itertools.islice(keys, _ENUM_BLOCK * k), np.int64).reshape(-1, k)
         if not block.size:
             return
-        block = block.reshape(-1, k)
         block = block[np.bitwise_or.reduce(block, axis=1) == full]
-        if block.size:
-            yield from QMatrix._from_stack((block[:, None, :] >> shifts) & 1)
+        yield _checked_entries((block[:, None, :] >> shifts) & 1)
+
+
+def enumerate_candidates(m: int, k: int, budget: int = DEFAULT_BUDGET) -> Iterator[QMatrix]:
+    """Yield one canonical representative per equivalence class.
+
+    Covers every zero-row-free m x k binary matrix: each such matrix is
+    equivalent to exactly one yielded representative. Enumeration runs
+    directly in canonical space (non-increasing column keys), so no dedup
+    storage is needed and the order is deterministic.
+
+    Column-key tuples are read in blocks of ``_ENUM_BLOCK``. A block keeps
+    the tuples whose columns cover every row, unpacks all their entries
+    with one vectorized shift of the keys and checks them as one stack
+    (``_candidate_blocks``, the source the searches read without building
+    a QMatrix per candidate); this wraps each row of each stack as it is
+    reached. At m = 6, k = 2 all 365 candidates come from one block.
+
+    Raises BudgetExceededError, before the walk starts, when either of its
+    two counts exceeds ``budget``: the raw candidate space (2^k - 1)^m, or
+    the C(2^m + k - 1, k) column-key tuples the walk reads to find the
+    covering ones. Raises ValueError for a NaN budget, which no count would
+    exceed.
+    """
+    for block in _candidate_blocks(m, k, budget):
+        yield from QMatrix._from_stack(block)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,21 +8,23 @@ candidate's slip-guess design; the fitted Q-matrix is the score minimizer
 over canonical candidates.
 
 Both searches and the identifiability probe are three configurations of
-one pipeline (``_search``): a candidate source, the enumeration of
-canonical candidates, less the truth for the probe; a rate policy, which
-gives each candidate its capable rates, the items whose rates are still
-free and whether it is fitted at all; then one rate search over the
-candidates with a free item and one exact screen of the fitted ones. The
-policies are fixed rates (``estimate_q``), a moment stage followed by a
-search of the uncovered items (``estimate_q_unknown_c``), and a search of
-every item (``check_identifiability``). A candidate's fit depends on it
-only through the capability patterns its profiles induce, so the
-pipeline stacks the candidates once, as (b, m, k) entries and (b, 2^k)
+one pipeline (``_search``): a candidate source, the entry blocks of the
+enumeration of canonical candidates, less the truth for the probe; a
+rate policy, which gives each candidate its capable rates, the items
+whose rates are still free and whether it is fitted at all; then one
+rate search over the candidates with a free item and one exact screen of
+the fitted ones. The policies are fixed rates (``estimate_q``), a moment
+stage followed by a search of the uncovered items
+(``estimate_q_unknown_c``), and a search of every item
+(``check_identifiability``). A candidate's fit depends on it only
+through the capability patterns its profiles induce, so the pipeline
+joins the blocks once into (b, m, k) entries, takes their (b, 2^k)
 patterns, and every stage reads rows of those stacks. It returns one
 array record: the scores, the fits, the rates and a (b, 4) array of
 flags of what went wrong in each fit; the search results' notes and the
 probe's sentences are read from those flags through one table
-(``_NOTES``).
+(``_NOTES``). A QMatrix is built only for a candidate that a result
+names.
 
 The screen builds no design: it runs the simplex solver on a stack of
 candidates' closed-form Gram systems and reads each score from the exact
@@ -63,8 +65,8 @@ from .core import (
     DEFAULT_BUDGET,
     ProfileDistribution,
     QMatrix,
+    _candidate_blocks,
     canonicalize,
-    enumerate_candidates,
     is_complete,
 )
 from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
@@ -283,36 +285,38 @@ def _check_tie_tol(tie_tol: float) -> None:
 
 
 def _result(
-    candidates: list[QMatrix],
+    entries: np.ndarray,
     scores: np.ndarray,
     x: np.ndarray,
     flags: np.ndarray,
     rates: np.ndarray,
     tie_tol: float,
 ) -> EstimationResult:
-    """The result of a search from its candidates and its array record
-    (``_search``): the (b,) scores, the (b, 2^k) fits x, the (b, 4)
-    ``_NOTES`` flags and the rates. The winner is the first candidate whose
-    score is within ``_WINNER_TOL`` of the least, the ties are the
-    candidates within ``tie_tol`` of the winner's score, the winner's x
-    gives ``p_tilde`` and, where the search recovered each candidate's
-    rates (a (b, m) stack, the unknown-c search), a copy of the winner's
-    row gives ``c_hat``; known rates, one (m,) vector, give none. A
-    candidate's note is that of its first set flag ("degenerate",
+    """The result of a search from its (b, m, k) candidate entries and its
+    array record (``_search``): the (b,) scores, the (b, 2^k) fits x, the
+    (b, 4) ``_NOTES`` flags and the rates. The winner is the first
+    candidate whose score is within ``_WINNER_TOL`` of the least, the ties
+    are the candidates within ``tie_tol`` of the winner's score, the
+    winner's x gives ``p_tilde`` and, where the search recovered each
+    candidate's rates (a (b, m) stack, the unknown-c search), a copy of the
+    winner's row gives ``c_hat``; known rates, one (m,) vector, give none.
+    A candidate's note is that of its first set flag ("degenerate",
     "unconverged", "capped"), and under each note that some candidate
-    carries ``diagnostics`` lists the candidates carrying it."""
+    carries ``diagnostics`` lists the candidates carrying it. Only the
+    candidates the result names, the winner, the ties and those listed,
+    become QMatrix objects."""
     best = int(np.argmax(scores <= scores.min() + _WINNER_TOL))
     names = np.array([name for name, _ in _NOTES])
     notes = np.where(flags.any(axis=1), names[flags.argmax(axis=1)], "")
     return EstimationResult(
-        q_hat=candidates[best],
+        q_hat=QMatrix(entries[best]),
         score=float(scores[best]),
-        ties=tuple(candidates[i] for i in np.flatnonzero(scores <= scores[best] + tie_tol)),
-        p_tilde=ProfileDistribution(candidates[best].k, x[best]),
-        n_candidates=len(candidates),
+        ties=tuple(QMatrix._from_stack(entries[scores <= scores[best] + tie_tol])),
+        p_tilde=ProfileDistribution(entries.shape[2], x[best]),
+        n_candidates=len(entries),
         c_hat=rates[best].copy() if rates.ndim == 2 else None,
         diagnostics={
-            note: tuple(candidates[i] for i in np.flatnonzero(notes == note))
+            note: tuple(QMatrix._from_stack(entries[notes == note]))
             for note in sorted(set(notes.tolist()) - {""})
         },
     )
@@ -814,10 +818,11 @@ def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, s
     The entry checks ``tie_tol``, the saturated order, and ``params`` or
     ``g`` against the rates' m, before any work. The candidates are
     ``enumerate_candidates``' in enumeration order, less ``truth`` when it
-    is given, stacked once: every stage reads rows of their (b, m, k)
-    entries or of their (b, 2^k) patterns (``patterns``). The rate policy
-    gives each candidate its capable rates, the mask of its free items and
-    whether it is fitted:
+    is given, read as the entry blocks of its source (``_candidate_blocks``)
+    and joined once, with no QMatrix built for them: every stage reads rows
+    of their (b, m, k) entries or of their (b, 2^k) patterns
+    (``patterns``). The rate policy gives each candidate its capable
+    rates, the mask of its free items and whether it is fitted:
 
     - ``params`` alone (``estimate_q``): ``params.c``, one (m,) vector for
       every candidate; no item is free and every candidate is fitted;
@@ -834,10 +839,10 @@ def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, s
     their best points into the rates, and one ``_screen`` call fits every
     fitted candidate at its rates.
 
-    Returns the candidates and one array record: the (b,) scores, the
-    (b, 2^k) fits x, the (b, 4) ``_NOTES`` flags and the rates. An
-    unfitted candidate has x 0 and scores +inf, or 0.0 in the probe, where
-    its patterns certify an exact fit.
+    Returns the (b, m, k) candidate entries and one array record: the (b,)
+    scores, the (b, 2^k) fits x, the (b, 4) ``_NOTES`` flags and the
+    rates. An unfitted candidate has x 0 and scores +inf, or 0.0 in the
+    probe, where its patterns certify an exact fit.
     """
     _check_tie_tol(tie_tol)
     _require_saturated(alpha)
@@ -845,9 +850,10 @@ def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, s
     if params is not None and params.m != m:
         raise ValueError(f"params cover {params.m} items, rates cover {m}")
     g = unit_rates(g, m, "g") if params is None else params.g
-    cands = [cand for cand in enumerate_candidates(m, k, budget) if truth is None or cand != truth]
-    b = len(cands)
-    entries = np.array([cand.entries for cand in cands], dtype=np.uint8).reshape(b, m, k)
+    entries = np.concatenate(list(_candidate_blocks(m, k, budget)))
+    if truth is not None:
+        entries = entries[(entries != truth.entries).any(axis=(1, 2))]
+    b = len(entries)
     pats = patterns(entries)
     flags = np.zeros((b, len(_NOTES)), dtype=bool)
     # the rate policy: each candidate's rates and free items, and which
@@ -871,7 +877,7 @@ def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, s
     fitted_rates = rates[fitted] if rates.ndim == 2 else rates
     scores[fitted], finished, x[fitted] = _screen(pats[fitted], fitted_rates, g, alpha)
     flags[fitted, 2] = ~finished
-    return cands, scores, x, flags, rates
+    return entries, scores, x, flags, rates
 
 
 def estimate_q(
@@ -891,14 +897,13 @@ def estimate_q(
     of the winner.
 
     This is the search pipeline (``_search``) at the fixed rates of
-    ``params``: the candidates arrive from ``enumerate_candidates``
-    unpacked and checked as one stack, none is searched, and each chunk of
-    candidates is scored by one stacked exact solve on its closed-form
-    Gram systems (``_screen``), with each score read from the exact
-    residual through the pattern lattice. The winner's solve gives
-    ``p_tilde``. A candidate whose solve stopped at the solver's iteration
-    cap keeps its rank and is listed in diagnostics["capped"], the only
-    list this search can fill.
+    ``params``: the candidates arrive as checked blocks of entries, none
+    is searched, and each chunk of candidates is scored by one stacked
+    exact solve on its closed-form Gram systems (``_screen``), with each
+    score read from the exact residual through the pattern lattice. The
+    winner's solve gives ``p_tilde``. A candidate whose solve stopped at
+    the solver's iteration cap keeps its rank and is listed in
+    diagnostics["capped"], the only list this search can fill.
 
     Raises ValueError, before any work, for a negative or NaN ``tie_tol``,
     and BudgetExceededError when the enumeration exceeds ``budget``.
@@ -1135,12 +1140,12 @@ def check_identifiability(
             )
         alpha = population_alpha(q, params, p_star, ComboOrder.saturated(q.m))
         support = np.unique(patterns(q)[p_star.probs > 0.0])
-        cands, scores, _, flags, _ = _search(
+        entries, scores, _, flags, _ = _search(
             alpha, q.k, budget, params=params, truth=canonicalize(q), support=support
         )
-        deltas = list(zip(cands, scores.tolist()))
+        deltas = list(zip(QMatrix._from_stack(entries), scores.tolist()))
         for i in np.flatnonzero(flags.any(axis=1)):
-            name = ",".join(cands[i].row_strings())
+            name = ",".join(deltas[i][0].row_strings())
             notes += [text.format(name) for (_, text), on in zip(_NOTES, flags[i]) if on and text]
     return IdentifiabilityReport(
         q=q,

@@ -119,6 +119,27 @@ def test_undecodable_pstar_file(workdir, capsys):
     assert "cannot read p* file bad.json: " in capsys.readouterr().err
 
 
+def test_missing_pstar_file_exits_3(workdir, capsys):
+    # a value that does not open with "{" is a path, so a misspelled one
+    # is reported as a file that cannot be read, not as bad JSON
+    code = run([
+        "simulate", "--q", "q.txt", "--pstar", "missing.json",
+        "--c", "0.9", "--g", "0.1", "--n", "10", "--seed", "1", "--out", "x.txt",
+    ])
+    assert code == 3
+    assert "cannot read p* file missing.json: " in capsys.readouterr().err
+
+
+def test_simulate_zero_mass_warning_is_one_line(workdir, capsys):
+    code = run([
+        "simulate", "--q", "q.txt", "--pstar", '{"11": 1}',
+        "--c", "0.9", "--g", "0.1", "--n", "10", "--seed", "1", "--out", "x.txt",
+    ])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err == "warning: profile distribution has zero-probability profiles\n"
+
+
 def test_undecodable_config_file(workdir, capsys):
     (workdir / "bad.json").write_bytes(b"\xff\xfe{}")
     code = run(["estimate", "--config", "bad.json"])

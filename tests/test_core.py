@@ -141,6 +141,11 @@ def test_qmatrix_entry_checks_golden(entries, message):
     assert str(stacked.value) == message
 
 
+def test_from_stack_of_no_matrices_is_empty():
+    # the probe of the complete k = 1 Q-matrix 1,1 leaves no candidate
+    assert QMatrix._from_stack(np.zeros((0, 2, 1), dtype=np.uint8)) == []
+
+
 def test_qmatrix_equality_and_hash():
     a = golden_q()
     b = QMatrix.from_rows(GOLDEN_ROWS)

@@ -270,16 +270,59 @@ def test_winner_is_first_within_rounding_of_least_score():
     does not win, and one 1e-9 below does. Score and p_tilde are the
     winner's; the ties hold both."""
     cands = list(enumerate_candidates(3, 2, budget=10**6))[:2]
+    entries = np.stack([cand.entries for cand in cands])
     xs = [np.array([0.1, 0.2, 0.3, 0.4]), np.array([0.4, 0.3, 0.2, 0.1])]
     for gap, winner in [(1e-16, 0), (1e-9, 1)]:
         scores = [0.01, 0.01 - gap]
         assert scores[1] < scores[0]
         flags, rates = np.zeros((2, 4), dtype=bool), np.zeros(3)
-        res = _result(cands, np.array(scores), np.array(xs), flags, rates, 1e-7)
+        res = _result(entries, np.array(scores), np.array(xs), flags, rates, 1e-7)
         assert res.q_hat == cands[winner]
         assert res.score == scores[winner]
         assert res.p_tilde.probs.tobytes() == xs[winner].tobytes()
         assert res.ties == tuple(cands)
+
+
+def test_searches_build_qmatrix_objects_only_for_named_candidates(monkeypatch):
+    """Both searches read their candidates as entry stacks: the only QMatrix
+    objects they build are the winner, the ties and the candidates the
+    diagnostics list, not one per candidate (365 at m = 6, k = 2)."""
+    q = QMatrix.from_rows(["10", "01", "11", "10", "01", "11"])
+    params = noisy_params(0.9, 0.1, m=6)
+    alpha = population_alpha(q, params, UNIFORM, ComboOrder.saturated(6))
+    built = []
+    from_stack, post_init = QMatrix._from_stack.__func__, QMatrix.__post_init__
+
+    def counted_from_stack(cls, stack):
+        out = from_stack(cls, stack)
+        built.extend(out)
+        return out
+
+    def counted_post_init(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(QMatrix, "_from_stack", classmethod(counted_from_stack))
+    monkeypatch.setattr(QMatrix, "__post_init__", counted_post_init)
+    for search in (lambda: estimate_q(alpha, params, 2),
+                   lambda: estimate_q_unknown_c(alpha, params.g, 2)):
+        built.clear()
+        res = search()
+        assert res.n_candidates == 365
+        named = 1 + len(res.ties) + sum(len(listed) for listed in res.diagnostics.values())
+        assert len(built) <= named
+
+
+def test_tie_set_spans_enumeration_blocks_in_order():
+    """With every candidate tied, the tie set is the public enumeration: at
+    m = 6, k = 3 the walk reads three blocks of column-key tuples, so the
+    searches' entry stack keeps the enumerator's order across blocks."""
+    q = QMatrix.from_rows(["100", "010", "001", "110", "011", "101"])
+    params = noisy_params(0.9, 0.1, m=6)
+    p_star = ProfileDistribution.uniform(3)
+    alpha = population_alpha(q, params, p_star, ComboOrder.saturated(6))
+    res = estimate_q(alpha, params, 3, tie_tol=float("inf"))
+    assert res.ties == tuple(enumerate_candidates(6, 3))
 
 
 def test_estimate_q_score_table():

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ProfileDistribution, QMatrix
+from .core import MAX_ITEMS, ProfileDistribution, QMatrix
 from .tmatrix import ComboOrder, DinaParams, _single_item_indicators, design, pattern_rates
 
 _PROFILE_STREAM = 0
@@ -78,6 +78,34 @@ def _stripped_lines(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         moving = moving[starts[moving] < ends[moving]]
     nonblank = starts < ends
     return starts[nonblank], ends[nonblank]
+
+
+def _written_layout(text: str) -> np.ndarray | None:
+    """The (N, m) uint8 cells of ``text`` when it is exactly the layout that
+    ``ResponseData.to_text`` writes, else None.
+
+    The layout is an "m=<m>" header with m in canonical decimal, then N >= 1
+    rows of m "0"/"1" bytes, each ending in "\\n". m is read off the first
+    row; a header that does not spell it, a row of another length, or any
+    other byte sends the text to the general reader.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    # with no newline at all both finds give -1, and so m = -1
+    head = raw.find(b"\n")
+    m = raw.find(b"\n", head + 1) - head - 1
+    if m < 1 or raw[:head] != b"m=%d" % m:
+        return None
+    body = np.frombuffer(raw, np.uint8, offset=head + 1)
+    if body.size % (m + 1):
+        return None
+    rows = body.reshape(-1, m + 1)
+    if not (rows[:, m] == ord("\n")).all():
+        return None
+    # "0" and "1" are 48 and 49; every other byte wraps or lands above 1
+    cells = rows[:, :m] - np.uint8(ord("0"))
+    return cells if cells.max() <= 1 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +190,18 @@ class ResponseData:
         short, too long or holding any other character, is named in the
         error.
 
-        The text is read in whole-array passes over its code points, with no
-        work per line in Python: bytes when it is ASCII, as every file
-        ``to_text`` writes is, UTF-32 otherwise.
+        Text in the layout that ``to_text`` writes (an "m=<m>" header, then
+        rows of exactly m "0"/"1" bytes, each ending in "\\n", and nothing
+        else) is checked in a few whole-array passes and read as one reshape
+        of its bytes. Any other text goes to the general reader, which
+        accepts every layout above, gives the same matrix, and raises every
+        error. It too works in whole-array passes over the code points, with
+        no work per line in Python: bytes when the text is ASCII, UTF-32
+        otherwise.
         """
+        cells = _written_layout(text)
+        if cells is not None:
+            return cls._from_checked(cells)
         if text.isascii():
             cp = np.frombuffer(text.encode("ascii"), np.uint8)
         else:
@@ -293,13 +329,24 @@ def compute_alpha(responses: ResponseData, order: ComboOrder) -> AlphaVector:
     the counts of the 2^m response patterns: each pass adds the count of a
     pattern with item i to the one without it, exactly while N < 2^53. Cost
     is O(N + m 2^m) rather than O(N |order|).
+
+    Each subject's row mask is built in the narrowest unsigned dtype that
+    holds m bits (8, 16 or 32), one column pass at that width. The count
+    array has 2^m cells whatever the order, so m is capped at ``MAX_ITEMS``
+    (20), the most any ``QMatrix`` holds; a wider matrix raises
+    ``ValueError`` before any work.
     """
-    if order.m != responses.m:
-        raise ValueError(f"order is over {order.m} items, responses have {responses.m}")
     m = responses.m
-    masks = np.zeros(responses.n, dtype=np.int64)
+    if m > MAX_ITEMS:
+        raise ValueError(
+            f"compute_alpha counts all 2^m response patterns, capped at m <= {MAX_ITEMS}, got {m}"
+        )
+    if order.m != m:
+        raise ValueError(f"order is over {order.m} items, responses have {m}")
+    width = np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
+    masks = np.zeros(responses.n, dtype=width)
     for i, column in enumerate(responses.values.T):
-        masks |= column.astype(np.int64) << i
+        masks |= column.astype(width, copy=False) << width(i)
     counts = np.bincount(masks, minlength=1 << m)
     totals = pattern_rates(counts, np.ones(m), np.zeros(m))
     rates = totals[np.fromiter(order.combos, np.int64, len(order))]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinaq import ResponseData
-from dinaq.simulator import _LINE_BREAKS, _WHITESPACE
+from dinaq.simulator import _LINE_BREAKS, _WHITESPACE, _written_layout
 
 
 def reference_from_text(text: str) -> ResponseData:
@@ -99,5 +99,22 @@ def test_from_text_matches_reference_non_ascii(text):
 @pytest.mark.parametrize("n, m", [(1, 1), (300, 5), (2000, 12)])
 def test_from_text_matches_reference_on_to_text(n, m):
     text = ResponseData(np.random.default_rng(n + m).integers(0, 2, (n, m))).to_text()
-    for variant in (text, text.replace("\n", "\r\n"), text.replace("\n", " \n\t")):
+    body = text.partition("\n")[2]
+    last = len(text) - 2  # the last cell
+    shift = len(text) - m - 2  # the newline that ends the next-to-last row
+    near_misses = (
+        text[:-1],  # no final newline
+        text + "\n",  # one extra trailing newline
+        text[:last] + "2" + text[last + 1 :],  # one cell "2"
+        text[:last] + "\x00" + text[last + 1 :],  # a NUL in a cell
+        text[:-2] + "\n",  # the last row a byte short
+        f"m=0{m}\n" + body,  # a header that does not spell m canonically
+        f"m={m + 1}\n" + body,  # a header that disagrees with the rows
+        # the next-to-last row a byte short and the last a byte long
+        text[: shift - 1] + "\n" + text[shift - 1] + text[shift + 1 :],
+    )
+    assert _written_layout(text) is not None
+    for variant in near_misses:
+        assert _written_layout(variant) is None
+    for variant in (text, text.replace("\n", "\r\n"), text.replace("\n", " \n\t"), *near_misses):
         assert _outcome(ResponseData.from_text, variant) == _outcome(reference_from_text, variant)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinaq import (
+    MAX_ITEMS,
+    MAX_SATURATED_ITEMS,
     AlphaVector,
     ComboOrder,
     DinaParams,
@@ -311,12 +313,30 @@ def test_compute_alpha_matches_naive_count(seed):
     assert alpha.n_subjects == 777
 
 
-def test_compute_alpha_m5():
+@pytest.mark.parametrize("m", [5, 8, 9, 16, 17])
+def test_compute_alpha_mask_widths(m):
+    # the row masks are 8 bits wide up to m = 8, 16 up to m = 16 and 32
+    # above, so 8, 9, 16 and 17 cross each width change; past the saturated
+    # cap the order is explicit, as in test_compute_alpha_m20
     rng = np.random.default_rng(17)
-    resp = ResponseData(rng.integers(0, 2, size=(300, 5)).astype(np.uint8))
-    order = ComboOrder.saturated(5)
+    resp = ResponseData(rng.integers(0, 2, size=(300, m)).astype(np.uint8))
+    if m <= MAX_SATURATED_ITEMS:
+        order = ComboOrder.saturated(m)
+    else:
+        top = 1 << (m - 1)
+        combos = [1 << i for i in range(m)] + [top | 1, top | (top >> 1), (1 << m) - 1]
+        order = ComboOrder(m, tuple(combos))
     alpha = compute_alpha(resp, order)
     np.testing.assert_array_equal(alpha.rates, _naive_alpha(resp, order))
+
+
+@pytest.mark.parametrize("m", [21, 40])
+def test_compute_alpha_refuses_more_than_max_items(m):
+    # the count array has 2^m cells whatever the order; at m = 40 numpy
+    # would be asked for 8 TiB, so the cap must come before any allocation
+    resp = ResponseData(np.ones((3, m), dtype=np.uint8))
+    with pytest.raises(ValueError, match=f"m <= {MAX_ITEMS}, got {m}"):
+        compute_alpha(resp, ComboOrder.singles(m))
 
 
 def test_compute_alpha_m20():

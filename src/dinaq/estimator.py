@@ -19,12 +19,20 @@ stage followed by a search of the uncovered items
 (``check_identifiability``). A candidate's fit depends on it only
 through the capability patterns its profiles induce, so the pipeline
 joins the blocks once into (b, m, k) entries, takes their (b, 2^k)
-patterns, and every stage reads rows of those stacks. It returns one
-array record: the scores, the fits, the rates and a (b, 4) array of
+patterns, and every stage reads rows of those stacks. It runs for one
+or more groups of items of one size at once, one row per group and
+candidate, each group with its own target and rates (``_Targets``); a
+search of all the items is the one-group case. It returns one array
+record per group: the scores, the fits, the rates and a (b, 4) array of
 flags of what went wrong in each fit; the search results' notes and the
 probe's sentences are read from those flags through one table
 (``_NOTES``). A QMatrix is built only for a candidate that a result
 names.
+
+``split_estimate`` reads the response rows once, into their observed
+patterns and counts, takes each group's rates from them
+(``simulator._group_alpha``), and searches all groups of one size in one
+pipeline call; the groups' results are then stitched in order.
 
 The screen builds no design: it runs the simplex solver on a stack of
 candidates' closed-form Gram systems and reads each score from the exact
@@ -63,13 +71,21 @@ import numpy as np
 
 from .core import (
     DEFAULT_BUDGET,
+    MAX_ITEMS,
+    BudgetExceededError,
     ProfileDistribution,
     QMatrix,
     _candidate_blocks,
     canonicalize,
     is_complete,
 )
-from .simulator import AlphaVector, ResponseData, compute_alpha, population_alpha
+from .simulator import (
+    AlphaVector,
+    ResponseData,
+    _group_alpha,
+    _response_patterns,
+    population_alpha,
+)
 from .solver import LsqSolution, _gram_active_set, simplex_lsq
 from .tmatrix import (
     ComboOrder,
@@ -217,64 +233,117 @@ def _by_mask(alpha: AlphaVector) -> np.ndarray:
     return target
 
 
-def _pattern_residuals(
-    pats: np.ndarray, x: np.ndarray, c: np.ndarray, g: np.ndarray, target: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The weights of a stack of simplex points x on the candidates' (b, n)
-    patterns, summed by pattern (equal patterns share a cell), and the exact
-    residuals M x - alpha by combination bitmask (``pattern_rates``), with
-    the empty combination's entry, the total mass, put to 0. ``c`` is an
-    (m,) vector or a (b, m) stack."""
-    count, size = pats.shape[0], target.size
-    slots = (np.arange(count)[:, None] * size + pats).ravel()
-    weights = np.bincount(slots, x.ravel(), count * size).reshape(count, size)
-    resid = pattern_rates(weights, c, g) - target
-    resid[:, 0] = 0.0
-    return weights, resid
+@dataclass(frozen=True, eq=False)
+class _Targets:
+    """What a stack of candidate rows is fitted to, one entry per group of
+    items: ``rates``, the (G, 2^m) saturated success rates by bitmask
+    (``_by_mask``), ``g``, the (G, m) guessing rates, and ``c``, the (G, m)
+    capable rates where they are fixed, else None. ``own`` is the (b,)
+    group of each row, nondecreasing; indexing takes rows."""
+
+    rates: np.ndarray
+    g: np.ndarray
+    c: np.ndarray | None
+    own: np.ndarray
+
+    def __getitem__(self, rows) -> "_Targets":
+        return _Targets(self.rates, self.g, self.c, self.own[rows])
+
+    def segments(self) -> list[tuple[int, slice]]:
+        """The group and the slice of each run of rows that share a group."""
+        if self.own[0] == self.own[-1]:
+            return [(int(self.own[0]), slice(None))]
+        cuts = (np.flatnonzero(self.own[1:] != self.own[:-1]) + 1).tolist()
+        ends = [0, *cuts, len(self.own)]
+        return [(int(self.own[lo]), slice(lo, hi)) for lo, hi in zip(ends, ends[1:])]
+
+    def by_row(self, values: np.ndarray) -> np.ndarray:
+        """The rows' entries of a per-group (G, m) array: one (m,) vector
+        when every row is of one group, else a (b, m) stack."""
+        first = self.own[0]
+        return values[first] if first == self.own[-1] else values[self.own]
+
+
+def _as_targets(alpha, g, count: int, fixed=None) -> _Targets:
+    """The targets of a stack of ``count`` rows: ``alpha`` itself when it
+    is a ``_Targets``; an AlphaVector is one group, every row fitted to
+    its rates at guessing rates ``g``, and at capable rates ``fixed`` when
+    they are given."""
+    if isinstance(alpha, _Targets):
+        return alpha
+    return _Targets(
+        _by_mask(alpha)[None],
+        np.asarray(g, dtype=float)[None],
+        None if fixed is None else np.asarray(fixed, dtype=float)[None],
+        np.zeros(count, dtype=np.intp),
+    )
 
 
 def _pattern_fits(
-    pats: np.ndarray, c: np.ndarray, g: np.ndarray, target: np.ndarray
+    pats: np.ndarray, c: np.ndarray | None, targets: _Targets
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The exact simplex fits of a stack of candidates, given by their
-    (b, n) patterns, to the saturated-order rates ``target`` (by bitmask,
-    ``_by_mask``), without building their designs.
+    """The exact simplex fits of a stack of candidate rows, given by their
+    (b, n) patterns, to the saturated rates of their groups (``targets``),
+    without building their designs.
 
-    ``c`` is an (m,) vector or a (b, m) stack. The solve runs on the
-    closed-form Gram systems (``pattern_gram``, with ``pattern_moments`` of
-    the target gathered by pattern); the residual is read through the
-    pattern lattice (``_pattern_residuals``), never from the Gram form.
-    Returns the minimizers x, whether each solve finished rather than
-    stopping at the iteration cap, and the pattern weights and residuals of
-    x. Every operation acts on each problem alone.
+    ``c`` holds the rows' (b, m) capable rates, or is None for the fixed
+    rates of their groups. The solve runs on the closed-form Gram systems
+    (``pattern_gram``) with ``pattern_moments`` of each group's target
+    gathered by pattern, one pass per group at fixed rates and one per row
+    otherwise, and every row in one stacked solve. The residual is read
+    through the pattern lattice (``pattern_rates`` of the weights of x on
+    the patterns, equal patterns sharing a cell, less each group's
+    target), never from the Gram form, with the empty combination's entry,
+    the total mass, put to 0. Returns the minimizers x, whether each solve
+    finished rather than stopping at the iteration cap, and the pattern
+    weights and residuals of x. Every operation acts on each row alone.
     """
-    lin = np.take_along_axis(np.atleast_2d(pattern_moments(target, c, g)), pats, axis=1)
+    segments = targets.segments()
+    lin = np.empty(pats.shape)
+    for j, rows in segments:
+        rates = targets.c[j] if c is None else c[rows]
+        moments = np.atleast_2d(pattern_moments(targets.rates[j], rates, targets.g[j]))
+        lin[rows] = np.take_along_axis(moments, pats[rows], axis=1)
+    c = targets.by_row(targets.c) if c is None else c
+    g = targets.by_row(targets.g)
     x, finished, _ = _gram_active_set(pattern_gram(pats, c, g), lin)
-    return (x, finished, *_pattern_residuals(pats, x, c, g, target))
+    count, size = pats.shape[0], targets.rates.shape[1]
+    slots = (np.arange(count)[:, None] * size + pats).ravel()
+    weights = np.bincount(slots, x.ravel(), count * size).reshape(count, size)
+    resid = pattern_rates(weights, c, g)
+    for j, rows in segments:
+        resid[rows] -= targets.rates[j]
+    resid[:, 0] = 0.0
+    return x, finished, weights, resid
 
 
 def _screen(
-    pats: np.ndarray, c: np.ndarray, g: np.ndarray, alpha: AlphaVector
+    pats: np.ndarray, c: np.ndarray | None, g: np.ndarray | None, alpha
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact scores of same-shape candidates at known rates.
+    """Exact scores of same-shape candidate rows at known rates.
 
-    The candidates are the rows of a (b, 2^k) pattern stack (``patterns``),
-    possibly empty. Candidate i is scored at capable rates ``c[i]`` when
-    ``c`` is a (b, m) stack, ``c`` otherwise. Consecutive chunks of at
-    most ``_CANDIDATE_CHUNK`` rows are fitted in turn, each by one stacked
-    exact solve (``_pattern_fits``) that builds no design.
+    The rows are those of a (b, 2^k) pattern stack (``patterns``),
+    possibly empty. ``alpha`` is an AlphaVector that every row is fitted
+    to at guessing rates ``g``, or a ``_Targets`` that gives each row's
+    group (``g`` is then unused). Row i is scored at capable rates
+    ``c[i]`` when ``c`` is a (b, m) stack, at ``c`` when it is one vector,
+    and at its group's fixed rates when it is None. Consecutive chunks of
+    at most ``_CANDIDATE_CHUNK`` rows, across groups, are fitted in turn,
+    each by one stacked exact solve (``_pattern_fits``) that builds no
+    design.
 
-    Returns three arrays in candidate order: the (b,) scores, each |r| at
-    the minimizer, the (b,) flags of the solves that finished rather than
+    Returns three arrays in row order: the (b,) scores, each |r| at the
+    minimizer, the (b,) flags of the solves that finished rather than
     stopping at the iteration cap, and the (b, 2^k) minimizers x.
     """
-    target = _by_mask(alpha)
+    fixed = c is None or np.ndim(c) == 1
+    targets = _as_targets(alpha, g, len(pats), c if fixed else None)
     b = len(pats)
     scores, finished, x = np.empty(b), np.empty(b, dtype=bool), np.empty(pats.shape)
     for start in range(0, b, _CANDIDATE_CHUNK):
         chunk = slice(start, start + _CANDIDATE_CHUNK)
-        rates = c[chunk] if c.ndim == 2 else c
-        x[chunk], finished[chunk], _, resid = _pattern_fits(pats[chunk], rates, g, target)
+        rates = None if fixed else c[chunk]
+        x[chunk], finished[chunk], _, resid = _pattern_fits(pats[chunk], rates, targets[chunk])
         scores[chunk] = np.sqrt((resid * resid).sum(axis=1))
     return scores, finished, x
 
@@ -304,7 +373,11 @@ def _result(
     "unconverged", "capped"), and under each note that some candidate
     carries ``diagnostics`` lists the candidates carrying it. Only the
     candidates the result names, the winner, the ties and those listed,
-    become QMatrix objects."""
+    become QMatrix objects. Raises DegenerateSampleError when no candidate
+    was fitted, which only the moment policy's degenerate candidates
+    leave."""
+    if flags[:, 0].all():
+        raise DegenerateSampleError("every candidate has a degenerate moment system")
     best = int(np.argmax(scores <= scores.min() + _WINNER_TOL))
     names = np.array([name for name, _ in _NOTES])
     notes = np.where(flags.any(axis=1), names[flags.argmax(axis=1)], "")
@@ -430,15 +503,19 @@ def moment_slip(q: QMatrix, g, beta: np.ndarray, item: int, cover: int) -> float
     return float(np.clip(g[item] + num / den, 0.0, 1.0))
 
 
-def _rate_objective(pats: np.ndarray, g: np.ndarray, alpha: AlphaVector):
-    """The rate searches' objective for the candidates of a (b, 2^k) pattern
-    stack: ``_SLIP_SCALE`` times the squared score, and its gradient in
-    every item's capable rate, built from no design.
+def _rate_objective(pats: np.ndarray, g, alpha):
+    """The rate searches' objective for the candidate rows of a (b, 2^k)
+    pattern stack: ``_SLIP_SCALE`` times the squared score, and its
+    gradient in every item's capable rate, built from no design.
 
-    Returns ``evaluate(rows, c)``: for each j, candidate ``rows[j]`` of the
-    stack at the capable rates ``c[j]``, a (b, m) stack. It gives the (b,)
-    values, the (b, m) gradients and whether a solve stopped at the
-    solver's iteration cap. ``g`` comes checked from the caller.
+    ``alpha`` is an AlphaVector that every row is fitted to at guessing
+    rates ``g``, or a ``_Targets`` that gives each row's group (``g`` is
+    then unused). Returns ``evaluate(rows, c)``: for each j, row
+    ``rows[j]`` of the stack at the capable rates ``c[j]``, a (b, m)
+    stack. It gives the (b,) values, the (b, m) gradients and whether a
+    solve stopped at the solver's iteration cap. ``g`` comes checked from
+    the caller. Where the rows are of several groups, they are fitted in
+    the order of their groups and the results put back in the order asked.
 
     The simplex fit x is the screen's exact solve on the closed-form Gram
     systems (``_pattern_fits``), and the residual is read through the
@@ -453,8 +530,9 @@ def _rate_objective(pats: np.ndarray, g: np.ndarray, alpha: AlphaVector):
     each problem alone, so a problem's results are the same bytes whatever
     else is in the stack.
     """
-    target = _by_mask(alpha)
-    m, size = alpha.order.m, target.size
+    targets = _as_targets(alpha, g, len(pats))
+    m, size = targets.g.shape[1], targets.rates.shape[1]
+    several = np.unique(targets.own).size > 1
     # bits[i, S]: item i belongs to combination S, or pattern S masters it
     bits = (np.arange(size) >> np.arange(m)[:, None]) & 1 == 1
     unit = np.eye(m, dtype=bool)
@@ -463,16 +541,26 @@ def _rate_objective(pats: np.ndarray, g: np.ndarray, alpha: AlphaVector):
     span = max(1, _CANDIDATE_CHUNK // m)
 
     def evaluate(rows: np.ndarray, c: np.ndarray):
-        _, finished, weights, resid = _pattern_fits(pats[rows], c, g, target)
+        if several:
+            order = np.argsort(targets.own[rows], kind="stable")
+            rows, c = rows[order], c[order]
+        part_targets = targets[rows]
+        _, finished, weights, resid = _pattern_fits(pats[rows], c, part_targets)
+        g = part_targets.by_row(part_targets.g)
         grad = np.empty(c.shape)
         for lo in range(0, len(rows), span):
             part = slice(lo, lo + span)
             # row i of each stack: the residual on the combinations holding
             # item i, read through the rates with c_i = 1
             held = resid[part, None, :] * bits
-            moments = pattern_moments(held, np.where(unit, 1.0, c[part, None, :]), g)
+            rates = np.where(unit, 1.0, c[part, None, :])
+            moments = pattern_moments(held, rates, g if g.ndim == 1 else g[part, None, :])
             grad[part] = 2.0 * (weights[part, None, :] * bits * moments).sum(axis=2)
-        return _SLIP_SCALE * (resid * resid).sum(axis=1), _SLIP_SCALE * grad, ~finished
+        out = _SLIP_SCALE * (resid * resid).sum(axis=1), _SLIP_SCALE * grad, ~finished
+        if several:
+            back = np.argsort(order)
+            out = tuple(v[back] for v in out)
+        return out
 
     return evaluate
 
@@ -700,16 +788,17 @@ def _lockstep(evaluate, starts: list[np.ndarray]) -> list[SearchResult]:
 
 
 def _rate_searches(
-    pats: np.ndarray, g: np.ndarray, alpha: AlphaVector, c: np.ndarray, free: np.ndarray
+    pats: np.ndarray, g, alpha, c: np.ndarray, free: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Capable rates of the candidates of a (b, 2^k) pattern stack from the
-    rate search.
+    """Capable rates of the candidate rows of a (b, 2^k) pattern stack from
+    the rate search, each row fitted to ``alpha`` at guessing rates ``g``,
+    or to its group of a ``_Targets`` ``alpha`` (``_rate_objective``).
 
     Candidate j's search runs from each of ``_SLIP_STARTS`` over the items
     set in row j of the (b, m) mask ``free``, at least one per row, with
     its other items held at their entries of row j of ``c``. The searches
-    of consecutive chunks of ``_CANDIDATE_CHUNK`` candidates are stepped
-    by one ``_lockstep``, every start of every candidate at once, against
+    of consecutive chunks of ``_CANDIDATE_CHUNK`` rows, across groups, are
+    stepped by one ``_lockstep``, every start of every row at once, against
     one ``_rate_objective``: each round writes the points of the runs
     still going into the free entries of their candidates' rates, whose
     row-major order is the order ``_lockstep`` lays the points in, and
@@ -721,6 +810,7 @@ def _rate_searches(
     whether any start converged, and whether a solve of its search stopped
     at the iteration cap. ``g`` and ``c`` come checked from the caller.
     """
+    targets = _as_targets(alpha, g, len(pats))
     c = np.array(c, dtype=float)
     converged = np.zeros(len(pats), dtype=bool)
     capped = np.zeros(len(pats), dtype=bool)
@@ -728,7 +818,7 @@ def _rate_searches(
     for first in range(0, len(pats), _CANDIDATE_CHUNK):
         chunk = slice(first, first + _CANDIDATE_CHUNK)
         base, mask, hit = c[chunk], free[chunk], capped[chunk]
-        objective = _rate_objective(pats[chunk], g, alpha)
+        objective = _rate_objective(pats[chunk], None, targets[chunk])
         owner = np.repeat(np.arange(len(base)), tries)
         starts = [np.full(int(on.sum()), level) for on in mask for level in _SLIP_STARTS]
 
@@ -793,91 +883,122 @@ def _moment_stage(
     stack of Q-matrix entries, in array passes: the covers over
     consecutive chunks of ``_CANDIDATE_CHUNK``, then the estimates at once.
 
-    Returns the (b, m) capable rates, the (b, m) mask of the free items
+    ``g`` and ``beta`` (``decontaminate``) are one group's (m,) and (2^m,)
+    vectors, or G groups' (G, m) and (G, 2^m) stacks; they come checked
+    from the caller. The covers depend on the entries alone and are found
+    once. Returns, with the rows of group 0's candidates first, then group
+    1's, the (G b, m) capable rates, the (G b, m) mask of the free items
     (those with no cover, ``_covers``), left at 0 for the rate search,
-    and the (b,) flags of the degenerate candidates, where some cover's
+    and the (G b,) flags of the degenerate rows, where some cover's
     de-contaminated rate is below ``DEGENERATE_TOL``. Every other entry
     is ``moment_slip``'s estimate from the item's cover, to the byte;
-    a degenerate candidate's rates are not read. ``g`` and ``beta``
-    (``decontaminate``) come checked from the caller.
+    a degenerate row's rates are not read.
     """
     covers = np.concatenate([
         _covers(entries[start : start + _CANDIDATE_CHUNK])
         for start in range(0, len(entries), _CANDIDATE_CHUNK)
     ])
-    free, den, bits = covers == 0, beta[covers], 1 << np.arange(len(g))
+    g, beta = np.atleast_2d(g), np.atleast_2d(beta)
+    groups, m = g.shape
+    free, den, bits = covers == 0, beta[:, covers], 1 << np.arange(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(free, 0.0, np.clip(g + beta[covers | bits] / den, 0.0, 1.0))
-    return c, free, (~free & (np.abs(den) < DEGENERATE_TOL)).any(axis=1)
+        c = np.where(free, 0.0, np.clip(g[:, None, :] + beta[:, covers | bits] / den, 0.0, 1.0))
+    degenerate = (~free & (np.abs(den) < DEGENERATE_TOL)).any(axis=2)
+    return c.reshape(-1, m), np.tile(free, (groups, 1)), degenerate.ravel()
 
 
-def _search(alpha, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, support=None):
+def _search(alphas, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, support=None):
     """The one search pipeline: a candidate source, a rate policy, then one
-    rate search and one exact screen shared by every configuration.
+    rate search and one exact screen shared by every configuration, for
+    one or more groups of items of one size m at once.
 
-    The entry checks ``tie_tol``, the saturated order, and ``params`` or
-    ``g`` against the rates' m, before any work. The candidates are
-    ``enumerate_candidates``' in enumeration order, less ``truth`` when it
-    is given, read as the entry blocks of its source (``_candidate_blocks``)
-    and joined once, with no QMatrix built for them: every stage reads rows
-    of their (b, m, k) entries or of their (b, 2^k) patterns
-    (``patterns``). The rate policy gives each candidate its capable
-    rates, the mask of its free items and whether it is fitted:
+    ``alphas`` holds each group's success rates, and ``params`` its
+    DinaParams or ``g`` its guessing rates; a search of all the items is
+    the one-group case. The entry checks ``tie_tol``, the saturated orders,
+    and each ``params`` or ``g`` against the rates' m, before any work.
+    The candidates are ``enumerate_candidates``' in enumeration order,
+    less ``truth`` when it is given, read once as the entry blocks of its
+    source (``_candidate_blocks``) and joined, with no QMatrix built for
+    them; their (b, 2^k) patterns (``patterns``) are taken once. Every
+    stage reads rows of those stacks, one per group and candidate, group
+    0's first, each fitted to its group's rates (``_Targets``). The rate
+    policy gives each row its capable rates, the mask of its free items
+    and whether it is fitted:
 
-    - ``params`` alone (``estimate_q``): ``params.c``, one (m,) vector for
-      every candidate; no item is free and every candidate is fitted;
+    - ``params`` alone (``estimate_q``): each group's ``params.c``, fixed
+      for every candidate; no item is free and every row is fitted;
     - ``g`` (``estimate_q_unknown_c``): the moment stage
       (``_moment_stage``), whose uncovered items are free; a degenerate
-      candidate is not fitted, and DegenerateSampleError is raised when
-      no candidate is left;
+      row is not fitted;
     - ``params`` and ``support`` (``check_identifiability``): every item
       free, from rates 0; a candidate whose patterns include every pattern
       of the array ``support`` is not fitted.
 
-    Then one ``_rate_searches`` call runs the searches of the fitted
-    candidates with a free item, at ``params.g`` or ``g``, and writes
-    their best points into the rates, and one ``_screen`` call fits every
-    fitted candidate at its rates.
+    Then one ``_rate_searches`` call runs the searches of the fitted rows
+    with a free item and writes their best points into the rates, and one
+    ``_screen`` call fits every fitted row at its rates, each in chunks of
+    rows across groups. A 2^m-wide pass that depends on a group alone runs
+    once per group, and no row holds a copy of its group's target.
 
-    Returns the (b, m, k) candidate entries and one array record: the (b,)
-    scores, the (b, 2^k) fits x, the (b, 4) ``_NOTES`` flags and the
-    rates. An unfitted candidate has x 0 and scores +inf, or 0.0 in the
+    Returns the (b, m, k) candidate entries and one array record per
+    group: the (b,) scores, the (b, 2^k) fits x, the (b, 4) ``_NOTES``
+    flags and the rates, a (b, m) stack or, where they are fixed, the
+    group's (m,) vector; each the same bytes as in a search of the group
+    alone. An unfitted candidate has x 0 and scores +inf, or 0.0 in the
     probe, where its patterns certify an exact fit.
     """
     _check_tie_tol(tie_tol)
-    _require_saturated(alpha)
-    m = alpha.order.m
-    if params is not None and params.m != m:
-        raise ValueError(f"params cover {params.m} items, rates cover {m}")
-    g = unit_rates(g, m, "g") if params is None else params.g
+    for alpha in alphas:
+        _require_saturated(alpha)
+    m = alphas[0].order.m
+    if params is not None:
+        for group in params:
+            if group.m != m:
+                raise ValueError(f"params cover {group.m} items, rates cover {m}")
+        g = np.array([group.g for group in params])
+    else:
+        g = np.array([unit_rates(v, m, "g") for v in g])
     entries = np.concatenate(list(_candidate_blocks(m, k, budget)))
     if truth is not None:
         entries = entries[(entries != truth.entries).any(axis=(1, 2))]
-    b = len(entries)
+    b, groups = len(entries), len(alphas)
     pats = patterns(entries)
-    flags = np.zeros((b, len(_NOTES)), dtype=bool)
-    # the rate policy: each candidate's rates and free items, and which
-    # candidates go unfitted (flag 0)
+    fixed = params is not None and support is None
+    targets = _Targets(
+        np.array([_by_mask(alpha) for alpha in alphas]), g,
+        np.array([group.c for group in params]) if fixed else None,
+        np.repeat(np.arange(groups), b),
+    )
+    flags = np.zeros((groups * b, len(_NOTES)), dtype=bool)
+    # the rate policy: each row's rates and free items, and which rows go
+    # unfitted (flag 0)
     if support is not None:
-        rates, free = np.zeros((b, m)), np.ones((b, m), dtype=bool)
-        flags[:, 0] = (pats[:, :, None] == support).any(axis=1).all(axis=1)
-    elif params is not None:
-        rates, free = np.array(params.c), np.zeros((b, m), dtype=bool)
+        rates, free = np.zeros((groups * b, m)), np.ones((groups * b, m), dtype=bool)
+        certified = (pats[:, :, None] == support).any(axis=1).all(axis=1)
+        flags[:, 0] = np.tile(certified, groups)
+    elif fixed:
+        rates, free = None, np.zeros((groups * b, m), dtype=bool)
     else:
-        rates, free, flags[:, 0] = _moment_stage(entries, g, decontaminate(alpha, g))
-        if flags[:, 0].all():
-            raise DegenerateSampleError("every candidate has a degenerate moment system")
+        beta = np.array([decontaminate(alpha, v) for alpha, v in zip(alphas, g)])
+        rates, free, flags[:, 0] = _moment_stage(entries, g, beta)
+    pats = np.tile(pats, (groups, 1))
     fitted = np.flatnonzero(~flags[:, 0])
     searched = fitted[free[fitted].any(axis=1)]
-    rates[searched], converged, flags[searched, 3] = _rate_searches(
-        pats[searched], g, alpha, rates[searched], free[searched]
-    )
-    flags[searched, 1] = ~converged
-    scores, x = np.full(b, np.inf if support is None else 0.0), np.zeros(pats.shape)
-    fitted_rates = rates[fitted] if rates.ndim == 2 else rates
-    scores[fitted], finished, x[fitted] = _screen(pats[fitted], fitted_rates, g, alpha)
+    if searched.size:
+        rates[searched], converged, flags[searched, 3] = _rate_searches(
+            pats[searched], None, targets[searched], rates[searched], free[searched]
+        )
+        flags[searched, 1] = ~converged
+    scores = np.full(groups * b, np.inf if support is None else 0.0)
+    x = np.zeros(pats.shape)
+    fitted_rates = None if rates is None else rates[fitted]
+    scores[fitted], finished, x[fitted] = _screen(pats[fitted], fitted_rates, None, targets[fitted])
     flags[fitted, 2] = ~finished
-    return entries, scores, x, flags, rates
+    cuts = [slice(j * b, (j + 1) * b) for j in range(groups)]
+    return entries, [
+        (scores[rows], x[rows], flags[rows], targets.c[j] if fixed else rates[rows])
+        for j, rows in enumerate(cuts)
+    ]
 
 
 def estimate_q(
@@ -908,7 +1029,8 @@ def estimate_q(
     Raises ValueError, before any work, for a negative or NaN ``tie_tol``,
     and BudgetExceededError when the enumeration exceeds ``budget``.
     """
-    return _result(*_search(alpha, k, budget, tie_tol, params=params), tie_tol)
+    entries, (record,) = _search([alpha], k, budget, tie_tol, params=[params])
+    return _result(entries, *record, tie_tol)
 
 
 def estimate_q_unknown_c(
@@ -944,7 +1066,8 @@ def estimate_q_unknown_c(
     any work, for a negative or NaN ``tie_tol`` or a ``g`` entry outside
     [0, 1].
     """
-    return _result(*_search(alpha, k, budget, tie_tol, g=g), tie_tol)
+    entries, (record,) = _search([alpha], k, budget, tie_tol, g=[g])
+    return _result(entries, *record, tie_tol)
 
 
 def _align_columns(
@@ -982,6 +1105,57 @@ def _align_columns(
     return sub_entries[:, [int(p) for p in perm]]
 
 
+def _group_results(
+    responses: ResponseData,
+    groups: list[list[int]],
+    k: int,
+    params: DinaParams | None,
+    g: np.ndarray | None,
+    budget: int,
+    tie_tol: float,
+) -> list:
+    """The search result of each group of a split, in ``groups`` order, or
+    the exception its search raised; the arguments come checked from
+    ``split_estimate``.
+
+    The response rows are read once (``_response_patterns``), and each
+    group's saturated rates come from the observed patterns and their
+    counts (``_group_alpha``). The groups of one size are one search
+    (``_search``), and its record is cut into one result per group
+    (``_result``). Each group's result, or error, is that of
+    ``estimate_q`` or ``estimate_q_unknown_c`` on
+    ``compute_alpha(responses.restrict(grp), ComboOrder.saturated(len(grp)))``
+    at the group's rates. A budget or cap error that a size's search
+    raises belongs to each of its groups, and neither it nor a group's
+    degenerate moment system stops the other searches, so that the caller
+    can raise the first error in ``groups`` order.
+    """
+    observed = _response_patterns(responses)
+    results: list = [None] * len(groups)
+    for size in dict.fromkeys(len(grp) for grp in groups):
+        at = [j for j, grp in enumerate(groups) if len(grp) == size]
+        try:
+            order = ComboOrder.saturated(size)
+            alphas = [_group_alpha(observed, responses.n, groups[j], order) for j in at]
+            if params is not None:
+                rates = {"params": [params.subset(groups[j]) for j in at]}
+            else:
+                rates = {"g": [g[groups[j]] for j in at]}
+            entries, records = _search(alphas, k, budget, tie_tol, **rates)
+        except (BudgetExceededError, ValueError) as err:
+            # the enumeration's budget or caps, or the saturated order's
+            # cap, refuse every group of this size
+            for j in at:
+                results[j] = err
+            continue
+        for j, record in zip(at, records):
+            try:
+                results[j] = _result(entries, *record, tie_tol)
+            except DegenerateSampleError as err:
+                results[j] = err
+    return results
+
+
 def split_estimate(
     responses: ResponseData,
     groups: Sequence[Iterable[int]],
@@ -994,19 +1168,27 @@ def split_estimate(
 ) -> QMatrix:
     """Estimate a large Q-matrix by splitting items into overlapping groups.
 
-    Each group is estimated on its own restricted responses (saturated rates
-    over group items only), then the per-group matrices are stitched: shared
-    items force the column matching between a group and the rows already
-    merged. Groups must cover every item; with k > 1 each group after the
-    first needs enough overlap to pin the matching or AlignmentError is
-    raised ("ambiguous" when several matchings work, "disagree" when none
-    does), naming the group's 1-based position in ``groups``, its fitted
-    rows, its score and the size of its tie set.
+    Each group is estimated on its own saturated rates over its items,
+    then the per-group matrices are stitched: shared items force the
+    column matching between a group and the rows already merged. Groups
+    must cover every item; with k > 1 each group after the first needs
+    enough overlap to pin the matching or AlignmentError is raised
+    ("ambiguous" when several matchings work, "disagree" when none does),
+    naming the group's 1-based position in ``groups``, its fitted rows,
+    its score and the size of its tie set.
+
+    The groups are estimated in one pass (``_group_results``): the
+    response rows are counted once, and all groups of one size share one
+    search. Each group's result is the same bytes as ``estimate_q`` or
+    ``estimate_q_unknown_c`` on its restricted responses, and the first
+    group in ``groups`` order whose search or alignment fails decides the
+    error, as if the groups ran one after another.
 
     Exactly one of ``params`` (known per-item rates, sliced per group) or
     ``g`` (guessing rates only; slip rates recovered per group) must be
     given. Returns the canonical stitched matrix. Raises ValueError, before
-    any work, for a nonpositive ``k``.
+    any work, for a nonpositive ``k`` and for more than ``MAX_ITEMS`` (20)
+    items.
     """
     _check_tie_tol(tie_tol)
     if k < 1:
@@ -1014,6 +1196,8 @@ def split_estimate(
     if (params is None) == (g is None):
         raise ValueError("pass exactly one of params or g")
     m = responses.m
+    if m > MAX_ITEMS:
+        raise ValueError(f"split estimation is capped at m <= {MAX_ITEMS} items, got {m}")
     group_lists = [[int(i) for i in grp] for grp in groups]
     if not group_lists:
         raise ValueError("need at least one group")
@@ -1034,15 +1218,12 @@ def split_estimate(
     if g is not None:
         g = unit_rates(g, m, "g")
 
+    results = _group_results(responses, group_lists, k, params, g, budget, tie_tol)
     rows = np.zeros((m, k), dtype=np.uint8)
     known = np.zeros(m, dtype=bool)
-    for pos, grp in enumerate(group_lists, 1):
-        sub = responses.restrict(grp)
-        sub_alpha = compute_alpha(sub, ComboOrder.saturated(len(grp)))
-        if params is not None:
-            res = estimate_q(sub_alpha, params.subset(grp), k, budget=budget, tie_tol=tie_tol)
-        else:
-            res = estimate_q_unknown_c(sub_alpha, g[grp], k, budget=budget, tie_tol=tie_tol)
+    for pos, (grp, res) in enumerate(zip(group_lists, results), 1):
+        if isinstance(res, Exception):
+            raise res
         # the first group fixes the global column frame
         aligned = res.q_hat.entries
         if known.any():
@@ -1140,8 +1321,8 @@ def check_identifiability(
             )
         alpha = population_alpha(q, params, p_star, ComboOrder.saturated(q.m))
         support = np.unique(patterns(q)[p_star.probs > 0.0])
-        entries, scores, _, flags, _ = _search(
-            alpha, q.k, budget, params=params, truth=canonicalize(q), support=support
+        entries, [(scores, _, flags, _)] = _search(
+            [alpha], q.k, budget, params=[params], truth=canonicalize(q), support=support
         )
         deltas = list(zip(QMatrix._from_stack(entries), scores.tolist()))
         for i in np.flatnonzero(flags.any(axis=1)):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -320,37 +320,77 @@ def simulate(config: SimConfig) -> tuple[ResponseData, np.ndarray]:
     return responses, profiles
 
 
+def _response_patterns(responses: ResponseData) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct response patterns of the rows, ascending, as bitmasks
+    (bit i for item i), and how many rows hold each.
+
+    Each row's mask is built in the narrowest unsigned dtype that holds m
+    bits (8, 16 or 32), one column pass at that width, and the masks are
+    bincounted into 2^m cells, so m is capped at ``MAX_ITEMS`` (20), the
+    most any ``QMatrix`` holds; a wider matrix raises ``ValueError`` before
+    any allocation.
+    """
+    m = responses.m
+    if m > MAX_ITEMS:
+        raise ValueError(
+            f"counting all 2^m response patterns is capped at m <= {MAX_ITEMS}, got {m}"
+        )
+    width = np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
+    masks = np.zeros(responses.n, dtype=width)
+    for i, column in enumerate(responses.values.T):
+        masks |= column.astype(width, copy=False) << width(i)
+    counts = np.bincount(masks, minlength=1 << m)
+    seen = np.flatnonzero(counts)
+    return seen, counts[seen]
+
+
+def _group_alpha(
+    observed: tuple[np.ndarray, np.ndarray], n: int, items: Sequence[int], order: ComboOrder
+) -> AlphaVector:
+    """Empirical joint success rates of the group ``items`` over ``order``,
+    whose bit t stands for item ``items[t]``, from the observed patterns
+    and counts of N = ``n`` rows (``_response_patterns``).
+
+    Each observed pattern is read on the group's bits and the counts are
+    bincounted by what it reads, which gives the counts of the group's 2^s
+    response patterns, s = len(items). The noiseless success map,
+    ``pattern_rates`` at c = 1, g = 0, turns them into the number of rows
+    that clear each combination: each pass adds the count of a pattern
+    with item t to the one without it, exactly while N < 2^53. The result
+    is ``compute_alpha(responses.restrict(items), order)`` to the byte.
+    """
+    seen, counts = observed
+    size = len(items)
+    if list(items) == list(range(size)) and seen[-1] >> size == 0:
+        sub = seen  # every pattern already reads on the group's bits
+    else:
+        sub = np.zeros(seen.size, dtype=np.int64)
+        for t, i in enumerate(items):
+            sub |= (seen >> i & 1) << t
+    totals = pattern_rates(np.bincount(sub, counts, 1 << size), np.ones(size), np.zeros(size))
+    rates = totals[np.fromiter(order.combos, np.int64, len(order))]
+    return AlphaVector(order, rates / n, n_subjects=n)
+
+
 def compute_alpha(responses: ResponseData, order: ComboOrder) -> AlphaVector:
     """Empirical joint success rates for every combination in ``order``.
 
     Counts are exact integer counts divided by N: a subject contributes to
     combination S when their response row dominates S. They are the
     noiseless success map, ``pattern_rates`` at c = 1, g = 0, applied to
-    the counts of the 2^m response patterns: each pass adds the count of a
-    pattern with item i to the one without it, exactly while N < 2^53. Cost
-    is O(N + m 2^m) rather than O(N |order|).
+    the counts of the 2^m response patterns (``_group_alpha`` on the group
+    of all m items, the rule that a split estimate applies to each of its
+    groups). Cost is O(N + m 2^m) rather than O(N |order|).
 
-    Each subject's row mask is built in the narrowest unsigned dtype that
-    holds m bits (8, 16 or 32), one column pass at that width. The count
-    array has 2^m cells whatever the order, so m is capped at ``MAX_ITEMS``
-    (20), the most any ``QMatrix`` holds; a wider matrix raises
-    ``ValueError`` before any work.
+    The response patterns are counted in 2^m cells whatever the order
+    (``_response_patterns``), so m is capped at ``MAX_ITEMS`` (20), the
+    most any ``QMatrix`` holds; a wider matrix raises ``ValueError`` before
+    any work.
     """
     m = responses.m
-    if m > MAX_ITEMS:
-        raise ValueError(
-            f"compute_alpha counts all 2^m response patterns, capped at m <= {MAX_ITEMS}, got {m}"
-        )
     if order.m != m:
         raise ValueError(f"order is over {order.m} items, responses have {m}")
-    width = np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
-    masks = np.zeros(responses.n, dtype=width)
-    for i, column in enumerate(responses.values.T):
-        masks |= column.astype(width, copy=False) << width(i)
-    counts = np.bincount(masks, minlength=1 << m)
-    totals = pattern_rates(counts, np.ones(m), np.zeros(m))
-    rates = totals[np.fromiter(order.combos, np.int64, len(order))]
-    return AlphaVector(order, rates / responses.n, n_subjects=responses.n)
+    return _group_alpha(_response_patterns(responses), responses.n, range(m), order)
 
 
 def population_alpha(

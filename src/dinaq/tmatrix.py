@@ -246,18 +246,18 @@ def patterns(q: QMatrix | np.ndarray) -> np.ndarray:
 def _pattern_factors(pats: np.ndarray, c: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(..., m, n) per-item factors f_i(P) of (..., n) patterns: c_i where P
     masters item i, g_i where it does not."""
-    m = g.shape[0]
+    m = g.shape[-1]
     masters = (pats[..., None, :] >> np.arange(m)[:, None]) & 1 == 1
-    return np.where(masters, c[..., :, None], g[:, None])
+    return np.where(masters, c[..., :, None], g[..., :, None])
 
 
 def pattern_gram(pats, c, g) -> np.ndarray:
     """Gram matrices M'M of saturated-order designs, from their columns'
     capability patterns.
 
-    ``pats`` is a (..., n) integer array of patterns (``patterns``), ``c``
-    an (m,) vector or a (..., m) stack of them matching the leading axes,
-    ``g`` an (m,) vector. Entry [A, B] is the sum over every nonempty
+    ``pats`` is a (..., n) integer array of patterns (``patterns``), and
+    ``c`` and ``g`` each an (m,) vector or a (..., m) stack of them
+    matching the leading axes. Entry [A, B] is the sum over every nonempty
     combination S of prod_{i in S} f_i(A) f_i(B), which is
     prod_i (1 + f_i(A) f_i(B)) - 1. The product is accumulated minus one,
     P <- P + t (1 + P) with t = f_i(A) f_i(B), so that no cancellation
@@ -307,19 +307,24 @@ def _kronecker_pass(values: np.ndarray, step, lead: tuple[int, ...] = ()) -> np.
 
 
 def _checked_rates(c, g) -> tuple[np.ndarray, np.ndarray]:
-    # finite float64 rates: g an (m,) vector, c one or a stack of them
+    # finite float64 rates: c and g each an (m,) vector or a stack of them
     g = np.asarray_chkfinite(g, dtype=np.float64)
     c = np.asarray_chkfinite(c, dtype=np.float64)
-    if g.ndim != 1 or c.shape[-1:] != g.shape:
+    if g.ndim < 1 or c.shape[-1:] != g.shape[-1:]:
         raise ValueError("c and g must hold one rate per item")
     return c, g
+
+
+def _lead(c: np.ndarray, g: np.ndarray) -> tuple[int, ...]:
+    # the stack shape that the rates of a pass hold
+    return c.shape[:-1] if g.ndim == 1 else np.broadcast_shapes(c.shape[:-1], g.shape[:-1])
 
 
 def _checked_pass(values, c, g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the inputs of the rate passes, checked; difference_pass has no c
     c, g = _checked_rates(c, g)
     values = np.asarray_chkfinite(values, dtype=np.float64)
-    m = g.shape[0]
+    m = g.shape[-1]
     if values.shape[-1:] != (1 << m,):
         raise ValueError(f"rates for {m} items need values of last axis {1 << m}")
     return values, c, g
@@ -333,18 +338,18 @@ def pattern_rates(weights, c, g) -> np.ndarray:
     sum_P weights[P] prod_{i in S} f_i(P), so entry 0 is the total weight.
     For a candidate's simplex weights x this is its design applied to x,
     ``design(q, c, g, order) @ x``, read at the order's combinations, once
-    x is summed by pattern. ``c`` is an (m,) vector or a stack matching the
-    leading axes of ``weights``. O(m 2^m) per vector.
+    x is summed by pattern. ``c`` and ``g`` are each an (m,) vector or a
+    stack matching the leading axes of ``weights``. O(m 2^m) per vector.
     """
     weights, c, g = _checked_pass(weights, c, g)
 
     def step(i, lo, hi, new_lo, new_hi):
         # combination without item i: lo + hi; with it: g_i lo + c_i hi
         np.add(lo, hi, out=new_lo)
-        np.multiply(lo, g[i], out=new_hi)
+        np.multiply(lo, g[..., i, None], out=new_hi)
         new_hi += c[..., i, None] * hi
 
-    return _kronecker_pass(weights, step, c.shape[:-1])
+    return _kronecker_pass(weights, step, _lead(c, g))
 
 
 def pattern_moments(values, c, g) -> np.ndarray:
@@ -355,19 +360,20 @@ def pattern_moments(values, c, g) -> np.ndarray:
     entry P of the result is sum_S values[S] prod_{i in S} f_i(P), with S
     running over every bitmask including 0, so put the empty combination's
     value to 0 for M'v on a saturated order. A candidate gathers its
-    entries of M'v by its patterns. ``c`` is an (m,) vector or a stack
-    matching the leading axes of ``values``. O(m 2^m) per vector.
+    entries of M'v by its patterns. ``c`` and ``g`` are each an (m,) vector
+    or a stack matching the leading axes of ``values``. O(m 2^m) per
+    vector.
     """
     values, c, g = _checked_pass(values, c, g)
 
     def step(i, lo, hi, new_lo, new_hi):
         # pattern without item i: lo + g_i hi; with it: lo + c_i hi
-        np.multiply(hi, g[i], out=new_lo)
+        np.multiply(hi, g[..., i, None], out=new_lo)
         new_lo += lo
         np.multiply(hi, c[..., i, None], out=new_hi)
         new_hi += lo
 
-    return _kronecker_pass(values, step, c.shape[:-1])
+    return _kronecker_pass(values, step, _lead(c, g))
 
 
 def difference_pass(values, g) -> np.ndarray:
@@ -378,9 +384,12 @@ def difference_pass(values, g) -> np.ndarray:
     design, entry S for combination S. Entry S of the result is
     sum_{U subset of S} values[U] prod_{i in S minus U} (-g_i), and entry 0
     is values[0]: D(g) is the Kronecker product of the per-item factors
-    [[1, 0], [-g_i, 1]], applied as ``hi - g_i lo`` per item.
+    [[1, 0], [-g_i, 1]], applied as ``hi - g_i lo`` per item. ``g`` is one
+    (m,) vector.
     """
     values, _, g = _checked_pass(values, g, g)
+    if g.ndim != 1:
+        raise ValueError("g must be one vector of rates")
 
     def step(i, lo, hi, new_lo, new_hi):
         new_lo[...] = lo

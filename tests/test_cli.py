@@ -253,6 +253,22 @@ def test_split_alignment_failure_names_the_group(workdir, capsys):
     assert f"tie set of {len(res.ties)}): overlap rows disagree between groups" in err
 
 
+def test_split_over_max_items_exits_3(workdir, capsys):
+    """A split estimate over more items than a Q-matrix holds exits 3 with
+    a message naming the cap, before any group is searched."""
+    (workdir / "r22.txt").write_text("m=22\n" + "1" * 22 + "\n" + "0" * 22 + "\n")
+    groups = []
+    for s in range(0, 20, 2):
+        groups += ["--groups", ",".join(str(i + 1) for i in range(s, s + 4))]
+    code = run([
+        "estimate", "--responses", "r22.txt", "--k", "2", "--mode", "noiseless",
+        *groups, "--out", "split22.json",
+    ])
+    assert code == 3
+    assert "m <= 20 items, got 22" in capsys.readouterr().err
+    assert not (workdir / "split22.json").exists()
+
+
 def test_estimate_tie_exit_code(workdir):
     (workdir / "qtie.txt").write_text("11\n11\n")
     code = run([

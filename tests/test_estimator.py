@@ -18,12 +18,15 @@ import dinaq.estimator
 from dinaq import (
     AlignmentError,
     AlphaVector,
+    BudgetExceededError,
     ComboOrder,
+    DEFAULT_BUDGET,
     DEFAULT_TIE_TOL,
     DegenerateSampleError,
     DinaParams,
     ProfileDistribution,
     QMatrix,
+    ResponseData,
     SimConfig,
     build_d,
     canonicalize,
@@ -38,6 +41,7 @@ from dinaq import (
     estimate_q_unknown_c,
     find_cover_combo,
     mask_to_bits,
+    MAX_ITEMS,
     moment_slip,
     population_alpha,
     profile_slip,
@@ -53,6 +57,7 @@ from dinaq.estimator import (
     _SLIP_SCALE,
     _SLIP_STARTS,
     SearchResult,
+    _align_columns,
     _by_mask,
     _rate_objective,
     _rate_searches,
@@ -1708,9 +1713,9 @@ def test_split_validation():
     # a nonpositive k is refused before any group's rates are computed
 
     def refuse(*args):
-        raise AssertionError("compute_alpha ran")
+        raise AssertionError("a group's rates were computed")
 
-    with mock.patch.object(dinaq.estimator, "compute_alpha", refuse):
+    with mock.patch.object(dinaq.estimator, "_response_patterns", refuse):
         for k in (-1, 0):
             with pytest.raises(ValueError, match="m and k must be positive"):
                 split_estimate(resp, [[0, 1, 2]], k, params=params)
@@ -1739,6 +1744,193 @@ def test_split_validation():
         with pytest.raises(ValueError):
             profile_slip(GOLDEN, g, alpha)
 
+
+def test_split_refuses_more_than_max_items_before_any_search(monkeypatch):
+    """A split over more than ``MAX_ITEMS`` items is refused with the other
+    entry checks, naming the cap: no group is counted or searched."""
+    resp = ResponseData(np.ones((5, MAX_ITEMS + 2), dtype=np.uint8))
+    groups = [list(range(s, s + 4)) for s in range(0, MAX_ITEMS, 2)]
+    assert len(groups) == 10 and set(sum(groups, [])) == set(range(MAX_ITEMS + 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was searched")
+
+    monkeypatch.setattr(dinaq.estimator, "_search", refuse)
+    monkeypatch.setattr(dinaq.estimator, "_response_patterns", refuse)
+    for rates in ({"params": DinaParams.noiseless(MAX_ITEMS + 2)}, {"g": np.zeros(MAX_ITEMS + 2)}):
+        with pytest.raises(ValueError, match=f"m <= {MAX_ITEMS} items, got {MAX_ITEMS + 2}"):
+            split_estimate(resp, groups, 2, **rates)
+
+
+def _reference_group(resp, grp, k, params, g):
+    """One group of a split as it was estimated before the groups were
+    batched, kept as the reference: its responses restricted, its rates
+    computed, and its search run alone. The search's error is returned."""
+    alpha = compute_alpha(resp.restrict(grp), ComboOrder.saturated(len(grp)))
+    try:
+        if params is not None:
+            return estimate_q(alpha, params.subset(grp), k)
+        return estimate_q_unknown_c(alpha, g[grp], k)
+    except DegenerateSampleError as err:
+        return err
+
+
+def _reference_split(resp, groups, k, params, g):
+    """The split as a loop over the groups in order, each estimated alone
+    (``_reference_group``) and stitched at once; returns the stitched
+    matrix or the error raised."""
+    rows = np.zeros((resp.m, k), dtype=np.uint8)
+    known = np.zeros(resp.m, dtype=bool)
+    try:
+        for pos, grp in enumerate(groups, 1):
+            res = _reference_group(resp, grp, k, params, g)
+            if isinstance(res, Exception):
+                raise res
+            aligned = res.q_hat.entries
+            if known.any():
+                try:
+                    aligned = _align_columns(rows, known, grp, aligned)
+                except AlignmentError as err:
+                    raise AlignmentError(
+                        f"group {pos} was fitted as {','.join(res.q_hat.row_strings())} "
+                        f"(score {res.score:.6g}, tie set of {len(res.ties)}): {err}"
+                    ) from err
+            rows[grp], known[grp] = aligned, True
+    except (AlignmentError, DegenerateSampleError) as err:
+        return err
+    return canonicalize(QMatrix(rows))
+
+
+def _assert_same_bytes(got, want):
+    """Two search results are the same bytes in every field."""
+    assert got.q_hat == want.q_hat
+    assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
+    assert got.ties == want.ties
+    assert got.p_tilde.probs.tobytes() == want.p_tilde.probs.tobytes()
+    assert got.n_candidates == want.n_candidates
+    if want.c_hat is None:
+        assert got.c_hat is None
+    else:
+        assert got.c_hat.tobytes() == want.c_hat.tobytes()
+    assert got.diagnostics == want.diagnostics
+
+
+def _same_outcome(got, want):
+    """The same stitched matrix, or an error of the same type and message."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_split_matches_per_group_reference(data):
+    """The batched split gives each group the result of its own search on
+    its restricted responses, to the byte, and stitches them to the same
+    matrix or fails with the same error as the group-by-group loop: in
+    noiseless, known-cg and known-g modes, with groups of unequal sizes,
+    items in any order, and a group repeated."""
+    mode = data.draw(st.sampled_from(["noiseless", "known-cg", "known-g"]), label="mode")
+    m = data.draw(st.integers(3, 8), label="m")
+    k = data.draw(st.integers(1, 2), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    truth = random_q(rng, m, k)
+    if mode == "noiseless":
+        params = DinaParams.noiseless(m)
+    else:
+        params = DinaParams(rng.uniform(0.7, 0.95, m), rng.uniform(0.05, 0.25, m))
+    p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+    resp, _ = simulate(SimConfig(q=truth, params=params, p_star=p_star, n=1500, seed=seed))
+    # windows of 2 to 5 items over a shuffled item order, each after the
+    # first overlapping the one before, each in shuffled order
+    items, groups, start = rng.permutation(m).tolist(), [], 0
+    while start < m or not groups:
+        size = data.draw(st.integers(2, 5), label="size")
+        lo = max(0, start - data.draw(st.integers(1, 2), label="overlap")) if groups else 0
+        groups.append(rng.permutation(items[lo : lo + size]).tolist())
+        start = lo + size
+    if data.draw(st.booleans(), label="repeat"):
+        groups.insert(int(rng.integers(len(groups) + 1)), list(groups[rng.integers(len(groups))]))
+    given_params, g = (None, params.g) if mode == "known-g" else (params, None)
+
+    results = dinaq.estimator._group_results(
+        resp, groups, k, given_params, g, DEFAULT_BUDGET, DEFAULT_TIE_TOL
+    )
+    for grp, got in zip(groups, results):
+        want = _reference_group(resp, grp, k, given_params, g)
+        if isinstance(want, Exception):
+            _same_outcome(got, want)
+        else:
+            _assert_same_bytes(got, want)
+    try:
+        stitched = split_estimate(resp, groups, k, params=given_params, g=g)
+    except (AlignmentError, DegenerateSampleError) as err:
+        stitched = err
+    _same_outcome(stitched, _reference_split(resp, groups, k, given_params, g))
+
+
+def test_split_searches_each_size_once(monkeypatch):
+    """A split of five equal-size groups is one search: its screen makes
+    one Gram solve for all 5 x 41 rows, it walks the candidate source
+    once, and it never restricts the responses."""
+    truth = QMatrix.from_rows([["10", "01", "11"][i % 3] for i in range(12)])
+    params = DinaParams.noiseless(12)
+    resp, _ = simulate(SimConfig(q=truth, params=params, p_star=UNIFORM, n=5000, seed=3))
+    groups = [list(range(s, s + 4)) for s in range(0, 10, 2)]
+    real_solve, real_blocks = dinaq.estimator._gram_active_set, dinaq.estimator._candidate_blocks
+    solves, walks = [], []
+
+    def counted_solve(gram, lin, *args):
+        solves.append(len(gram))
+        return real_solve(gram, lin, *args)
+
+    def counted_blocks(*args):
+        walks.append(args)
+        return real_blocks(*args)
+
+    def refuse(*args):
+        raise AssertionError("the responses were restricted")
+
+    monkeypatch.setattr(dinaq.estimator, "_gram_active_set", counted_solve)
+    monkeypatch.setattr(dinaq.estimator, "_candidate_blocks", counted_blocks)
+    monkeypatch.setattr(ResponseData, "restrict", refuse)
+    assert split_estimate(resp, groups, 2, params=params) == canonicalize(truth)
+    assert solves == [5 * 41]
+    assert walks == [(4, 2, DEFAULT_BUDGET)]
+
+
+def test_split_first_failing_group_decides_the_error():
+    """The groups are searched together, yet the first group in ``groups``
+    order whose search or alignment fails decides the error, as when they
+    ran one after another: group 2's alignment failure comes before a
+    later group's degenerate moment system, which is searched with it, and
+    before a later, larger group's budget error; put first, each of those
+    decides instead."""
+    truth = QMatrix.from_rows(["10", "01", "11", "10", "01", "10", "01", "11"])
+    params = DinaParams(np.full(8, 0.85), np.full(8, 0.15))
+    resp, _ = simulate(SimConfig(q=truth, params=params, p_star=UNIFORM, n=5000, seed=2))
+    # items 5 to 7 are never answered right and their guessing rates are 0,
+    # so every cover among them has a vanishing de-contaminated rate
+    values = resp.values.copy()
+    values[:, 5:] = 0
+    resp = ResponseData(values)
+    g = np.concatenate([params.g[:5], np.zeros(3)])
+    # group 2 meets group 1 on item 2 alone, whose row 11 cannot pin the columns
+    first, ambiguous, degenerate = [0, 1, 2], [2, 3, 4], [5, 6, 7]
+    with pytest.raises(AlignmentError, match="group 2 .* do not pin a unique column"):
+        split_estimate(resp, [first, ambiguous, degenerate], 2, g=g)
+    with pytest.raises(DegenerateSampleError):
+        split_estimate(resp, [first, degenerate, ambiguous], 2, g=g)
+    # a size-4 group walks C(17, 2) = 136 column-key tuples, a size-3 one 36
+    noiseless = DinaParams.noiseless(8)
+    larger = [0, 1, 3, 4]
+    groups = [first, ambiguous, larger, [5, 6, 7, 0]]
+    with pytest.raises(AlignmentError, match="group 2 .* do not pin a unique column"):
+        split_estimate(resp, groups, 2, params=noiseless, budget=100)
+    with pytest.raises(BudgetExceededError):
+        split_estimate(resp, [first, larger, ambiguous, [5, 6, 7, 0]], 2, params=noiseless, budget=100)
 
 
 def test_every_search_solve_goes_through_the_pipeline(monkeypatch):

@@ -26,6 +26,7 @@ from dinaq import (
     sample_profiles,
     simulate,
 )
+from dinaq.simulator import _group_alpha, _response_patterns
 
 GOLDEN = QMatrix.from_rows(["10", "01", "11"])
 PARAMS = DinaParams(np.array([0.9, 0.8, 0.7]), np.array([0.2, 0.25, 0.5]))
@@ -349,6 +350,29 @@ def test_compute_alpha_m20():
     alpha = compute_alpha(resp, order)
     np.testing.assert_array_equal(alpha.rates, _naive_alpha(resp, order))
     assert alpha.rates[-1] > 0
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_group_rates_match_compute_alpha_on_restricted_responses(data):
+    """A split's rates for a group of items, read from the observed
+    patterns of all m items, are the bytes of ``compute_alpha`` on the
+    responses restricted to the group, for groups in any item order, at
+    every mask width up to ``MAX_ITEMS``."""
+    m = data.draw(st.integers(1, MAX_ITEMS), label="m")
+    n = data.draw(st.integers(1, 300), label="n")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    resp = ResponseData((rng.random((n, m)) < rng.uniform(0.1, 0.9, m)).astype(np.uint8))
+    observed = _response_patterns(resp)
+    for _ in range(3):
+        size = data.draw(st.integers(1, min(m, MAX_SATURATED_ITEMS)), label="size")
+        items = rng.permutation(m)[:size].tolist()
+        order = ComboOrder.saturated(size)
+        got = _group_alpha(observed, resp.n, items, order)
+        want = compute_alpha(resp.restrict(items), order)
+        assert got.order == order and got.n_subjects == want.n_subjects == n
+        assert got.rates.tobytes() == want.rates.tobytes()
+
 
 def test_alpha_monotone_under_combo_containment():
     # answering a superset of items fully positively is never more likely

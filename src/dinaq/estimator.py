@@ -21,8 +21,9 @@ through the capability patterns its profiles induce, so the pipeline
 joins the blocks once into (b, m, k) entries, takes their (b, 2^k)
 patterns, and every stage reads rows of those stacks. It runs for one
 or more groups of items of one size at once, one row per group and
-candidate, each group with its own target and rates (``_Targets``); a
-search of all the items is the one-group case. It returns one array
+candidate, each group with its own target and rates (``_Targets``), as
+many groups in a pass as fit one chunk of rows; a search of all the
+items is the one-group case. It returns one array
 record per group: the scores, the fits, the rates and a (b, 4) array of
 flags of what went wrong in each fit; the search results' notes and the
 probe's sentences are read from those flags through one table
@@ -251,26 +252,19 @@ class _Targets:
 
     def segments(self) -> list[tuple[int, slice]]:
         """The group and the slice of each run of rows that share a group."""
-        if self.own[0] == self.own[-1]:
-            return [(int(self.own[0]), slice(None))]
         cuts = (np.flatnonzero(self.own[1:] != self.own[:-1]) + 1).tolist()
         ends = [0, *cuts, len(self.own)]
         return [(int(self.own[lo]), slice(lo, hi)) for lo, hi in zip(ends, ends[1:])]
 
     def by_row(self, values: np.ndarray) -> np.ndarray:
-        """The rows' entries of a per-group (G, m) array: one (m,) vector
-        when every row is of one group, else a (b, m) stack."""
-        first = self.own[0]
-        return values[first] if first == self.own[-1] else values[self.own]
+        """The rows' entries of a per-group (G, m) array, a (b, m) stack."""
+        return values[self.own]
 
 
-def _as_targets(alpha, g, count: int, fixed=None) -> _Targets:
-    """The targets of a stack of ``count`` rows: ``alpha`` itself when it
-    is a ``_Targets``; an AlphaVector is one group, every row fitted to
-    its rates at guessing rates ``g``, and at capable rates ``fixed`` when
-    they are given."""
-    if isinstance(alpha, _Targets):
-        return alpha
+def _as_targets(alpha: AlphaVector, g, count: int, fixed=None) -> _Targets:
+    """The targets of a stack of ``count`` rows of one group: every row
+    fitted to ``alpha`` at guessing rates ``g``, and at capable rates
+    ``fixed`` when they are given."""
     return _Targets(
         _by_mask(alpha)[None],
         np.asarray(g, dtype=float)[None],
@@ -294,55 +288,56 @@ def _pattern_fits(
     through the pattern lattice (``pattern_rates`` of the weights of x on
     the patterns, equal patterns sharing a cell, less each group's
     target), never from the Gram form, with the empty combination's entry,
-    the total mass, put to 0. Returns the minimizers x, whether each solve
+    the total mass, put to 0. The passes run per group, at the group's
+    (m,) guessing rates, which numpy applies as one scalar per pass rather
+    than one per row. Returns the minimizers x, whether each solve
     finished rather than stopping at the iteration cap, and the pattern
     weights and residuals of x. Every operation acts on each row alone.
     """
-    segments = targets.segments()
+    segments = [
+        (j, rows, targets.c[j] if c is None else c[rows]) for j, rows in targets.segments()
+    ]
     lin = np.empty(pats.shape)
-    for j, rows in segments:
-        rates = targets.c[j] if c is None else c[rows]
+    for j, rows, rates in segments:
         moments = np.atleast_2d(pattern_moments(targets.rates[j], rates, targets.g[j]))
         lin[rows] = np.take_along_axis(moments, pats[rows], axis=1)
-    c = targets.by_row(targets.c) if c is None else c
-    g = targets.by_row(targets.g)
-    x, finished, _ = _gram_active_set(pattern_gram(pats, c, g), lin)
+    gram = pattern_gram(
+        pats,
+        targets.by_row(targets.c) if c is None else c,
+        targets.by_row(targets.g),
+    )
+    x, finished, _ = _gram_active_set(gram, lin)
     count, size = pats.shape[0], targets.rates.shape[1]
     slots = (np.arange(count)[:, None] * size + pats).ravel()
     weights = np.bincount(slots, x.ravel(), count * size).reshape(count, size)
-    resid = pattern_rates(weights, c, g)
-    for j, rows in segments:
-        resid[rows] -= targets.rates[j]
+    resid = np.empty(weights.shape)
+    for j, rows, rates in segments:
+        resid[rows] = pattern_rates(weights[rows], rates, targets.g[j]) - targets.rates[j]
     resid[:, 0] = 0.0
     return x, finished, weights, resid
 
 
 def _screen(
-    pats: np.ndarray, c: np.ndarray | None, g: np.ndarray | None, alpha
+    pats: np.ndarray, c: np.ndarray | None, targets: _Targets
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact scores of same-shape candidate rows at known rates.
 
     The rows are those of a (b, 2^k) pattern stack (``patterns``),
-    possibly empty. ``alpha`` is an AlphaVector that every row is fitted
-    to at guessing rates ``g``, or a ``_Targets`` that gives each row's
-    group (``g`` is then unused). Row i is scored at capable rates
-    ``c[i]`` when ``c`` is a (b, m) stack, at ``c`` when it is one vector,
-    and at its group's fixed rates when it is None. Consecutive chunks of
-    at most ``_CANDIDATE_CHUNK`` rows, across groups, are fitted in turn,
-    each by one stacked exact solve (``_pattern_fits``) that builds no
-    design.
+    possibly empty, each fitted to its group of ``targets``. Row i is
+    scored at capable rates ``c[i]`` when ``c`` is a (b, m) stack, and at
+    its group's fixed rates when it is None. Consecutive chunks of at most
+    ``_CANDIDATE_CHUNK`` rows, across groups, are fitted in turn, each by
+    one stacked exact solve (``_pattern_fits``) that builds no design.
 
     Returns three arrays in row order: the (b,) scores, each |r| at the
     minimizer, the (b,) flags of the solves that finished rather than
     stopping at the iteration cap, and the (b, 2^k) minimizers x.
     """
-    fixed = c is None or np.ndim(c) == 1
-    targets = _as_targets(alpha, g, len(pats), c if fixed else None)
     b = len(pats)
     scores, finished, x = np.empty(b), np.empty(b, dtype=bool), np.empty(pats.shape)
     for start in range(0, b, _CANDIDATE_CHUNK):
         chunk = slice(start, start + _CANDIDATE_CHUNK)
-        rates = None if fixed else c[chunk]
+        rates = None if c is None else c[chunk]
         x[chunk], finished[chunk], _, resid = _pattern_fits(pats[chunk], rates, targets[chunk])
         scores[chunk] = np.sqrt((resid * resid).sum(axis=1))
     return scores, finished, x
@@ -503,19 +498,17 @@ def moment_slip(q: QMatrix, g, beta: np.ndarray, item: int, cover: int) -> float
     return float(np.clip(g[item] + num / den, 0.0, 1.0))
 
 
-def _rate_objective(pats: np.ndarray, g, alpha):
+def _rate_objective(pats: np.ndarray, targets: _Targets):
     """The rate searches' objective for the candidate rows of a (b, 2^k)
     pattern stack: ``_SLIP_SCALE`` times the squared score, and its
     gradient in every item's capable rate, built from no design.
 
-    ``alpha`` is an AlphaVector that every row is fitted to at guessing
-    rates ``g``, or a ``_Targets`` that gives each row's group (``g`` is
-    then unused). Returns ``evaluate(rows, c)``: for each j, row
-    ``rows[j]`` of the stack at the capable rates ``c[j]``, a (b, m)
-    stack. It gives the (b,) values, the (b, m) gradients and whether a
-    solve stopped at the solver's iteration cap. ``g`` comes checked from
-    the caller. Where the rows are of several groups, they are fitted in
-    the order of their groups and the results put back in the order asked.
+    Each row is fitted to its group of ``targets``. Returns
+    ``evaluate(rows, c)``: for each j, row ``rows[j]`` of the stack at the
+    capable rates ``c[j]``, a (b, m) stack. It gives the (b,) values, the
+    (b, m) gradients and whether a solve stopped at the solver's iteration
+    cap. The rows are fitted in the order of their groups and the results
+    put back in the order asked.
 
     The simplex fit x is the screen's exact solve on the closed-form Gram
     systems (``_pattern_fits``), and the residual is read through the
@@ -530,9 +523,7 @@ def _rate_objective(pats: np.ndarray, g, alpha):
     each problem alone, so a problem's results are the same bytes whatever
     else is in the stack.
     """
-    targets = _as_targets(alpha, g, len(pats))
     m, size = targets.g.shape[1], targets.rates.shape[1]
-    several = np.unique(targets.own).size > 1
     # bits[i, S]: item i belongs to combination S, or pattern S masters it
     bits = (np.arange(size) >> np.arange(m)[:, None]) & 1 == 1
     unit = np.eye(m, dtype=bool)
@@ -541,26 +532,23 @@ def _rate_objective(pats: np.ndarray, g, alpha):
     span = max(1, _CANDIDATE_CHUNK // m)
 
     def evaluate(rows: np.ndarray, c: np.ndarray):
-        if several:
-            order = np.argsort(targets.own[rows], kind="stable")
-            rows, c = rows[order], c[order]
+        order = np.argsort(targets.own[rows], kind="stable")
+        rows, c = rows[order], c[order]
         part_targets = targets[rows]
         _, finished, weights, resid = _pattern_fits(pats[rows], c, part_targets)
-        g = part_targets.by_row(part_targets.g)
         grad = np.empty(c.shape)
-        for lo in range(0, len(rows), span):
-            part = slice(lo, lo + span)
-            # row i of each stack: the residual on the combinations holding
-            # item i, read through the rates with c_i = 1
-            held = resid[part, None, :] * bits
-            rates = np.where(unit, 1.0, c[part, None, :])
-            moments = pattern_moments(held, rates, g if g.ndim == 1 else g[part, None, :])
-            grad[part] = 2.0 * (weights[part, None, :] * bits * moments).sum(axis=2)
+        for j, seg in part_targets.segments():
+            for lo in range(seg.start, seg.stop, span):
+                part = slice(lo, min(lo + span, seg.stop))
+                # row i of each stack: the residual on the combinations
+                # holding item i, read through the rates with c_i = 1
+                held = resid[part, None, :] * bits
+                rates = np.where(unit, 1.0, c[part, None, :])
+                moments = pattern_moments(held, rates, targets.g[j])
+                grad[part] = 2.0 * (weights[part, None, :] * bits * moments).sum(axis=2)
         out = _SLIP_SCALE * (resid * resid).sum(axis=1), _SLIP_SCALE * grad, ~finished
-        if several:
-            back = np.argsort(order)
-            out = tuple(v[back] for v in out)
-        return out
+        back = np.argsort(order)
+        return tuple(v[back] for v in out)
 
     return evaluate
 
@@ -788,11 +776,11 @@ def _lockstep(evaluate, starts: list[np.ndarray]) -> list[SearchResult]:
 
 
 def _rate_searches(
-    pats: np.ndarray, g, alpha, c: np.ndarray, free: np.ndarray
+    pats: np.ndarray, targets: _Targets, c: np.ndarray, free: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Capable rates of the candidate rows of a (b, 2^k) pattern stack from
-    the rate search, each row fitted to ``alpha`` at guessing rates ``g``,
-    or to its group of a ``_Targets`` ``alpha`` (``_rate_objective``).
+    the rate search, each row fitted to its group of ``targets``
+    (``_rate_objective``).
 
     Candidate j's search runs from each of ``_SLIP_STARTS`` over the items
     set in row j of the (b, m) mask ``free``, at least one per row, with
@@ -808,9 +796,8 @@ def _rate_searches(
     Returns the rates, with each candidate's best point over its starts in
     its free entries (``_lockstep`` keeps every point inside [0, 1]),
     whether any start converged, and whether a solve of its search stopped
-    at the iteration cap. ``g`` and ``c`` come checked from the caller.
+    at the iteration cap. ``c`` comes checked from the caller.
     """
-    targets = _as_targets(alpha, g, len(pats))
     c = np.array(c, dtype=float)
     converged = np.zeros(len(pats), dtype=bool)
     capped = np.zeros(len(pats), dtype=bool)
@@ -818,7 +805,7 @@ def _rate_searches(
     for first in range(0, len(pats), _CANDIDATE_CHUNK):
         chunk = slice(first, first + _CANDIDATE_CHUNK)
         base, mask, hit = c[chunk], free[chunk], capped[chunk]
-        objective = _rate_objective(pats[chunk], None, targets[chunk])
+        objective = _rate_objective(pats[chunk], targets[chunk])
         owner = np.repeat(np.arange(len(base)), tries)
         starts = [np.full(int(on.sum()), level) for on in mask for level in _SLIP_STARTS]
 
@@ -873,7 +860,7 @@ def profile_slip(
         c[int(i)], free[0, int(i)] = float(v), False
     if not free.any():
         return c
-    return _rate_searches(patterns(q)[None], g, alpha, c[None], free)[0][0]
+    return _rate_searches(patterns(q)[None], _as_targets(alpha, g, 1), c[None], free)[0][0]
 
 
 def _moment_stage(
@@ -919,33 +906,16 @@ def _search(alphas, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, 
     The candidates are ``enumerate_candidates``' in enumeration order,
     less ``truth`` when it is given, read once as the entry blocks of its
     source (``_candidate_blocks``) and joined, with no QMatrix built for
-    them; their (b, 2^k) patterns (``patterns``) are taken once. Every
-    stage reads rows of those stacks, one per group and candidate, group
-    0's first, each fitted to its group's rates (``_Targets``). The rate
-    policy gives each row its capable rates, the mask of its free items
-    and whether it is fitted:
-
-    - ``params`` alone (``estimate_q``): each group's ``params.c``, fixed
-      for every candidate; no item is free and every row is fitted;
-    - ``g`` (``estimate_q_unknown_c``): the moment stage
-      (``_moment_stage``), whose uncovered items are free; a degenerate
-      row is not fitted;
-    - ``params`` and ``support`` (``check_identifiability``): every item
-      free, from rates 0; a candidate whose patterns include every pattern
-      of the array ``support`` is not fitted.
-
-    Then one ``_rate_searches`` call runs the searches of the fitted rows
-    with a free item and writes their best points into the rates, and one
-    ``_screen`` call fits every fitted row at its rates, each in chunks of
-    rows across groups. A 2^m-wide pass that depends on a group alone runs
-    once per group, and no row holds a copy of its group's target.
+    them; their (b, 2^k) patterns (``patterns``) are taken once. The groups
+    then go through ``_pass`` as many at a time as fit one chunk of
+    ``_CANDIDATE_CHUNK`` rows, one row per group and candidate, and one at
+    a time where a group's candidates fill a chunk: grouping pays for the
+    fixed cost of each solve where b is small, and where b is large a pass
+    holds no more rows than a search of one group.
 
     Returns the (b, m, k) candidate entries and one array record per
-    group: the (b,) scores, the (b, 2^k) fits x, the (b, 4) ``_NOTES``
-    flags and the rates, a (b, m) stack or, where they are fixed, the
-    group's (m,) vector; each the same bytes as in a search of the group
-    alone. An unfitted candidate has x 0 and scores +inf, or 0.0 in the
-    probe, where its patterns certify an exact fit.
+    group (``_pass``), each the same bytes as in a search of the group
+    alone.
     """
     _check_tie_tol(tie_tol)
     for alpha in alphas:
@@ -961,43 +931,84 @@ def _search(alphas, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, 
     entries = np.concatenate(list(_candidate_blocks(m, k, budget)))
     if truth is not None:
         entries = entries[(entries != truth.entries).any(axis=(1, 2))]
-    b, groups = len(entries), len(alphas)
+    b = len(entries)
     pats = patterns(entries)
     fixed = params is not None and support is None
-    targets = _Targets(
-        np.array([_by_mask(alpha) for alpha in alphas]), g,
-        np.array([group.c for group in params]) if fixed else None,
-        np.repeat(np.arange(groups), b),
-    )
-    flags = np.zeros((groups * b, len(_NOTES)), dtype=bool)
+    per = max(1, _CANDIDATE_CHUNK // max(b, 1))
+    records = []
+    for lo in range(0, len(alphas), per):
+        part = slice(lo, lo + per)
+        groups = len(alphas[part])
+        targets = _Targets(
+            np.array([_by_mask(alpha) for alpha in alphas[part]]), g[part],
+            np.array([group.c for group in params[part]]) if fixed else None,
+            np.repeat(np.arange(groups), b),
+        )
+        beta = None
+        if params is None:
+            beta = np.array([decontaminate(alpha, v) for alpha, v in zip(alphas[part], g[part])])
+        records += _pass(entries, pats, targets, beta, support)
+    return entries, records
+
+
+def _pass(entries, pats, targets, beta, support) -> list:
+    """The rate policy, the rate search and the screen of ``_search`` for
+    the (b, m, k) candidate entries and their (b, 2^k) patterns, for the
+    groups of ``targets``: row r is candidate r % b of group r // b, fitted
+    to that group's rates. The rate policy gives each row its capable
+    rates, the mask of its free items and whether it is fitted:
+
+    - fixed rates in ``targets`` (``estimate_q``): each group's rates,
+      fixed for every candidate; no item is free and every row is fitted;
+    - ``beta``, each group's ``decontaminate`` rates
+      (``estimate_q_unknown_c``): the moment stage (``_moment_stage``),
+      whose uncovered items are free; a degenerate row is not fitted;
+    - ``support`` (``check_identifiability``): every item free, from
+      rates 0; a candidate whose patterns include every pattern of the
+      array ``support`` is not fitted.
+
+    Then one ``_rate_searches`` call runs the searches of the fitted rows
+    with a free item and writes their best points into the rates, and one
+    ``_screen`` call fits every fitted row at its rates, each in chunks of
+    rows across groups, each row gathering its candidate's patterns. A
+    2^m-wide pass that depends on a group alone runs once per group, and
+    no row holds a copy of its group's target.
+
+    Returns one array record per group: the (b,) scores, the (b, 2^k) fits
+    x, the (b, 4) ``_NOTES`` flags and the rates, a (b, m) stack or, where
+    they are fixed, the group's (m,) vector. An unfitted candidate has x 0
+    and scores +inf, or 0.0 in the probe, where its patterns certify an
+    exact fit.
+    """
+    (b, m, _), groups = entries.shape, len(targets.rates)
+    rows = groups * b
+    flags = np.zeros((rows, len(_NOTES)), dtype=bool)
     # the rate policy: each row's rates and free items, and which rows go
     # unfitted (flag 0)
     if support is not None:
-        rates, free = np.zeros((groups * b, m)), np.ones((groups * b, m), dtype=bool)
+        rates, free = np.zeros((rows, m)), np.ones((rows, m), dtype=bool)
         certified = (pats[:, :, None] == support).any(axis=1).all(axis=1)
         flags[:, 0] = np.tile(certified, groups)
-    elif fixed:
-        rates, free = None, np.zeros((groups * b, m), dtype=bool)
+    elif beta is None:
+        rates, free = None, np.zeros((rows, m), dtype=bool)
     else:
-        beta = np.array([decontaminate(alpha, v) for alpha, v in zip(alphas, g)])
-        rates, free, flags[:, 0] = _moment_stage(entries, g, beta)
-    pats = np.tile(pats, (groups, 1))
+        rates, free, flags[:, 0] = _moment_stage(entries, targets.g, beta)
     fitted = np.flatnonzero(~flags[:, 0])
     searched = fitted[free[fitted].any(axis=1)]
     if searched.size:
         rates[searched], converged, flags[searched, 3] = _rate_searches(
-            pats[searched], None, targets[searched], rates[searched], free[searched]
+            pats[searched % b], targets[searched], rates[searched], free[searched]
         )
         flags[searched, 1] = ~converged
-    scores = np.full(groups * b, np.inf if support is None else 0.0)
-    x = np.zeros(pats.shape)
+    scores = np.full(rows, np.inf if support is None else 0.0)
+    x = np.zeros((rows, pats.shape[1]))
     fitted_rates = None if rates is None else rates[fitted]
-    scores[fitted], finished, x[fitted] = _screen(pats[fitted], fitted_rates, None, targets[fitted])
+    scores[fitted], finished, x[fitted] = _screen(pats[fitted % b], fitted_rates, targets[fitted])
     flags[fitted, 2] = ~finished
     cuts = [slice(j * b, (j + 1) * b) for j in range(groups)]
-    return entries, [
-        (scores[rows], x[rows], flags[rows], targets.c[j] if fixed else rates[rows])
-        for j, rows in enumerate(cuts)
+    return [
+        (scores[cut], x[cut], flags[cut], targets.c[j] if rates is None else rates[cut])
+        for j, cut in enumerate(cuts)
     ]
 
 

@@ -361,12 +361,9 @@ def _group_alpha(
     """
     seen, counts = observed
     size = len(items)
-    if list(items) == list(range(size)) and seen[-1] >> size == 0:
-        sub = seen  # every pattern already reads on the group's bits
-    else:
-        sub = np.zeros(seen.size, dtype=np.int64)
-        for t, i in enumerate(items):
-            sub |= (seen >> i & 1) << t
+    sub = np.zeros(seen.size, dtype=np.int64)
+    for t, i in enumerate(items):
+        sub |= (seen >> i & 1) << t
     totals = pattern_rates(np.bincount(sub, counts, 1 << size), np.ones(size), np.zeros(size))
     rates = totals[np.fromiter(order.combos, np.int64, len(order))]
     return AlphaVector(order, rates / n, n_subjects=n)

@@ -58,6 +58,7 @@ from dinaq.estimator import (
     _SLIP_STARTS,
     SearchResult,
     _align_columns,
+    _as_targets,
     _by_mask,
     _rate_objective,
     _rate_searches,
@@ -393,7 +394,8 @@ def test_estimate_q_matches_full_table_scan():
     assert table[res.q_hat] == pytest.approx(best, abs=1e-12)
     assert set(res.ties) == scan_ties
     # the screen on every candidate at once: every score exact
-    scores, _, _ = _screen(_stacked_patterns(table), params.c, params.g, alpha)
+    targets = _as_targets(alpha, params.g, len(table), params.c)
+    scores, _, _ = _screen(_stacked_patterns(table), None, targets)
     for s, got in zip(table.values(), scores):
         assert got == pytest.approx(s, abs=1e-12)
 
@@ -450,7 +452,8 @@ def test_estimate_q_screen_matches_exact_scan(m, k, rates, tie_tol):
     np.testing.assert_allclose(res.p_tilde.probs, p_ref.probs, rtol=0, atol=1e-12)
     # screened all at once, every candidate carries its exact score
     cands = list(enumerate_candidates(m, k, budget=10**6))
-    scores, finished, _ = _screen(_stacked_patterns(cands), params.c, params.g, alpha)
+    targets = _as_targets(alpha, params.g, len(cands), params.c)
+    scores, finished, _ = _screen(_stacked_patterns(cands), None, targets)
     for cand, got, done in zip(cands, scores, finished):
         assert done
         assert got == pytest.approx(score(cand, alpha, params), abs=1e-12)
@@ -492,7 +495,11 @@ def test_row_free_screen_matches_exact_scores(data):
         c[:, rng.random(m) < 0.2] = g[0]
     else:
         c = params.c
-    fits = zip(stack, *_screen(_stacked_patterns(stack), c, g, alpha))
+    if c.ndim == 2:
+        screened = _screen(_stacked_patterns(stack), c, _as_targets(alpha, g, len(stack)))
+    else:
+        screened = _screen(_stacked_patterns(stack), None, _as_targets(alpha, g, len(stack), c))
+    fits = zip(stack, *screened)
     for j, (q, got, done, x) in enumerate(fits):
         mat = design(q, c[j] if c.ndim == 2 else c, g, order)
         assert done
@@ -566,7 +573,8 @@ def test_unknown_c_screen_matches_exact_scan(m, p_zero, n, seed):
     # the screen at the reference's rates: every score exact
     fitted = [(q, c, s) for q, c, s in table if c is not None]
     cs = np.array([c for _, c, _ in fitted])
-    scores, _, _ = _screen(_stacked_patterns([q for q, _, _ in fitted]), cs, params.g, alpha)
+    targets = _as_targets(alpha, params.g, len(fitted))
+    scores, _, _ = _screen(_stacked_patterns([q for q, _, _ in fitted]), cs, targets)
     for (_, _, s), got in zip(fitted, scores):
         assert got == pytest.approx(s, abs=1e-12)
 
@@ -937,7 +945,7 @@ def _objective(q, g, alpha, c, free):
     """The rate searches' batched objective for one candidate, as a function
     of the capable rates of the ``free`` items, the others held at ``c``:
     the scaled squared score and its gradient over the free items."""
-    evaluate = _rate_objective(patterns(q)[None], g, alpha)
+    evaluate = _rate_objective(patterns(q)[None], _as_targets(alpha, g, 1))
 
     def objective(v):
         rates = np.array(c, dtype=float)
@@ -1148,7 +1156,7 @@ def test_rate_search_cap_reports_unconverged_at_best_point(monkeypatch):
     assert res.x.tobytes() == best_x.tobytes()
     assert res.fun < seen[0][0]
     c, converged, _ = _rate_searches(
-        patterns(q)[None], params.g, alpha, np.zeros((1, 3)), np.ones((1, 3), bool)
+        patterns(q)[None], _as_targets(alpha, params.g, 1), np.zeros((1, 3)), np.ones((1, 3), bool)
     )
     c, converged = c[0], converged[0]
     assert not converged
@@ -1450,14 +1458,15 @@ def test_rate_searches_independent_of_stack(data):
     chunk = data.draw(st.integers(1, size), label="chunk")
     pats = _stacked_patterns(cands)
     with mock.patch.object(dinaq.estimator, "_CANDIDATE_CHUNK", chunk):
-        stacked = _rate_searches(pats, params.g, alpha, c, free)
+        stacked = _rate_searches(pats, _as_targets(alpha, params.g, size), c, free)
     rows = rng.permutation(np.repeat(np.arange(size), 2))
-    values = _rate_objective(pats, params.g, alpha)(rows, c[rows])
+    values = _rate_objective(pats, _as_targets(alpha, params.g, size))(rows, c[rows])
+    one_target = _as_targets(alpha, params.g, 1)
     for j, q in enumerate(cands):
-        alone = _rate_searches(pats[j : j + 1], params.g, alpha, c[j : j + 1], free[j : j + 1])
+        alone = _rate_searches(pats[j : j + 1], one_target, c[j : j + 1], free[j : j + 1])
         for got, want in zip(stacked, alone):
             assert got[j].tobytes() == want[0].tobytes()
-        alone_objective = _rate_objective(pats[j : j + 1], params.g, alpha)
+        alone_objective = _rate_objective(pats[j : j + 1], one_target)
         one = alone_objective(np.zeros(1, dtype=int), c[j : j + 1])
         for row in np.flatnonzero(rows == j):
             for got, want in zip(values, one):
@@ -1871,10 +1880,18 @@ def test_split_matches_per_group_reference(data):
     _same_outcome(stitched, _reference_split(resp, groups, k, given_params, g))
 
 
-def test_split_searches_each_size_once(monkeypatch):
-    """A split of five equal-size groups is one search: its screen makes
-    one Gram solve for all 5 x 41 rows, it walks the candidate source
-    once, and it never restricts the responses."""
+@pytest.mark.parametrize(
+    "chunk, screened", [(None, [5 * 41]), (100, [82, 82, 41]), (30, [30, 11] * 5)]
+)
+def test_split_searches_each_size_once(monkeypatch, chunk, screened):
+    """A split of five equal-size groups is one search: at the default
+    chunk its screen makes one Gram solve for all 5 x 41 rows, it walks
+    the candidate source once, and it never restricts the responses. A
+    pass of the search holds as many groups as fit one chunk of rows, and
+    one group where its candidates fill a chunk, so that a split holds no
+    more rows at once than a search of one group: in chunks of 100 rows
+    the groups go two at a time, and in chunks of 30 one at a time, each
+    screened in two chunks."""
     truth = QMatrix.from_rows([["10", "01", "11"][i % 3] for i in range(12)])
     params = DinaParams.noiseless(12)
     resp, _ = simulate(SimConfig(q=truth, params=params, p_star=UNIFORM, n=5000, seed=3))
@@ -1896,8 +1913,10 @@ def test_split_searches_each_size_once(monkeypatch):
     monkeypatch.setattr(dinaq.estimator, "_gram_active_set", counted_solve)
     monkeypatch.setattr(dinaq.estimator, "_candidate_blocks", counted_blocks)
     monkeypatch.setattr(ResponseData, "restrict", refuse)
+    if chunk is not None:
+        monkeypatch.setattr(dinaq.estimator, "_CANDIDATE_CHUNK", chunk)
     assert split_estimate(resp, groups, 2, params=params) == canonicalize(truth)
-    assert solves == [5 * 41]
+    assert solves == screened
     assert walks == [(4, 2, DEFAULT_BUDGET)]
 
 
@@ -1930,7 +1949,9 @@ def test_split_first_failing_group_decides_the_error():
     with pytest.raises(AlignmentError, match="group 2 .* do not pin a unique column"):
         split_estimate(resp, groups, 2, params=noiseless, budget=100)
     with pytest.raises(BudgetExceededError):
-        split_estimate(resp, [first, larger, ambiguous, [5, 6, 7, 0]], 2, params=noiseless, budget=100)
+        split_estimate(
+            resp, [first, larger, ambiguous, [5, 6, 7, 0]], 2, params=noiseless, budget=100
+        )
 
 
 def test_every_search_solve_goes_through_the_pipeline(monkeypatch):

@@ -15,7 +15,7 @@ from dinaq import (
     kkt_residuals,
     simplex_lsq,
 )
-from dinaq.estimator import _screen
+from dinaq.estimator import _as_targets, _screen
 from dinaq.solver import (
     _DROP_TOL,
     _ENTER_TOL,
@@ -294,7 +294,8 @@ def test_gram_solve_matches_row_form_reference(data):
     status "optimal" and KKT at 1e-8."""
     qs, c, g, order, stack, beta = _dina_case(data)
     pats = patterns(np.stack([q.entries for q in qs]))
-    for mat, score, done, x in zip(stack, *_screen(pats, c, g, AlphaVector(order, beta))):
+    targets = _as_targets(AlphaVector(order, beta), g, len(qs), c)
+    for mat, score, done, x in zip(stack, *_screen(pats, None, targets)):
         ref = _reference_lsq(mat, beta)
         sol = simplex_lsq(mat, beta)
         assert sol.status == "optimal" and done
@@ -452,7 +453,8 @@ def test_design_with_c_equal_g():
         assert sol.status == "optimal"
         assert abs(sol.residual - _reference_lsq(mat, beta)) <= 1e-12
         _assert_kkt(mat, beta, sol.x)
-        (score,), (done,), (x,) = _screen(patterns(q)[None], c, g, AlphaVector(order, beta))
+        targets = _as_targets(AlphaVector(order, beta), g, 1, c)
+        (score,), (done,), (x,) = _screen(patterns(q)[None], None, targets)
         assert done
         assert abs(score - sol.residual) <= 1e-12
         _assert_kkt(mat, beta, x)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 import time
@@ -51,7 +52,7 @@ from .estimator import (
     estimate_q_unknown_c,
     split_estimate,
 )
-from .simulator import ResponseData, SimConfig, compute_alpha, simulate
+from .simulator import ResponseData, SimConfig, _written_layout, compute_alpha, simulate
 from .tmatrix import ComboOrder, DinaParams, design
 
 EXIT_OK = 0
@@ -72,18 +73,37 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _read_text(path: str, what: str) -> str:
+def _read_bytes(path: str, what: str) -> bytes:
     try:
-        return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        return Path(path).read_bytes()
+    except OSError as exc:
         raise CliError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _decode(raw: bytes, path: str, what: str) -> str:
+    """``raw`` decoded as ``Path.read_text`` decodes a file: in the default
+    text encoding, with universal newlines."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None)).read()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read_text(path: str, what: str) -> str:
+    return _decode(_read_bytes(path, what), path, what)
 
 
 def _load(path: str, kind, what: str):
     """``kind.from_text`` of the ``what`` file at ``path`` (a QMatrix or
-    ResponseData); a file it cannot read or parse is a CliError."""
+    ResponseData); a file it cannot read or parse is a CliError. A response
+    file in the layout that ``simulate`` writes is read straight from its
+    bytes, with no decode (``_written_layout``)."""
+    raw = _read_bytes(path, what)
+    cells = _written_layout(raw) if kind is ResponseData else None
+    if cells is not None:
+        return ResponseData._from_checked(cells)
     try:
-        return kind.from_text(_read_text(path, what))
+        return kind.from_text(_decode(raw, path, what))
     except ValueError as exc:
         raise CliError(f"bad {what} file {path}: {exc}") from exc
 

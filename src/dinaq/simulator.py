@@ -80,18 +80,28 @@ def _stripped_lines(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[nonblank], ends[nonblank]
 
 
-def _written_layout(text: str) -> np.ndarray | None:
-    """The (N, m) uint8 cells of ``text`` when it is exactly the layout that
-    ``ResponseData.to_text`` writes, else None.
+def _written_layout(raw: bytes | str) -> np.ndarray | None:
+    """The (N, m) 0/1 cells of ``raw``, a file's bytes or text, when they
+    are exactly the layout that ``ResponseData.to_text`` writes, else None.
+    Text is read as its ASCII encoding, so a text and its bytes give the
+    same answer; text that is not ASCII is not in the layout.
 
     The layout is an "m=<m>" header with m in canonical decimal, then N >= 1
     rows of m "0"/"1" bytes, each ending in "\\n". m is read off the first
     row; a header that does not spell it, a row of another length, or any
-    other byte sends the text to the general reader.
+    other byte (a CR, a NUL, a byte of a multi-byte character) sends the
+    file to the general reader.
+
+    The body is taken minus 48 in one whole-buffer pass, which turns "0"
+    and "1" into 0 and 1, "\\n" into 218 and every other byte into something
+    else. The cells are returned as an (N, m) view of that buffer with the
+    newline column hidden (row stride m + 1, each row's cells contiguous),
+    not a copy.
     """
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
+    if isinstance(raw, str):
+        if not raw.isascii():
+            return None
+        raw = raw.encode("ascii")
     # with no newline at all both finds give -1, and so m = -1
     head = raw.find(b"\n")
     m = raw.find(b"\n", head + 1) - head - 1
@@ -100,12 +110,12 @@ def _written_layout(text: str) -> np.ndarray | None:
     body = np.frombuffer(raw, np.uint8, offset=head + 1)
     if body.size % (m + 1):
         return None
-    rows = body.reshape(-1, m + 1)
-    if not (rows[:, m] == ord("\n")).all():
+    rows = (body - np.uint8(ord("0"))).reshape(-1, m + 1)
+    if not (rows[:, m] == 218).all():
         return None
-    # "0" and "1" are 48 and 49; every other byte wraps or lands above 1
-    cells = rows[:, :m] - np.uint8(ord("0"))
-    return cells if cells.max() <= 1 else None
+    # with the newline column zeroed, one contiguous pass checks every cell
+    rows[:, m] = 0
+    return rows[:, :m] if rows.max() <= 1 else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,15 +156,18 @@ class ResponseData:
             raise ValueError("responses must be a nonempty 2-d array")
         if not ((a == 0) | (a == 1)).all():
             raise ValueError("responses must be 0 or 1")
-        a = a.astype(np.uint8)
+        # C order keeps each row's cells contiguous, which the row masks read
+        # a word at a time (``_response_patterns``)
+        a = a.astype(np.uint8, order="C")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
     @classmethod
     def _from_checked(cls, values: np.ndarray) -> "ResponseData":
-        """Wrap a fresh, nonempty 2-d uint8 array of 0s and 1s, which the
-        caller has already checked, without checking or copying it again.
-        The array is made read-only."""
+        """Wrap a fresh, nonempty 2-d uint8 array of 0s and 1s whose rows
+        each hold their cells contiguously, which the caller has already
+        checked, without checking or copying it again. The array is made
+        read-only."""
         values.setflags(write=False)
         data = object.__new__(cls)
         object.__setattr__(data, "values", values)
@@ -176,8 +189,9 @@ class ResponseData:
                 raise ValueError(f"item index {i} out of range for m={self.m}")
         if not idx:
             raise ValueError("responses must be a nonempty 2-d array")
-        # fancy indexing copies, and the values were checked on the way in
-        return ResponseData._from_checked(self.values[:, idx])
+        # take copies in C order (fancy indexing would lay the columns out
+        # one after another), and the values were checked on the way in
+        return ResponseData._from_checked(np.take(self.values, idx, axis=1))
 
     @classmethod
     def from_text(cls, text: str) -> "ResponseData":
@@ -190,14 +204,14 @@ class ResponseData:
         short, too long or holding any other character, is named in the
         error.
 
-        Text in the layout that ``to_text`` writes (an "m=<m>" header, then
-        rows of exactly m "0"/"1" bytes, each ending in "\\n", and nothing
-        else) is checked in a few whole-array passes and read as one reshape
-        of its bytes. Any other text goes to the general reader, which
-        accepts every layout above, gives the same matrix, and raises every
-        error. It too works in whole-array passes over the code points, with
-        no work per line in Python: bytes when the text is ASCII, UTF-32
-        otherwise.
+        ASCII text in the layout that ``to_text`` writes (an "m=<m>" header,
+        then rows of exactly m "0"/"1" bytes, each ending in "\\n", and
+        nothing else) is encoded and read by ``_written_layout``, the check
+        that the CLI runs on a response file's bytes before any decode. Any
+        other text goes to the general reader, which accepts every layout
+        above, gives the same matrix, and raises every error. It too works in
+        whole-array passes over the code points, with no work per line in
+        Python: bytes when the text is ASCII, UTF-32 otherwise.
         """
         cells = _written_layout(text)
         if cells is not None:
@@ -320,15 +334,30 @@ def simulate(config: SimConfig) -> tuple[ResponseData, np.ndarray]:
     return responses, profiles
 
 
+# Row masks are read off little-endian words of 8, 4, 2 and 1 cells. For a
+# word of 0/1 bytes, the product with the multiplier holds cell t in bit
+# shift + t (each cell times each bit of the multiplier lands on a bit of
+# its own, so nothing carries), and the shift brings it down to bit t.
+_WORDS = (
+    (8, np.dtype("<u8"), np.uint64(0x0102040810204080), np.uint64(56)),
+    (4, np.dtype("<u4"), np.uint32(0x01020408), np.uint32(24)),
+    (2, np.dtype("<u2"), np.uint16(0x0102), np.uint16(8)),
+    (1, np.dtype(np.uint8), np.uint8(1), np.uint8(0)),
+)
+
+
 def _response_patterns(responses: ResponseData) -> tuple[np.ndarray, np.ndarray]:
     """The distinct response patterns of the rows, ascending, as bitmasks
     (bit i for item i), and how many rows hold each.
 
     Each row's mask is built in the narrowest unsigned dtype that holds m
-    bits (8, 16 or 32), one column pass at that width, and the masks are
-    bincounted into 2^m cells, so m is capped at ``MAX_ITEMS`` (20), the
-    most any ``QMatrix`` holds; a wider matrix raises ``ValueError`` before
-    any allocation.
+    bits (8, 16 or 32) from words of its cells: as many words of 8 cells as
+    fit, then at most one each of 4, 2 and 1, each read in place as one
+    little-endian integer (a row's cells are contiguous in every
+    ``ResponseData``) and folded into bits by one multiply and one shift.
+    The masks are bincounted into 2^m cells, so m is capped at
+    ``MAX_ITEMS`` (20), the most any ``QMatrix`` holds; a wider matrix
+    raises ``ValueError`` before any allocation.
     """
     m = responses.m
     if m > MAX_ITEMS:
@@ -337,8 +366,13 @@ def _response_patterns(responses: ResponseData) -> tuple[np.ndarray, np.ndarray]
         )
     width = np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
     masks = np.zeros(responses.n, dtype=width)
-    for i, column in enumerate(responses.values.T):
-        masks |= column.astype(width, copy=False) << width(i)
+    off = 0
+    for size, dtype, multiplier, shift in _WORDS:
+        while m - off >= size:
+            word = responses.values[:, off : off + size].view(dtype)[:, 0] * multiplier
+            word >>= shift
+            masks |= word.astype(width, copy=False) << width(off)
+            off += size
     counts = np.bincount(masks, minlength=1 << m)
     seen = np.flatnonzero(counts)
     return seen, counts[seen]
@@ -377,7 +411,9 @@ def compute_alpha(responses: ResponseData, order: ComboOrder) -> AlphaVector:
     noiseless success map, ``pattern_rates`` at c = 1, g = 0, applied to
     the counts of the 2^m response patterns (``_group_alpha`` on the group
     of all m items, the rule that a split estimate applies to each of its
-    groups). Cost is O(N + m 2^m) rather than O(N |order|).
+    groups). Cost is O(N + m 2^m) rather than O(N |order|): each row's
+    pattern is read from words of up to 8 of its cells, not one item at a
+    time.
 
     The response patterns are counted in 2^m cells whatever the order
     (``_response_patterns``), so m is capped at ``MAX_ITEMS`` (20), the

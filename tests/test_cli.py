@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dinaq import ComboOrder, ResponseData, compute_alpha, estimate_q_unknown_c
+from dinaq import cli
 from dinaq.cli import _COMMANDS, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dinaq" / "schemas"
@@ -637,3 +638,60 @@ def test_reports_stable_across_reruns(workdir):
     b = json.loads((workdir / "r2.json").read_text())
     a.pop("wall_time"), b.pop("wall_time")
     assert a == b
+
+
+def _read_text_then_parse(path, kind, what):
+    """The loader that reading from bytes replaced, kept as the reference:
+    ``Path.read_text``, then ``kind.from_text``."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise cli.CliError(f"cannot read {what} file {path}: {exc}") from exc
+    try:
+        return kind.from_text(text)
+    except ValueError as exc:
+        raise cli.CliError(f"bad {what} file {path}: {exc}") from exc
+
+
+RESPONSE_FILES = {
+    "lf": lambda raw: raw,
+    "crlf": lambda raw: raw.replace(b"\n", b"\r\n"),
+    "bom": lambda raw: b"\xef\xbb\xbf" + raw,
+    "latin-1": lambda raw: raw[:-2] + b"\xe9\n",
+    "directory": None,
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "alpha"])
+@pytest.mark.parametrize("variant", sorted(RESPONSE_FILES))
+def test_response_bytes_read_like_read_text(workdir, capsys, monkeypatch, variant, command):
+    """Reading a response file from its bytes gives the exit code, stderr
+    and report of decoding it with ``read_text`` and parsing the text."""
+    raw = simulate_default(workdir, n=500).read_bytes()
+    path = workdir / f"resp-{variant}.txt"
+    if variant == "directory":
+        path.mkdir()
+    elif variant != "missing":
+        path.write_bytes(RESPONSE_FILES[variant](raw))
+    argv = [command, "--responses", str(path)]
+    if command == "estimate":
+        argv += ["--k", "2", "--mode", "known-cg", "--c", "0.9,0.85,0.8", "--g", "0.15,0.2,0.25"]
+
+    def outcome(out):
+        capsys.readouterr()
+        code = run(argv + ["--out", out])
+        report = None
+        if (workdir / out).exists():
+            report = (workdir / out).read_text()
+            if command == "estimate":
+                report = json.loads(report)
+                report.pop("wall_time")
+        return code, capsys.readouterr(), report
+
+    got = outcome("new.out")
+    monkeypatch.setattr(cli, "_load", _read_text_then_parse)
+    want = outcome("reference.out")
+    assert got == want
+    # the LF and CRLF files are read; every other one is a validation error
+    assert (got[0] != 3) == (variant in ("lf", "crlf"))

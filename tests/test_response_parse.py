@@ -118,3 +118,42 @@ def test_from_text_matches_reference_on_to_text(n, m):
         assert _written_layout(variant) is None
     for variant in (text, text.replace("\n", "\r\n"), text.replace("\n", " \n\t"), *near_misses):
         assert _outcome(ResponseData.from_text, variant) == _outcome(reference_from_text, variant)
+
+
+def _layout(raw):
+    cells = _written_layout(raw)
+    return None if cells is None else (cells.shape, cells.tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(response_texts(ascii_only=True))
+def test_written_layout_same_on_bytes_and_text(text):
+    assert _layout(text.encode("ascii")) == _layout(text)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (300, 5), (2000, 12), (40, 20)])
+def test_written_layout_on_bytes(n, m):
+    """The layout read from a file's bytes: the cells of ``to_text``, as a
+    view of one buffer with the newline column hidden; and the byte-level
+    near misses, which only the general reader may take, are refused."""
+    data = ResponseData(np.random.default_rng(n * m).integers(0, 2, (n, m)))
+    raw = data.to_text().encode("ascii")
+    cells = _written_layout(raw)
+    assert cells.dtype == np.uint8 and np.array_equal(cells, data.values)
+    assert cells.strides == (m + 1, 1) and cells.base is not None
+    assert _layout(raw) == _layout(data.to_text())
+    last = len(raw) - 2  # the last cell
+    near_misses = (
+        raw[:-1] + b"\r\n",  # a CR before the final LF
+        raw.replace(b"\n", b"\r\n"),  # every line in CRLF
+        raw[:last] + b"3" + raw[last + 1 :],  # one cell "3"
+        raw[:last] + b"\xb1" + raw[last + 1 :],  # a byte >= 0x80: "1" with its top bit set
+        raw[:last] + b"\xe9" + raw[last + 1 :],  # a Latin-1 letter
+        raw[:last] + b"\x00" + raw[last + 1 :],  # a NUL in a cell
+        raw[:-1] + b"\x00",  # a NUL in place of the last newline
+        raw[:-1],  # no final newline
+        b"\xef\xbb\xbf" + raw,  # a UTF-8 byte order mark
+        raw + b"\n",  # one extra trailing newline
+    )
+    for variant in near_misses:
+        assert _written_layout(variant) is None, variant[-8:]

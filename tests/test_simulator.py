@@ -165,6 +165,93 @@ def test_to_text_matches_row_join(n, m):
     assert data.to_text() == "\n".join(lines) + "\n"
 
 
+def _constructed(path):
+    """ResponseData of a 5 x 4 matrix (rows 5 x 6 before a restriction),
+    built along one constructor path."""
+    rng = np.random.default_rng(3)
+    wide = rng.integers(0, 2, (5, 6))
+    cells = wide[:, :4]
+    text = ResponseData(cells).to_text()
+    return {
+        "c-int64": lambda: ResponseData(np.ascontiguousarray(cells)),
+        "fortran-uint8": lambda: ResponseData(np.asfortranarray(cells, dtype=np.uint8)),
+        "fortran-int64": lambda: ResponseData(np.asfortranarray(cells)),
+        "column-view": lambda: ResponseData(wide[:, ::-1][:, 2:]),
+        "bool": lambda: ResponseData(cells == 1),
+        "written-layout": lambda: ResponseData.from_text(text),
+        "general-reader": lambda: ResponseData.from_text(text.replace("\n", "\r\n")),
+        "general-reader-utf32": lambda: ResponseData.from_text(text.replace("\n", "\u2028")),
+        "dina-responses": lambda: dina_responses(
+            sample_profiles(ProfileDistribution.uniform(2), 5, 1),
+            QMatrix.from_rows(["10", "01", "11", "10"]), DinaParams.noiseless(4), 1,
+        ),
+        "restrict-c": lambda: ResponseData(wide).restrict([4, 0, 2, 1]),
+        "restrict-fortran": lambda: ResponseData(np.asfortranarray(wide)).restrict([5, 3, 0, 1]),
+        "restrict-written-layout": lambda: ResponseData.from_text(
+            ResponseData(wide).to_text()
+        ).restrict([1, 2, 3, 5]),
+    }[path]()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "c-int64", "fortran-uint8", "fortran-int64", "column-view", "bool",
+        "written-layout", "general-reader", "general-reader-utf32", "dina-responses",
+        "restrict-c", "restrict-fortran", "restrict-written-layout",
+    ],
+)
+def test_rows_hold_their_cells_contiguously(path):
+    """Every constructor path stores each row's cells next to each other,
+    which the row masks read as words."""
+    data = _constructed(path)
+    assert data.values.shape == (5, 4) and data.values.dtype == np.uint8
+    assert data.values.strides[1] == 1
+    assert not data.values.flags.writeable
+
+
+def _column_loop_patterns(values):
+    """The per-column mask loop that the word-wide builder replaced, kept as
+    the reference: one shift and OR per item column."""
+    n, m = values.shape
+    width = np.uint8 if m <= 8 else np.uint16 if m <= 16 else np.uint32
+    masks = np.zeros(n, dtype=width)
+    for i, column in enumerate(values.T):
+        masks |= column.astype(width, copy=False) << width(i)
+    counts = np.bincount(masks, minlength=1 << m)
+    seen = np.flatnonzero(counts)
+    return seen, counts[seen]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, MAX_ITEMS),
+    n=st.integers(1, 300),
+    layout=st.sampled_from(["c-order", "written-layout", "restricted"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_masks_match_column_loop(m, n, layout, seed):
+    """The row masks built from words of 8, 4, 2 and 1 cells count the same
+    patterns as the per-column loop, at every m up to ``MAX_ITEMS`` (every
+    split into words), on C-ordered arrays, on the written layout's view
+    with its hidden newline column, and on restricted data."""
+    rng = np.random.default_rng(seed)
+    extra = 3 if layout == "restricted" else 0
+    cells = (rng.random((n, m + extra)) < rng.uniform(0.1, 0.9, m + extra)).astype(np.uint8)
+    data = ResponseData(cells)
+    if layout == "written-layout":
+        data = ResponseData.from_text(data.to_text())
+        assert data.values.strides == (m + 1, 1)
+    elif layout == "restricted":
+        items = rng.permutation(m + extra)[:m]
+        data = data.restrict(items)
+        cells = cells[:, items]
+    seen, counts = _response_patterns(data)
+    want_seen, want_counts = _column_loop_patterns(np.ascontiguousarray(cells))
+    assert seen.tolist() == want_seen.tolist()
+    assert counts.tolist() == want_counts.tolist()
+
+
 # ---------------------------------------------------------------------------
 # seeded sampling
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import MAX_ITEMS, ProfileDistribution, QMatrix
 from .tmatrix import ComboOrder, DinaParams, _single_item_indicators, design, pattern_rates
@@ -32,54 +31,6 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
 
 
-# The code points at which str.splitlines() breaks and those str.isspace()
-# (and so str.strip()) accepts. They are written out because deriving them
-# scans all 0x110000 code points, which every import would pay; a test
-# checks both sets against Python's.
-_LINE_BREAKS = (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)
-_WHITESPACE = (
-    0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
-    *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
-)
-
-
-def _member_table(members: tuple[int, ...]) -> np.ndarray:
-    """Boolean table over code points 0 .. max(members) + 1. The last entry
-    is False, so ``take(cp, mode="clip")`` is False above the table too."""
-    table = np.zeros(max(members) + 2, dtype=bool)
-    table[list(members)] = True
-    return table
-
-
-def _stripped_lines(cp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end offsets into ``cp`` of the nonblank lines of
-    ``str.splitlines``, each stripped as by ``str.strip``.
-
-    A CRLF counts as two breaks here, which only adds a blank line.
-    """
-    # every line break lies below 0x1F or above 0x84, so only those code
-    # points go through the exact table
-    near = np.flatnonzero((cp < 0x1F) | (cp > 0x84))
-    breaks = near[_member_table(_LINE_BREAKS).take(cp[near], mode="clip")]
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.append(breaks, cp.size)
-    space = _member_table(_WHITESPACE)
-    # each pass moves every line still on whitespace by one code point, so
-    # the passes cost what the file has of leading and trailing whitespace
-    moving = np.flatnonzero(starts < ends)
-    while moving.size:
-        moving = moving[space.take(cp[starts[moving]], mode="clip")]
-        starts[moving] += 1
-        moving = moving[starts[moving] < ends[moving]]
-    moving = np.flatnonzero(starts < ends)
-    while moving.size:
-        moving = moving[space.take(cp[ends[moving] - 1], mode="clip")]
-        ends[moving] -= 1
-        moving = moving[starts[moving] < ends[moving]]
-    nonblank = starts < ends
-    return starts[nonblank], ends[nonblank]
-
-
 def _written_layout(raw: bytes | str) -> np.ndarray | None:
     """The (N, m) 0/1 cells of ``raw``, a file's bytes or text, when they
     are exactly the layout that ``ResponseData.to_text`` writes, else None.
@@ -89,8 +40,8 @@ def _written_layout(raw: bytes | str) -> np.ndarray | None:
     The layout is an "m=<m>" header with m in canonical decimal, then N >= 1
     rows of m "0"/"1" bytes, each ending in "\\n". m is read off the first
     row; a header that does not spell it, a row of another length, or any
-    other byte (a CR, a NUL, a byte of a multi-byte character) sends the
-    file to the general reader.
+    other byte (a CR, a NUL, a byte of a multi-byte character) gives None,
+    and ``ResponseData.from_text`` then reads the text line by line.
 
     The body is taken minus 48 in one whole-buffer pass, which turns "0"
     and "1" into 0 and 1, "\\n" into 218 and every other byte into something
@@ -208,46 +159,32 @@ class ResponseData:
         then rows of exactly m "0"/"1" bytes, each ending in "\\n", and
         nothing else) is encoded and read by ``_written_layout``, the check
         that the CLI runs on a response file's bytes before any decode. Any
-        other text goes to the general reader, which accepts every layout
-        above, gives the same matrix, and raises every error. It too works in
-        whole-array passes over the code points, with no work per line in
-        Python: bytes when the text is ASCII, UTF-32 otherwise.
+        other text is split into stripped lines as above, and its rows are
+        joined back into that layout and checked by ``_written_layout`` in
+        one pass, each non-ASCII character one bad cell. Only when that check
+        fails are the rows scanned one by one, to name the first bad row.
         """
         cells = _written_layout(text)
         if cells is not None:
             return cls._from_checked(cells)
-        if text.isascii():
-            cp = np.frombuffer(text.encode("ascii"), np.uint8)
-        else:
-            # surrogatepass keeps a lone surrogate one (bad) cell, not an error
-            cp = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
-        starts, ends = _stripped_lines(cp)
-        header = text[starts[0] : ends[0]] if starts.size else ""
+        lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
+        header = lines[0] if lines else ""
         if not header.startswith("m="):
             raise ValueError('response text must start with an "m=<m>" header')
         try:
             m = int(header[2:])
         except ValueError as exc:
             raise ValueError(f"bad response header {header!r}") from exc
-        starts, ends = starts[1:], ends[1:]
-        if not starts.size:
+        rows = lines[1:]
+        if not rows:
             raise ValueError("response file has no subject rows")
-        # rows are nonblank, so with m <= 0 every row has the wrong length
-        wrong_len = np.flatnonzero(ends - starts != m)
-        first_bad = int(wrong_len[0]) if wrong_len.size else starts.size
-        if first_bad:
-            # one code point per cell; "0" and "1" are 48 and 49, anything
-            # else wraps or lands above 1 after the subtraction
-            cells = sliding_window_view(cp, m)[starts[:first_bad]]
-            cells -= 48
-            bad = cells > 1
-            if bad.any():
-                first_bad = int(bad.argmax()) // m
-        if first_bad < starts.size:
-            row = text[starts[first_bad] : ends[first_bad]]
+        # the rows rejoined in the written layout; "replace" makes each
+        # non-ASCII character one "?" cell, which that layout refuses
+        cells = _written_layout("\n".join([f"m={m}", *rows, ""]).encode("ascii", "replace"))
+        if cells is None:
+            row = next(row for row in rows if len(row) != m or row.strip("01"))
             raise ValueError(f"bad response row {row!r} (expected {m} binary characters)")
-        # every cell is now 0 or 1 in a fresh array, one byte wide for ASCII
-        return cls._from_checked(cells.astype(np.uint8, copy=False))
+        return cls._from_checked(cells)
 
     def to_text(self) -> str:
         """The response file format read by ``from_text``: the header, then

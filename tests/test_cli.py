@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dinaq import ComboOrder, ResponseData, compute_alpha, estimate_q_unknown_c
-from dinaq import cli
+from dinaq import cli, simulator
 from dinaq.cli import _COMMANDS, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dinaq" / "schemas"
@@ -695,3 +695,32 @@ def test_response_bytes_read_like_read_text(workdir, capsys, monkeypatch, varian
     assert got == want
     # the LF and CRLF files are read; every other one is a validation error
     assert (got[0] != 3) == (variant in ("lf", "crlf"))
+
+
+def test_crlf_file_read_through_the_written_layout(workdir, monkeypatch):
+    """A CRLF response file is not in the written layout as bytes, but its
+    universal-newline decode is: ``from_text`` reads it through the layout
+    check, not its line loop, and the report is the LF file's."""
+    raw = simulate_default(workdir).read_bytes()
+    (workdir / "resp-crlf.txt").write_bytes(raw.replace(b"\n", b"\r\n"))
+    argv = ["estimate", "--k", "2", "--mode", "known-cg", "--c", "0.9,0.85,0.8", "--g", "0.15,0.2,0.25"]
+    assert run(argv + ["--responses", "resp.txt", "--out", "lf.json"]) == 0
+    layout = simulator._written_layout
+    calls = []
+
+    def spy(given):
+        cells = layout(given)
+        calls.append((given, cells))
+        return cells
+
+    # the CLI's call on the bytes and the one inside ``from_text``
+    monkeypatch.setattr(cli, "_written_layout", spy)
+    monkeypatch.setattr(simulator, "_written_layout", spy)
+    assert run(argv + ["--responses", "resp-crlf.txt", "--out", "crlf.json"]) == 0
+    (on_bytes, bytes_cells), (on_text, text_cells) = calls
+    assert on_bytes == raw.replace(b"\n", b"\r\n") and bytes_cells is None
+    assert on_text == raw.decode("ascii")
+    assert np.array_equal(text_cells, layout(raw))
+    lf, crlf = (json.loads((workdir / out).read_text()) for out in ("lf.json", "crlf.json"))
+    lf.pop("wall_time"), crlf.pop("wall_time")
+    assert lf == crlf

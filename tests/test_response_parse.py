@@ -1,4 +1,5 @@
-"""ResponseData.from_text against the line-by-line parser it replaced."""
+"""ResponseData.from_text and the written-layout check it starts with,
+against a line-by-line parser that numpy-checks the cells of every row."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dinaq import ResponseData
-from dinaq.simulator import _LINE_BREAKS, _WHITESPACE, _written_layout
+from dinaq.simulator import _written_layout
+
+# The code points at which str.splitlines() breaks and those str.isspace()
+# (and so str.strip()) accepts, which the strategies draw from. They are
+# written out because deriving them scans all 0x110000 code points; a test
+# checks both sets against Python's.
+_LINE_BREAKS = (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85, 0x2028, 0x2029)
+_WHITESPACE = (
+    0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680,
+    *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+)
 
 
 def reference_from_text(text: str) -> ResponseData:
@@ -135,7 +146,8 @@ def test_written_layout_same_on_bytes_and_text(text):
 def test_written_layout_on_bytes(n, m):
     """The layout read from a file's bytes: the cells of ``to_text``, as a
     view of one buffer with the newline column hidden; and the byte-level
-    near misses, which only the general reader may take, are refused."""
+    near misses, which only a decode and the line loop of ``from_text`` may
+    take, are refused."""
     data = ResponseData(np.random.default_rng(n * m).integers(0, 2, (n, m)))
     raw = data.to_text().encode("ascii")
     cells = _written_layout(raw)

@@ -16,10 +16,15 @@ whose pivots are checked, never by a pseudo-inverse. Every operation acts
 on each problem alone, so a problem's solution is the same bytes whatever
 else is in the stack. A restricted system that turns singular right after
 an entry is undone and the column is blocked; the docstring of
-``_gram_active_set`` proves that this loses nothing. ``simplex_lsq`` is the
-solve of one problem given by its rows: a stack of one, with the residual
-read off the rows. The searches call the same solve on closed-form Gram
-systems that build no design.
+``_gram_active_set`` proves that this loses nothing. The iterations are
+kept cheap without moving a byte: the first solves nothing, since the start
+vertex is its own restricted optimum; each elimination pivots only at the
+positions that some problem's restricted support holds, eliminating the
+right-hand side as one more column; and finished problems stay in the
+stack, as the fixed points they are, until half of it has finished.
+``simplex_lsq`` is the solve of one problem given by its rows: a stack of
+one, with the residual read off the rows. The searches call the same solve
+on closed-form Gram systems that build no design.
 
 The stack runs with the problem axis last: (n, n, b) Gram and eliminated
 systems, (n, b) points, supports and gradients. The systems are small
@@ -135,7 +140,7 @@ def _sum_leading(v: np.ndarray) -> np.ndarray:
 
 
 def _solve_checked(
-    a: np.ndarray, rhs: np.ndarray, floor: np.ndarray
+    a: np.ndarray, rhs: np.ndarray, floor: np.ndarray, pivots: list[int] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve stacked symmetric positive semidefinite systems a y = rhs by
     elimination without pivoting, with the problem axis last: ``a`` of
@@ -147,13 +152,24 @@ def _solve_checked(
     column from the span of the earlier ones, so a pivot at or below the
     floor means the system is singular to working precision; such a
     system's y is meaningless. Every operation acts on each system alone.
+    y is eliminated as column n of the augmented system [a | rhs], so that
+    each pivot makes one trailing update, with the arithmetic of two.
+
+    ``pivots``, ascending positions, limits the forward and back steps to
+    them (default: all). Every other position must be a unit row and
+    column of every system, with a floor below 1 and a right-hand side of
+    zero. Its pivot is then 1, its elimination factors are zeros, and its
+    y stays zero, so skipping it changes an entry only by the sign of an
+    exact zero: adding or subtracting a signed zero leaves every nonzero
+    number as it is. The back steps still sum over every position, so
+    that ``_sum_leading`` keeps its accumulators at n >= 8.
     """
-    a = a.copy()
-    y = rhs.copy()
     n = a.shape[0]
+    aug = np.concatenate((a, rhs[:, None]), axis=1)
     ok = np.ones(a.shape[-1], dtype=bool)
-    for j in range(n):
-        pivot = a[j, j]
+    steps = range(n) if pivots is None else pivots
+    for j in steps:
+        pivot = aug[j, j]
         good = pivot > floor[j]
         if not good.all():
             # a failed system goes on as an identity with a zero right-hand
@@ -161,17 +177,16 @@ def _solve_checked(
             # finite; its y is discarded
             failed = np.flatnonzero(ok & ~good)
             ok &= good
-            a[j:, j:, failed] = np.eye(n - j)[:, :, None]
-            y[j:, failed] = 0.0
+            aug[j:, j:, failed] = np.eye(n - j, n + 1 - j)[:, :, None]
         if j + 1 < n:
-            factor = a[j + 1 :, j] / pivot
+            factor = aug[j + 1 :, j] / pivot
             # below the pivot only the trailing block is read again
-            a[j + 1 :, j + 1 :] -= factor[:, None] * a[j, None, j + 1 :]
-            y[j + 1 :] -= factor * y[j]
-    for j in range(n - 1, -1, -1):
+            aug[j + 1 :, j + 1 :] -= factor[:, None] * aug[j, None, j + 1 :]
+    y = aug[:, n]
+    for j in reversed(steps):
         if j + 1 < n:
-            y[j] -= _sum_leading(a[j, j + 1 :] * y[j + 1 :])
-        y[j] /= a[j, j]
+            y[j] -= _sum_leading(aug[j, j + 1 : n] * y[j + 1 :])
+        y[j] /= aug[j, j]
     return y, ok
 
 
@@ -230,11 +245,28 @@ def _gram_active_set(
     and x back on exit. Elementwise operations give the same bytes in
     either layout; a sum over n adds in the order numpy's sum over a
     contiguous last axis would (``_sum_leading``), so the results are the
-    bytes of the same method run on the (b, n, n) stack. Only live
-    problems are held, gathered again when some finish; each problem's
+    bytes of the same method run on the (b, n, n) stack. Each problem's
     eliminated system is cached until its lowest-index support column
     changes, and the step to the boundary runs only on the problems whose
     restricted optimum left the simplex.
+
+    Three savings keep every byte. Iteration 1 solves no system: every
+    support is {0}, whose restricted optimum is the start vertex e_0
+    itself, which the elimination would also return, with its pivots all
+    1. The elimination pivots only at positions that some problem's
+    restricted support holds (``_solve_checked``); every other position is
+    a unit row and column of every problem, and skipping it moves only the
+    signs of exact zeros, which the clip of z at zero (np.maximum(z, 0.0),
+    which is np.clip's own ufunc and returns +0.0 for -0.0) makes +0.0
+    before they can reach x, the gradient or a step. And a finished problem
+    stays held, with its x, flag and iteration count recorded as it
+    finishes: it is a fixed point, which solves the same support to the
+    same point and lets nothing enter, so its later iterations change
+    nothing that is read. The held problems are gathered down to the
+    unfinished ones only once at least half of them have finished: a stack
+    pays one gather each time its held count halves, not one on every
+    iteration in which some problem finishes, and a stack whose problems
+    all finish together, as a stack of one does, pays none.
 
     A restricted system is singular when a pivot of its elimination is at
     or below 1e-12 times the largest diagonal entry of G on the support.
@@ -271,8 +303,10 @@ def _gram_active_set(
     x_out = np.empty((n, count))
     finished = np.zeros(count, dtype=bool)
     iterations = np.zeros(count, dtype=int)
-    # the state of the live problems, which are ``ids``
-    ids = np.arange(count)
+    # the state of the held problems, which are ``ids``; those of them that
+    # have finished (``over``) stay until half of them have
+    ids = lanes = np.arange(count)
+    over = np.zeros(count, dtype=bool)
     x = np.zeros((n, count))
     x[0] = 1.0
     on = np.zeros((n, count), dtype=bool)
@@ -284,29 +318,37 @@ def _gram_active_set(
     cached = np.zeros(count, dtype=int)
     elim, base = _eliminated(g, h, cached)
     it = 0
-    while ids.size and it < max_iter:
+    while not over.all() and it < max_iter:
         it += 1
-        lanes = np.arange(ids.size)
-        # eliminate the lowest-index support variable j0
-        j0 = on.argmax(axis=0)
-        stale = np.flatnonzero(j0 != cached)
-        if stale.size:
-            elim[:, :, stale], base[:, stale] = _eliminated(
-                g[:, :, stale], h[:, stale], j0[stale]
+        if it == 1:
+            # the start vertex e_0 is the restricted optimum of its support
+            # {0}, with nothing to eliminate
+            z, solved = x, np.ones(ids.size, dtype=bool)
+        else:
+            # eliminate the lowest-index support variable j0
+            j0 = on.argmax(axis=0)
+            stale = np.flatnonzero(j0 != cached)
+            if stale.size:
+                elim[:, :, stale], base[:, stale] = _eliminated(
+                    g[:, :, stale], h[:, stale], j0[stale]
+                )
+                cached[stale] = j0[stale]
+            rest = on.copy()
+            rest[j0, lanes] = False
+            # unit rows and columns off the support keep y there at 0; a
+            # position off every problem's support needs no pivot
+            a = np.where(rest[:, None] & rest[None, :], elim, eye)
+            floor = _PIVOT_TOL * np.where(on, diag, 0.0).max(axis=0)
+            z, solved = _solve_checked(
+                a, base * rest, np.where(rest, floor, -1.0),
+                np.flatnonzero(rest.any(axis=1)).tolist(),
             )
-            cached[stale] = j0[stale]
-        rest = on.copy()
-        rest[j0, lanes] = False
-        # unit rows and columns off the support keep y there at 0
-        a = np.where(rest[:, None] & rest[None, :], elim, eye)
-        floor = _PIVOT_TOL * np.where(on, diag, 0.0).max(axis=0)
-        z, solved = _solve_checked(a, base * rest, np.where(rest, floor, -1.0))
-        z[j0, lanes] = 1.0 - _sum_leading(z)
+            z[j0, lanes] = 1.0 - _sum_leading(z)
         outside = np.where(on, z, np.inf).min(axis=0) <= -FEASIBILITY_TOL
 
         # restricted optimum feasible: take it, then let the most violated
         # off-support coordinate that is not blocked enter
-        step_x = np.where(on, np.clip(z, 0.0, None), 0.0)
+        step_x = np.where(on, np.maximum(z, 0.0), 0.0)
         grad = 2.0 * (_sum_leading((g * step_x[None]).transpose(1, 0, 2)) - h)
         lam = _sum_leading(np.where(on, grad, 0.0)) / on.sum(axis=0)
         viol = np.where(on | blocked, np.inf, grad - lam)
@@ -332,19 +374,25 @@ def _gram_active_set(
         # a column leaving the support clears every block
         blocked[:, solved & outside] = False
         entered = np.where(solved & enter, pick, -1)
-        over = solved & done
-        if over.any():
-            x_out[:, ids[over]] = x[:, over]
-            finished[ids[over]] = True
-            iterations[ids[over]] = it
+        # a finished problem is a fixed point: it solves the same support to
+        # the same point and lets nothing enter, so it may stay held
+        now = solved & done & ~over
+        if now.any():
+            x_out[:, ids[now]] = x[:, now]
+            finished[ids[now]] = True
+            iterations[ids[now]] = it
+            over |= now
             go = np.flatnonzero(~over)
-            ids, entered, cached = ids[go], entered[go], cached[go]
-            x, on, blocked, h, diag, base = (
-                v[:, go] for v in (x, on, blocked, h, diag, base)
-            )
-            g, elim = g[:, :, go], elim[:, :, go]
-    x_out[:, ids] = x
-    iterations[ids] = it
+            if go.size and 2 * go.size <= over.size:
+                ids, entered, cached, over = ids[go], entered[go], cached[go], over[go]
+                lanes = np.arange(ids.size)
+                x, on, blocked, h, diag, base = (
+                    v[:, go] for v in (x, on, blocked, h, diag, base)
+                )
+                g, elim = g[:, :, go], elim[:, :, go]
+    live = ~over
+    x_out[:, ids[live]] = x[:, live]
+    iterations[ids[live]] = it
 
     x = np.clip(np.ascontiguousarray(x_out.T), 0.0, None)
     x /= x.sum(axis=1, keepdims=True)

@@ -403,8 +403,8 @@ def _spy_singular(monkeypatch):
     real = dinaq.solver._solve_checked
     singular = []
 
-    def spy(a, rhs, floor):
-        y, ok = real(a, rhs, floor)
+    def spy(a, rhs, floor, pivots=None):
+        y, ok = real(a, rhs, floor, pivots)
         singular.append(not ok.all())
         return y, ok
 
@@ -491,8 +491,8 @@ def test_a_column_leaving_clears_the_blocks(monkeypatch):
     real = dinaq.solver._solve_checked
     calls = []
 
-    def second_singular(a, rhs, floor):
-        y, ok = real(a, rhs, floor)
+    def second_singular(a, rhs, floor, pivots=None):
+        y, ok = real(a, rhs, floor, pivots)
         calls.append(a)
         return y, ok & (len(calls) != 2)
 
@@ -517,6 +517,34 @@ def test_singular_pivots_independent_of_stack(monkeypatch):
     singular = _spy_singular(monkeypatch)
     _assert_independent_of_stack(np.stack(stack), rng.normal(size=7) * 1e3, rng)
     assert any(singular)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_finish_times_independent_of_stack(data):
+    """A problem's bytes are the same alone and in stacks whose other
+    problems finish earlier or later. At n = 16 and a scale of 1e3, designs
+    with a duplicated column, which undo entries, sit beside plain ones and
+    beside integer ones whose first column is the integer target, which
+    finish at the start vertex, since their Gram forms are exact. The
+    stacks hold from one to 18 problems, so that the finished ones are
+    gathered out at once, later or never."""
+    counts = [data.draw(st.integers(0, 6), label=kind)
+              for kind in ("duplicated", "plain", "vertex")]
+    if not sum(counts):
+        counts[0] = 1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rows = 20
+    beta = rng.integers(-1000, 1001, size=rows).astype(float)
+    stack = [_duplicated(rng, 15, rows)[0][:, rng.permutation(16)]
+             for _ in range(counts[0])]
+    stack += [rng.normal(size=(rows, 16)) * 1e3 for _ in range(counts[1])]
+    for _ in range(counts[2]):
+        mat = rng.integers(-1000, 1001, size=(rows, 16)).astype(float)
+        mat[:, 0] = beta
+        stack.append(mat)
+    stack = np.stack(stack)[rng.permutation(len(stack))]
+    _assert_independent_of_stack(stack, beta, rng)
 
 
 def test_iteration_cap_stops_at_a_feasible_point():
@@ -699,3 +727,52 @@ def test_kernel_matches_the_reference_byte_for_byte(data):
     # a flagged system's y is meaningless
     assert y.T[ok].tobytes() == y_ref[ok].tobytes()
     assert np.isfinite(y).all()
+
+
+def _exact_fit(rng, n):
+    """A noiseless design of n columns (c = 1, g = 0; at n = 1 a 0/1
+    column) and a target it fits exactly: beta = M p for p on a dyadic
+    lattice that is zero off a random set of columns, so that the
+    arithmetic of the restricted solves is often exact and their optima
+    hold exact zeros."""
+    if n == 1:
+        mat = rng.integers(0, 2, size=(int(rng.integers(1, 5)), 1)).astype(float)
+    else:
+        k = n.bit_length() - 1
+        m = int(rng.integers(k, k + 3))
+        q = QMatrix(np.array([[(r >> j) & 1 for j in range(k)]
+                              for r in rng.integers(1, n, size=m)]))
+        mat = design(q, np.ones(m), np.zeros(m), ComboOrder.saturated(m))
+    cols = rng.random(n) < rng.uniform(0.2, 1.0)
+    cols[rng.integers(n)] = True
+    units = 1 << int(rng.integers(0, 7))
+    p = rng.multinomial(units, cols / cols.sum()) / units
+    return mat, mat @ p
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_kernel_matches_the_reference_on_exact_fits(data):
+    """The kernel returns the reference's bytes (x, finish flags and
+    iteration counts) on exact fits of noiseless designs, whose restricted
+    optima hold exact zeros, and on targets and linear terms that hold
+    -0.0: skipping the unit pivots moves only the signs of exact zeros,
+    which the clip at zero makes +0.0 before they reach x."""
+    n = data.draw(st.sampled_from([1, 2, 4, 8, 16]), label="n")
+    count = data.draw(st.one_of(st.just(1), st.integers(2, 40)), label="problems")
+    negative_zeros = data.draw(st.booleans(), label="-0.0")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    gram, lin = np.zeros((count, n, n)), np.zeros((count, n))
+    for i in range(count):
+        mat, beta = _exact_fit(rng, n)
+        if negative_zeros:
+            beta = np.where(beta == 0.0, -0.0, beta)
+        gram[i], lin[i] = mat.T @ mat, mat.T @ beta
+    if negative_zeros:
+        lin = np.where(lin == 0.0, -0.0, lin)
+    got = _gram_active_set(gram, lin)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _reference_gram_active_set(gram, lin)
+    for g_, w_ in zip(got, want):
+        assert g_.dtype == w_.dtype and g_.shape == w_.shape
+        assert g_.tobytes() == w_.tobytes()

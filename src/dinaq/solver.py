@@ -256,9 +256,11 @@ def _gram_active_set(
     1. The elimination pivots only at positions that some problem's
     restricted support holds (``_solve_checked``); every other position is
     a unit row and column of every problem, and skipping it moves only the
-    signs of exact zeros, which the clip of z at zero (np.maximum(z, 0.0),
-    which is np.clip's own ufunc and returns +0.0 for -0.0) makes +0.0
-    before they can reach x, the gradient or a step. And a finished problem
+    signs of exact zeros, which the clip of z at zero, np.maximum(z, 0.0),
+    makes +0.0 before they can reach x, the gradient or a step. That numpy
+    returns +0.0 for maximum(-0.0, 0.0) is an assumption, not a documented
+    rule; ``test_clip_at_zero_makes_negative_zero_positive`` pins it, so a
+    numpy or machine that breaks it fails there. And a finished problem
     stays held, with its x, flag and iteration count recorded as it
     finishes: it is a fixed point, which solves the same support to the
     same point and lets nothing enter, so its later iterations change

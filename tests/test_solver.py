@@ -484,21 +484,29 @@ def test_a_column_leaving_clears_the_blocks(monkeypatch):
     support. The restricted system right after the first entry is reported
     singular, as rounding could make it, so that column is undone and
     blocked; a later step drops column 0, which clears the block, and the
-    solve still ends at the optimum, on a support that holds the column."""
+    solve still ends at the optimum, on a support that holds the column.
+
+    Iteration 1 solves nothing and enters column 2, so the first solve is
+    the one after that entry. The pivots of each solve, the support less
+    its lowest column, pin the path: {0, 2} is undone; at {0} column 1
+    enters, where an unblocked column 2 would have entered again, as it did
+    from the same point before; {0, 1} drops column 0, which clears the
+    block, and from {1} column 2 enters again."""
     mat = np.array([[-3.0, -1.0, -1.0], [2.0, 0.0, -3.0], [-1.0, 1.0, 2.0], [2.0, 3.0, -2.0]])
     beta = np.array([3.0, -3.0, 0.0, -2.0])
     want = simplex_lsq(mat, beta)
     real = dinaq.solver._solve_checked
     calls = []
 
-    def second_singular(a, rhs, floor, pivots=None):
+    def first_singular(a, rhs, floor, pivots=None):
         y, ok = real(a, rhs, floor, pivots)
-        calls.append(a)
-        return y, ok & (len(calls) != 2)
+        calls.append(pivots)
+        return y, ok & (len(calls) != 1)
 
-    monkeypatch.setattr(dinaq.solver, "_solve_checked", second_singular)
+    monkeypatch.setattr(dinaq.solver, "_solve_checked", first_singular)
     sol = simplex_lsq(mat, beta)
-    assert sol.status == "optimal" and sol.iterations > want.iterations
+    assert calls == [[2], [], [1], [], [2]]
+    assert sol.status == "optimal" and sol.iterations == 6 > want.iterations
     assert sol.x[0] == 0.0 and (sol.x[1:] > 0.0).all()
     np.testing.assert_allclose(sol.x, want.x, rtol=0, atol=1e-12)
 
@@ -748,6 +756,27 @@ def _exact_fit(rng, n):
     units = 1 << int(rng.integers(0, 7))
     p = rng.multinomial(units, cols / cols.sum()) / units
     return mat, mat @ p
+
+
+def test_clip_at_zero_makes_negative_zero_positive():
+    """The kernel's byte identity with the reference assumes that
+    ``np.maximum(z, 0.0)`` gives +0.0 for -0.0, which numpy does not
+    document: skipping unit pivots may flip the sign of an exact zero on
+    the support, and only this clip clears it before it reaches x. Checked
+    on lengths 1 to 199, alone and among other numbers, contiguous and in
+    the strided (n, b) rows of an augmented (n, n + 1, b) system."""
+    rng = np.random.default_rng(11)
+    for size in range(1, 200):
+        mixed = rng.normal(size=size)
+        mixed[rng.random(size) < 0.5] = -0.0
+        for z in (np.full(size, -0.0), mixed, np.full(2 * size, -0.0)[::2]):
+            clipped = np.maximum(z, 0.0)
+            assert not np.signbit(clipped[clipped == 0.0]).any()
+    for n in (1, 2, 4, 8, 16):
+        for b in (1, 3, 40, 365):
+            z = np.full((n, n + 1, b), -0.0)[:, n]
+            on = rng.random((n, b)) < 0.5
+            assert not np.signbit(np.where(on, np.maximum(z, 0.0), 0.0)).any()
 
 
 @settings(max_examples=120, deadline=None)

@@ -240,7 +240,7 @@ class _Targets:
     items: ``rates``, the (G, 2^m) saturated success rates by bitmask
     (``_by_mask``), ``g``, the (G, m) guessing rates, and ``c``, the (G, m)
     capable rates where they are fixed, else None. ``own`` is the (b,)
-    group of each row, nondecreasing; indexing takes rows."""
+    group of each row, in any order; indexing takes rows."""
 
     rates: np.ndarray
     g: np.ndarray
@@ -250,14 +250,12 @@ class _Targets:
     def __getitem__(self, rows) -> "_Targets":
         return _Targets(self.rates, self.g, self.c, self.own[rows])
 
-    def segments(self) -> list[tuple[int, slice]]:
-        """The group and the slice of each run of rows that share a group."""
-        cuts = (np.flatnonzero(self.own[1:] != self.own[:-1]) + 1).tolist()
-        ends = [0, *cuts, len(self.own)]
-        return [(int(self.own[lo]), slice(lo, hi)) for lo, hi in zip(ends, ends[1:])]
-
     def by_row(self, values: np.ndarray) -> np.ndarray:
-        """The rows' entries of a per-group (G, m) array, a (b, m) stack."""
+        """The rows' entries of a per-group (G, ...) array, a (b, ...)
+        stack: for one group, a read-only view of its entry, which holds
+        no copy per row; for several, a gather."""
+        if len(values) == 1:
+            return np.broadcast_to(values[0], self.own.shape + values.shape[1:])
         return values[self.own]
 
 
@@ -283,36 +281,32 @@ def _pattern_fits(
     ``c`` holds the rows' (b, m) capable rates, or is None for the fixed
     rates of their groups. The solve runs on the closed-form Gram systems
     (``pattern_gram``) with ``pattern_moments`` of each group's target
-    gathered by pattern, one pass per group at fixed rates and one per row
-    otherwise, and every row in one stacked solve. The residual is read
-    through the pattern lattice (``pattern_rates`` of the weights of x on
-    the patterns, equal patterns sharing a cell, less each group's
-    target), never from the Gram form, with the empty combination's entry,
-    the total mass, put to 0. The passes run per group, at the group's
-    (m,) guessing rates, which numpy applies as one scalar per pass rather
-    than one per row. Returns the minimizers x, whether each solve
+    gathered by pattern, one pass stacked over the groups at fixed rates
+    and one per row otherwise, and every row in one stacked solve. The
+    residual is read through the pattern lattice (``pattern_rates`` of the
+    weights of x on the patterns, equal patterns sharing a cell, less each
+    row's target), never from the Gram form, with the empty combination's
+    entry, the total mass, put to 0. Each row reads its group's target
+    and rates through ``targets.by_row``: a view of one group's entry,
+    which numpy applies with no copy per row, or a gather where the stack
+    holds several groups. Returns the minimizers x, whether each solve
     finished rather than stopping at the iteration cap, and the pattern
-    weights and residuals of x. Every operation acts on each row alone.
+    weights and residuals of x. Every operation acts on each row alone,
+    so the rows may come in any order of their groups.
     """
-    segments = [
-        (j, rows, targets.c[j] if c is None else c[rows]) for j, rows in targets.segments()
-    ]
-    lin = np.empty(pats.shape)
-    for j, rows, rates in segments:
-        moments = np.atleast_2d(pattern_moments(targets.rates[j], rates, targets.g[j]))
-        lin[rows] = np.take_along_axis(moments, pats[rows], axis=1)
-    gram = pattern_gram(
-        pats,
-        targets.by_row(targets.c) if c is None else c,
-        targets.by_row(targets.g),
-    )
-    x, finished, _ = _gram_active_set(gram, lin)
+    g = targets.by_row(targets.g)
+    if c is None:
+        c = targets.by_row(targets.c)
+        moments = pattern_moments(targets.rates, targets.c, targets.g)
+        lin = moments[targets.own[:, None], pats]
+    else:
+        moments = pattern_moments(targets.by_row(targets.rates), c, g)
+        lin = np.take_along_axis(moments, pats, axis=1)
+    x, finished, _ = _gram_active_set(pattern_gram(pats, c, g), lin)
     count, size = pats.shape[0], targets.rates.shape[1]
     slots = (np.arange(count)[:, None] * size + pats).ravel()
     weights = np.bincount(slots, x.ravel(), count * size).reshape(count, size)
-    resid = np.empty(weights.shape)
-    for j, rows, rates in segments:
-        resid[rows] = pattern_rates(weights[rows], rates, targets.g[j]) - targets.rates[j]
+    resid = pattern_rates(weights, c, g) - targets.by_row(targets.rates)
     resid[:, 0] = 0.0
     return x, finished, weights, resid
 
@@ -507,8 +501,7 @@ def _rate_objective(pats: np.ndarray, targets: _Targets):
     ``evaluate(rows, c)``: for each j, row ``rows[j]`` of the stack at the
     capable rates ``c[j]``, a (b, m) stack. It gives the (b,) values, the
     (b, m) gradients and whether a solve stopped at the solver's iteration
-    cap. The rows are fitted in the order of their groups and the results
-    put back in the order asked.
+    cap. The rows are fitted in the order asked, whatever their groups.
 
     The simplex fit x is the screen's exact solve on the closed-form Gram
     systems (``_pattern_fits``), and the residual is read through the
@@ -532,23 +525,19 @@ def _rate_objective(pats: np.ndarray, targets: _Targets):
     span = max(1, _CANDIDATE_CHUNK // m)
 
     def evaluate(rows: np.ndarray, c: np.ndarray):
-        order = np.argsort(targets.own[rows], kind="stable")
-        rows, c = rows[order], c[order]
         part_targets = targets[rows]
         _, finished, weights, resid = _pattern_fits(pats[rows], c, part_targets)
+        g = part_targets.by_row(targets.g)
         grad = np.empty(c.shape)
-        for j, seg in part_targets.segments():
-            for lo in range(seg.start, seg.stop, span):
-                part = slice(lo, min(lo + span, seg.stop))
-                # row i of each stack: the residual on the combinations
-                # holding item i, read through the rates with c_i = 1
-                held = resid[part, None, :] * bits
-                rates = np.where(unit, 1.0, c[part, None, :])
-                moments = pattern_moments(held, rates, targets.g[j])
-                grad[part] = 2.0 * (weights[part, None, :] * bits * moments).sum(axis=2)
-        out = _SLIP_SCALE * (resid * resid).sum(axis=1), _SLIP_SCALE * grad, ~finished
-        back = np.argsort(order)
-        return tuple(v[back] for v in out)
+        for lo in range(0, len(rows), span):
+            part = slice(lo, lo + span)
+            # row i of each stack: the residual on the combinations
+            # holding item i, read through the rates with c_i = 1
+            held = resid[part, None, :] * bits
+            rates = np.where(unit, 1.0, c[part, None, :])
+            moments = pattern_moments(held, rates, g[part, None, :])
+            grad[part] = 2.0 * (weights[part, None, :] * bits * moments).sum(axis=2)
+        return _SLIP_SCALE * (resid * resid).sum(axis=1), _SLIP_SCALE * grad, ~finished
 
     return evaluate
 
@@ -911,7 +900,9 @@ def _search(alphas, k, budget, tie_tol=0.0, *, params=None, g=None, truth=None, 
     ``_CANDIDATE_CHUNK`` rows, one row per group and candidate, and one at
     a time where a group's candidates fill a chunk: grouping pays for the
     fixed cost of each solve where b is small, and where b is large a pass
-    holds no more rows than a search of one group.
+    holds no more rows than a search of one group. A pass of one group
+    reads its target and rates through views, with no copy per row; a
+    pass of several gathers them per row, which only a small b allows.
 
     Returns the (b, m, k) candidate entries and one array record per
     group (``_pass``), each the same bytes as in a search of the group
@@ -970,9 +961,12 @@ def _pass(entries, pats, targets, beta, support) -> list:
     Then one ``_rate_searches`` call runs the searches of the fitted rows
     with a free item and writes their best points into the rates, and one
     ``_screen`` call fits every fitted row at its rates, each in chunks of
-    rows across groups, each row gathering its candidate's patterns. A
-    2^m-wide pass that depends on a group alone runs once per group, and
-    no row holds a copy of its group's target.
+    rows across groups, each row gathering its candidate's patterns. At
+    fixed rates the 2^m-wide moment pass runs once per group. Where the
+    stack holds one group, no row holds a copy of its target or rates
+    (``_Targets.by_row``); a stack of several groups, which occurs only
+    where a group has at most 256 candidates (k = 1, or 2^m <= 32 at
+    k = 2 and 2^m <= 8 at k = 3), gathers them per row.
 
     Returns one array record per group: the (b,) scores, the (b, 2^k) fits
     x, the (b, 4) ``_NOTES`` flags and the rates, a (b, m) stack or, where

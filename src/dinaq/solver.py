@@ -20,8 +20,11 @@ an entry is undone and the column is blocked; the docstring of
 kept cheap without moving a byte: the first solves nothing, since the start
 vertex is its own restricted optimum; each elimination pivots only at the
 positions that some problem's restricted support holds, eliminating the
-right-hand side as one more column; and finished problems stay in the
-stack, as the fixed points they are, until half of it has finished.
+right-hand side as one more column (a skipped position moves only the sign
+of an exact zero, and the clip of the restricted optimum keeps z only where
+it is positive, so each zero it gives is the literal +0.0); and finished
+problems stay in the stack, as the fixed points they are, until half of it
+has finished.
 ``simplex_lsq`` is the solve of one problem given by its rows: a stack of
 one, with the residual read off the rows. The searches call the same solve
 on closed-form Gram systems that build no design.
@@ -252,23 +255,22 @@ def _gram_active_set(
 
     Three savings keep every byte. Iteration 1 solves no system: every
     support is {0}, whose restricted optimum is the start vertex e_0
-    itself, which the elimination would also return, with its pivots all
-    1. The elimination pivots only at positions that some problem's
-    restricted support holds (``_solve_checked``); every other position is
-    a unit row and column of every problem, and skipping it moves only the
-    signs of exact zeros, which the clip of z at zero, np.maximum(z, 0.0),
-    makes +0.0 before they can reach x, the gradient or a step. That numpy
-    returns +0.0 for maximum(-0.0, 0.0) is an assumption, not a documented
-    rule; ``test_clip_at_zero_makes_negative_zero_positive`` pins it, so a
-    numpy or machine that breaks it fails there. And a finished problem
-    stays held, with its x, flag and iteration count recorded as it
-    finishes: it is a fixed point, which solves the same support to the
-    same point and lets nothing enter, so its later iterations change
-    nothing that is read. The held problems are gathered down to the
-    unfinished ones only once at least half of them have finished: a stack
-    pays one gather each time its held count halves, not one on every
-    iteration in which some problem finishes, and a stack whose problems
-    all finish together, as a stack of one does, pays none.
+    itself, which the elimination would also return, with its pivots all 1.
+    The elimination pivots only at positions that some problem's restricted
+    support holds (``_solve_checked``); every other position is a unit row
+    and column of every problem, and skipping it moves only the signs of
+    exact zeros, which the clip of z at zero clears before they can reach
+    x, the gradient or a step: the clip keeps z only where it is positive,
+    so every zero it gives is the literal +0.0, whatever sign the zero of z
+    had (``test_clip_at_zero_makes_negative_zero_positive`` pins this). And
+    a finished problem stays held, with its x, flag and iteration count
+    recorded as it finishes: it is a fixed point, which solves the same
+    support to the same point and lets nothing enter, so its later
+    iterations change nothing that is read. The held problems are gathered
+    down to the unfinished ones only once at least half of them have
+    finished: a stack pays one gather each time its held count halves, not
+    one on every iteration in which some problem finishes, and a stack
+    whose problems all finish together, as a stack of one does, pays none.
 
     A restricted system is singular when a pivot of its elimination is at
     or below 1e-12 times the largest diagonal entry of G on the support.
@@ -350,7 +352,7 @@ def _gram_active_set(
 
         # restricted optimum feasible: take it, then let the most violated
         # off-support coordinate that is not blocked enter
-        step_x = np.where(on, np.maximum(z, 0.0), 0.0)
+        step_x = np.where(on & (z > 0.0), z, 0.0)
         grad = 2.0 * (_sum_leading((g * step_x[None]).transpose(1, 0, 2)) - h)
         lam = _sum_leading(np.where(on, grad, 0.0)) / on.sum(axis=0)
         viol = np.where(on | blocked, np.inf, grad - lam)

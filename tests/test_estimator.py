@@ -57,6 +57,7 @@ from dinaq.estimator import (
     _SLIP_SCALE,
     _SLIP_STARTS,
     SearchResult,
+    _Targets,
     _align_columns,
     _as_targets,
     _by_mask,
@@ -1471,6 +1472,74 @@ def test_rate_searches_independent_of_stack(data):
         for row in np.flatnonzero(rows == j):
             for got, want in zip(values, one):
                 assert got[row].tobytes() == want[0].tobytes()
+
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_fits_independent_of_group_order(data):
+    """Rows of up to three groups, each group with its own target (on
+    population or sampled rates), guessing rates and fixed capable rates,
+    fitted with the groups interleaved in a random order, give each row
+    the bytes of a one-row call on its group alone: the screen at fixed
+    rates and at per-row rates, and the rate objective's values,
+    gradients and cap flags. A stack of one group gives the same bytes
+    under targets that carry a second, unused group, which pits
+    ``by_row``'s view of the one entry against its gather."""
+    m = data.draw(st.integers(2, 5), label="m")
+    k = data.draw(st.integers(1, 3), label="k")
+    groups = data.draw(st.integers(1, 3), label="groups")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    order = ComboOrder.saturated(m)
+    alphas, params = [], []
+    # one group more than the rows use: the unused group of the last check
+    for _ in range(groups + 1):
+        truth = random_q(rng, m, k)
+        group = DinaParams(rng.uniform(0.6, 0.95, m), rng.uniform(0.05, 0.3, m))
+        p_star = ProfileDistribution(k, rng.dirichlet(np.ones(1 << k)))
+        if data.draw(st.booleans(), label="sampled"):
+            config = SimConfig(q=truth, params=group, p_star=p_star, n=500, seed=seed)
+            alphas.append(compute_alpha(simulate(config)[0], order))
+        else:
+            alphas.append(population_alpha(truth, group, p_star, order))
+        params.append(group)
+    size = data.draw(st.integers(1, 12), label="rows")
+    pats = _stacked_patterns([random_q(rng, m, k) for _ in range(size)])
+    own = rng.integers(0, groups, size)
+    c = rng.uniform(0.0, 1.0, (size, m))
+    rows = rng.permutation(size)
+
+    def stacked(used, labels):
+        targets = _Targets(
+            np.array([_by_mask(alphas[j]) for j in used]),
+            np.array([params[j].g for j in used]),
+            np.array([params[j].c for j in used]),
+            labels,
+        )
+        return (
+            _screen(pats, None, targets),
+            _screen(pats, c, targets),
+            _rate_objective(pats, targets)(rows, c[rows]),
+        )
+
+    got = stacked(range(groups), own)
+    for j in range(size):
+        group = params[own[j]]
+        one = _as_targets(alphas[own[j]], group.g, 1)
+        want = (
+            _screen(pats[j : j + 1], None, _as_targets(alphas[own[j]], group.g, 1, group.c)),
+            _screen(pats[j : j + 1], c[j : j + 1], one),
+            _rate_objective(pats[j : j + 1], one)(np.zeros(1, dtype=int), c[j : j + 1]),
+        )
+        at = (j, j, int(np.flatnonzero(rows == j)[0]))
+        for got_call, want_call, row in zip(got, want, at):
+            for got_part, want_part in zip(got_call, want_call):
+                assert got_part[row].tobytes() == want_part[0].tobytes()
+    alone = np.zeros(size, dtype=np.intp)
+    for got_call, want_call in zip(stacked([0, groups], alone), stacked([0], alone)):
+        for got_part, want_part in zip(got_call, want_call):
+            assert got_part.tobytes() == want_part.tobytes()
 
 
 def _capped_within(monkeypatch, name):

@@ -759,24 +759,27 @@ def _exact_fit(rng, n):
 
 
 def test_clip_at_zero_makes_negative_zero_positive():
-    """The kernel's byte identity with the reference assumes that
-    ``np.maximum(z, 0.0)`` gives +0.0 for -0.0, which numpy does not
-    document: skipping unit pivots may flip the sign of an exact zero on
-    the support, and only this clip clears it before it reaches x. Checked
-    on lengths 1 to 199, alone and among other numbers, contiguous and in
-    the strided (n, b) rows of an augmented (n, n + 1, b) system."""
+    """The kernel's byte identity with the reference needs the clip of z at
+    zero to give +0.0 for -0.0: skipping unit pivots may flip the sign of
+    an exact zero on the support, and only this clip clears it before it
+    reaches x. The kernel's clip, ``np.where(on & (z > 0.0), z, 0.0)``,
+    takes every zero from the literal +0.0. Checked on lengths 1 to 199,
+    alone and among other numbers, contiguous and in the strided (n, b)
+    rows of an augmented (n, n + 1, b) system."""
     rng = np.random.default_rng(11)
     for size in range(1, 200):
         mixed = rng.normal(size=size)
         mixed[rng.random(size) < 0.5] = -0.0
         for z in (np.full(size, -0.0), mixed, np.full(2 * size, -0.0)[::2]):
-            clipped = np.maximum(z, 0.0)
+            on = rng.random(size) < 0.5
+            clipped = np.where(on & (z > 0.0), z, 0.0)
             assert not np.signbit(clipped[clipped == 0.0]).any()
+            assert np.array_equal(clipped[on & (z > 0.0)], z[on & (z > 0.0)])
     for n in (1, 2, 4, 8, 16):
         for b in (1, 3, 40, 365):
             z = np.full((n, n + 1, b), -0.0)[:, n]
             on = rng.random((n, b)) < 0.5
-            assert not np.signbit(np.where(on, np.maximum(z, 0.0), 0.0)).any()
+            assert not np.signbit(np.where(on & (z > 0.0), z, 0.0)).any()
 
 
 @settings(max_examples=120, deadline=None)
